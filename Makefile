@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume
+.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test
 
 check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
 	./scripts/check.sh
@@ -36,6 +36,9 @@ simd: ## build the campaign server daemon
 
 campaign-resume: ## kill-and-restart differential matrix: crash at every log position, resume, diff against golden (jobs 1 and 8, race detector)
 	go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 -v ./internal/campaign | tail -5
+
+perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s)
+	cd perfbench && go test ./...
 
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .

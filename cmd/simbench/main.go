@@ -15,15 +15,19 @@
 //	                                  baseline, or ns/op beyond -tolerance)
 //
 // The alloc gate is exact: allocation counts are deterministic, so any
-// increase over baseline fails regardless of tolerance. The time gate is
-// relative: -tolerance 0.5 allows ns/op up to 1.5x baseline, absorbing
-// host noise.
+// increase over baseline fails regardless of tolerance. They are
+// deterministic for a given GOMAXPROCS only — the goroutine kernel's
+// channel hand-offs draw on the runtime's per-P caches — so a document
+// records the GOMAXPROCS it was measured at and -check runs at that
+// setting. The time gate is relative: -tolerance 0.5 allows ns/op up to
+// 1.5x baseline, absorbing host noise.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -54,17 +58,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		rep    perf.Report
-		schema string
-	)
+	var schema string
 	switch *suite {
 	case "kernel":
 		if *baseline == "" {
 			*baseline = "BENCH_kernel.json"
 		}
 		schema = perf.Schema
-		rep = perf.CollectOnly(keep)
 	case "dse":
 		if *engine != "" {
 			fmt.Fprintln(os.Stderr, "simbench: -engine applies to the kernel suite only")
@@ -74,10 +74,28 @@ func main() {
 			*baseline = "BENCH_dse.json"
 		}
 		schema = perf.DSESchema
-		rep = perf.CollectDSE()
 	default:
 		fmt.Fprintf(os.Stderr, "simbench: unknown suite %q (have \"kernel\", \"dse\")\n", *suite)
 		os.Exit(2)
+	}
+
+	var base perf.Report
+	if *check {
+		var err error
+		if base, err = perf.LoadAs(*baseline, schema); err != nil {
+			fmt.Fprintln(os.Stderr, "simbench:", err)
+			os.Exit(1)
+		}
+		if base.GOMAXPROCS > 0 {
+			runtime.GOMAXPROCS(base.GOMAXPROCS)
+		}
+	}
+
+	var rep perf.Report
+	if *suite == "kernel" {
+		rep = perf.CollectOnly(keep)
+	} else {
+		rep = perf.CollectDSE()
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
@@ -113,11 +131,6 @@ func main() {
 	}
 
 	if *check {
-		base, err := perf.LoadAs(*baseline, schema)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			os.Exit(1)
-		}
 		if keep != nil {
 			// The baseline covers both engines; a restricted run must not
 			// flag the other engine's scenarios as missing.
@@ -136,7 +149,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("check passed: %d scenarios within tolerance %.0f%% of %s\n",
-			len(base.Scenarios), *tolerance*100, *baseline)
+		fmt.Printf("check passed: %d scenarios within tolerance %.0f%% of %s (GOMAXPROCS %d)\n",
+			len(base.Scenarios), *tolerance*100, *baseline, rep.GOMAXPROCS)
 	}
 }

@@ -8,6 +8,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,15 +25,23 @@ type Config map[string]string
 // readable in tables and logs.
 func (c Config) Key() string {
 	keys := make([]string, 0, len(c))
-	for k := range c {
+	size := 0
+	for k, v := range c {
 		keys = append(keys, k)
+		size += len(k) + len(v) + 2
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, escapeKeyPart(k)+"="+escapeKeyPart(c[k]))
+	slices.Sort(keys)
+	var b strings.Builder
+	b.Grow(size)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(escapeKeyPart(k))
+		b.WriteByte('=')
+		b.WriteString(escapeKeyPart(c[k]))
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // escapeKeyPart percent-escapes the characters that carry structure in a
@@ -72,20 +81,25 @@ type Axis struct {
 }
 
 // Grid enumerates the cartesian product of the axes, first axis slowest.
+// Configuration i takes from each axis the digit of i in the mixed radix
+// of the axis lengths; when two axes share a name, the later one wins.
 func Grid(axes []Axis) []Config {
-	if len(axes) == 0 {
-		return []Config{{}}
+	n := 1
+	for _, a := range axes {
+		n *= len(a.Values)
 	}
-	rest := Grid(axes[1:])
-	var out []Config
-	for _, v := range axes[0].Values {
-		for _, r := range rest {
-			c := Config{axes[0].Name: v}
-			for k, rv := range r {
-				c[k] = rv
-			}
-			out = append(out, c)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Config, n)
+	for i := range out {
+		c := make(Config, len(axes))
+		stride := n
+		for _, a := range axes {
+			stride /= len(a.Values)
+			c[a.Name] = a.Values[i/stride%len(a.Values)]
 		}
+		out[i] = c
 	}
 	return out
 }
@@ -157,30 +171,29 @@ func Explore(axes []Axis, eval EvalFunc, opts ...Option) []Point {
 		opt(&o)
 	}
 	configs := Grid(axes)
-	if o.cache != nil {
-		inner := eval
-		keyFn := o.keyFn
-		if keyFn == nil {
-			keyFn = Config.Key
-		}
-		eval = func(c Config) (float64, map[string]float64, error) {
-			key := keyFn(c)
-			if e, ok := o.cache.lookup(key); ok {
-				return e.Cost, e.Aux, nil
-			}
-			cost, aux, err := inner(c)
-			if err == nil {
-				o.cache.store(key, cacheEntry{Cost: cost, Aux: aux})
-			}
-			return cost, aux, err
-		}
+	keyFn := o.keyFn
+	if keyFn == nil {
+		keyFn = Config.Key
 	}
 	type out struct {
 		cost float64
 		aux  map[string]float64
 	}
+	// Each job keys its configuration once, on its own worker, so a
+	// costly or panicking key function is parallel and isolated like the
+	// evaluation itself.
 	results := runner.Map(len(configs), runner.Options{Jobs: o.jobs}, func(i int) (out, error) {
+		var key string
+		if o.cache != nil {
+			key = keyFn(configs[i])
+			if e, ok := o.cache.lookup(key); ok {
+				return out{cost: e.Cost, aux: e.Aux}, nil
+			}
+		}
 		cost, aux, err := eval(configs[i])
+		if o.cache != nil && err == nil {
+			o.cache.store(key, cacheEntry{Cost: cost, Aux: aux})
+		}
 		return out{cost: cost, aux: aux}, err
 	})
 	points := make([]Point, 0, len(configs))

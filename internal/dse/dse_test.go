@@ -37,6 +37,34 @@ func TestGridEmpty(t *testing.T) {
 	}
 }
 
+// TestGridOrder pins the enumeration order (first axis slowest), the
+// rule that a repeated axis name takes the later axis's value, and the
+// empty product of an axis without values.
+func TestGridOrder(t *testing.T) {
+	keys := func(axes []Axis) string {
+		var ks []string
+		for _, c := range Grid(axes) {
+			ks = append(ks, c.Key())
+		}
+		return strings.Join(ks, " | ")
+	}
+	if got, want := keys([]Axis{
+		{Name: "a", Values: []string{"1", "2"}},
+		{Name: "b", Values: []string{"x", "y"}},
+	}), "a=1 b=x | a=1 b=y | a=2 b=x | a=2 b=y"; got != want {
+		t.Errorf("grid order = %q, want %q", got, want)
+	}
+	if got, want := keys([]Axis{
+		{Name: "a", Values: []string{"1", "2"}},
+		{Name: "a", Values: []string{"3"}},
+	}), "a=3 | a=3"; got != want {
+		t.Errorf("repeated axis = %q, want %q", got, want)
+	}
+	if g := Grid([]Axis{{Name: "a"}, {Name: "b", Values: []string{"x"}}}); g != nil {
+		t.Errorf("grid with an empty axis = %v, want nil", g)
+	}
+}
+
 func TestExploreRanksByCost(t *testing.T) {
 	axes := []Axis{{Name: "n", Values: []string{"3", "1", "2"}}}
 	points := Explore(axes, func(c Config) (float64, map[string]float64, error) {

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -33,10 +34,14 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Report is the full benchmark document.
+// Report is the full benchmark document. GOMAXPROCS is the setting the
+// scenarios ran at: the goroutine kernel's allocation counts depend on it
+// (blocking channel operations draw sudogs from per-P runtime caches), so
+// an exact alloc comparison is only meaningful at the same setting.
 type Report struct {
-	Schema    string   `json:"schema"`
-	Scenarios []Result `json:"scenarios"`
+	Schema     string   `json:"schema"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Scenarios  []Result `json:"scenarios"`
 }
 
 // switchesMetric is the b.ReportMetric key scenarios use to surface
@@ -57,7 +62,7 @@ func CollectOnly(keep func(name string) bool) Report {
 // collect measures the given scenarios into a report with the given
 // schema tag, shared by the kernel and DSE suites.
 func collect(schema string, scns []Scenario, keep func(name string) bool) Report {
-	rep := Report{Schema: schema}
+	rep := Report{Schema: schema, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, s := range scns {
 		if keep != nil && !keep(s.Name) {
 			continue

@@ -15,10 +15,6 @@ type monitor struct {
 	resources []*resource
 }
 
-func newMonitor(os *osState) *monitor {
-	return &monitor{os: os}
-}
-
 // holderCount is one task's hold count on a resource. Resources hold at
 // most a couple of tasks at a time, so an intrusive slice plus linear
 // scan replaces the goroutine kernel's map — same observable state (a

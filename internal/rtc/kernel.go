@@ -51,7 +51,9 @@ type frame interface {
 }
 
 // event is the engine's notification primitive, a port of sim.Event:
-// flush wakes every registered waiter into the next delta cycle.
+// flush wakes every registered waiter into the next delta cycle. A
+// task's dispatch and preempt events live inside its control block and
+// carry no name; name labels the remaining (interrupt latch) events.
 type event struct {
 	name    string
 	waiters []*machine
@@ -104,17 +106,56 @@ type kernel struct {
 	failure  error
 	limit    Time
 
-	onStall func() error
+	// os is the RTOS model on this kernel; a run that stalls asks it for
+	// a diagnosis before reporting a plain deadlock.
+	os *osState
+
+	machSlab  slab[machine]
+	timerSlab slab[timerEntry]
 }
 
-func newKernel() *kernel {
-	return &kernel{
-		wheel: timewheel.New(
-			func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.node },
-			func(e *timerEntry) int64 { return int64(e.at) },
-			func(e *timerEntry) int { return e.seq },
-		),
+// init prepares an empty kernel for a build that spawns machines
+// machines: the machine and timer-entry slabs and the scheduling queues
+// are sized for them up front (each machine holds at most one pending
+// timer), so the build and the run's steady state allocate nothing per
+// machine. Runtime forks beyond that count still work; they grow the
+// slabs and queues on demand.
+func (k *kernel) init(os *osState, machines int) {
+	k.os = os
+	k.wheel = timewheel.New(
+		func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.node },
+		func(e *timerEntry) int64 { return int64(e.at) },
+		func(e *timerEntry) int { return e.seq },
+	)
+	k.machSlab.reserve(machines)
+	k.timerSlab.reserve(machines)
+	k.machines = make([]*machine, 0, machines)
+	k.ready = make([]*machine, 0, machines)
+	k.next = make([]*machine, 0, machines)
+	k.timerFree = make([]*timerEntry, 0, machines)
+	k.due = make([]*timerEntry, 0, machines)
+}
+
+// slab hands out zeroed values of T from shared chunks. A build reserves
+// one chunk for the objects it is about to create (a par fork reserves
+// one for its children), and take starts a new chunk only when the
+// current one is used up — one allocation per object class instead of
+// one per object.
+type slab[T any] struct{ free []T }
+
+// reserve makes sure the current chunk has room for n more values,
+// replacing it with a chunk of exactly n if it does not.
+func (s *slab[T]) reserve(n int) {
+	if len(s.free) < n {
+		s.free = make([]T, n)
 	}
+}
+
+func (s *slab[T]) take() *T {
+	s.reserve(1)
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 // machine is one resumable control flow: the engine's replacement for a
@@ -131,7 +172,7 @@ type machine struct {
 	task   *task // nil for ISR and watchdog machines
 
 	stack      []frame
-	waitEvents []*event
+	waitEvents []*event // at most one: wait and waitTimeout block on a single event
 	timer      *timerEntry
 	wokenBy    *event
 	timedOut   bool
@@ -154,18 +195,35 @@ type machine struct {
 	fSus fSuspend
 	fRes fResume
 	fOp  opFrame
+
+	// Inline backing for stack and waitEvents. A flat task body nests at
+	// most three frames (body, service frame, one nested service call),
+	// so its stack never reallocates; SDL behavior trees nest deeper and
+	// grow theirs by append.
+	stackBuf [3]frame
+	waitBuf  [1]*event
 }
 
 func (k *kernel) newEvent(name string) *event { return &event{name: name} }
+
+// newMachine takes a machine from the slab with body as its initial
+// stack and registers it as live.
+func (k *kernel) newMachine(name string, body frame) *machine {
+	m := k.machSlab.take()
+	m.k, m.name, m.state = k, name, mCreated
+	m.stack = append(m.stackBuf[:0], body)
+	m.waitEvents = m.waitBuf[:0]
+	k.machines = append(k.machines, m)
+	k.active++
+	return m
+}
 
 // spawn creates a machine whose initial stack is the given body frame.
 // Like sim.Kernel.Spawn it enters the current delta cycle, so machines
 // spawned before the run start at time zero in creation order.
 func (k *kernel) spawn(name string, body frame, daemon bool) *machine {
-	m := &machine{k: k, name: name, daemon: daemon, state: mCreated}
-	m.stack = append(m.stack, body)
-	k.machines = append(k.machines, m)
-	k.active++
+	m := k.newMachine(name, body)
+	m.daemon = daemon
 	k.enqueueReady(m)
 	return m
 }
@@ -174,10 +232,8 @@ func (k *kernel) spawn(name string, body frame, daemon bool) *machine {
 // *next* delta cycle — sim.Proc.ParNamed's fork: children forked at one
 // instant all activate in the following delta, in creation order.
 func (k *kernel) spawnNext(name string, body frame, parent *machine) *machine {
-	m := &machine{k: k, name: name, state: mCreated, parent: parent}
-	m.stack = append(m.stack, body)
-	k.machines = append(k.machines, m)
-	k.active++
+	m := k.newMachine(name, body)
+	m.parent = parent
 	k.enqueueNext(m)
 	return m
 }
@@ -257,14 +313,8 @@ func (k *kernel) fireTimers(t Time) {
 
 func (k *kernel) addTimer(at Time, m *machine, e *event) *timerEntry {
 	k.timerSeq++
-	var entry *timerEntry
-	if n := len(k.timerFree); n > 0 {
-		entry = k.timerFree[n-1]
-		k.timerFree = k.timerFree[:n-1]
-		entry.at, entry.seq, entry.m, entry.e = at, k.timerSeq, m, e
-	} else {
-		entry = &timerEntry{at: at, seq: k.timerSeq, m: m, e: e}
-	}
+	entry := k.newTimer()
+	entry.at, entry.seq, entry.m, entry.e = at, k.timerSeq, m, e
 	k.wheel.Push(entry)
 	if k.nextDueOK {
 		if at < k.nextDue {
@@ -276,6 +326,17 @@ func (k *kernel) addTimer(at Time, m *machine, e *event) *timerEntry {
 		k.nextDue, k.nextDueOK = at, true
 	}
 	return entry
+}
+
+// newTimer returns an unqueued timer entry: a recycled one if any, else
+// a fresh one from the slab.
+func (k *kernel) newTimer() *timerEntry {
+	if n := len(k.timerFree); n > 0 {
+		e := k.timerFree[n-1]
+		k.timerFree = k.timerFree[:n-1]
+		return e
+	}
+	return k.timerSlab.take()
 }
 
 func (k *kernel) recycleTimer(e *timerEntry) {
@@ -344,10 +405,9 @@ func (k *kernel) runUntil(limit Time) error {
 		}
 	}
 	if live > 0 {
-		if k.onStall != nil {
-			if err := k.onStall(); err != nil {
-				return err
-			}
+		if d := k.os.diagnoseStall(); d != nil {
+			k.os.recordDiagnosis(d)
+			return d
 		}
 		return fmt.Errorf("rtc: deadlock at %s: %d machines blocked with no pending timer", k.now, live)
 	}

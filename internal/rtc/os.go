@@ -1,8 +1,9 @@
 package rtc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -56,8 +57,11 @@ type task struct {
 	state core.TaskState
 	mach  *machine
 
-	dispatch *event // flushed when the task is dispatched
-	preempt  *event // flushed to interrupt a segmented delay
+	dispatch event // flushed when the task is dispatched
+	preempt  event // flushed to interrupt a segmented delay
+	// waitBuf backs the two events' waiter lists: only the task's own
+	// machine ever waits on them, so neither list outgrows its slot.
+	waitBuf [2]*machine
 
 	readySeq     int
 	release      Time
@@ -108,35 +112,29 @@ type osState struct {
 	tracing bool
 	recs    []trace.Record
 
-	monitor   *monitor
+	monitor   monitor
 	diagnosis *core.DiagnosisError
+
+	taskSlab slab[task]
 }
 
-func newOSState(k *kernel, name string) *osState {
-	os := &osState{k: k, name: name, tmodel: core.TimeModelCoarse}
-	os.monitor = newMonitor(os)
-	k.onStall = func() error {
-		if d := os.diagnoseStall(); d != nil {
-			os.recordDiagnosis(d)
-			return d
-		}
-		return nil
-	}
-	return os
+// init prepares the OS state of PE name on kernel k for a build that
+// creates tasks tasks: the control-block slab and the task and ready
+// lists are sized for them (par forks grow them on demand).
+func (os *osState) init(k *kernel, name string, tasks int) {
+	os.k, os.name, os.tmodel = k, name, core.TimeModelCoarse
+	os.monitor.os = os
+	os.taskSlab.reserve(tasks)
+	os.tasks = make([]*task, 0, tasks)
+	os.ready = make([]*task, 0, tasks)
 }
 
 func (os *osState) newTask(name string, typ core.TaskType, period Time, prio int) *task {
-	t := &task{
-		id:       len(os.tasks),
-		name:     name,
-		typ:      typ,
-		period:   period,
-		prio:     prio,
-		state:    core.TaskCreated,
-		deadline: sim.Forever,
-		dispatch: os.k.newEvent(name + ".dispatch"),
-		preempt:  os.k.newEvent(name + ".preempt"),
-	}
+	t := os.taskSlab.take()
+	t.id, t.name, t.typ, t.period, t.prio = len(os.tasks), name, typ, period, prio
+	t.state, t.deadline = core.TaskCreated, sim.Forever
+	t.dispatch.waiters = t.waitBuf[0:0:1]
+	t.preempt.waiters = t.waitBuf[1:1:2]
 	os.tasks = append(os.tasks, t)
 	return t
 }
@@ -164,26 +162,27 @@ func (os *osState) slice() Time {
 }
 
 // assignRM is core's assignRateMonotonic: periodic tasks by period,
-// stable; aperiodic tasks keep their relative order after them.
+// stable; aperiodic tasks keep their relative order after them. One
+// stable sort ranks periodic before aperiodic, then periodic tasks by
+// period and aperiodic ones by priority, which is the same order.
 func (os *osState) assignRM() {
-	var periodic, aperiodic []*task
-	for _, t := range os.tasks {
-		if t.typ == core.Periodic {
-			periodic = append(periodic, t)
-		} else {
-			aperiodic = append(aperiodic, t)
+	order := slices.Clone(os.tasks)
+	slices.SortStableFunc(order, func(a, b *task) int {
+		ap, bp := a.typ == core.Periodic, b.typ == core.Periodic
+		switch {
+		case ap != bp:
+			if ap {
+				return -1
+			}
+			return 1
+		case ap:
+			return cmp.Compare(a.period, b.period)
+		default:
+			return cmp.Compare(a.prio, b.prio)
 		}
-	}
-	sort.SliceStable(periodic, func(i, j int) bool { return periodic[i].period < periodic[j].period })
-	sort.SliceStable(aperiodic, func(i, j int) bool { return aperiodic[i].prio < aperiodic[j].prio })
-	n := 0
-	for _, t := range periodic {
+	})
+	for n, t := range order {
 		t.prio = n
-		n++
-	}
-	for _, t := range aperiodic {
-		t.prio = n
-		n++
 	}
 }
 
@@ -365,7 +364,7 @@ func (os *osState) dispatchBest(m *machine, prev *task) {
 		// Inlined flush of the dispatch event: its waiters are only ever
 		// parked by fWaitDispatched, which never holds a timer or other
 		// registrations, so the general wakeFromEvent cleanup is skipped.
-		e := next.dispatch
+		e := &next.dispatch
 		if ws := e.waiters; len(ws) > 0 {
 			e.waiters = ws[:0]
 			for _, w := range ws {
@@ -536,7 +535,7 @@ func (f *fWaitDispatched) step(m *machine) status {
 		// *other* sources on wake) is skipped, and wakeFromEvent's cleanup
 		// loop sees an empty list. Same wake order, same snapshot shape.
 		f.pc = 1
-		e := f.t.dispatch
+		e := &f.t.dispatch
 		e.waiters = append(e.waiters, m)
 		m.state = mWaitEvent
 		return statBlocked
@@ -583,7 +582,7 @@ func (f *fDecideFrom) step(m *machine) status {
 	// under the segmented model, interrupt the running task's delay.
 	if os.tmodel == core.TimeModelSegmented && os.preemptive {
 		if best := os.pickBest(); best != nil && os.less(best, cur) {
-			os.k.flush(cur.preempt)
+			os.k.flush(&cur.preempt)
 		}
 	}
 	return statDone
@@ -715,7 +714,7 @@ func (f *fTimeWait) step(m *machine) status {
 			os.delayStart = f.start
 			os.delayValid = true
 			f.pc = 11
-			m.waitTimeout(t.preempt, f.remaining)
+			m.waitTimeout(&t.preempt, f.remaining)
 			return statBlocked
 		case 11: // segment ended (timer) or interrupted (preempt event)
 			m.afterWait()

@@ -129,12 +129,10 @@ type Result struct {
 
 // Run executes the workload to its horizon and returns the outcome.
 // Configuration errors are reported via Result.Err, like the goroutine
-// engine's harness. Run is NewSession + RunUntil + Finish with the
-// Session kept on the stack, so the one-shot path stays allocation-
-// identical to the pre-Session engine (the simbench alloc gate pins it).
+// engine's harness. Run is NewSession + RunUntil + Finish.
 func Run(w Workload) *Result {
-	var s Session
-	if err := s.init(w); err != nil {
+	s, err := NewSession(w)
+	if err != nil {
 		res := &Result{Err: err}
 		if personality.Valid(w.Personality) {
 			pers := w.Personality

@@ -210,10 +210,7 @@ type cStmt struct {
 // --- execution frames ---
 
 // hier is the hierarchical-elaboration state the behavior frames share:
-// the refinement mapping for par-forked child tasks. It lives on its own
-// heap object — frames holding a *Session would force rtc.Run's
-// stack-allocated Session to escape on the flat hot path too (the
-// simbench alloc gate pins that path exactly).
+// the refinement mapping for par-forked child tasks.
 type hier struct {
 	os    *osState
 	specs map[string]TaskDef // behavior → mapping
@@ -273,6 +270,10 @@ func (f *fNode) step(m *machine) status {
 		switch f.pc {
 		case 0:
 			t := os.mustCurrent(m)
+			// One slab chunk each for the children's control blocks and
+			// machines.
+			os.taskSlab.reserve(len(f.n.children))
+			os.k.machSlab.reserve(len(f.n.children))
 			// Child task control blocks first: each spec's default priority
 			// depends on the task count at its own creation moment.
 			kids := make([]*task, len(f.n.children))

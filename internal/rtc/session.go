@@ -27,6 +27,11 @@ type Session struct {
 	hss    map[string]*rHandshake
 
 	err error
+
+	// kern and osv are what k and os point at: the kernel and the OS
+	// state share the session's allocation.
+	kern kernel
+	osv  osState
 }
 
 // NewSession builds the workload's kernel, OS state, channels, tasks and
@@ -40,10 +45,9 @@ func NewSession(w Workload) (*Session, error) {
 	return s, nil
 }
 
-// init is the construction phase of the original Run, verbatim: the
-// declaration/spawn order fixes task ids, resource order, and the
-// time-zero activation order, all of which the engine-equivalence suite
-// pins against the goroutine kernel.
+// init is Run's construction phase. The declaration/spawn order fixes
+// task ids, resource order, and the time-zero activation order, all of
+// which the engine-equivalence suite pins against the goroutine kernel.
 func (s *Session) init(w Workload) error {
 	name := w.Name
 	if name == "" {
@@ -58,8 +62,10 @@ func (s *Session) init(w Workload) error {
 	}
 	s.w, s.name, s.pers = w, name, pers
 
-	k := newKernel()
-	os := newOSState(k, name)
+	nTasks, nMachines := buildSize(w)
+	k, os := &s.kern, &s.osv
+	k.init(os, nMachines)
+	os.init(k, name, nTasks)
 	os.tmodel = w.TimeModel
 	os.tracing = w.Trace
 	kind, preemptive, slice, err := policyByName(w.Policy, w.Quantum)
@@ -129,18 +135,27 @@ func (s *Session) init(w Workload) error {
 
 	// Tasks: create all control blocks first (ids fix diagnosis order),
 	// then spawn their machines in the same order the goroutine harness
-	// spawns processes.
+	// spawns processes. Each body kind comes from one slab chunk.
+	periodic := 0
+	for _, td := range w.Tasks {
+		if td.Type == "periodic" {
+			periodic++
+		}
+	}
+	var pbs slab[fPeriodicBody]
+	var abs slab[fAperiodicBody]
+	pbs.reserve(periodic)
+	abs.reserve(len(w.Tasks) - periodic)
 	bodies := make([]frame, len(w.Tasks))
-	tasks := make([]*task, len(w.Tasks))
 	for i, td := range w.Tasks {
 		switch td.Type {
 		case "periodic":
 			t := os.newTask(td.Name, core.Periodic, td.Period, td.Prio)
-			tasks[i] = t
-			bodies[i] = &fPeriodicBody{os: os, t: t, segments: td.Segments, cycles: td.Cycles}
+			pb := pbs.take()
+			*pb = fPeriodicBody{os: os, t: t, segments: td.Segments, cycles: td.Cycles}
+			bodies[i] = pb
 		case "aperiodic":
 			t := os.newTask(td.Name, core.Aperiodic, 0, td.Prio)
-			tasks[i] = t
 			ops, err := bindOps(td.Ops, queues, sems)
 			if err != nil {
 				return err
@@ -149,11 +164,14 @@ func (s *Session) init(w Workload) error {
 			if repeat < 1 {
 				repeat = 1
 			}
-			bodies[i] = &fAperiodicBody{os: os, t: t, start: td.Start, ops: ops, repeat: repeat}
+			ab := abs.take()
+			*ab = fAperiodicBody{os: os, t: t, start: td.Start, ops: ops, repeat: repeat}
+			bodies[i] = ab
 		default:
 			return fmt.Errorf("rtc: unknown task type %q", td.Type)
 		}
 	}
+	tasks := os.tasks
 	for i, td := range w.Tasks {
 		daemon := td.Type == "periodic" && td.Cycles == 0
 		m := k.spawn(td.Name, bodies[i], daemon)
@@ -176,6 +194,21 @@ func (s *Session) init(w Workload) error {
 
 	os.start()
 	return nil
+}
+
+// buildSize counts the tasks and machines a build of w creates, which
+// size the session's first slab chunks. A hierarchical workload starts
+// with its root task and an ISR and a stimulus machine per interrupt;
+// its par forks take further chunks as they run.
+func buildSize(w Workload) (tasks, machines int) {
+	tasks, machines = len(w.Tasks), len(w.Tasks)+len(w.IRQs)
+	if w.Top != "" {
+		tasks, machines = 1, 1+2*len(w.IRQs)
+	}
+	if w.WatchdogWindow > 0 {
+		machines++
+	}
+	return tasks, machines
 }
 
 // Now returns the session's current simulated time.
@@ -201,7 +234,7 @@ func (s *Session) RunUntil(limit Time) error {
 // reached. The session can keep running (RunUntil with a later limit)
 // after a Finish: the result is a snapshot of the current state.
 func (s *Session) Finish() *Result {
-	res := &Result{Personality: s.pers}
+	res := &Result{Personality: s.pers, Tasks: make([]TaskResult, 0, len(s.tasks))}
 	res.Err = s.err
 	res.End = s.k.now
 	res.Records = s.os.recs

@@ -81,7 +81,7 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 	// waiter list — waiter order is wake order, so it is state.
 	e.line("events %d", 2*len(os.tasks))
 	for _, t := range os.tasks {
-		for _, ev := range [2]*event{t.dispatch, t.preempt} {
+		for _, ev := range [2]*event{&t.dispatch, &t.preempt} {
 			ws := make([]int, len(ev.waiters))
 			for i, w := range ev.waiters {
 				ws[i] = machIx[w]
@@ -284,7 +284,7 @@ func (s *Session) apply(cp *Checkpoint) error {
 		return fmt.Errorf("snapshot has %d kernel events, workload has %d", nEvents, 2*len(os.tasks))
 	}
 	for _, t := range os.tasks {
-		for _, ev := range [2]*event{t.dispatch, t.preempt} {
+		for _, ev := range [2]*event{&t.dispatch, &t.preempt} {
 			ids, err := d.ints("e")
 			if err != nil {
 				return err
@@ -492,7 +492,8 @@ func (s *Session) apply(cp *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		entry := &timerEntry{at: Time(at), seq: tsq, m: m}
+		entry := k.newTimer()
+		entry.at, entry.seq, entry.m = Time(at), tsq, m
 		k.wheel.Push(entry)
 		m.timer = entry
 	}
@@ -591,13 +592,13 @@ func (s *Session) machineByIndex(i int) (*machine, error) {
 
 // eventID numbers the kernel events without a registry: task id*2 for
 // the dispatch event, id*2+1 for the preempt event (newTask creation
-// order — the only newEvent call sites).
+// order; the events live in the task control block).
 func (s *Session) eventID(ev *event) (int, error) {
 	for _, t := range s.os.tasks {
-		if ev == t.dispatch {
+		if ev == &t.dispatch {
 			return 2 * t.id, nil
 		}
-		if ev == t.preempt {
+		if ev == &t.preempt {
 			return 2*t.id + 1, nil
 		}
 	}
@@ -610,9 +611,9 @@ func (s *Session) eventByID(id int) (*event, error) {
 		return nil, err
 	}
 	if id%2 == 0 {
-		return t.dispatch, nil
+		return &t.dispatch, nil
 	}
-	return t.preempt, nil
+	return &t.preempt, nil
 }
 
 // osEventList enumerates OS-level events in creation order: one condition

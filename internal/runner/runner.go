@@ -29,13 +29,15 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Options configures a Pool or a Map call.
 type Options struct {
 	// Jobs is the number of concurrent workers; <= 0 selects
-	// runtime.NumCPU(). Jobs = 1 executes strictly sequentially.
+	// runtime.NumCPU(). Jobs = 1 executes strictly sequentially (in Map,
+	// inline on the caller's goroutine).
 	Jobs int
 	// Timeout, if positive, is the per-job wall-clock watchdog: a job
 	// running longer fails with a TimeoutError and its goroutine is
@@ -95,10 +97,12 @@ type Result[T any] struct {
 	Attempts int           // dispatch count: > 1 means the job was requeued after a worker loss
 }
 
-// job pairs a submission index with its work function.
+// job pairs a submission index with its work function. The function
+// takes the index, so Map hands every job the caller's fn unchanged
+// instead of wrapping it in a per-job closure.
 type job[T any] struct {
 	index int
-	fn    func() (T, error)
+	fn    func(i int) (T, error)
 }
 
 // Pool runs submitted jobs on a fixed set of workers and streams results
@@ -141,7 +145,7 @@ func NewPool[T any](opts Options) *Pool[T] {
 func (p *Pool[T]) Submit(fn func() (T, error)) int {
 	idx := p.submitted
 	p.submitted++
-	p.jobs <- job[T]{index: idx, fn: fn}
+	p.jobs <- job[T]{index: idx, fn: func(int) (T, error) { return fn() }}
 	return idx
 }
 
@@ -155,7 +159,7 @@ func (p *Pool[T]) Results() <-chan Result[T] { return p.results }
 func (p *Pool[T]) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
-		p.collect <- p.runOne(j)
+		p.collect <- runOne(p.opts, j)
 	}
 }
 
@@ -180,16 +184,16 @@ func (p *Pool[T]) reorder() {
 }
 
 // runOne executes one job, re-dispatching it after a worker loss (panic
-// or watchdog expiry) up to Retry times. Every dispatch is accounted in
-// Attempts; a requeued job is therefore never silently dropped — it
+// or watchdog expiry) up to opts.Retry times. Every dispatch is accounted
+// in Attempts; a requeued job is therefore never silently dropped — it
 // either delivers a value or its last worker-loss error, flagged with
 // the dispatch count.
-func (p *Pool[T]) runOne(j job[T]) Result[T] {
+func runOne[T any](opts Options, j job[T]) Result[T] {
 	var r Result[T]
 	for attempt := 1; ; attempt++ {
-		r = p.dispatch(j)
+		r = dispatch(opts, j)
 		r.Attempts = attempt
-		if r.Err == nil || attempt > p.opts.Retry {
+		if r.Err == nil || attempt > opts.Retry {
 			return r
 		}
 		var pe *PanicError
@@ -202,17 +206,19 @@ func (p *Pool[T]) runOne(j job[T]) Result[T] {
 }
 
 // dispatch executes one job once with panic isolation and the optional
-// watchdog.
-func (p *Pool[T]) dispatch(j job[T]) Result[T] {
+// watchdog. Without a watchdog the job runs on the calling goroutine;
+// with one it runs on a goroutine of its own, which is abandoned if the
+// watchdog fires first.
+func dispatch[T any](opts Options, j job[T]) Result[T] {
 	start := time.Now()
-	if p.opts.Timeout <= 0 {
+	if opts.Timeout <= 0 {
 		r := guarded(j)
 		r.Wall = time.Since(start)
 		return r
 	}
 	done := make(chan Result[T], 1)
 	go func() { done <- guarded(j) }()
-	timer := time.NewTimer(p.opts.Timeout)
+	timer := time.NewTimer(opts.Timeout)
 	defer timer.Stop()
 	select {
 	case r := <-done:
@@ -221,7 +227,7 @@ func (p *Pool[T]) dispatch(j job[T]) Result[T] {
 	case <-timer.C:
 		return Result[T]{
 			Index: j.index,
-			Err:   &TimeoutError{Index: j.index, Limit: p.opts.Timeout},
+			Err:   &TimeoutError{Index: j.index, Limit: opts.Timeout},
 			Wall:  time.Since(start),
 		}
 	}
@@ -235,28 +241,37 @@ func guarded[T any](j job[T]) (res Result[T]) {
 			res.Err = &PanicError{Index: j.index, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	res.Value, res.Err = j.fn()
+	res.Value, res.Err = j.fn(j.index)
 	return res
 }
 
 // Map runs fn for every index 0..n-1 and returns the results indexed by
 // submission order — the batch counterpart of a sequential for loop.
+//
+// The calling goroutine is one of the Jobs workers: Map starts only
+// min(Jobs, n)-1 extra goroutines, and every worker claims the next
+// index from a shared counter and writes its result in place, so there
+// is no channel hand-off and no reorder step. Jobs = 1 therefore runs
+// fn inline, in index order, on the caller's goroutine (a Timeout still
+// runs each job on a watchdog goroutine).
 func Map[T any](n int, opts Options, fn func(i int) (T, error)) []Result[T] {
 	out := make([]Result[T], n)
-	if n == 0 {
-		return out
-	}
-	p := NewPool[T](opts)
-	go func() {
-		for i := 0; i < n; i++ {
-			i := i
-			p.Submit(func() (T, error) { return fn(i) })
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			out[i] = runOne(opts, job[T]{index: i, fn: fn})
 		}
-		p.Close()
-	}()
-	for r := range p.Results() {
-		out[r.Index] = r
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(opts.workers(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	return out
 }
 

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -256,5 +257,89 @@ func TestMapEmptyAndErrors(t *testing.T) {
 	})
 	if err := FirstErr(results); !errors.Is(err, boom) {
 		t.Fatalf("FirstErr = %v, want boom", err)
+	}
+}
+
+// TestMapJobsOneIsInline: Jobs=1 runs every job on the caller's
+// goroutine — no worker goroutine is started, so the goroutine count
+// seen from inside fn is the caller's own.
+func TestMapJobsOneIsInline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	results := Map(20, Options{Jobs: 1}, func(i int) (int, error) {
+		return runtime.NumGoroutine(), nil
+	})
+	for i, r := range results {
+		if r.Err != nil || r.Value != base {
+			t.Fatalf("job %d: %d goroutines inside fn (err %v), want %d", i, r.Value, r.Err, base)
+		}
+	}
+}
+
+// TestMapAllocs pins Map's own cost at Jobs=1: the result slice, the
+// shared index counter, the worker loop and its WaitGroup — nothing per
+// job.
+func TestMapAllocs(t *testing.T) {
+	fn := func(i int) (int, error) { return i, nil }
+	allocs := testing.AllocsPerRun(50, func() {
+		Map(60, Options{Jobs: 1}, fn)
+	})
+	if allocs != 4 {
+		t.Fatalf("Map(60, Jobs: 1) allocates %.0f times per call, want 4", allocs)
+	}
+}
+
+// TestMapWorkersCappedAtN: with more workers requested than jobs, Map
+// starts at most n-1 goroutines besides the caller.
+func TestMapWorkersCappedAtN(t *testing.T) {
+	const n = 3
+	base := runtime.NumGoroutine()
+	var peak int64
+	Map(n, Options{Jobs: 16}, func(i int) (struct{}, error) {
+		time.Sleep(5 * time.Millisecond)
+		cur := int64(runtime.NumGoroutine())
+		for {
+			old := atomic.LoadInt64(&peak)
+			if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
+				break
+			}
+		}
+		return struct{}{}, nil
+	})
+	if extra := int(atomic.LoadInt64(&peak)) - base; extra > n-1 {
+		t.Fatalf("Map(%d, Jobs: 16) ran with %d extra goroutines, want at most %d", n, extra, n-1)
+	}
+}
+
+// TestJobsOneRetryAndTimeout: the worker-loss policy holds when the
+// caller's goroutine is the only worker — a panicking job is requeued
+// and recovers, a job whose first lease hangs is requeued after its
+// watchdog fires, and one that always hangs delivers its TimeoutError
+// after Retry+1 leases without blocking the jobs behind it.
+func TestJobsOneRetryAndTimeout(t *testing.T) {
+	hung := make(chan struct{})
+	defer close(hung)
+	var calls [4]int64
+	results := Map(4, Options{Jobs: 1, Timeout: 30 * time.Millisecond, Retry: 1}, func(i int) (int, error) {
+		c := atomic.AddInt64(&calls[i], 1)
+		switch {
+		case i == 0 && c == 1:
+			panic("worker lost")
+		case i == 1 && c == 1, i == 2:
+			<-hung
+		}
+		return i, nil
+	})
+	for i, want := range []struct {
+		attempts int
+		timeout  bool
+	}{{2, false}, {2, false}, {2, true}, {1, false}} {
+		r := results[i]
+		if r.Attempts != want.attempts || errors.Is(r.Err, ErrTimeout) != want.timeout {
+			t.Fatalf("job %d: attempts %d err %v, want attempts %d timeout %t",
+				i, r.Attempts, r.Err, want.attempts, want.timeout)
+		}
+		if !want.timeout && (r.Err != nil || r.Value != i) {
+			t.Fatalf("job %d: value %d err %v", i, r.Value, r.Err)
+		}
 	}
 }

@@ -93,6 +93,14 @@ go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc ./internal/sim
 echo "== design-space exploration gates (internal/dse)"
 go test -race -count=1 ./internal/dse
 
+# End-to-end benchmark self-tests (~30 s): perfbench is a Go module of
+# its own (replace repro => ../), so go test ./... above never reaches
+# it. Its tests pin the metric names against BENCHMARK.json, per-op
+# metrics independent of run length, tampered outputs failing their op,
+# and a warm reset starting a fresh server life.
+echo "== perfbench self-tests (separate module)"
+(cd perfbench && go test ./...)
+
 # Personality dispatch overhead guard: the personality interface in
 # front of the core services must stay within 5% of direct calls on the
 # context-switch scenario (generic passthrough isolates the indirection).
