@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test
+.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test
 
 check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
 	./scripts/check.sh
@@ -15,6 +15,9 @@ test:
 
 vet:
 	go vet ./...
+
+fmt-check: ## fail if any Go file is not gofmt-formatted
+	test -z "$$(gofmt -l .)"
 
 race:
 	go test -race ./...
@@ -78,16 +81,13 @@ timer-boundary: ## timing-wheel boundary ordering: differential harness vs refer
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
 	go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 
-equivalence: ## indexed-vs-linear ready-queue byte-equivalence matrix
-	go test -run 'TestReadyQueueEquivalence' -count=1 ./internal/simcheck
-
 engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, SDL corpus + goldens)
 	go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
-checkpoint-equivalence: ## snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
+checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
-	go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc ./internal/sim
+	go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
 
 dse-check: ## design-space-exploration gates: memoization, Pareto, cache keys, fork sweeps + BENCH_dse.json baseline
 	go test -race -count=1 ./internal/dse

@@ -398,7 +398,11 @@ func (s *Server) runCell(j *Job, i int) ([]byte, error) {
 			return nil, err
 		}
 		s.execs.Add(1)
-		s.cache.PutBytes(c.key, b)
+		if err := s.cache.PutBytes(c.key, b); err != nil {
+			// Journaling cell.done now would claim bytes that never
+			// reached disk; the next server life would fail the job.
+			return nil, err
+		}
 		if rep != nil {
 			j.mu.Lock()
 			j.reports[i] = rep

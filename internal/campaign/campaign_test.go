@@ -3,12 +3,15 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/campaign/eventlog"
 	"repro/internal/campaign/runstate"
 	"repro/internal/telemetry"
 )
@@ -352,6 +355,42 @@ func TestWorkerLossExhaustedFailsLoudly(t *testing.T) {
 	}
 	if strings.Contains(st.Error, "goroutine") {
 		t.Fatalf("failure message leaks a stack trace: %q", st.Error)
+	}
+}
+
+// TestCachePersistFailureFailsCell: a cell whose bytes cannot be written
+// to the cache must fail its job before cell.done is journaled. A done
+// record for bytes that never reached disk would fail the job in the
+// next server life instead. The cache directory is replaced by a regular
+// file after Open, so the write fails with ENOTDIR even as root.
+func TestCachePersistFailureFailsCell(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestServer(t, dir, 1)
+	cacheDir := filepath.Join(dir, "cache")
+	if err := os.RemoveAll(cacheDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cacheDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := s.Submit(KindTaskset, []byte(tinySet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, id)
+	st, _ := s.Status(id)
+	if st.Status != runstate.StatusFailed || !strings.Contains(st.Error, "cache persist") {
+		t.Fatalf("status = %+v, want failed with the cache persist error", st)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := eventlog.Decode(data)
+	for _, r := range recs {
+		if r.Type == runstate.EvCellDone {
+			t.Fatalf("cell.done journaled for a cell whose bytes were never persisted: %s", r.Data)
+		}
 	}
 }
 

@@ -539,12 +539,12 @@ func (os *OS) watchdogDiagnose(window sim.Time) *DiagnosisError {
 	// Hidden stall: nothing runnable and no timer other than the
 	// watchdog's own (just fired, not yet re-armed) — without the watchdog
 	// the kernel itself would have reported the stall.
-	if os.readyLen() == 0 && os.current == nil && os.k.PendingTimers() == 0 {
+	if os.rq.Len() == 0 && os.current == nil && os.k.PendingTimers() == 0 {
 		return os.diagnoseStall()
 	}
 	// Starvation: runnable work exists but nothing was dispatched for a
 	// full window.
-	if os.readyLen() > 0 {
+	if os.rq.Len() > 0 {
 		d := &DiagnosisError{PE: os.name, Kind: DiagStarvation,
 			At: os.k.Now(), Window: window}
 		holder := ""

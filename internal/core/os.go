@@ -168,15 +168,9 @@ type OS struct {
 	current *Task
 	lastRun *Task
 
-	// Ready queue. Policies implementing Ranker use the indexed structure
-	// (priority buckets + intrusive FIFO lists, O(1) dispatch); other
-	// policies — and the byte-equivalence test suite via SetLinearReady —
-	// use the linear list with a full scan per decision. Exactly one of
-	// the two holds tasks at any time.
-	rq          *readyq.Queue[*Task]
-	ready       []*Task
-	ranker      Ranker
-	forceLinear bool
+	// Ready queue, indexed by Policy.Rank: priority buckets + intrusive
+	// FIFO lists, O(1) dispatch.
+	rq *readyq.Queue[*Task]
 
 	seq int // ready-queue FIFO sequence source
 
@@ -280,13 +274,11 @@ func (os *OS) Observe(o Observer) {
 func (os *OS) Init() {
 	os.started = false
 	os.tasks = nil
-	os.ready = nil
 	if os.rq == nil {
 		os.rq = readyq.New(taskLinks)
 	} else {
 		os.rq.Clear()
 	}
-	os.refreshRanker()
 	os.current = nil
 	os.lastRun = nil
 	os.seq = 0
@@ -311,9 +303,8 @@ func (os *OS) Start(policy Policy) {
 	if _, ok := os.policy.(RMPolicy); ok {
 		assignRateMonotonic(os.tasks)
 	}
-	// The policy (and, under RM, every priority) may have changed; re-derive
-	// the ranking and re-key any task already sitting in the ready queue.
-	os.refreshRanker()
+	// The policy (and, under RM, every priority) may have changed; re-key
+	// any task already sitting in the ready queue.
 	os.rebuildReady()
 	os.started = true
 	os.startedAt = os.k.Now()
@@ -735,31 +726,6 @@ func (os *OS) setState(t *Task, s TaskState) {
 // taskLinks is the intrusive-links accessor for the indexed ready queue.
 func taskLinks(t *Task) *readyq.Links[*Task] { return &t.rq }
 
-// refreshRanker re-derives the indexable ranking from the active policy.
-func (os *OS) refreshRanker() {
-	os.ranker = nil
-	if os.forceLinear {
-		return
-	}
-	if r, ok := os.policy.(Ranker); ok {
-		os.ranker = r
-	}
-}
-
-// SetLinearReady forces the linear ready-list scan even for policies that
-// support the indexed structure. It exists for the byte-equivalence test
-// suite, which runs every scenario through both ready-queue
-// implementations and asserts identical traces. Call it before or after
-// Start; tasks already queued are migrated.
-func (os *OS) SetLinearReady(on bool) {
-	if os.forceLinear == on {
-		return
-	}
-	os.forceLinear = on
-	os.refreshRanker()
-	os.rebuildReady()
-}
-
 // SetPreemptFrontReinsert selects where a preempted task re-enters its
 // priority level: at the back, as the newest ready task (the default,
 // the paper's plain FIFO tie-break), or at the front, as the oldest —
@@ -772,52 +738,32 @@ func (os *OS) SetPreemptFrontReinsert(on bool) {
 	os.frontReinsert = on
 }
 
-// pushReady inserts an already-sequenced ready task into the active
-// ready structure.
+// pushReady inserts an already-sequenced ready task into the ready
+// queue.
 func (os *OS) pushReady(t *Task) {
-	if os.ranker != nil {
-		os.rq.Push(t, os.ranker.Rank(t), t.readySeq)
-	} else {
-		os.ready = append(os.ready, t)
-	}
+	os.rq.Push(t, os.policy.Rank(t), t.readySeq)
 }
 
 // rekeyReady re-ranks t after a scheduling attribute changed (priority
-// boost/restore, deadline override) so the indexed structure stays
-// consistent with Less. A no-op when t is not queued or under the linear
-// fallback, whose scan always reads the current attributes.
+// boost/restore, deadline override) so the ready queue stays consistent
+// with Less. A no-op when t is not queued.
 func (os *OS) rekeyReady(t *Task) {
-	if os.ranker != nil {
-		os.rq.Update(t, os.ranker.Rank(t))
-	}
+	os.rq.Update(t, os.policy.Rank(t))
 }
 
-// rebuildReady migrates all queued tasks into the structure selected by
-// the current ranker, preserving FIFO arrival order.
+// rebuildReady re-keys all queued tasks under the current policy,
+// preserving FIFO arrival order.
 func (os *OS) rebuildReady() {
-	n := os.rq.Len() + len(os.ready)
+	n := os.rq.Len()
 	if n == 0 {
 		return
 	}
 	queued := make([]*Task, 0, n)
 	os.rq.Do(func(t *Task) { queued = append(queued, t) })
 	os.rq.Clear()
-	queued = append(queued, os.ready...)
-	os.ready = os.ready[:0]
 	sort.Slice(queued, func(i, j int) bool { return queued[i].readySeq < queued[j].readySeq })
 	for _, t := range queued {
 		os.pushReady(t)
-	}
-}
-
-// readyLen returns the ready-queue length.
-func (os *OS) readyLen() int { return os.rq.Len() + len(os.ready) }
-
-// rangeReady calls f for every ready task; f must not mutate the queue.
-func (os *OS) rangeReady(f func(*Task)) {
-	os.rq.Do(f)
-	for _, t := range os.ready {
-		f(t)
 	}
 }
 
@@ -836,8 +782,8 @@ func (os *OS) makeReady(t *Task) {
 // makeReadyPreempted re-inserts a task that lost the CPU involuntarily.
 // Default mode is identical to makeReady (re-enter as newest); under
 // SetPreemptFrontReinsert the task re-enters as the oldest of its rank,
-// drawing its seq from the decrementing front counter so both the
-// indexed front-push and the linear scan's seq tie-break agree.
+// drawing its seq from the decrementing front counter so the front-push
+// and the seq order of a later rebuildReady agree.
 func (os *OS) makeReadyPreempted(t *Task) {
 	if !os.frontReinsert {
 		os.makeReady(t)
@@ -849,46 +795,20 @@ func (os *OS) makeReadyPreempted(t *Task) {
 	os.setState(t, TaskReady)
 	os.frontSeq--
 	t.readySeq = os.frontSeq
-	if os.ranker != nil {
-		os.rq.PushFront(t, os.ranker.Rank(t), t.readySeq)
-	} else {
-		os.ready = append(os.ready, t)
-	}
+	os.rq.PushFront(t, os.policy.Rank(t), t.readySeq)
 	os.emitReadyQueue()
 }
 
 // removeReady drops t from the ready queue if present.
 func (os *OS) removeReady(t *Task) {
-	if os.ranker != nil {
-		if os.rq.Remove(t) {
-			os.emitReadyQueue()
-		}
-		return
-	}
-	for i, x := range os.ready {
-		if x == t {
-			os.ready = append(os.ready[:i], os.ready[i+1:]...)
-			os.emitReadyQueue()
-			return
-		}
+	if os.rq.Remove(t) {
+		os.emitReadyQueue()
 	}
 }
 
 // pickBest returns the ready task that orders first under the policy with
 // FIFO tie-break, without removing it.
-func (os *OS) pickBest() *Task {
-	if os.ranker != nil {
-		return os.rq.Min()
-	}
-	var best *Task
-	for _, t := range os.ready {
-		if best == nil || os.policy.Less(t, best) ||
-			(!os.policy.Less(best, t) && t.readySeq < best.readySeq) {
-			best = t
-		}
-	}
-	return best
-}
+func (os *OS) pickBest() *Task { return os.rq.Min() }
 
 // releaseCPU detaches the running task from the CPU (its state must
 // already be set to the blocking state) and dispatches the next ready
@@ -1034,7 +954,7 @@ func (os *OS) emitReadyQueue() {
 		return
 	}
 	now := os.k.Now()
-	n := os.readyLen()
+	n := os.rq.Len()
 	for _, o := range os.extObs {
 		o.OnReadyQueue(now, n)
 	}

@@ -114,7 +114,7 @@ func (o *invariantObserver) OnDispatch(at sim.Time, prev, next *Task) {
 	if next == nil {
 		return
 	}
-	o.os.rangeReady(func(r *Task) {
+	o.os.rq.Do(func(r *Task) {
 		if o.os.policy.Less(r, next) {
 			*o.fail = true // a strictly preferred task was left waiting
 		}

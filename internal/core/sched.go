@@ -24,17 +24,12 @@ type Policy interface {
 	Less(a, b *Task) bool
 	// Slice returns the round-robin time slice, or 0 for no time slicing.
 	Slice() sim.Time
-}
-
-// Ranker is an optional Policy extension that enables the indexed ready
-// queue (internal/readyq): Rank maps a task to a two-component key whose
-// lexicographic order must be identical to the policy's Less ordering.
-// The key may depend only on fields whose mutation is reported to the
-// dispatcher (priority via Task.SetPriority / priority inheritance,
-// deadline via Task.SetDeadline / release) — the OS re-keys queued tasks
-// on those paths. Policies without Rank fall back to the linear
-// ready-list scan.
-type Ranker interface {
+	// Rank maps a task to its key in the indexed ready queue
+	// (internal/readyq); the keys' lexicographic order must be identical
+	// to Less. The key may depend only on fields whose mutation is
+	// reported to the dispatcher (priority via Task.SetPriority / priority
+	// inheritance, deadline via Task.SetDeadline / release) — the OS
+	// re-keys queued tasks on those paths.
 	Rank(t *Task) readyq.Key
 }
 

@@ -139,15 +139,15 @@ func (c *Cache) GetBytes(key string) ([]byte, bool) {
 
 // PutBytes stores an opaque result payload under key, persisting it
 // (checksummed, via a temp-file rename so readers never observe a torn
-// entry) when the cache has a directory. Write failures are recorded in
-// Err, not propagated — the in-memory entry still serves this process.
-func (c *Cache) PutBytes(key string, data []byte) {
+// entry) when the cache has a directory. A write failure is returned and
+// also recorded in Err; the in-memory entry still serves this process.
+func (c *Cache) PutBytes(key string, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cp := append([]byte(nil), data...)
 	c.memB[key] = cp
 	if c.dir == "" {
-		return
+		return nil
 	}
 	path := c.binPath(key)
 	tmp := path + ".tmp"
@@ -155,9 +155,13 @@ func (c *Cache) PutBytes(key string, data []byte) {
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
-	if err != nil && c.saveErr == nil {
-		c.saveErr = fmt.Errorf("dse: cache persist: %w", err)
+	if err != nil {
+		err = fmt.Errorf("dse: cache persist: %w", err)
+		if c.saveErr == nil {
+			c.saveErr = err
+		}
 	}
+	return err
 }
 
 // binPath maps a key to its opaque-bytes file: sha256(key).bin.

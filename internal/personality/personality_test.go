@@ -177,7 +177,7 @@ func TestSleepWakeTiming(t *testing.T) {
 	}
 }
 
-// TestChangePriorityRekeysReadyTask verifies the Ranker re-key hook
+// TestChangePriorityRekeysReadyTask verifies the ready-queue re-key hook
 // fires through every personality's priority-change service: raising a
 // READY task above the running one must preempt at that instant, which
 // only happens if the indexed ready queue was re-ranked (a stale key

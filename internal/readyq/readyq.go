@@ -24,8 +24,9 @@
 // Equivalence contract: for a policy whose Less ordering matches the
 // lexicographic order of its Rank keys, Min() returns exactly the task a
 // linear scan with FIFO tie-break would pick. The property test in this
-// package and the byte-equivalence suite at the repository root pin that
-// contract across the full policy × time-model matrix.
+// package pins that contract against a naive linear reference, and the
+// engine-equivalence suite (internal/simcheck) diffs core's readyq
+// dispatch against the rtc engine's linear ready list.
 package readyq
 
 // Key is a policy rank: two lexicographically ordered components. Smaller

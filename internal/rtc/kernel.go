@@ -293,7 +293,7 @@ func (k *kernel) nextTime() (Time, bool) {
 }
 
 // fireTimers wakes every entry due at exactly t in (at, seq) order —
-// the order both sim timer backends are pinned to. Waking only enqueues
+// the order the sim kernel's timer heap fires in. Waking only enqueues
 // machines; none of them runs (and none can schedule a new timer) until
 // the scheduler loop resumes them, so one CollectDue batch is complete.
 func (k *kernel) fireTimers(t Time) {

@@ -196,7 +196,7 @@ func (os *osState) start() {
 	os.idleValid = true
 }
 
-// --- ready queue (linear discipline, core's SetLinearReady path) ---
+// --- ready queue (linear list; core indexes the same order in readyq) ---
 
 // pickBest scans the ready list for the task the policy would dispatch:
 // the winner under (less rank, readySeq). One specialized loop per

@@ -20,7 +20,7 @@ type Kernel struct {
 	readyAt int     // consumption index into ready (avoids slice creep)
 	next    []*Proc // runnable in the next delta cycle, FIFO
 
-	timers    timerBackend // heap by default; see SetTimingWheel
+	timers    heapTimers
 	timerSeq  int
 	timerFree []*timerEntry // recycled entries (zero-alloc steady state)
 
@@ -52,25 +52,8 @@ func NewKernel() *Kernel {
 		yield:   make(chan struct{}),
 		killAck: make(chan struct{}),
 	}
-	k.timers = &heapTimers{k: k}
+	k.timers.k = k
 	return k
-}
-
-// SetTimingWheel selects the timer backend: the hierarchical timing
-// wheel (on) or the default binary heap (off). The wheel turns the
-// O(log n) schedule/cancel of timer-churn workloads (timeouts that are
-// almost always canceled) into O(1); both backends fire in the identical
-// (time, seq) order, pinned by the differential test in this package.
-// The backend must be chosen before any timer is scheduled.
-func (k *Kernel) SetTimingWheel(on bool) {
-	if k.timers.live() > 0 {
-		panic("sim: SetTimingWheel with timers pending")
-	}
-	if on {
-		k.timers = newWheelTimers(k)
-	} else {
-		k.timers = &heapTimers{k: k}
-	}
 }
 
 // Now returns the current simulation time.
@@ -423,16 +406,14 @@ func (k *Kernel) addTimer(at Time, p *Proc, e *Event) *timerEntry {
 	return entry
 }
 
-// recycleTimer returns a popped (no longer backend-resident) entry to the
+// recycleTimer returns a popped (no longer heap-resident) entry to the
 // free list.
 func (k *Kernel) recycleTimer(e *timerEntry) {
 	e.p, e.e = nil, nil
 	k.timerFree = append(k.timerFree, e)
 }
 
-// cancelTimer removes a pending entry; how immediately it is reclaimed is
-// the backend's affair (the heap cancels lazily, the wheel unlinks in
-// O(1)).
+// cancelTimer removes a pending entry; the heap cancels lazily.
 func (k *Kernel) cancelTimer(e *timerEntry) {
 	k.timers.cancel(e)
 }

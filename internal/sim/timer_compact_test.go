@@ -76,7 +76,7 @@ func TestTimerCompactionBelowThreshold(t *testing.T) {
 		if got := k.PendingTimers(); got != 0 {
 			t.Errorf("PendingTimers mid-run = %d, want 0", got)
 		}
-		if k.timers.(*heapTimers).canceled == 0 {
+		if k.timers.canceled == 0 {
 			t.Error("expected lazily retained canceled entries below the compaction threshold")
 		}
 	})
@@ -92,4 +92,4 @@ func TestTimerCompactionBelowThreshold(t *testing.T) {
 }
 
 // timerHeapLen exposes the physical heap length to tests in this package.
-func (k *Kernel) timerHeapLen() int { return len(k.timers.(*heapTimers).h) }
+func (k *Kernel) timerHeapLen() int { return len(k.timers.h) }

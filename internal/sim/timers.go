@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-
-	"repro/internal/timewheel"
-)
+import "container/heap"
 
 // timerEntry is a pending timeout or timed notification.
 type timerEntry struct {
@@ -13,33 +9,9 @@ type timerEntry struct {
 	p        *Proc
 	e        *Event
 	canceled bool
-	index    int                         // heap index (heap backend)
-	tw       timewheel.Node[*timerEntry] // wheel node (wheel backend)
 }
 
-// timerBackend is the scheduling structure behind kernel timers. Both
-// implementations deliver entries in the identical (at, seq) order; they
-// differ only in the cost profile: the binary heap is O(log n)
-// everywhere, the hierarchical timing wheel is O(1) for the
-// schedule/cancel churn of timeout-heavy workloads.
-type timerBackend interface {
-	// push inserts a new entry (freshly sequenced by the kernel).
-	push(e *timerEntry)
-	// nextTime returns the earliest pending live entry's due time.
-	nextTime() (Time, bool)
-	// popDue removes and returns the next live entry due at exactly t,
-	// in (at, seq) order, or nil once t is exhausted.
-	popDue(t Time) *timerEntry
-	// cancel removes a pending entry (possibly lazily).
-	cancel(e *timerEntry)
-	// live returns the number of pending non-canceled entries.
-	live() int
-	// each visits every live entry in no particular order (snapshots sort
-	// by (at, seq) themselves). fn must not mutate the backend.
-	each(fn func(*timerEntry))
-}
-
-// heapTimers is the default backend: a binary min-heap ordered by
+// heapTimers schedules the kernel's timers: a binary min-heap ordered by
 // (at, seq) with lazy cancelation and bounded compaction.
 type heapTimers struct {
 	k        *Kernel
@@ -117,22 +89,11 @@ func (b *heapTimers) compact() {
 		b.h[i] = nil
 	}
 	b.h = live
-	for i, e := range b.h {
-		e.index = i
-	}
 	heap.Init(&b.h)
 	b.canceled = 0
 }
 
 func (b *heapTimers) live() int { return len(b.h) - b.canceled }
-
-func (b *heapTimers) each(fn func(*timerEntry)) {
-	for _, e := range b.h {
-		if !e.canceled {
-			fn(e)
-		}
-	}
-}
 
 // timerHeap is a min-heap of timer entries ordered by (at, seq).
 type timerHeap []*timerEntry
@@ -144,15 +105,9 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *timerHeap) Push(x interface{}) {
-	e := x.(*timerEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
+	*h = append(*h, x.(*timerEntry))
 }
 func (h *timerHeap) Pop() interface{} {
 	old := *h
@@ -161,97 +116,4 @@ func (h *timerHeap) Pop() interface{} {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return e
-}
-
-// wheelTimers is the hierarchical timing-wheel backend
-// (internal/timewheel): O(1) schedule and cancel, with a per-instant
-// due batch drained by fireTimers.
-type wheelTimers struct {
-	k     *Kernel
-	w     *timewheel.Wheel[*timerEntry]
-	due   []*timerEntry // entries collected for the instant being fired
-	dueAt Time
-	dueIx int
-}
-
-func newWheelTimers(k *Kernel) *wheelTimers {
-	return &wheelTimers{
-		k: k,
-		w: timewheel.New(
-			func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.tw },
-			func(e *timerEntry) int64 { return int64(e.at) },
-			func(e *timerEntry) int { return e.seq },
-		),
-	}
-}
-
-func (b *wheelTimers) push(e *timerEntry) { b.w.Push(e) }
-
-func (b *wheelTimers) nextTime() (Time, bool) {
-	if b.dueIx < len(b.due) {
-		return b.dueAt, true
-	}
-	t, ok := b.w.NextTime()
-	return Time(t), ok
-}
-
-func (b *wheelTimers) popDue(t Time) *timerEntry {
-	for {
-		if b.dueAt == t && b.dueIx < len(b.due) {
-			e := b.due[b.dueIx]
-			b.due[b.dueIx] = nil
-			b.dueIx++
-			if e.canceled {
-				// Canceled while sitting in the due batch (an event
-				// flush canceling a same-instant timeout).
-				b.k.recycleTimer(e)
-				continue
-			}
-			return e
-		}
-		// Batch exhausted (or first call for t): collect from the wheel.
-		// Processes woken earlier in this instant may have scheduled new
-		// zero-delay timers due at t, so collection can repeat.
-		b.due = b.w.CollectDue(int64(t), b.due[:0])
-		b.dueAt, b.dueIx = t, 0
-		if len(b.due) == 0 {
-			return nil
-		}
-	}
-}
-
-func (b *wheelTimers) cancel(e *timerEntry) {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
-	if b.w.Cancel(e) {
-		// Unlinked from the wheel: reclaim immediately (callers drop
-		// their reference right after canceling).
-		b.k.recycleTimer(e)
-	}
-	// Otherwise the entry is in the due batch; popDue reclaims it.
-}
-
-func (b *wheelTimers) live() int {
-	n := b.w.Len()
-	for _, e := range b.due[b.dueIx:] {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
-
-func (b *wheelTimers) each(fn func(*timerEntry)) {
-	b.w.Each(func(e *timerEntry) {
-		if !e.canceled {
-			fn(e)
-		}
-	})
-	for _, e := range b.due[b.dueIx:] {
-		if !e.canceled {
-			fn(e)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package simcheck
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 
@@ -38,57 +37,6 @@ func runRTCCheckpointed(s *Scenario, cfg Config) *RunResult {
 	}
 	restored.RunUntil(w.Horizon)
 	return assembleRTC(cfg, restored.Finish())
-}
-
-// runSingleCheckpointed is the goroutine-kernel counterpart. Process
-// stacks are goroutines, so the state cannot be rebuilt from bytes;
-// instead the checkpoint is a verified replay point: run instance A to
-// CheckpointAt and snapshot it, then build a fresh instance B, replay it
-// to the same instant, and have sim.Kernel.Restore prove B's scheduler
-// state and the core.OS state digest are byte-identical to A's before B
-// continues to the horizon. A restore divergence — nondeterministic
-// replay, state the digest misses — surfaces as the run's Err and trips
-// the checkpoint oracle's error-parity comparison.
-func runSingleCheckpointed(s *Scenario, cfg Config) *RunResult {
-	at := cfg.CheckpointAt
-
-	a, errRes := buildSingle(s, cfg)
-	if errRes != nil {
-		return errRes
-	}
-	errA := a.k.RunUntil(at)
-	var cp *sim.Checkpoint
-	var digA []byte
-	if errA == nil {
-		var err error
-		if cp, err = a.k.Snapshot(); err != nil {
-			a.k.Shutdown()
-			res := &RunResult{Config: cfg, Err: fmt.Errorf("checkpoint: snapshot at %v: %w", at, err)}
-			return res
-		}
-		digA = a.rtos.StateDigest()
-	}
-	a.k.Shutdown()
-
-	b, errRes := buildSingle(s, cfg)
-	if errRes != nil {
-		return errRes
-	}
-	defer b.k.Shutdown()
-	errB := b.k.RunUntil(at)
-	if (errA == nil) != (errB == nil) {
-		return b.finish(fmt.Errorf("checkpoint: replay diverged at %v: first run err=%v, replay err=%v", at, errA, errB))
-	}
-	if cp != nil {
-		if err := b.k.Restore(cp); err != nil {
-			return b.finish(fmt.Errorf("checkpoint: %w", err))
-		}
-		if digB := b.rtos.StateDigest(); !bytes.Equal(digA, digB) {
-			return b.finish(fmt.Errorf("checkpoint: OS state digest diverges at %v:\n--- first run\n%s--- replay\n%s", at, digA, digB))
-		}
-	}
-	err := b.k.RunUntil(s.Horizon())
-	return b.finish(err)
 }
 
 // CheckpointInstant derives a deterministic pseudo-random snapshot

@@ -8,10 +8,10 @@ import (
 )
 
 // TestCheckpointEquivalence is the dedicated checkpoint-equivalence
-// suite: for a corpus of generated scenarios, snapshot at 25/50/75% of
-// the horizon on every uniprocessor config of the matrix — both engines
-// — and require the restored run byte-identical (trace, stats, task
-// outcomes) to the uninterrupted run.
+// suite: for a corpus of generated scenarios, snapshot the rtc engine at
+// 25/50/75% of the horizon on every uniprocessor config of the matrix and
+// require the restored run byte-identical (trace, stats, task outcomes)
+// to the uninterrupted run.
 func TestCheckpointEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		s := Generate(seed)
@@ -19,25 +19,23 @@ func TestCheckpointEquivalence(t *testing.T) {
 			if cfg.CPUs != 1 {
 				continue
 			}
-			for _, engine := range []string{"", "rtc"} {
-				base := cfg
-				base.Engine = engine
-				want := safeRun(s, base)
-				for _, num := range []sim.Time{1, 2, 3} {
-					ck := base
-					ck.CheckpointAt = s.Horizon() * num / 4
-					if ck.CheckpointAt == 0 {
-						ck.CheckpointAt = 1
-					}
-					got := safeRun(s, ck)
-					if (got.Err == nil) != (want.Err == nil) {
-						t.Errorf("seed %d %s: err %v, uninterrupted err %v", seed, ck, got.Err, want.Err)
-						continue
-					}
-					if !bytes.Equal(got.Trace, want.Trace) {
-						t.Errorf("seed %d %s: restored trace diverges from uninterrupted run (%d vs %d bytes)",
-							seed, ck, len(got.Trace), len(want.Trace))
-					}
+			base := cfg
+			base.Engine = "rtc"
+			want := safeRun(s, base)
+			for _, num := range []sim.Time{1, 2, 3} {
+				ck := base
+				ck.CheckpointAt = s.Horizon() * num / 4
+				if ck.CheckpointAt == 0 {
+					ck.CheckpointAt = 1
+				}
+				got := safeRun(s, ck)
+				if (got.Err == nil) != (want.Err == nil) {
+					t.Errorf("seed %d %s: err %v, uninterrupted err %v", seed, ck, got.Err, want.Err)
+					continue
+				}
+				if !bytes.Equal(got.Trace, want.Trace) {
+					t.Errorf("seed %d %s: restored trace diverges from uninterrupted run (%d vs %d bytes)",
+						seed, ck, len(got.Trace), len(want.Trace))
 				}
 			}
 		}
@@ -66,12 +64,19 @@ func TestCheckpointInstantDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsSMP: the SMP model has no checkpoint support and
-// must say so rather than silently ignore the axis.
+// TestCheckpointRejectsSMP: only the rtc engine checkpoints. The SMP
+// model and the goroutine kernel must say so rather than silently ignore
+// the axis.
 func TestCheckpointRejectsSMP(t *testing.T) {
 	s := Generate(7)
-	res := Run(s, Config{Policy: "g-fp", TimeModel: "coarse", CPUs: 2, CheckpointAt: sim.Millisecond})
-	if res.Err == nil {
-		t.Fatal("CheckpointAt with CPUs=2 accepted")
+	for _, cfg := range []Config{
+		{Policy: "g-fp", TimeModel: "coarse", CPUs: 2},
+		{Policy: "priority", TimeModel: "coarse", CPUs: 1},
+		{Policy: "priority", TimeModel: "coarse", CPUs: 1, Engine: "goroutine"},
+	} {
+		cfg.CheckpointAt = sim.Millisecond
+		if res := Run(s, cfg); res.Err == nil {
+			t.Errorf("CheckpointAt accepted under %s", cfg)
+		}
 	}
 }

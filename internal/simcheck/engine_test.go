@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -43,4 +44,22 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firstTraceDiff renders the first line where two traces differ.
+func firstTraceDiff(a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) || i < len(bl); i++ {
+		var la, lb []byte
+		if i < len(al) {
+			la = al[i]
+		}
+		if i < len(bl) {
+			lb = bl[i]
+		}
+		if !bytes.Equal(la, lb) {
+			return fmt.Sprintf("line %d:\n  a: %s\n  b: %s", i+1, la, lb)
+		}
+	}
+	return "traces equal?"
 }

@@ -147,9 +147,9 @@ func checkSMPEvents(res *RunResult) []Violation {
 	add := func(kind string, at sim.Time, format string, args ...interface{}) {
 		vs = append(vs, Violation{Kind: kind, At: at, Msg: fmt.Sprintf(format, args...)})
 	}
-	slot := make(map[int]string)         // cpu -> task
-	on := make(map[string]int)           // task -> cpu
-	since := make(map[int]sim.Time)      // cpu -> dispatch time
+	slot := make(map[int]string)    // cpu -> task
+	on := make(map[string]int)      // task -> cpu
+	since := make(map[int]sim.Time) // cpu -> dispatch time
 	var occupancy sim.Time
 	var prevAt sim.Time
 	for _, e := range res.Events {

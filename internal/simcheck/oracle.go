@@ -41,21 +41,18 @@ func Check(s *Scenario) []Failure { return CheckJobs(s, runtime.NumCPU()) }
 // collected in submission order.
 func CheckJobs(s *Scenario, jobs int) []Failure {
 	cfgs := Matrix(s)
-	type pair struct{ r1, r2, rtc, ck, rtcCk *RunResult }
+	type pair struct{ r1, r2, rtc, ck *RunResult }
 	runs := runner.Map(len(cfgs), runner.Options{Jobs: jobs}, func(i int) (pair, error) {
 		p := pair{r1: safeRun(s, cfgs[i]), r2: safeRun(s, cfgs[i])}
 		if cfgs[i].CPUs == 1 {
 			rcfg := cfgs[i]
 			rcfg.Engine = "rtc"
 			p.rtc = safeRun(s, rcfg)
-			// Checkpoint-equivalence oracle: snapshot at a seed-derived
-			// instant, restore, run to the horizon — on both engines.
-			ckCfg := cfgs[i]
+			// Checkpoint-equivalence oracle: snapshot the rtc session at a
+			// seed-derived instant, restore, run to the horizon.
+			ckCfg := rcfg
 			ckCfg.CheckpointAt = CheckpointInstant(s.Seed, cfgs[i], s.Horizon())
 			p.ck = safeRun(s, ckCfg)
-			rckCfg := rcfg
-			rckCfg.CheckpointAt = ckCfg.CheckpointAt
-			p.rtcCk = safeRun(s, rckCfg)
 		}
 		return p, nil
 	})
@@ -88,15 +85,12 @@ func CheckJobs(s *Scenario, jobs int) []Failure {
 						rr.Diag, r1.Diag, cfg)})
 			}
 		}
-		// Checkpoint-equivalence oracle: a run that was snapshotted at an
-		// arbitrary instant and restored into a fresh kernel must be
+		// Checkpoint-equivalence oracle: an rtc run that was snapshotted at
+		// an arbitrary instant and restored into a fresh session must be
 		// byte-identical — trace, stats, outcomes — to the uninterrupted
-		// run. Checked on both engines against the goroutine baseline (the
-		// engine oracle above already pins rtc == goroutine).
-		for _, ck := range []*RunResult{runs[i].Value.ck, runs[i].Value.rtcCk} {
-			if ck == nil {
-				continue
-			}
+		// run. Checked against the goroutine baseline (the engine oracle
+		// above already pins rtc == goroutine).
+		if ck := runs[i].Value.ck; ck != nil {
 			if (ck.Err == nil) != (r1.Err == nil) {
 				vs = append(vs, Violation{Kind: "checkpoint", At: r1.End,
 					Msg: fmt.Sprintf("checkpointed run (%s) err=%v but uninterrupted run err=%v",

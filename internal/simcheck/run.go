@@ -27,11 +27,6 @@ type Config struct {
 	// bookkeeping, which the cross-personality differential oracle bounds.
 	Personality string
 
-	// LinearReady forces the scheduler's linear ready-list scan instead of
-	// the indexed ready queue. Scheduling decisions must be byte-identical
-	// either way; the equivalence suite diffs traces across this flag.
-	LinearReady bool
-
 	// Engine selects the execution engine: "" or "goroutine" for the
 	// process-per-task simulation kernel (internal/sim), "rtc" for the
 	// single-goroutine run-to-completion engine (internal/rtc). Traces
@@ -42,14 +37,12 @@ type Config struct {
 
 	// CheckpointAt, when non-zero, runs the scenario through a snapshot/
 	// restore cycle at that instant instead of straight to the horizon: the
-	// run is paused, checkpointed, restored into a fresh kernel, and the
-	// restored kernel runs to the horizon. The result must be byte-identical
-	// to the uninterrupted run — the checkpoint-equivalence oracle diffs
-	// them. For the rtc engine the restored session is rebuilt from the
-	// checkpoint bytes alone; for the goroutine kernel (whose process
-	// stacks cannot be serialized) the fresh kernel replays to the instant
-	// and the restore verifies its state digest against the checkpoint.
-	// CPUs must be 1: the SMP model has no checkpoint support.
+	// run is paused, checkpointed, a fresh session is rebuilt from the
+	// checkpoint bytes alone, and it runs to the horizon. The result must
+	// be byte-identical to the uninterrupted run — the checkpoint-
+	// equivalence oracle diffs them. Engine must be "rtc" and CPUs 1: the
+	// goroutine kernel's process stacks cannot be serialized, and the SMP
+	// model has no checkpoint support.
 	CheckpointAt sim.Time
 }
 
@@ -168,10 +161,11 @@ func Run(s *Scenario, cfg Config) *RunResult {
 			return &RunResult{Config: cfg,
 				Err: fmt.Errorf("simcheck: CheckpointAt requires CPUs=1 (the SMP model has no checkpoint support)")}
 		}
-		if cfg.Engine == "rtc" {
-			return runRTCCheckpointed(s, cfg)
+		if cfg.Engine != "rtc" {
+			return &RunResult{Config: cfg,
+				Err: fmt.Errorf("simcheck: CheckpointAt requires the rtc engine (the goroutine kernel has no checkpoint support)")}
 		}
-		return runSingleCheckpointed(s, cfg)
+		return runRTCCheckpointed(s, cfg)
 	}
 	if cfg.CPUs > 1 {
 		if cfg.Personality != "" {
@@ -270,56 +264,29 @@ func assembleRTC(cfg Config, r *rtc.Result) *RunResult {
 	return res
 }
 
-// singleRun is a built-but-not-run goroutine-kernel instance of a
-// scenario: the factored construction half of runSingle, shared with the
-// checkpointed runner (which needs to pause, snapshot and rebuild).
-type singleRun struct {
-	cfg     Config
-	k       *sim.Kernel
-	rtos    *core.OS
-	rec     *trace.Recorder
-	tasks   []*core.Task
-	resp    []sim.Time
-	horizon sim.Time
-}
-
 // runSingle executes the scenario on one core.OS instance, programming
 // the tasks against the config's personality runtime.
 func runSingle(s *Scenario, cfg Config) *RunResult {
-	sr, errRes := buildSingle(s, cfg)
-	if errRes != nil {
-		return errRes
-	}
-	defer sr.k.Shutdown()
-	err := sr.k.RunUntil(sr.horizon)
-	return sr.finish(err)
-}
-
-// buildSingle constructs the kernel, OS, channels, task processes and
-// watchdog for the scenario without advancing time. A non-nil RunResult
-// reports a configuration error.
-func buildSingle(s *Scenario, cfg Config) (*singleRun, *RunResult) {
 	res := &RunResult{Config: cfg}
 	policy, err := core.PolicyByName(cfg.Policy, cfg.Quantum)
 	if err != nil {
 		res.Err = err
-		return nil, res
+		return res
 	}
 	tm := core.TimeModelCoarse
 	if cfg.Segmented() {
 		tm = core.TimeModelSegmented
 	}
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	rtos := core.New(k, "PE", policy, core.WithTimeModel(tm))
-	rtos.SetLinearReady(cfg.LinearReady)
 	rec := trace.New("simcheck")
 	rec.Attach(rtos)
 
 	rt, err := personality.New(cfg.Personality, rtos)
 	if err != nil {
-		k.Shutdown()
 		res.Err = err
-		return nil, res
+		return res
 	}
 	queues := map[string]personality.Queue{}
 	sems := map[string]personality.Semaphore{}
@@ -399,25 +366,17 @@ func buildSingle(s *Scenario, cfg Config) (*singleRun, *RunResult) {
 
 	rtos.EnableWatchdog(watchdogWindow(s))
 	rtos.Start(nil)
-	return &singleRun{cfg: cfg, k: k, rtos: rtos, rec: rec,
-		tasks: tasks, resp: resp, horizon: s.Horizon()}, nil
-}
 
-// finish assembles the RunResult after the kernel has been advanced to
-// the horizon (err is the final RunUntil's result). The caller owns the
-// kernel's Shutdown.
-func (sr *singleRun) finish(err error) *RunResult {
-	res := &RunResult{Config: sr.cfg}
-	res.Err = err
-	res.End = sr.k.Now()
-	res.Diag = sr.rtos.Diagnosis()
+	res.Err = k.RunUntil(s.Horizon())
+	res.End = k.Now()
+	res.Diag = rtos.Diagnosis()
 	if res.Diag == nil {
-		res.Diag = sr.rtos.DiagnoseNow()
+		res.Diag = rtos.DiagnoseNow()
 	}
-	res.Records = sr.rec.Records()
-	res.Stats = sr.rtos.StatsSnapshot()
-	res.conservation = sr.rtos.CheckConservation()
-	for i, t := range sr.tasks {
+	res.Records = rec.Records()
+	res.Stats = rtos.StatsSnapshot()
+	res.conservation = rtos.CheckConservation()
+	for i, t := range tasks {
 		res.Tasks = append(res.Tasks, TaskOutcome{
 			Name:        t.Name(),
 			Index:       i,
@@ -425,7 +384,7 @@ func (sr *singleRun) finish(err error) *RunResult {
 			Activations: t.Activations(),
 			Missed:      t.MissedDeadlines(),
 			CPUTime:     t.CPUTime(),
-			MaxResp:     sr.resp[i],
+			MaxResp:     resp[i],
 		})
 	}
 	res.Trace = serializeSingle(res)
@@ -458,7 +417,6 @@ func runSMP(s *Scenario, cfg Config) *RunResult {
 	}
 	k := sim.NewKernel()
 	os := smp.New(k, "SMP", policy, cfg.CPUs, cfg.Segmented())
-	os.SetLinearReady(cfg.LinearReady)
 	defer k.Shutdown()
 	rec := &smpRecorder{}
 	os.Observe(rec)

@@ -118,10 +118,10 @@ func (os *OS) EnableWatchdog(window sim.Time) {
 }
 
 func (os *OS) watchdogDiagnose(window sim.Time) *core.DiagnosisError {
-	if os.readyLen() == 0 && os.RunningCount() == 0 && os.k.PendingTimers() == 0 {
+	if os.rq.Len() == 0 && os.RunningCount() == 0 && os.k.PendingTimers() == 0 {
 		return os.diagnoseStall()
 	}
-	if os.readyLen() > 0 {
+	if os.rq.Len() > 0 {
 		d := &core.DiagnosisError{PE: os.name, Kind: core.DiagStarvation,
 			At: os.k.Now(), Window: window}
 		for _, t := range os.tasks {

@@ -31,12 +31,8 @@ import (
 type Policy interface {
 	Name() string
 	Less(a, b *Task) bool
-}
-
-// Ranker mirrors core.Ranker for the global scheduler: a policy whose
-// ordering is a per-task key enables the indexed ready structure
-// (internal/readyq). Rank must order identically to Less.
-type Ranker interface {
+	// Rank maps a task to its key in the indexed ready queue
+	// (internal/readyq); it must order identically to Less.
 	Rank(t *Task) readyq.Key
 }
 
@@ -168,12 +164,7 @@ type OS struct {
 	tasks   []*Task
 	seq     int
 
-	// Ready queue: indexed structure for Ranker policies, linear list as
-	// the fallback (and the byte-equivalence lever via SetLinearReady).
-	rq          *readyq.Queue[*Task]
-	ready       []*Task
-	ranker      Ranker
-	forceLinear bool
+	rq *readyq.Queue[*Task] // ready queue, indexed by Policy.Rank
 
 	segmented bool
 	stats     Stats
@@ -203,7 +194,6 @@ func New(k *sim.Kernel, name string, policy Policy, ncpu int, segmented bool) *O
 		segmented: segmented,
 		rq:        readyq.New(taskLinks),
 	}
-	os.refreshRanker()
 	// Translate a generic kernel deadlock into a scheduler diagnosis when
 	// this instance has stranded tasks to report (see diagnosis.go).
 	k.OnStall(func(at sim.Time, live []*sim.Proc) error {
@@ -394,56 +384,25 @@ func (os *OS) mustRunning(p *sim.Proc, op string) *Task {
 // taskLinks is the intrusive-links accessor for the indexed ready queue.
 func taskLinks(t *Task) *readyq.Links[*Task] { return &t.rq }
 
-// refreshRanker re-derives the indexable ranking from the active policy.
-func (os *OS) refreshRanker() {
-	os.ranker = nil
-	if os.forceLinear {
-		return
-	}
-	if r, ok := os.policy.(Ranker); ok {
-		os.ranker = r
-	}
-}
-
-// SetLinearReady forces the linear ready-list scan; see the equivalent
-// hook on core.OS. It exists for the byte-equivalence test suite.
-func (os *OS) SetLinearReady(on bool) {
-	if os.forceLinear == on {
-		return
-	}
-	os.forceLinear = on
-	os.refreshRanker()
-	os.rebuildReady()
-}
-
-// rebuildReady migrates all queued tasks into the structure selected by
-// the current ranker, preserving FIFO arrival order.
+// rebuildReady re-keys all queued tasks under the current policy,
+// preserving FIFO arrival order.
 func (os *OS) rebuildReady() {
-	n := os.rq.Len() + len(os.ready)
+	n := os.rq.Len()
 	if n == 0 {
 		return
 	}
 	queued := make([]*Task, 0, n)
 	os.rq.Do(func(t *Task) { queued = append(queued, t) })
 	os.rq.Clear()
-	queued = append(queued, os.ready...)
-	os.ready = os.ready[:0]
 	sort.Slice(queued, func(i, j int) bool { return queued[i].readySeq < queued[j].readySeq })
 	for _, t := range queued {
 		os.pushReady(t)
 	}
 }
 
-// readyLen returns the global ready-queue length.
-func (os *OS) readyLen() int { return os.rq.Len() + len(os.ready) }
-
 // pushReady inserts an already-sequenced ready task.
 func (os *OS) pushReady(t *Task) {
-	if os.ranker != nil {
-		os.rq.Push(t, os.ranker.Rank(t), t.readySeq)
-	} else {
-		os.ready = append(os.ready, t)
-	}
+	os.rq.Push(t, os.policy.Rank(t), t.readySeq)
 }
 
 func (os *OS) makeReady(t *Task) {
@@ -454,19 +413,6 @@ func (os *OS) makeReady(t *Task) {
 	os.seq++
 	t.readySeq = os.seq
 	os.pushReady(t)
-}
-
-func (os *OS) removeReady(t *Task) {
-	if os.ranker != nil {
-		os.rq.Remove(t)
-		return
-	}
-	for i, x := range os.ready {
-		if x == t {
-			os.ready = append(os.ready[:i], os.ready[i+1:]...)
-			return
-		}
-	}
 }
 
 // freeSlot vacates the task's CPU slot.
@@ -482,19 +428,7 @@ func (os *OS) freeSlot(t *Task) {
 }
 
 // pickBest returns the policy-least ready task.
-func (os *OS) pickBest() *Task {
-	if os.ranker != nil {
-		return os.rq.Min()
-	}
-	var best *Task
-	for _, t := range os.ready {
-		if best == nil || os.policy.Less(t, best) ||
-			(!os.policy.Less(best, t) && t.readySeq < best.readySeq) {
-			best = t
-		}
-	}
-	return best
-}
+func (os *OS) pickBest() *Task { return os.rq.Min() }
 
 // worstRunning returns the CPU slot whose task orders last (the
 // preemption victim), or -1 if some CPU is idle.
@@ -517,7 +451,7 @@ func (os *OS) dispatchInto(p *sim.Proc, cpu int, t *Task) {
 	if os.running[cpu] != nil {
 		panic(fmt.Sprintf("smp[%s]: dispatch into occupied CPU %d", os.name, cpu))
 	}
-	os.removeReady(t)
+	os.rq.Remove(t)
 	t.state = core.TaskRunning
 	t.cpu = cpu
 	os.running[cpu] = t

@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)"
+
 echo "== go build ./..."
 go build ./...
 
@@ -36,13 +39,6 @@ go test -run 'TestGoldenTrace' -count=1 .
 # per-event allocation/formatting on the observer hot path).
 echo "== telemetry overhead guard"
 TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
-
-# Ready-queue equivalence: the indexed (bucketed) ready queue must make
-# byte-identical scheduling decisions to the original linear scan across
-# the full policy × time-model × PE matrix. (go test ./... above already
-# ran this; the explicit pass keeps the gate's contract visible.)
-echo "== ready-queue equivalence matrix"
-go test -run 'TestReadyQueueEquivalence' -count=1 ./internal/simcheck
 
 # RTOS personality conformance: the µITRON 4.0 and OSEK OS 2.2.3 suites
 # (spec-clause-keyed, table-driven) plus the seeded cross-personality
@@ -76,15 +72,15 @@ echo "== timewheel boundary ordering + differential harness"
 go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
 go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 
-# Checkpoint equivalence: a run snapshotted at a randomized instant and
-# restored into a fresh kernel must finish with byte-identical traces and
-# statistics, on both engines, across the simcheck matrix — plus the
-# engine-level snapshot suites (determinism, forking, structure-hash
+# Checkpoint equivalence: an rtc session snapshotted at a randomized
+# instant and restored into a fresh session must finish with
+# byte-identical traces and statistics across the simcheck matrix — plus
+# the rtc snapshot suite (determinism, forking, structure-hash
 # rejection). (go test ./... above already ran these; the explicit pass
 # keeps the checkpoint contract visible in the gate.)
-echo "== checkpoint/restore equivalence (simcheck matrix + engine suites)"
+echo "== checkpoint/restore equivalence (simcheck matrix + rtc suite)"
 go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
-go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc ./internal/sim
+go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
 
 # Design-space-exploration gates: memoization accounting (a repeated
 # sweep must be answered 100% from the content-hash cache, byte-identical
