@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test
+.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget
 
 check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
 	./scripts/check.sh
@@ -42,6 +42,9 @@ campaign-resume: ## kill-and-restart differential matrix: crash at every log pos
 
 perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s)
 	cd perfbench && go test ./...
+
+table1-budget: ## allocation budget of the Table-1 pair (RunSpec + RunArch)
+	go test -run 'TestTable1AllocBudget' -count=1 -v .
 
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .

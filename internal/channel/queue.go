@@ -11,15 +11,24 @@ import (
 // (Figure 7). Send blocks while the queue is full; Recv blocks while it is
 // empty. The element type is generic; models typically move frame or
 // sample buffers.
+//
+// Elements sit in a ring buffer that starts small and doubles, up to the
+// capacity, only when it is full, so memory follows the peak occupancy
+// rather than the declared capacity, and steady-state traffic does not
+// allocate.
 type Queue[T any] struct {
 	name     string
 	cond     Cond // single condition: senders and receivers re-check state
-	buf      []T
+	ring     []T
+	head, n  int // oldest element's slot; buffered elements
 	capacity int
 	res      *core.Resource
 
 	sent, received uint64
 }
+
+// minRing is the ring's first size (or the capacity, if smaller).
+const minRing = 4
 
 // NewQueue creates a queue with the given capacity (at least 1).
 func NewQueue[T any](f Factory, name string, capacity int) *Queue[T] {
@@ -34,7 +43,7 @@ func NewQueue[T any](f Factory, name string, capacity int) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of buffered elements.
-func (q *Queue[T]) Len() int { return len(q.buf) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() int { return q.capacity }
@@ -47,56 +56,90 @@ func (q *Queue[T]) Received() uint64 { return q.received }
 
 // Send enqueues v, blocking while the queue is full.
 func (q *Queue[T]) Send(p *sim.Proc, v T) {
-	if len(q.buf) == q.capacity {
+	if q.n == q.capacity {
 		q.res.Block(p)
-		for len(q.buf) == q.capacity {
+		for q.n == q.capacity {
 			q.cond.Wait(p)
 		}
 		q.res.Unblock(p)
 	}
-	q.buf = append(q.buf, v)
-	q.sent++
+	q.push(v)
 	q.cond.Notify(p)
 }
 
 // TrySend enqueues v if space is available and reports success.
 func (q *Queue[T]) TrySend(p *sim.Proc, v T) bool {
-	if len(q.buf) == q.capacity {
+	if q.n == q.capacity {
 		return false
 	}
-	q.buf = append(q.buf, v)
-	q.sent++
+	q.push(v)
 	q.cond.Notify(p)
 	return true
 }
 
 // Recv dequeues the oldest element, blocking while the queue is empty.
 func (q *Queue[T]) Recv(p *sim.Proc) T {
-	if len(q.buf) == 0 {
+	if q.n == 0 {
 		q.res.Block(p)
-		for len(q.buf) == 0 {
+		for q.n == 0 {
 			q.cond.Wait(p)
 		}
 		q.res.Unblock(p)
 	}
-	v := q.buf[0]
-	q.buf = q.buf[1:]
-	q.received++
+	v := q.pop()
 	q.cond.Notify(p)
 	return v
 }
 
 // TryRecv dequeues if an element is available.
 func (q *Queue[T]) TryRecv(p *sim.Proc) (T, bool) {
-	var zero T
-	if len(q.buf) == 0 {
+	if q.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.buf[0]
-	q.buf = q.buf[1:]
-	q.received++
+	v := q.pop()
 	q.cond.Notify(p)
 	return v, true
+}
+
+// push appends v behind the newest element; the caller has checked that
+// the queue is not full.
+func (q *Queue[T]) push(v T) {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = v
+	q.n++
+	q.sent++
+}
+
+// pop removes and returns the oldest element, clearing its slot so the
+// ring holds no stale references; the caller has checked that the queue
+// is not empty.
+func (q *Queue[T]) pop() T {
+	var zero T
+	v := q.ring[q.head]
+	q.ring[q.head] = zero
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	q.received++
+	return v
+}
+
+// grow doubles the full ring, up to the capacity, unwrapping its
+// elements to the front of the new buffer.
+func (q *Queue[T]) grow() {
+	ring := make([]T, min(max(2*len(q.ring), minRing), q.capacity))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }
 
 // Mailbox is an unbuffered rendezvous channel: Send blocks until a

@@ -287,20 +287,20 @@ func (p *Proc) ParNamed(names []string, fns ...Func) {
 	if len(fns) == 0 {
 		return
 	}
-	joined := make([]*Proc, 0, len(fns))
 	for i, fn := range fns {
-		name := fmt.Sprintf("%s.%d", p.name, i)
-		if i < len(names) && names[i] != "" {
+		var name string
+		if i < len(names) {
 			name = names[i]
+		}
+		if name == "" {
+			name = fmt.Sprintf("%s.%d", p.name, i)
 		}
 		c := p.k.newProc(name, fn, p)
 		c.joinsParent = true
 		p.children = append(p.children, c)
 		p.pendingKids++
-		joined = append(joined, c)
 		p.k.enqueueNext(c)
 	}
-	_ = joined
 	p.state = StateWaitChildren
 	p.yieldToKernel()
 }

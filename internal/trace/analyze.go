@@ -43,29 +43,30 @@ func (r *Recorder) ExecIntervals(task string) []Interval {
 			out = append(out, Interval{openAt, at})
 		}
 	}
-	var last sim.Time
-	for _, rec := range r.recs {
-		last = rec.At
-		if rec.Task != task {
-			continue
-		}
-		switch rec.Kind {
-		case KindSegBegin:
-			begin(rec.At)
-		case KindSegEnd:
-			end(rec.At)
-		case KindTaskState:
-			wasActive, isActive := activeState(rec.From), activeState(rec.To)
-			switch {
-			case !wasActive && isActive:
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Task != task {
+				continue
+			}
+			switch rec.Kind {
+			case KindSegBegin:
 				begin(rec.At)
-			case wasActive && !isActive:
+			case KindSegEnd:
 				end(rec.At)
+			case KindTaskState:
+				wasActive, isActive := activeState(rec.From), activeState(rec.To)
+				switch {
+				case !wasActive && isActive:
+					begin(rec.At)
+				case wasActive && !isActive:
+					end(rec.At)
+				}
 			}
 		}
 	}
 	if open {
-		end(last)
+		end(r.end)
 	}
 	return out
 }
@@ -74,9 +75,12 @@ func (r *Recorder) ExecIntervals(task string) []Interval {
 // trace.
 func (r *Recorder) Tasks() []string {
 	set := map[string]bool{}
-	for _, rec := range r.recs {
-		if rec.Task != "" {
-			set[rec.Task] = true
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Task != "" {
+				set[rec.Task] = true
+			}
 		}
 	}
 	names := make([]string, 0, len(set))
@@ -93,14 +97,17 @@ func (r *Recorder) Tasks() []string {
 func (r *Recorder) ContextSwitches() int {
 	n := 0
 	last := ""
-	for _, rec := range r.recs {
-		if rec.Kind != KindDispatch || rec.To == "-" || rec.To == "" {
-			continue
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind != KindDispatch || rec.To == "-" || rec.To == "" {
+				continue
+			}
+			if last != "" && rec.To != last {
+				n++
+			}
+			last = rec.To
 		}
-		if last != "" && rec.To != last {
-			n++
-		}
-		last = rec.To
 	}
 	return n
 }
@@ -111,34 +118,65 @@ func (r *Recorder) ContextSwitches() int {
 // computes end-to-end latencies such as the vocoder's transcoding delay
 // (from "frame-in" to "frame-out" with Arg = frame number).
 func (r *Recorder) Latencies(from, to string) []sim.Time {
-	type pending struct {
-		arg int64
-		at  sim.Time
+	if from == to {
+		return nil // every such marker counts as a from-marker; none closes
 	}
-	var starts []pending
-	ends := map[int64][]sim.Time{} // arg -> ascending to-marker times
-	seen := map[int64]bool{}
-	for _, rec := range r.recs {
-		if rec.Kind != KindMarker {
-			continue
-		}
-		switch rec.Label {
-		case from:
-			if !seen[rec.Arg] { // first from-marker per arg wins
-				seen[rec.Arg] = true
-				starts = append(starts, pending{rec.Arg, rec.At})
+	// Count the from-markers: an upper bound on the starts, so the tables
+	// below are allocated once.
+	n := 0
+	for _, pg := range r.pages {
+		for i := range pg {
+			if rec := &pg[i]; rec.Kind == KindMarker && rec.Label == from {
+				n++
 			}
-		case to:
-			ends[rec.Arg] = append(ends[rec.Arg], rec.At)
 		}
 	}
-	var out []sim.Time
-	for _, p := range starts {
-		for _, at := range ends[p.arg] {
-			if at >= p.at {
-				out = append(out, at-p.at)
-				break
+	if n == 0 {
+		return nil
+	}
+	// Pass 1: the first from-marker per arg opens that arg's start.
+	type start struct {
+		at, lat sim.Time
+		matched bool
+	}
+	starts := make([]start, 0, n)
+	first := make(map[int64]int, n) // arg -> index into starts
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind != KindMarker || rec.Label != from {
+				continue
 			}
+			if _, ok := first[rec.Arg]; !ok {
+				first[rec.Arg] = len(starts)
+				starts = append(starts, start{at: rec.At})
+			}
+		}
+	}
+	// Pass 2: in record order, the first to-marker of an arg at or after
+	// its start closes it.
+	matched := 0
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind != KindMarker || rec.Label != to {
+				continue
+			}
+			k, ok := first[rec.Arg]
+			if !ok || starts[k].matched || rec.At < starts[k].at {
+				continue
+			}
+			starts[k].lat, starts[k].matched = rec.At-starts[k].at, true
+			matched++
+		}
+	}
+	if matched == 0 {
+		return nil
+	}
+	out := make([]sim.Time, 0, matched)
+	for _, s := range starts {
+		if s.matched {
+			out = append(out, s.lat)
 		}
 	}
 	return out
@@ -147,9 +185,12 @@ func (r *Recorder) Latencies(from, to string) []sim.Time {
 // MarkerTimes returns the timestamps of all markers with the given label.
 func (r *Recorder) MarkerTimes(label string) []sim.Time {
 	var out []sim.Time
-	for _, rec := range r.recs {
-		if rec.Kind == KindMarker && rec.Label == label {
-			out = append(out, rec.At)
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind == KindMarker && rec.Label == label {
+				out = append(out, rec.At)
+			}
 		}
 	}
 	return out
@@ -162,16 +203,19 @@ func (r *Recorder) ResponseTimes(task string) []sim.Time {
 	var out []sim.Time
 	var readyAt sim.Time
 	ready := false
-	for _, rec := range r.recs {
-		if rec.Kind != KindTaskState || rec.Task != task {
-			continue
-		}
-		switch {
-		case rec.To == "ready" && !ready:
-			readyAt, ready = rec.At, true
-		case rec.To == "running" && ready:
-			out = append(out, rec.At-readyAt)
-			ready = false
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind != KindTaskState || rec.Task != task {
+				continue
+			}
+			switch {
+			case rec.To == "ready" && !ready:
+				readyAt, ready = rec.At, true
+			case rec.To == "running" && ready:
+				out = append(out, rec.At-readyAt)
+				ready = false
+			}
 		}
 	}
 	return out
@@ -187,12 +231,7 @@ func (r *Recorder) BusyTime(task string) sim.Time {
 }
 
 // End returns the timestamp of the last record (0 for an empty trace).
-func (r *Recorder) End() sim.Time {
-	if len(r.recs) == 0 {
-		return 0
-	}
-	return r.recs[len(r.recs)-1].At
-}
+func (r *Recorder) End() sim.Time { return r.end }
 
 // Overlap returns the total time during which two tasks' execution
 // intervals overlap. In a correctly serialized RTOS model this is zero for

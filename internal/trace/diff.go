@@ -22,8 +22,8 @@ type MarkerDiff struct {
 }
 
 // DiffMarkers computes the milestone comparison between two traces, in
-// order of A's timestamps. For repeated (label, arg) pairs, occurrences
-// are matched positionally.
+// order of A's timestamps, then label, arg and B's timestamps. For
+// repeated (label, arg) pairs, occurrences are matched positionally.
 func DiffMarkers(a, b *Recorder) []MarkerDiff {
 	type key struct {
 		label string
@@ -31,10 +31,13 @@ func DiffMarkers(a, b *Recorder) []MarkerDiff {
 	}
 	collect := func(r *Recorder) map[key][]sim.Time {
 		m := map[key][]sim.Time{}
-		for _, rec := range r.recs {
-			if rec.Kind == KindMarker {
-				k := key{rec.Label, rec.Arg}
-				m[k] = append(m[k], rec.At)
+		for _, pg := range r.pages {
+			for i := range pg {
+				rec := &pg[i]
+				if rec.Kind == KindMarker {
+					k := key{rec.Label, rec.Arg}
+					m[k] = append(m[k], rec.At)
+				}
 			}
 		}
 		return m
@@ -61,7 +64,14 @@ func DiffMarkers(a, b *Recorder) []MarkerDiff {
 		if out[i].A != out[j].A {
 			return out[i].A < out[j].A
 		}
-		return out[i].Label < out[j].Label
+		if out[i].Label != out[j].Label {
+			return out[i].Label < out[j].Label
+		}
+		// Ties past (A, Label) would otherwise follow map order.
+		if out[i].Arg != out[j].Arg {
+			return out[i].Arg < out[j].Arg
+		}
+		return out[i].B < out[j].B
 	})
 	return out
 }

@@ -77,9 +77,12 @@ func (r *Recorder) Gantt(w io.Writer, opts GanttOptions) error {
 // EventList writes every record as one line — the event-by-event view of
 // Figure 8.
 func (r *Recorder) EventList(w io.Writer) error {
-	for _, rec := range r.recs {
-		if _, err := fmt.Fprintln(w, rec.String()); err != nil {
-			return err
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if _, err := fmt.Fprintln(w, rec.String()); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -91,10 +94,13 @@ func (r *Recorder) CSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "at,kind,task,from,to,label,arg"); err != nil {
 		return err
 	}
-	for _, rec := range r.recs {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%s,%d\n",
-			int64(rec.At), rec.Kind, rec.Task, rec.From, rec.To, rec.Label, rec.Arg); err != nil {
-			return err
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%s,%d\n",
+				int64(rec.At), rec.Kind, rec.Task, rec.From, rec.To, rec.Label, rec.Arg); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

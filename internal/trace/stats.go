@@ -95,13 +95,16 @@ func (r *Recorder) Summarize() []TaskSummary {
 		if span > 0 {
 			s.BusyPct = 100 * float64(busy) / float64(span)
 		}
-		for _, rec := range r.recs {
-			switch {
-			case rec.Kind == KindDispatch && rec.To == task:
-				s.Dispatches++
-			case rec.Kind == KindTaskState && rec.Task == task &&
-				rec.From == "running" && rec.To == "ready":
-				s.Preemptions++
+		for _, pg := range r.pages {
+			for i := range pg {
+				rec := &pg[i]
+				switch {
+				case rec.Kind == KindDispatch && rec.To == task:
+					s.Dispatches++
+				case rec.Kind == KindTaskState && rec.Task == task &&
+					rec.From == "running" && rec.To == "ready":
+					s.Preemptions++
+				}
 			}
 		}
 		out = append(out, s)

@@ -96,11 +96,22 @@ type MarkerSink interface {
 
 // Recorder accumulates trace records. It is not safe for use outside the
 // single-threaded simulation.
+//
+// Records live in a list of pages: the first holds firstPage records and
+// each later one twice its predecessor, up to maxPage. Append never
+// moves a stored record, so each record is written once.
 type Recorder struct {
-	name string
-	recs []Record
-	tees []MarkerSink
+	name  string
+	pages [][]Record
+	n     int      // records across all pages
+	end   sim.Time // At of the last record
+	tees  []MarkerSink
 }
+
+const (
+	firstPage = 64
+	maxPage   = 1024
+)
 
 // New creates an empty recorder.
 func New(name string) *Recorder { return &Recorder{name: name} }
@@ -108,14 +119,42 @@ func New(name string) *Recorder { return &Recorder{name: name} }
 // Name returns the recorder's name.
 func (r *Recorder) Name() string { return r.name }
 
-// Records returns all records in chronological (append) order.
-func (r *Recorder) Records() []Record { return r.recs }
+// Records returns all records in chronological (append) order. A trace
+// spread over several pages is joined once into a single page, which the
+// recorder keeps, so repeated calls do not copy again.
+func (r *Recorder) Records() []Record {
+	switch len(r.pages) {
+	case 0:
+		return nil
+	case 1:
+		return r.pages[0]
+	}
+	all := make([]Record, 0, r.n)
+	for _, pg := range r.pages {
+		all = append(all, pg...)
+	}
+	r.pages = [][]Record{all}
+	return all
+}
 
 // Len returns the number of records.
-func (r *Recorder) Len() int { return len(r.recs) }
+func (r *Recorder) Len() int { return r.n }
 
 // Append adds an arbitrary record.
-func (r *Recorder) Append(rec Record) { r.recs = append(r.recs, rec) }
+func (r *Recorder) Append(rec Record) {
+	k := len(r.pages) - 1
+	if k < 0 || len(r.pages[k]) == cap(r.pages[k]) {
+		size := firstPage
+		if k >= 0 {
+			size = min(2*cap(r.pages[k]), maxPage)
+		}
+		r.pages = append(r.pages, make([]Record, 0, size))
+		k++
+	}
+	r.pages[k] = append(r.pages[k], rec)
+	r.n++
+	r.end = rec.At
+}
 
 // Marker records an instrumentation point and forwards it to any teed
 // sinks.

@@ -60,12 +60,15 @@ func (r *Recorder) VCD(w io.Writer) error {
 	for i, irq := range irqs {
 		c := code(len(tasks) + i)
 		add(0, c, '0')
-		for _, rec := range r.recs {
-			if rec.Kind == KindIRQ && rec.Label == irq {
-				if rec.Arg == 1 {
-					add(rec.At, c, '1')
-				} else {
-					add(rec.At, c, '0')
+		for _, pg := range r.pages {
+			for j := range pg {
+				rec := &pg[j]
+				if rec.Kind == KindIRQ && rec.Label == irq {
+					if rec.Arg == 1 {
+						add(rec.At, c, '1')
+					} else {
+						add(rec.At, c, '0')
+					}
 				}
 			}
 		}
@@ -95,9 +98,12 @@ func (r *Recorder) VCD(w io.Writer) error {
 // irqNames returns the sorted interrupt-line names in the trace.
 func (r *Recorder) irqNames() []string {
 	set := map[string]bool{}
-	for _, rec := range r.recs {
-		if rec.Kind == KindIRQ && rec.Label != "" {
-			set[rec.Label] = true
+	for _, pg := range r.pages {
+		for i := range pg {
+			rec := &pg[i]
+			if rec.Kind == KindIRQ && rec.Label != "" {
+				set[rec.Label] = true
+			}
 		}
 	}
 	names := make([]string, 0, len(set))

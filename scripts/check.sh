@@ -34,6 +34,14 @@ go test -race -count=2 ./internal/runner ./internal/simcheck
 echo "== golden-trace diff (testdata/golden)"
 go test -run 'TestGoldenTrace' -count=1 .
 
+# Table-1 allocation budget: one RunSpec + RunArch pair of the full-size
+# vocoder must stay within a fixed allocation count, so trace storage and
+# queue bookkeeping stay off the paper's figure-of-merit hot path. (go
+# test ./... above already ran it; the explicit pass keeps the budget
+# visible in the gate.)
+echo "== Table-1 allocation budget"
+go test -run 'TestTable1AllocBudget' -count=1 .
+
 # Telemetry overhead guard: an always-on ring sink must stay within a
 # generous multiple of the uninstrumented baseline (catches accidental
 # per-event allocation/formatting on the observer hot path).
