@@ -12,38 +12,30 @@ import (
 // empty. The element type is generic; models typically move frame or
 // sample buffers.
 //
-// Elements sit in a ring buffer that starts small and doubles, up to the
-// capacity, only when it is full, so memory follows the peak occupancy
-// rather than the declared capacity, and steady-state traffic does not
-// allocate.
+// Elements sit in a Ring bounded by the capacity, so memory follows the
+// peak occupancy rather than the declared capacity, and steady-state
+// traffic does not allocate.
 type Queue[T any] struct {
+	Ring[T]
 	name     string
 	cond     Cond // single condition: senders and receivers re-check state
-	ring     []T
-	head, n  int // oldest element's slot; buffered elements
 	capacity int
 	res      *core.Resource
 
 	sent, received uint64
 }
 
-// minRing is the ring's first size (or the capacity, if smaller).
-const minRing = 4
-
 // NewQueue creates a queue with the given capacity (at least 1).
 func NewQueue[T any](f Factory, name string, capacity int) *Queue[T] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("channel: queue %q capacity %d < 1", name, capacity))
 	}
-	return &Queue[T]{name: name, cond: f.NewCond(name + ".q"), capacity: capacity,
-		res: monitored(f, name, "queue", false)}
+	return &Queue[T]{Ring: NewRing[T](capacity), name: name, cond: f.NewCond(name + ".q"),
+		capacity: capacity, res: monitored(f, name, "queue", false)}
 }
 
 // Name returns the queue's name.
 func (q *Queue[T]) Name() string { return q.name }
-
-// Len returns the number of buffered elements.
-func (q *Queue[T]) Len() int { return q.n }
 
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() int { return q.capacity }
@@ -102,44 +94,17 @@ func (q *Queue[T]) TryRecv(p *sim.Proc) (T, bool) {
 	return v, true
 }
 
-// push appends v behind the newest element; the caller has checked that
-// the queue is not full.
+// push appends v; the caller has checked that the queue is not full.
 func (q *Queue[T]) push(v T) {
-	if q.n == len(q.ring) {
-		q.grow()
-	}
-	i := q.head + q.n
-	if i >= len(q.ring) {
-		i -= len(q.ring)
-	}
-	q.ring[i] = v
-	q.n++
+	q.Push(v)
 	q.sent++
 }
 
-// pop removes and returns the oldest element, clearing its slot so the
-// ring holds no stale references; the caller has checked that the queue
+// pop removes the oldest element; the caller has checked that the queue
 // is not empty.
 func (q *Queue[T]) pop() T {
-	var zero T
-	v := q.ring[q.head]
-	q.ring[q.head] = zero
-	q.head++
-	if q.head == len(q.ring) {
-		q.head = 0
-	}
-	q.n--
 	q.received++
-	return v
-}
-
-// grow doubles the full ring, up to the capacity, unwrapping its
-// elements to the front of the new buffer.
-func (q *Queue[T]) grow() {
-	ring := make([]T, min(max(2*len(q.ring), minRing), q.capacity))
-	k := copy(ring, q.ring[q.head:])
-	copy(ring[k:], q.ring[:q.head])
-	q.ring, q.head = ring, 0
+	return q.Pop()
 }
 
 // Mailbox is an unbuffered rendezvous channel: Send blocks until a

@@ -39,7 +39,7 @@ type Mutex struct {
 // inheritance.
 func (os *OS) MutexNew(name string, inherit bool) *Mutex {
 	return &Mutex{os: os, name: name, inherit: inherit,
-		res: os.monitor.NewResource(name, "mutex", true)}
+		res: os.Monitor().NewResource(name, "mutex", true)}
 }
 
 // Name returns the mutex's name.
@@ -69,19 +69,20 @@ func (m *Mutex) Lock(p *sim.Proc) {
 			// sits in the ready queue, its new rank takes effect at the
 			// next dispatch decision below.
 			m.owner.prio = t.prio
-			os.rekeyReady(m.owner)
 			m.boosts++
 		}
 		m.waiters = append(m.waiters, t)
-		os.monitor.blockTask(t, m.res) // may diagnose a circular wait
-		os.setState(t, TaskWaitingMutex)
-		os.releaseCPU(p)
+		now := os.k.Now()
+		if d := m.res.BlockTask(now, t); d != nil {
+			os.k.Fail(d) // a definite circular wait
+		}
+		os.wake(p, os.Block(now, t, TaskWaitingMutex))
 		os.waitUntilDispatched(p, t)
 		// Woken as the designated next owner (or spuriously); re-check.
 	}
 	m.owner = t
 	m.ownerBase = t.prio
-	m.res.acquireTask(t)
+	m.res.AcquireTask(t)
 }
 
 // Unlock releases the mutex; only the owner may unlock. The owner's
@@ -100,7 +101,7 @@ func (m *Mutex) Unlock(p *sim.Proc) {
 	}
 	t.prio = m.ownerBase
 	m.owner = nil
-	m.res.releaseTask(t)
+	m.res.ReleaseTask(t)
 	// Drop waiters that were killed while blocked; they must neither
 	// receive ownership nor block the hand-over to live waiters.
 	live := m.waiters[:0]
@@ -121,7 +122,7 @@ func (m *Mutex) Unlock(p *sim.Proc) {
 		}
 		next := m.waiters[best]
 		m.waiters = append(m.waiters[:best], m.waiters[best+1:]...)
-		os.makeReady(next)
+		os.Ready(os.k.Now(), next)
 	}
 	os.decideFrom(p)
 }
@@ -134,6 +135,6 @@ func (m *Mutex) TryLock(p *sim.Proc) bool {
 	}
 	m.owner = t
 	m.ownerBase = t.prio
-	m.res.acquireTask(t)
+	m.res.AcquireTask(t)
 	return true
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/readyq"
 	"repro/internal/sim"
 )
 
@@ -24,13 +22,6 @@ type Policy interface {
 	Less(a, b *Task) bool
 	// Slice returns the round-robin time slice, or 0 for no time slicing.
 	Slice() sim.Time
-	// Rank maps a task to its key in the indexed ready queue
-	// (internal/readyq); the keys' lexicographic order must be identical
-	// to Less. The key may depend only on fields whose mutation is
-	// reported to the dispatcher (priority via Task.SetPriority / priority
-	// inheritance, deadline via Task.SetDeadline / release) — the OS
-	// re-keys queued tasks on those paths.
-	Rank(t *Task) readyq.Key
 }
 
 // PriorityPolicy is fixed-priority preemptive scheduling — the paper's
@@ -50,9 +41,6 @@ func (PriorityPolicy) Less(a, b *Task) bool { return a.prio < b.prio }
 // Slice returns 0: no time slicing.
 func (PriorityPolicy) Slice() sim.Time { return 0 }
 
-// Rank indexes by base priority.
-func (PriorityPolicy) Rank(t *Task) readyq.Key { return readyq.Key{A: int64(t.prio)} }
-
 // FCFSPolicy is non-preemptive first-come-first-served scheduling: tasks
 // run in ready-queue order and keep the CPU until they block or finish.
 type FCFSPolicy struct{}
@@ -69,9 +57,6 @@ func (FCFSPolicy) Less(a, b *Task) bool { return false }
 
 // Slice returns 0: no time slicing.
 func (FCFSPolicy) Slice() sim.Time { return 0 }
-
-// Rank is constant: FCFS order is the dispatcher's FIFO tie-break alone.
-func (FCFSPolicy) Rank(t *Task) readyq.Key { return readyq.Key{} }
 
 // RoundRobinPolicy is priority scheduling with time slicing among tasks of
 // equal priority: a task that exhausts its slice inside TimeWait is moved
@@ -93,10 +78,6 @@ func (p RoundRobinPolicy) Less(a, b *Task) bool { return a.prio < b.prio }
 
 // Slice returns the configured quantum.
 func (p RoundRobinPolicy) Slice() sim.Time { return p.Quantum }
-
-// Rank indexes by base priority; slice-expiry rotation re-queues with a
-// fresh arrival seq, which the FIFO tie-break turns into the rotation.
-func (p RoundRobinPolicy) Rank(t *Task) readyq.Key { return readyq.Key{A: int64(t.prio)} }
 
 // EDFPolicy is preemptive earliest-deadline-first scheduling. Periodic
 // tasks receive an absolute deadline of release+period at every release;
@@ -122,14 +103,9 @@ func (EDFPolicy) Less(a, b *Task) bool {
 // Slice returns 0: no time slicing.
 func (EDFPolicy) Slice() sim.Time { return 0 }
 
-// Rank indexes by (absolute deadline, base priority), matching Less.
-func (EDFPolicy) Rank(t *Task) readyq.Key {
-	return readyq.Key{A: int64(t.deadline), B: int64(t.prio)}
-}
-
 // RMPolicy is rate-monotonic scheduling: fixed-priority preemptive with
 // priorities derived from periods (shorter period = higher priority).
-// OS.Start assigns the derived priorities to all periodic tasks created up
+// Start assigns the derived priorities to all periodic tasks created up
 // to that point; aperiodic tasks keep their base priority shifted below
 // every periodic task.
 type RMPolicy struct{}
@@ -146,56 +122,49 @@ func (RMPolicy) Less(a, b *Task) bool { return a.prio < b.prio }
 // Slice returns 0: no time slicing.
 func (RMPolicy) Slice() sim.Time { return 0 }
 
-// Rank indexes by the derived base priority.
-func (RMPolicy) Rank(t *Task) readyq.Key { return readyq.Key{A: int64(t.prio)} }
-
-// assignRateMonotonic rewrites task priorities per RM: periodic tasks are
-// ranked by period (shortest first); aperiodic tasks are pushed below all
-// periodic ones, preserving their relative base-priority order.
-func assignRateMonotonic(tasks []*Task) {
-	var periodic, aperiodic []*Task
-	for _, t := range tasks {
-		if t.typ == Periodic {
-			periodic = append(periodic, t)
-		} else {
-			aperiodic = append(aperiodic, t)
-		}
-	}
-	sort.SliceStable(periodic, func(i, j int) bool {
-		return periodic[i].period < periodic[j].period
-	})
-	sort.SliceStable(aperiodic, func(i, j int) bool {
-		return aperiodic[i].prio < aperiodic[j].prio
-	})
-	p := 0
-	for _, t := range periodic {
-		t.prio = p
-		p++
-	}
-	for _, t := range aperiodic {
-		t.prio = p
-		p++
-	}
-}
-
 // PolicyByName returns the policy for a command-line name: "priority",
 // "fcfs", "rr" (requires quantum), "edf", or "rm".
 func PolicyByName(name string, quantum sim.Time) (Policy, error) {
+	k, err := policyKind(name, quantum)
+	if err != nil {
+		return nil, err
+	}
+	return builtinPolicy(k, quantum), nil
+}
+
+// policyKind parses a policy name (the name set of PolicyByName).
+func policyKind(name string, quantum sim.Time) (polKind, error) {
 	switch name {
 	case "priority", "prio":
-		return PriorityPolicy{}, nil
+		return polPriority, nil
 	case "fcfs", "fifo":
-		return FCFSPolicy{}, nil
+		return polFCFS, nil
 	case "rr", "roundrobin":
 		if quantum <= 0 {
-			return nil, fmt.Errorf("core: round-robin needs a positive quantum, got %v", quantum)
+			return 0, fmt.Errorf("core: round-robin needs a positive quantum, got %v", quantum)
 		}
-		return RoundRobinPolicy{Quantum: quantum}, nil
+		return polRR, nil
 	case "edf":
-		return EDFPolicy{}, nil
+		return polEDF, nil
 	case "rm", "ratemonotonic":
-		return RMPolicy{}, nil
+		return polRM, nil
 	default:
-		return nil, fmt.Errorf("core: unknown scheduling policy %q", name)
+		return 0, fmt.Errorf("core: unknown scheduling policy %q", name)
+	}
+}
+
+// builtinPolicy is the Policy value of a built-in kind.
+func builtinPolicy(k polKind, quantum sim.Time) Policy {
+	switch k {
+	case polFCFS:
+		return FCFSPolicy{}
+	case polRR:
+		return RoundRobinPolicy{Quantum: quantum}
+	case polEDF:
+		return EDFPolicy{}
+	case polRM:
+		return RMPolicy{}
+	default:
+		return PriorityPolicy{}
 	}
 }

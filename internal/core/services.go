@@ -23,9 +23,7 @@ import (
 func (os *OS) Suspend(p *sim.Proc, ws TaskState, site string) {
 	t := os.mustCurrent(p, "Suspend")
 	checkWaitState(ws)
-	t.blockSite = site
-	os.setState(t, ws)
-	os.releaseCPU(p)
+	os.wake(p, os.BlockAt(os.k.Now(), t, ws, site))
 	os.waitUntilDispatched(p, t)
 }
 
@@ -46,9 +44,7 @@ func (os *OS) SuspendTimeout(p *sim.Proc, ws TaskState, site string, tmo sim.Tim
 		return true
 	}
 	checkWaitState(ws)
-	t.blockSite = site
-	os.setState(t, ws)
-	os.releaseCPU(p)
+	os.wake(p, os.BlockAt(os.k.Now(), t, ws, site))
 	deadline := os.k.Now() + tmo
 	for os.current != t && t.state == ws {
 		remaining := deadline - os.k.Now()
@@ -61,7 +57,7 @@ func (os *OS) SuspendTimeout(p *sim.Proc, ws TaskState, site string, tmo sim.Tim
 		if onTimeout != nil {
 			onTimeout()
 		}
-		os.makeReady(t)
+		os.Ready(os.k.Now(), t)
 		p.YieldDelta()
 		os.decideFrom(p)
 		os.waitUntilDispatched(p, t)
@@ -77,12 +73,7 @@ func (os *OS) SuspendTimeout(p *sim.Proc, ws TaskState, site string, tmo sim.Tim
 // a task that is not blocked — it already timed out, or was never
 // suspended — is a no-op, so grant/timeout races are harmless.
 func (os *OS) Resume(p *sim.Proc, t *Task) {
-	if t == os.current || !t.state.Alive() {
-		return
-	}
-	switch t.state {
-	case TaskWaitingEvent, TaskWaitingMutex, TaskWaitingTime, TaskSuspended:
-		os.makeReady(t)
+	if os.Wake(os.k.Now(), t) {
 		os.decideFrom(p)
 	}
 }
@@ -94,7 +85,7 @@ func (os *OS) Resume(p *sim.Proc, t *Task) {
 // With no preferred ready task the caller keeps the CPU.
 func (os *OS) Yield(p *sim.Proc) {
 	t := os.mustCurrent(p, "Yield")
-	if best := os.pickBest(); best != nil && os.policy.Less(best, t) {
+	if os.preferred(t) {
 		os.yieldCPU(p, t)
 	}
 }
@@ -105,9 +96,7 @@ func (os *OS) Yield(p *sim.Proc) {
 // activation re-enters the ready queue from the rear as a fresh job.
 func (os *OS) Requeue(p *sim.Proc) {
 	t := os.mustCurrent(p, "Requeue")
-	os.makeReady(t)
-	os.current = nil
-	os.dispatchBest(p, t)
+	os.wake(p, os.requeue(os.k.Now(), t))
 	os.waitUntilDispatched(p, t)
 }
 
@@ -125,7 +114,7 @@ func (os *OS) Adopt(p *sim.Proc, t *Task) {
 		panic(fmt.Sprintf("core[%s]: Adopt of task %q in state %s", os.name, t.name, t.state))
 	}
 	t.proc = p
-	os.setState(t, TaskSuspended)
+	os.setState(os.k.Now(), t, TaskSuspended)
 	os.waitUntilDispatched(p, t)
 }
 
@@ -137,7 +126,7 @@ func (os *OS) Adopt(p *sim.Proc, t *Task) {
 func (os *OS) MakeReady(t *Task) {
 	switch t.state {
 	case TaskSuspended, TaskCreated:
-		os.makeReady(t)
+		os.Ready(os.k.Now(), t)
 	}
 }
 

@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/readyq"
 	"repro/internal/sim"
 )
 
@@ -106,12 +105,11 @@ func (s TaskState) String() string {
 // Alive reports whether the task can still run (not terminated or killed).
 func (s TaskState) Alive() bool { return s != TaskTerminated && s != TaskKilled }
 
-// Task is the RTOS model's task control block. Tasks are created with
-// OS.TaskCreate and bound to their simulation process on first
-// TaskActivate. Priority follows the convention smaller value = higher
+// Task is the RTOS model's task control block, shared by both execution
+// engines. Tasks are created with OS.TaskCreate (or Sched.NewTask) and
+// bound to their simulation process on first TaskActivate. Priority follows the convention smaller value = higher
 // priority (as in VxWorks or µC/OS).
 type Task struct {
-	os   *OS
 	id   int
 	name string
 	typ  TaskType
@@ -128,12 +126,11 @@ type Task struct {
 	dispatch *sim.Event // released by the dispatcher to hand over the CPU
 	preempt  *sim.Event // preemption request (segmented time model only)
 
-	rq           readyq.Links[*Task] // intrusive node in the indexed ready queue
-	readySeq     int                 // FIFO tie-break within equal scheduling rank
-	chargeSwitch bool                // this dispatch was a context switch: charge overhead
-	release      sim.Time            // current/next release time (periodic)
-	deadline     sim.Time            // absolute deadline (EDF); Forever for aperiodic
-	sliceUsed    sim.Time            // consumed share of the round-robin slice
+	readySeq  int      // FIFO tie-break within equal scheduling rank
+	rqIx      int      // slot in the ready list; -1 when not ready
+	release   sim.Time // current/next release time (periodic)
+	deadline  sim.Time // absolute deadline (EDF); Forever for aperiodic
+	sliceUsed sim.Time // consumed share of the round-robin slice
 
 	// Accounting, exposed via Stats and the trace layer.
 	lastWorkDone sim.Time // instant the task's last modeled delay completed
@@ -141,8 +138,10 @@ type Task struct {
 	activations  int      // completed cycles (periodic) or activations
 	missed       int      // deadline misses observed at end of cycle
 
-	blockSite  string // last blocking site, for runtime diagnosis reports
-	nonpreempt bool   // involuntary preemption suppressed (OSEK non-preemptable)
+	blockSite    string    // last blocking site, for runtime diagnosis reports
+	waitingRes   *Resource // resource the task is blocked on (wait-for graph)
+	nonpreempt   bool      // involuntary preemption suppressed (OSEK non-preemptable)
+	chargeSwitch bool      // this dispatch was a context switch: charge overhead
 }
 
 // ID returns the task's creation-ordered identifier within its OS.
@@ -163,19 +162,13 @@ func (t *Task) Priority() int { return t.prio }
 // SetPriority changes the base priority. It takes effect at the next
 // scheduling decision; changing the priority of a ready or running task
 // does not itself trigger a dispatch.
-func (t *Task) SetPriority(p int) {
-	t.prio = p
-	t.os.rekeyReady(t)
-}
+func (t *Task) SetPriority(p int) { t.prio = p }
 
 // SetDeadline overrides the task's current absolute deadline (the EDF
 // rank). Periodic bookkeeping overwrites it at the task's next release;
 // the fault-injection layer uses it to make transient stall tasks win
 // under deadline-driven policies.
-func (t *Task) SetDeadline(d sim.Time) {
-	t.deadline = d
-	t.os.rekeyReady(t)
-}
+func (t *Task) SetDeadline(d sim.Time) { t.deadline = d }
 
 // SetPreemptable marks whether the task may be preempted involuntarily.
 // Non-preemptable tasks (OSEK non-preemptive conformance, internal

@@ -1,6 +1,7 @@
 package personality
 
 import (
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -49,7 +50,7 @@ func (r *osekRT) ChangePriority(p *sim.Proc, t *core.Task, prio int) {
 
 func (r *osekRT) NewQueue(name string, capacity int) Queue {
 	return &osekQueue{
-		os: r.os, site: "queue:" + name, cap: capacity,
+		os: r.os, site: "queue:" + name, cap: capacity, buf: channel.NewRing[int64](capacity),
 		res: r.os.Monitor().NewResource(name, "queue", false),
 	}
 }
@@ -109,21 +110,21 @@ type osekQueue struct {
 	os    *core.OS
 	site  string
 	cap   int
-	buf   []int64
+	buf   channel.Ring[int64]
 	sendQ []*core.Task
 	recvQ []*core.Task
 	res   *core.Resource
 }
 
 func (q *osekQueue) Send(p *sim.Proc, v int64) {
-	for q.cap > 0 && len(q.buf) >= q.cap {
+	for q.cap > 0 && q.buf.Len() >= q.cap {
 		t := q.os.Current()
 		q.sendQ = append(q.sendQ, t)
 		q.res.Block(p)
 		q.os.Suspend(p, core.TaskWaitingEvent, q.site)
 		q.res.Unblock(p)
 	}
-	q.buf = append(q.buf, v)
+	q.buf.Push(v)
 	if len(q.recvQ) > 0 {
 		t := q.recvQ[0]
 		copy(q.recvQ, q.recvQ[1:])
@@ -133,16 +134,14 @@ func (q *osekQueue) Send(p *sim.Proc, v int64) {
 }
 
 func (q *osekQueue) Recv(p *sim.Proc) int64 {
-	for len(q.buf) == 0 {
+	for q.buf.Len() == 0 {
 		t := q.os.Current()
 		q.recvQ = append(q.recvQ, t)
 		q.res.Block(p)
 		q.os.Suspend(p, core.TaskWaitingEvent, q.site)
 		q.res.Unblock(p)
 	}
-	v := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
+	v := q.buf.Pop()
 	if len(q.sendQ) > 0 {
 		t := q.sendQ[0]
 		copy(q.sendQ, q.sendQ[1:])

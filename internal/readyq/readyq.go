@@ -1,6 +1,5 @@
-// Package readyq implements the policy-indexed ready structure shared by
-// the uniprocessor RTOS model (internal/core) and the SMP extension
-// (internal/smp).
+// Package readyq implements the policy-indexed ready structure of the
+// SMP extension (internal/smp).
 //
 // Real RTOS kernels do not scan their ready list on every dispatch: they
 // index it (µC/OS's priority bitmap, VxWorks' priority-bucketed FIFO
@@ -24,9 +23,7 @@
 // Equivalence contract: for a policy whose Less ordering matches the
 // lexicographic order of its Rank keys, Min() returns exactly the task a
 // linear scan with FIFO tie-break would pick. The property test in this
-// package pins that contract against a naive linear reference, and the
-// engine-equivalence suite (internal/simcheck) diffs core's readyq
-// dispatch against the rtc engine's linear ready list.
+// package pins that contract against a naive linear reference.
 package readyq
 
 // Key is a policy rank: two lexicographically ordered components. Smaller

@@ -3,6 +3,7 @@ package rtc
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/timewheel"
 )
@@ -52,10 +53,8 @@ type frame interface {
 
 // event is the engine's notification primitive, a port of sim.Event:
 // flush wakes every registered waiter into the next delta cycle. A
-// task's dispatch and preempt events live inside its control block and
-// carry no name; name labels the remaining (interrupt latch) events.
+// machine's preempt event lives inside the machine.
 type event struct {
-	name    string
 	waiters []*machine
 }
 
@@ -115,12 +114,14 @@ type kernel struct {
 }
 
 // init prepares an empty kernel for a build that spawns machines
-// machines: the machine and timer-entry slabs and the scheduling queues
-// are sized for them up front (each machine holds at most one pending
-// timer), so the build and the run's steady state allocate nothing per
-// machine. Runtime forks beyond that count still work; they grow the
-// slabs and queues on demand.
-func (k *kernel) init(os *osState, machines int) {
+// machines and creates tasks tasks: the machine and timer-entry slabs and
+// the scheduling queues are sized for them up front (each machine holds
+// at most one pending timer), so the build and the run's steady state
+// allocate nothing per machine. It returns the OS state's empty
+// task-to-machine binding table, which shares an allocation with the
+// machine table. Runtime forks beyond those counts still work; they grow
+// the slabs and queues on demand.
+func (k *kernel) init(os *osState, machines, tasks int) []*machine {
 	k.os = os
 	k.wheel = timewheel.New(
 		func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.node },
@@ -129,11 +130,13 @@ func (k *kernel) init(os *osState, machines int) {
 	)
 	k.machSlab.reserve(machines)
 	k.timerSlab.reserve(machines)
-	k.machines = make([]*machine, 0, machines)
+	tables := make([]*machine, machines+tasks)
+	k.machines = tables[:0:machines]
 	k.ready = make([]*machine, 0, machines)
 	k.next = make([]*machine, 0, machines)
 	k.timerFree = make([]*timerEntry, 0, machines)
 	k.due = make([]*timerEntry, 0, machines)
+	return tables[machines:machines]
 }
 
 // slab hands out zeroed values of T from shared chunks. A build reserves
@@ -169,12 +172,19 @@ type machine struct {
 	name   string
 	state  mState
 	daemon bool
-	task   *task // nil for ISR and watchdog machines
+	task   *core.Task // nil for ISR and watchdog machines
+
+	// parked: blocked in fWaitDispatched until the scheduler dispatches
+	// the bound task (the goroutine kernel's per-task dispatch event).
+	parked bool
+	// preempt interrupts a segmented delay of the bound task; only this
+	// machine ever waits on it, so preemptBuf backs its waiter list.
+	preempt    event
+	preemptBuf [1]*machine
 
 	stack      []frame
 	waitEvents []*event // at most one: wait and waitTimeout block on a single event
 	timer      *timerEntry
-	wokenBy    *event
 	timedOut   bool
 
 	// par fork/join bookkeeping (sim.Proc.parent/pendingKids): a child
@@ -204,8 +214,6 @@ type machine struct {
 	waitBuf  [1]*event
 }
 
-func (k *kernel) newEvent(name string) *event { return &event{name: name} }
-
 // newMachine takes a machine from the slab with body as its initial
 // stack and registers it as live.
 func (k *kernel) newMachine(name string, body frame) *machine {
@@ -213,6 +221,7 @@ func (k *kernel) newMachine(name string, body frame) *machine {
 	m.k, m.name, m.state = k, name, mCreated
 	m.stack = append(m.stackBuf[:0], body)
 	m.waitEvents = m.waitBuf[:0]
+	m.preempt.waiters = m.preemptBuf[:0]
 	k.machines = append(k.machines, m)
 	k.active++
 	return m
@@ -405,8 +414,8 @@ func (k *kernel) runUntil(limit Time) error {
 		}
 	}
 	if live > 0 {
-		if d := k.os.diagnoseStall(); d != nil {
-			k.os.recordDiagnosis(d)
+		if d := k.os.DiagnoseStall(k.now, k.os.daemon); d != nil {
+			k.os.RecordDiagnosis(d)
 			return d
 		}
 		return fmt.Errorf("rtc: deadlock at %s: %d machines blocked with no pending timer", k.now, live)
@@ -517,7 +526,6 @@ func (m *machine) wakeFromTimer() {
 		e.removeWaiter(m)
 	}
 	m.timer = nil
-	m.wokenBy = nil
 	m.timedOut = true
 	m.state = mReady
 	m.k.enqueueReady(m)
@@ -535,7 +543,6 @@ func (m *machine) wakeFromEvent(e *event) {
 		m.k.cancelTimer(m.timer)
 		m.timer = nil
 	}
-	m.wokenBy = e
 	m.timedOut = false
 	m.state = mReady
 	m.k.enqueueNext(m)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/personality"
+	"repro/internal/trace"
 )
 
 // Session is a workload instantiated on the engine but not (fully) run:
@@ -20,7 +21,6 @@ type Session struct {
 
 	k      *kernel
 	os     *osState
-	tasks  []*task
 	bodies []frame
 	queues map[string]rQueue
 	sems   map[string]rSem
@@ -64,17 +64,17 @@ func (s *Session) init(w Workload) error {
 
 	nTasks, nMachines := buildSize(w)
 	k, os := &s.kern, &s.osv
-	k.init(os, nMachines)
-	os.init(k, name, nTasks)
-	os.tmodel = w.TimeModel
-	os.tracing = w.Trace
-	kind, preemptive, slice, err := policyByName(w.Policy, w.Quantum)
-	if err != nil {
+	if err := os.SetupNamed(name, w.Policy, w.Quantum, w.TimeModel); err != nil {
 		return err
 	}
-	os.polKind, os.preemptive, os.quantum = kind, preemptive, slice
+	os.k, os.tasks = k, k.init(os, nMachines, nTasks)
+	os.Reserve(nTasks)
+	if w.Trace {
+		os.rec = trace.New(name)
+		os.rec.AttachSched(&os.Sched)
+	}
 	if pers == "osek" {
-		os.frontReinsert = true
+		os.SetPreemptFrontReinsert(true)
 	}
 	s.k, s.os = k, os
 
@@ -125,11 +125,8 @@ func (s *Session) init(w Workload) error {
 		if err := s.initHier(w); err != nil {
 			return err
 		}
-		if w.WatchdogWindow > 0 {
-			body := &fWatchdogBody{os: os, window: w.WatchdogWindow, last: ^uint64(0)}
-			k.spawn("watchdog:"+name, body, true)
-		}
-		os.start()
+		s.spawnWatchdog()
+		os.StartAt(k.now, nil)
 		return nil
 	}
 
@@ -171,11 +168,10 @@ func (s *Session) init(w Workload) error {
 			return fmt.Errorf("rtc: unknown task type %q", td.Type)
 		}
 	}
-	tasks := os.tasks
+	tasks := os.Tasks()
 	for i, td := range w.Tasks {
 		daemon := td.Type == "periodic" && td.Cycles == 0
-		m := k.spawn(td.Name, bodies[i], daemon)
-		m.task = tasks[i]
+		os.bind(tasks[i], k.spawn(td.Name, bodies[i], daemon))
 	}
 	for _, irq := range w.IRQs {
 		sem, ok := sems[irq.Sem]
@@ -186,14 +182,19 @@ func (s *Session) init(w Workload) error {
 			at: irq.At, every: irq.Every, count: irq.Count}
 		k.spawn("irq:"+irq.Name, body, true)
 	}
-	if w.WatchdogWindow > 0 {
-		body := &fWatchdogBody{os: os, window: w.WatchdogWindow, last: ^uint64(0)}
-		k.spawn("watchdog:"+name, body, true)
-	}
-	s.tasks, s.bodies = tasks, bodies
+	s.spawnWatchdog()
+	s.bodies = bodies
 
-	os.start()
+	os.StartAt(k.now, nil)
 	return nil
+}
+
+// spawnWatchdog starts the workload's watchdog machine, if it has one.
+func (s *Session) spawnWatchdog() {
+	if w := s.w.WatchdogWindow; w > 0 {
+		body := &fWatchdogBody{os: s.os, window: w, wd: core.NewWatchdog()}
+		s.k.spawn("watchdog:"+s.name, body, true)
+	}
 }
 
 // buildSize counts the tasks and machines a build of w creates, which
@@ -234,24 +235,28 @@ func (s *Session) RunUntil(limit Time) error {
 // reached. The session can keep running (RunUntil with a later limit)
 // after a Finish: the result is a snapshot of the current state.
 func (s *Session) Finish() *Result {
-	res := &Result{Personality: s.pers, Tasks: make([]TaskResult, 0, len(s.tasks))}
+	os := s.os
+	tasks := os.Tasks()[:len(s.bodies)] // a flat workload's own tasks
+	res := &Result{Personality: s.pers, Tasks: make([]TaskResult, 0, len(tasks))}
 	res.Err = s.err
 	res.End = s.k.now
-	res.Records = s.os.recs
-	res.Stats = s.os.stats
-	res.Diag = s.os.diagnosis
-	if res.Diag == nil {
-		res.Diag = s.os.diagnoseStall()
+	if os.rec != nil {
+		res.Records, res.Trace = os.rec.Records(), os.rec
 	}
-	res.Conservation = s.os.checkConservation()
-	for i, t := range s.tasks {
+	res.Stats = os.StatsSnapshot()
+	res.Diag = os.Diagnosis()
+	if res.Diag == nil {
+		res.Diag = os.DiagnoseStall(s.k.now, os.daemon)
+	}
+	res.Conservation = os.Conservation(s.k.now)
+	for i, t := range tasks {
 		tr := TaskResult{
-			Name:        t.name,
-			Prio:        t.prio,
-			Terminated:  t.state == core.TaskTerminated,
-			Activations: t.activations,
-			Missed:      t.missed,
-			CPUTime:     t.cpuTime,
+			Name:        t.Name(),
+			Prio:        t.Priority(),
+			Terminated:  t.State() == core.TaskTerminated,
+			Activations: t.Activations(),
+			Missed:      t.MissedDeadlines(),
+			CPUTime:     t.CPUTime(),
 		}
 		if pb, ok := s.bodies[i].(*fPeriodicBody); ok {
 			tr.MaxResp = pb.resp

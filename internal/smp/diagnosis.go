@@ -18,23 +18,14 @@ import (
 // DiagnosisObserver is an optional extension of Observer: observers
 // registered with OS.Observe that also implement it receive every runtime
 // diagnosis recorded on the instance.
-type DiagnosisObserver interface {
-	OnDiagnosis(at sim.Time, d *core.DiagnosisError)
-}
+type DiagnosisObserver = core.DiagnosisObserver
 
 // Diagnosis returns the first runtime diagnosis recorded on this instance
 // (nil if the run was diagnosis-clean so far).
 func (os *OS) Diagnosis() *core.DiagnosisError { return os.diagnosis }
 
 func (os *OS) recordDiagnosis(d *core.DiagnosisError) {
-	if os.diagnosis == nil {
-		os.diagnosis = d
-	}
-	for _, o := range os.observers {
-		if do, ok := o.(DiagnosisObserver); ok {
-			do.OnDiagnosis(d.At, d)
-		}
-	}
+	core.RecordDiagnosis(&os.diagnosis, d, os.observers)
 }
 
 // diagnoseStall reports every alive task that is neither executing nor
@@ -60,19 +51,6 @@ func (os *OS) diagnoseStall() *core.DiagnosisError {
 		At: os.k.Now(), Blocked: blocked}
 }
 
-// allTasksDone reports whether every created task has terminated.
-func (os *OS) allTasksDone() bool {
-	if len(os.tasks) == 0 {
-		return false
-	}
-	for _, t := range os.tasks {
-		if t.state.Alive() {
-			return false
-		}
-	}
-	return true
-}
-
 // EnableWatchdog spawns a daemon that checks dispatch progress every
 // window of simulated time, exactly like the uniprocessor watchdog
 // (core.OS.EnableWatchdog): a window with ready tasks but no dispatch is
@@ -81,37 +59,25 @@ func (os *OS) allTasksDone() bool {
 // exceed the longest legitimate uninterrupted slot occupancy. Starvation
 // needs two consecutive progress-free checks (see the core watchdog: a
 // same-instant timer wake can make a task ready before the scheduler
-// runs); the stall check stays immediate.
+// runs); the stall check stays immediate. The verdict is core.Watchdog's.
 func (os *OS) EnableWatchdog(window sim.Time) {
 	if window <= 0 || os.watchdogOn {
 		return
 	}
 	os.watchdogOn = true
 	pr := os.k.Spawn("watchdog:"+os.name, func(p *sim.Proc) {
-		last := ^uint64(0)
-		starving := false
+		wd := core.NewWatchdog()
+		diagnose := func() *core.DiagnosisError { return os.watchdogDiagnose(window) }
 		for {
 			p.WaitFor(window)
-			if os.allTasksDone() {
+			if core.AllDone(os.tasks) {
 				return
 			}
-			cur := os.progress
-			if cur != last {
-				last, starving = cur, false
-				continue
+			if d := wd.Check(os.progress, diagnose); d != nil {
+				os.recordDiagnosis(d)
+				os.k.Fail(d)
+				return
 			}
-			d := os.watchdogDiagnose(window)
-			if d == nil {
-				starving = false
-				continue
-			}
-			if d.Kind == core.DiagStarvation && !starving {
-				starving = true
-				continue
-			}
-			os.recordDiagnosis(d)
-			os.k.Fail(d)
-			return
 		}
 	})
 	pr.SetDaemon(true)

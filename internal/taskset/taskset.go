@@ -360,10 +360,7 @@ func runRTC(s *Set, busCount int) (*Result, error) {
 	if r.Conservation != nil {
 		return nil, r.Conservation
 	}
-	rec := trace.New("taskset")
-	for _, rcd := range r.Records {
-		rec.Append(rcd)
-	}
+	r.Trace.SetName("taskset")
 	res := &Result{
 		Policy:      policy.Name(),
 		TimeModel:   tm,
@@ -372,7 +369,7 @@ func runRTC(s *Set, busCount int) (*Result, error) {
 		Horizon:     horizon,
 		End:         r.End,
 		Stats:       r.Stats,
-		Trace:       rec,
+		Trace:       r.Trace,
 	}
 	for i, tr := range r.Tasks {
 		tj := s.Tasks[i]

@@ -119,6 +119,10 @@ func New(name string) *Recorder { return &Recorder{name: name} }
 // Name returns the recorder's name.
 func (r *Recorder) Name() string { return r.name }
 
+// SetName renames the recorder (the name labels renderings such as the
+// VCD module), e.g. when a caller adopts an engine's recorder.
+func (r *Recorder) SetName(name string) { r.name = name }
+
 // Records returns all records in chronological (append) order. A trace
 // spread over several pages is joined once into a single page, which the
 // recorder keeps, so repeated calls do not copy again.
@@ -183,8 +187,12 @@ func (r *Recorder) SegEnd(at sim.Time, task string) {
 
 // Attach subscribes the recorder to an RTOS model instance, recording all
 // task state changes, dispatches and IRQs.
-func (r *Recorder) Attach(os *core.OS) {
-	os.Observe(&osAdapter{r: r})
+func (r *Recorder) Attach(os *core.OS) { r.AttachSched(&os.Sched) }
+
+// AttachSched is Attach for a bare scheduler state — the form the
+// run-to-completion engine (internal/rtc) runs its RTOS model in.
+func (r *Recorder) AttachSched(s *core.Sched) {
+	s.Observe(&osAdapter{r: r})
 }
 
 // osAdapter converts core.Observer callbacks into records.

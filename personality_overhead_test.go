@@ -11,7 +11,10 @@ package repro
 
 import (
 	"os"
+	"slices"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
@@ -122,47 +125,68 @@ func BenchmarkPersonalityContextSwitch(b *testing.B) {
 // still catches accidental O(n) regressions. The guard is opt-in
 // (scripts/check.sh sets PERSONALITY_OVERHEAD_GUARD=1) to keep plain
 // `go test` immune to loaded hosts.
+//
+// Every arm is timed by the process's CPU time, not the wall clock, so
+// time the host gives to other processes does not count. The rounds are
+// interleaved — direct, then each personality, repeatedly — so drift in
+// the host's speed hits every arm alike, and the arms are compared by
+// their medians.
 func TestPersonalityOverheadGuard(t *testing.T) {
 	if os.Getenv("PERSONALITY_OVERHEAD_GUARD") != "1" {
 		t.Skip("set PERSONALITY_OVERHEAD_GUARD=1 to run the overhead guard")
 	}
-	const trials = 7
+	const rounds = 11
 	const maxDispatchRatio = 1.05 // generic: the interface layer alone
 	const maxNativeRatio = 1.20   // itron/osek: dispatch + native semantics
 
-	// Warm-up: lazy initialization off the clock for every path. The
-	// measured trials are interleaved round-robin so clock drift on the
-	// host (frequency scaling, neighbors) hits every path equally instead
-	// of biasing whichever block ran first.
-	kinds := personality.Kinds()
-	contextSwitchDirect(t, personalitySwitchOps)
-	for _, kind := range kinds {
-		contextSwitchPersonality(t, kind, personalitySwitchOps)
-	}
-	base := minWall(t, 1, func() { contextSwitchDirect(t, personalitySwitchOps) })
-	best := map[string]float64{}
-	for trial := 0; trial < trials; trial++ {
-		if d := minWall(t, 1, func() { contextSwitchDirect(t, personalitySwitchOps) }); float64(d) < float64(base) {
-			base = d
-		}
-		for _, kind := range kinds {
-			kind := kind
-			d := minWall(t, 1, func() { contextSwitchPersonality(t, kind, personalitySwitchOps) })
-			if cur, ok := best[kind]; !ok || float64(d) < cur {
-				best[kind] = float64(d)
-			}
+	const direct = "direct"
+	arms := append([]string{direct}, personality.Kinds()...)
+	run := func(arm string) {
+		if arm == direct {
+			contextSwitchDirect(t, personalitySwitchOps)
+		} else {
+			contextSwitchPersonality(t, arm, personalitySwitchOps)
 		}
 	}
-	for _, kind := range kinds {
+	// Warm-up: lazy initialization off the clock for every path.
+	for _, arm := range arms {
+		run(arm)
+	}
+	samples := map[string][]time.Duration{}
+	for r := 0; r < rounds; r++ {
+		for _, arm := range arms {
+			start := processCPU(t)
+			run(arm)
+			samples[arm] = append(samples[arm], processCPU(t)-start)
+		}
+	}
+	base := median(samples[direct])
+	for _, kind := range arms[1:] {
 		maxRatio := maxNativeRatio
 		if kind == personality.Generic {
 			maxRatio = maxDispatchRatio
 		}
-		ratio := best[kind] / float64(base)
-		t.Logf("%s: ratio %.3fx vs direct %v (limit %.2fx)", kind, ratio, base, maxRatio)
+		ratio := float64(median(samples[kind])) / float64(base)
+		t.Logf("%s: median CPU ratio %.3fx vs direct %v (limit %.2fx)", kind, ratio, base, maxRatio)
 		if ratio > maxRatio {
 			t.Errorf("%s personality overhead %.3fx exceeds %.2fx of the direct baseline",
 				kind, ratio, maxRatio)
 		}
 	}
+}
+
+// processCPU returns the user plus system CPU time the process has used.
+func processCPU(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// median returns the middle sample (the upper one of an even count).
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
