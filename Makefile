@@ -85,7 +85,7 @@ timer-boundary: ## timing-wheel boundary ordering: differential harness vs refer
 	go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 
 engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, SDL corpus + goldens)
-	go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/taskset
+	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
 checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite

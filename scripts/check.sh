@@ -68,7 +68,7 @@ go test -run 'TestCrossPersonalityCorpus' -count=1 ./internal/simcheck
 # (go test ./... above already ran these; the explicit pass keeps the
 # two-engine contract visible.)
 echo "== execution-engine equivalence (goroutine vs run-to-completion)"
-go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/taskset
+go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
 # Timer-boundary ordering: the hierarchical timing wheel must agree
