@@ -232,10 +232,10 @@ func (k *Kernel) CanWup(p *sim.Proc, t *core.Task) (int, ER) {
 
 // ChgPri changes a task's base priority (chg_pri): E_PAR outside
 // [TMinTPri, TMaxTPri], E_OBJ on a dormant task. The change takes
-// scheduling effect immediately — a ready task is re-ranked in place
-// (exercising the indexed ready queue's re-key hook), a running task
-// may be preempted, and a task blocked in a TA_TPRI wait queue is
-// re-ordered within it.
+// scheduling effect immediately — a ready task is ranked by its new
+// priority at the next dispatch decision, a running task may be
+// preempted, and a task blocked in a TA_TPRI wait queue is re-ordered
+// within it.
 func (k *Kernel) ChgPri(p *sim.Proc, t *core.Task, pri int) ER {
 	if pri < TMinTPri || pri > TMaxTPri {
 		return EPAR
@@ -251,7 +251,7 @@ func (k *Kernel) ChgPri(p *sim.Proc, t *core.Task, pri int) ER {
 // personality adapter uses it for scenario tasks whose priorities come
 // from the shared generator and may fall outside µITRON's band.
 func (k *Kernel) chgPriAny(p *sim.Proc, t *core.Task, pri int) {
-	t.SetPriority(pri) // re-keys the ready queue if queued
+	t.SetPriority(pri)
 	if tc := k.tcbs[t]; tc != nil && tc.wait != nil {
 		tc.wait.requeue(tc)
 	}

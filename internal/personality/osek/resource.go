@@ -89,9 +89,8 @@ func (s *System) GetResource(p *sim.Proc, id ResID) StatusType {
 	tc.resStack = append(tc.resStack, r)
 	tc.oldPrio = append(tc.oldPrio, tc.task.Priority())
 	if r.ceiling < tc.task.Priority() {
-		// Immediate ceiling boost; SetPriority re-keys the indexed ready
-		// queue when the task is queued (it is running here, so the new
-		// rank simply applies at its next ready-queue entry).
+		// Immediate ceiling boost; the new priority applies at the next
+		// dispatch decision.
 		tc.task.SetPriority(r.ceiling)
 	}
 	r.res.Acquire(p)

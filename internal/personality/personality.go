@@ -88,7 +88,7 @@ type Runtime interface {
 	// the personality supports wakeup counting).
 	Wake(p *sim.Proc, t *core.Task)
 	// ChangePriority changes a task's priority through the personality's
-	// native service, re-keying any indexed ready-queue entry.
+	// native service.
 	ChangePriority(p *sim.Proc, t *core.Task, prio int)
 	// Schedule is a voluntary scheduling point (OSEK Schedule, generic
 	// yield).
