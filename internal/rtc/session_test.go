@@ -59,3 +59,72 @@ func TestNewSessionAllocs(t *testing.T) {
 		}
 	}
 }
+
+// channelWorkload is periodicWorkload plus two queues and two semaphores
+// that a producer/consumer pair drives through every blocking path: the
+// consumer outranks the producer, so it blocks on each receive and
+// acquire, and the producer blocks acquiring the semaphore the consumer
+// releases last. Both outrank the periodic tasks, which overload the CPU
+// at 32 tasks.
+func channelWorkload(n int, pers string) Workload {
+	w := periodicWorkload(n, pers)
+	w.Channels = []ChannelDef{
+		{Name: "q0", Kind: "queue", Arg: 2},
+		{Name: "q1", Kind: "queue", Arg: 2},
+		{Name: "s0", Kind: "semaphore", Arg: 0},
+		{Name: "s1", Kind: "semaphore", Arg: 0},
+	}
+	delay := Op{Kind: "delay", Dur: 10 * sim.Microsecond}
+	w.Tasks = append(w.Tasks,
+		TaskDef{Name: "cons", Type: "aperiodic", Prio: -2, Repeat: 3, Ops: []Op{
+			{Kind: "recv", Ch: "q0"}, {Kind: "recv", Ch: "q1"},
+			{Kind: "acquire", Ch: "s0"}, delay, {Kind: "release", Ch: "s1"},
+		}},
+		TaskDef{Name: "prod", Type: "aperiodic", Prio: -1, Repeat: 3, Ops: []Op{
+			delay, {Kind: "send", Ch: "q0"}, {Kind: "send", Ch: "q1"},
+			{Kind: "release", Ch: "s0"}, {Kind: "acquire", Ch: "s1"},
+		}},
+	)
+	return w
+}
+
+// TestNewSessionChannelAllocs is TestNewSessionAllocs for a workload with
+// channels: building the two queues and two semaphores, and a run that
+// blocks on each of them, stay within fixed allocation counts under
+// every personality.
+func TestNewSessionChannelAllocs(t *testing.T) {
+	want := map[string][2]float64{ // personality → build, run
+		"generic": {45, 54},
+		"itron":   {37, 46},
+		"osek":    {37, 46},
+	}
+	for _, pers := range []string{"generic", "itron", "osek"} {
+		for _, n := range []int{8, 32} {
+			w := channelWorkload(n, pers)
+			build := testing.AllocsPerRun(20, func() {
+				if _, err := NewSession(w); err != nil {
+					t.Fatal(err)
+				}
+			})
+			run := testing.AllocsPerRun(20, func() {
+				s, err := NewSession(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.RunUntil(w.Horizon); err != nil {
+					t.Fatal(err)
+				}
+				res := s.Finish()
+				for _, tr := range res.Tasks[n:] {
+					if !tr.Terminated {
+						t.Fatalf("%s: task %s did not terminate", pers, tr.Name)
+					}
+				}
+			})
+			if got := [2]float64{build, run}; got != want[pers] {
+				t.Errorf("%s, %d tasks: NewSession allocates %.0f times and a whole run %.0f, want %.0f and %.0f",
+					pers, n, build, run, want[pers][0], want[pers][1])
+			}
+		}
+	}
+}
