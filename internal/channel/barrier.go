@@ -25,7 +25,7 @@ func NewBarrier(f Factory, name string, parties int) *Barrier {
 		panic(fmt.Sprintf("channel: barrier %q parties %d < 1", name, parties))
 	}
 	return &Barrier{name: name, cond: f.NewCond(name + ".bar"), parties: parties,
-		res: monitored(f, name, "barrier", false)}
+		res: monitorOf(f).NewResource(name, "barrier", false)}
 }
 
 // Name returns the barrier's name.
@@ -55,21 +55,65 @@ func (b *Barrier) Await(p *sim.Proc) int {
 	return idx
 }
 
+// HandshakeState is a handshake's latch and transitions (see
+// core.Channel), shared by both execution engines: OpSignal latches one
+// signal; an OpWait with none pending waits on the handshake's condition
+// and re-checks after every wake-up.
+type HandshakeState struct {
+	pending int
+	res     *core.Resource
+}
+
+// NewHandshakeState returns an empty latch registered with the monitor m
+// (nil: untracked, as for the interrupt-request latches of arch.PE).
+func NewHandshakeState(m *core.Monitor, name string) HandshakeState {
+	return HandshakeState{res: m.NewResource(name, "handshake", false)}
+}
+
+// Pending returns the number of latched, unconsumed signals.
+func (h *HandshakeState) Pending() int { return h.pending }
+
+// Step performs OpSignal or OpWait for task t.
+func (h *HandshakeState) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+	switch {
+	case op == core.OpSignal:
+		h.pending++
+		return core.Verdict{Notify: true}
+	case h.pending == 0:
+		if !again {
+			h.res.BlockTask(now, t)
+		}
+		return core.Verdict{Wait: true}
+	}
+	if again {
+		h.res.UnblockTask(t)
+	}
+	h.pending--
+	return core.Verdict{}
+}
+
+// EncodeState writes the latch for a checkpoint.
+func (h *HandshakeState) EncodeState(e *core.StateWriter) { e.Line("ch %d", h.pending) }
+
+// DecodeState restores what EncodeState wrote.
+func (h *HandshakeState) DecodeState(_ *core.Sched, d *core.StateReader) error {
+	return d.Scan("ch %d", &h.pending)
+}
+
 // Handshake is a one-slot signal with memory: unlike a raw SLDL event, a
 // Signal delivered while nobody waits is latched and satisfies the next
 // WaitSig. It models the classic two-wire ready/acknowledge handshake at
 // the abstraction level of the paper's communication synthesis.
 type Handshake struct {
-	name    string
-	cond    Cond
-	pending int
-	res     *core.Resource
+	HandshakeState
+	name string
+	cond Cond
 }
 
 // NewHandshake creates a handshake with no pending signal.
 func NewHandshake(f Factory, name string) *Handshake {
-	return &Handshake{name: name, cond: f.NewCond(name + ".hs"),
-		res: monitored(f, name, "handshake", false)}
+	return &Handshake{HandshakeState: NewHandshakeState(monitorOf(f), name),
+		name: name, cond: f.NewCond(name + ".hs")}
 }
 
 // Name returns the handshake's name.
@@ -77,21 +121,14 @@ func (h *Handshake) Name() string { return h.name }
 
 // Signal latches one signal and wakes a waiter. Callable from ISRs.
 func (h *Handshake) Signal(p *sim.Proc) {
-	h.pending++
+	h.Step(p.Now(), nil, core.OpSignal, nil, false)
 	h.cond.Notify(p)
 }
 
 // WaitSig blocks until a signal is (or was) delivered and consumes it.
 func (h *Handshake) WaitSig(p *sim.Proc) {
-	if h.pending == 0 {
-		h.res.Block(p)
-		for h.pending == 0 {
-			h.cond.Wait(p)
-		}
-		h.res.Unblock(p)
+	t := h.res.TaskOf(p)
+	for again := false; h.Step(p.Now(), t, core.OpWait, nil, again).Wait; again = true {
+		h.cond.Wait(p)
 	}
-	h.pending--
 }
-
-// Pending returns the number of latched, unconsumed signals.
-func (h *Handshake) Pending() int { return h.pending }

@@ -92,18 +92,18 @@ type rtosCond struct {
 func (c rtosCond) Wait(p *sim.Proc)   { c.os.EventWait(p, c.e) }
 func (c rtosCond) Notify(p *sim.Proc) { c.os.EventNotify(p, c.e) }
 
-// monitored resolves the runtime-diagnosis resource for a channel built
-// on f: on an RTOSFactory the channel registers with the OS instance's
+// monitorOf resolves the runtime-diagnosis monitor for channels built on
+// f: on an RTOSFactory channels register with the OS instance's
 // wait-for-graph monitor (enabling deadlock/stall diagnosis with the
 // channel named as the blocking site); on other factories it returns nil,
-// which disables tracking at zero cost — core.Resource methods are
-// nil-receiver safe.
-func monitored(f Factory, name, kind string, exclusive bool) *core.Resource {
+// whose resources are nil and track nothing at zero cost —
+// core.Resource methods are nil-receiver safe.
+func monitorOf(f Factory) *core.Monitor {
 	switch rf := f.(type) {
 	case RTOSFactory:
-		return rf.OS.Monitor().NewResource(name, kind, exclusive)
+		return rf.OS.Monitor()
 	case *RTOSFactory:
-		return rf.OS.Monitor().NewResource(name, kind, exclusive)
+		return rf.OS.Monitor()
 	}
 	return nil
 }

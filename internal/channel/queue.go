@@ -7,38 +7,90 @@ import (
 	"repro/internal/sim"
 )
 
+// QueueState is a bounded FIFO's state and transitions (see
+// core.Channel), shared by both execution engines: a send into a full
+// queue or a receive from an empty one waits on the queue's condition and
+// re-checks after every wake-up. Elements sit in a Ring bounded by the
+// capacity, so memory follows the peak occupancy rather than the declared
+// capacity, and steady-state traffic does not allocate.
+type QueueState[T any] struct {
+	Ring[T]
+	capacity int
+	res      *core.Resource
+}
+
+// ValidateQueue rejects a queue capacity below 1, naming the channel: the
+// rule every personality and front end applies.
+func ValidateQueue(name string, capacity int) error {
+	if capacity < 1 {
+		return fmt.Errorf("channel: queue %q capacity %d < 1", name, capacity)
+	}
+	return nil
+}
+
+// NewQueueState validates the capacity and registers the queue with the
+// monitor m (nil: untracked).
+func NewQueueState[T any](m *core.Monitor, name string, capacity int) (QueueState[T], error) {
+	if err := ValidateQueue(name, capacity); err != nil {
+		return QueueState[T]{}, err
+	}
+	return QueueState[T]{Ring: NewRing[T](capacity), capacity: capacity,
+		res: m.NewResource(name, "queue", false)}, nil
+}
+
+// Cap returns the queue capacity.
+func (q *QueueState[T]) Cap() int { return q.capacity }
+
+// Step performs OpSend or OpRecv for task t.
+func (q *QueueState[T]) Step(now sim.Time, t *core.Task, op core.ChanOp, val *T, again bool) core.Verdict {
+	if op == core.OpSend && q.n == q.capacity || op == core.OpRecv && q.n == 0 {
+		if !again {
+			q.res.BlockTask(now, t)
+		}
+		return core.Verdict{Wait: true}
+	}
+	if again {
+		q.res.UnblockTask(t)
+	}
+	if op == core.OpSend {
+		q.Push(*val)
+	} else {
+		*val = q.Pop()
+	}
+	return core.Verdict{Notify: true}
+}
+
+// EncodeState writes the buffered elements for a checkpoint.
+func (q *QueueState[T]) EncodeState(e *core.StateWriter) { q.Ring.EncodeState(e, "cq") }
+
+// DecodeState restores what EncodeState wrote.
+func (q *QueueState[T]) DecodeState(_ *core.Sched, d *core.StateReader) error {
+	return q.Ring.DecodeState(d, "cq")
+}
+
 // Queue is a bounded FIFO message channel — the paper's c_queue example
 // (Figure 7). Send blocks while the queue is full; Recv blocks while it is
 // empty. The element type is generic; models typically move frame or
 // sample buffers.
-//
-// Elements sit in a Ring bounded by the capacity, so memory follows the
-// peak occupancy rather than the declared capacity, and steady-state
-// traffic does not allocate.
 type Queue[T any] struct {
-	Ring[T]
-	name     string
-	cond     Cond // single condition: senders and receivers re-check state
-	capacity int
-	res      *core.Resource
+	QueueState[T]
+	name string
+	cond Cond // single condition: senders and receivers re-check state
 
 	sent, received uint64
 }
 
 // NewQueue creates a queue with the given capacity (at least 1).
 func NewQueue[T any](f Factory, name string, capacity int) *Queue[T] {
-	if capacity < 1 {
-		panic(fmt.Sprintf("channel: queue %q capacity %d < 1", name, capacity))
+	st, err := NewQueueState[T](monitorOf(f), name, capacity)
+	if err != nil {
+		panic(err.Error())
 	}
-	return &Queue[T]{Ring: NewRing[T](capacity), name: name, cond: f.NewCond(name + ".q"),
-		capacity: capacity, res: monitored(f, name, "queue", false)}
+	return &Queue[T]{QueueState: st, name: name, cond: f.NewCond(name + ".q")}
 }
 
 // Name returns the queue's name.
 func (q *Queue[T]) Name() string { return q.name }
-
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Sent returns the total number of elements accepted by Send.
 func (q *Queue[T]) Sent() uint64 { return q.sent }
@@ -48,14 +100,11 @@ func (q *Queue[T]) Received() uint64 { return q.received }
 
 // Send enqueues v, blocking while the queue is full.
 func (q *Queue[T]) Send(p *sim.Proc, v T) {
-	if q.n == q.capacity {
-		q.res.Block(p)
-		for q.n == q.capacity {
-			q.cond.Wait(p)
-		}
-		q.res.Unblock(p)
+	t := q.res.TaskOf(p)
+	for again := false; q.Step(p.Now(), t, core.OpSend, &v, again).Wait; again = true {
+		q.cond.Wait(p)
 	}
-	q.push(v)
+	q.sent++
 	q.cond.Notify(p)
 }
 
@@ -64,21 +113,20 @@ func (q *Queue[T]) TrySend(p *sim.Proc, v T) bool {
 	if q.n == q.capacity {
 		return false
 	}
-	q.push(v)
+	q.Push(v)
+	q.sent++
 	q.cond.Notify(p)
 	return true
 }
 
 // Recv dequeues the oldest element, blocking while the queue is empty.
 func (q *Queue[T]) Recv(p *sim.Proc) T {
-	if q.n == 0 {
-		q.res.Block(p)
-		for q.n == 0 {
-			q.cond.Wait(p)
-		}
-		q.res.Unblock(p)
+	t := q.res.TaskOf(p)
+	var v T
+	for again := false; q.Step(p.Now(), t, core.OpRecv, &v, again).Wait; again = true {
+		q.cond.Wait(p)
 	}
-	v := q.pop()
+	q.received++
 	q.cond.Notify(p)
 	return v
 }
@@ -89,22 +137,10 @@ func (q *Queue[T]) TryRecv(p *sim.Proc) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	v := q.pop()
+	q.received++
+	v := q.Pop()
 	q.cond.Notify(p)
 	return v, true
-}
-
-// push appends v; the caller has checked that the queue is not full.
-func (q *Queue[T]) push(v T) {
-	q.Push(v)
-	q.sent++
-}
-
-// pop removes the oldest element; the caller has checked that the queue
-// is not empty.
-func (q *Queue[T]) pop() T {
-	q.received++
-	return q.Pop()
 }
 
 // Mailbox is an unbuffered rendezvous channel: Send blocks until a
@@ -122,7 +158,7 @@ type Mailbox[T any] struct {
 // NewMailbox creates an empty mailbox.
 func NewMailbox[T any](f Factory, name string) *Mailbox[T] {
 	return &Mailbox[T]{name: name, cond: f.NewCond(name + ".mbox"),
-		res: monitored(f, name, "rendezvous", false)}
+		res: monitorOf(f).NewResource(name, "rendezvous", false)}
 }
 
 // Name returns the mailbox's name.

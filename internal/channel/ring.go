@@ -1,5 +1,7 @@
 package channel
 
+import "repro/internal/core"
+
 // Ring is a FIFO buffer over a ring of slots that starts small and
 // doubles only when it is full, up to an optional bound, so memory
 // follows the peak occupancy rather than a declared capacity and
@@ -61,6 +63,30 @@ func (r *Ring[T]) Each(f func(T)) {
 		}
 		f(r.ring[j])
 	}
+}
+
+// EncodeState writes the buffered elements, oldest first, as one tagged
+// checkpoint list.
+func (r *Ring[T]) EncodeState(e *core.StateWriter, tag string) {
+	vals := make([]T, 0, r.n)
+	r.Each(func(v T) { vals = append(vals, v) })
+	core.WriteList(e, tag, vals)
+}
+
+// DecodeState replaces the buffered elements with the list EncodeState
+// wrote under tag.
+func (r *Ring[T]) DecodeState(d *core.StateReader, tag string) error {
+	vals, err := core.ReadList[T](d, tag)
+	if err != nil {
+		return err
+	}
+	for r.n > 0 {
+		r.Pop()
+	}
+	for _, v := range vals {
+		r.Push(v)
+	}
+	return nil
 }
 
 // grow doubles the full ring, up to the bound, unwrapping its elements

@@ -7,59 +7,104 @@ import (
 	"repro/internal/sim"
 )
 
+// SemaphoreState is a counting semaphore's state and transitions (see
+// core.Channel), shared by both execution engines: an acquire at count
+// zero waits on the semaphore's condition and re-checks after every
+// wake-up.
+type SemaphoreState struct {
+	count int
+	res   *core.Resource
+}
+
+// ValidateSemaphore rejects a negative initial count, naming the channel:
+// the rule every personality and front end applies.
+func ValidateSemaphore(name string, initial int) error {
+	if initial < 0 {
+		return fmt.Errorf("channel: semaphore %q initial count %d < 0", name, initial)
+	}
+	return nil
+}
+
+// NewSemaphoreState validates the initial count and registers the
+// semaphore with the monitor m (nil: untracked).
+func NewSemaphoreState(m *core.Monitor, name string, initial int) (SemaphoreState, error) {
+	if err := ValidateSemaphore(name, initial); err != nil {
+		return SemaphoreState{}, err
+	}
+	return SemaphoreState{count: initial, res: m.NewResource(name, "semaphore", false)}, nil
+}
+
+// Value returns the current count (non-blocking snapshot).
+func (s *SemaphoreState) Value() int { return s.count }
+
+// Step performs OpAcquire or OpRelease for task t. An acquire ends a
+// wait by the hold it records.
+func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+	switch {
+	case op == core.OpRelease:
+		s.count++
+		s.res.ReleaseTask(t)
+		return core.Verdict{Notify: true}
+	case s.count == 0:
+		if !again {
+			s.res.BlockTask(now, t)
+		}
+		return core.Verdict{Wait: true}
+	}
+	s.count--
+	s.res.AcquireTask(t)
+	return core.Verdict{}
+}
+
+// EncodeState writes the count for a checkpoint.
+func (s *SemaphoreState) EncodeState(e *core.StateWriter) { e.Line("cs %d", s.count) }
+
+// DecodeState restores what EncodeState wrote.
+func (s *SemaphoreState) DecodeState(_ *core.Sched, d *core.StateReader) error {
+	return d.Scan("cs %d", &s.count)
+}
+
 // Semaphore is a counting semaphore — the channel the paper's bus-driver
 // example uses between interrupt handler and driver task ("the interrupt
 // handler ISR for external events signals the main bus driver through a
 // semaphore channel sem", Figure 3).
 type Semaphore struct {
-	name  string
-	cond  Cond
-	count int
-	res   *core.Resource
+	SemaphoreState
+	name string
+	cond Cond
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
 func NewSemaphore(f Factory, name string, initial int) *Semaphore {
-	if initial < 0 {
-		panic(fmt.Sprintf("channel: semaphore %q initial count %d < 0", name, initial))
+	st, err := NewSemaphoreState(monitorOf(f), name, initial)
+	if err != nil {
+		panic(err.Error())
 	}
-	return &Semaphore{name: name, cond: f.NewCond(name + ".sem"), count: initial,
-		res: monitored(f, name, "semaphore", false)}
+	return &Semaphore{SemaphoreState: st, name: name, cond: f.NewCond(name + ".sem")}
 }
 
 // Name returns the semaphore's name.
 func (s *Semaphore) Name() string { return s.name }
 
-// Value returns the current count (non-blocking snapshot).
-func (s *Semaphore) Value() int { return s.count }
-
 // Acquire decrements the count, blocking while it is zero.
 func (s *Semaphore) Acquire(p *sim.Proc) {
-	if s.count == 0 {
-		s.res.Block(p)
-		for s.count == 0 {
-			s.cond.Wait(p)
-		}
+	t := s.res.TaskOf(p)
+	for again := false; s.Step(p.Now(), t, core.OpAcquire, nil, again).Wait; again = true {
+		s.cond.Wait(p)
 	}
-	s.count--
-	s.res.Acquire(p)
 }
 
-// TryAcquire decrements the count if positive and reports success.
+// TryAcquire decrements the count if positive and reports success. It
+// steps as a re-check (again), which records no wait when the count is
+// zero.
 func (s *Semaphore) TryAcquire(p *sim.Proc) bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	s.res.Acquire(p)
-	return true
+	return !s.Step(p.Now(), s.res.TaskOf(p), core.OpAcquire, nil, true).Wait
 }
 
 // Release increments the count and wakes waiters. It may be called from
 // interrupt handlers (the paper's ISR-to-driver signalling path).
 func (s *Semaphore) Release(p *sim.Proc) {
-	s.count++
-	s.res.Release(p)
+	s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, nil, false)
 	s.cond.Notify(p)
 }
 
@@ -75,7 +120,7 @@ type Mutex struct {
 // NewMutex creates an unlocked mutex.
 func NewMutex(f Factory, name string) *Mutex {
 	return &Mutex{name: name, cond: f.NewCond(name + ".mtx"),
-		res: monitored(f, name, "mutex", true)}
+		res: monitorOf(f).NewResource(name, "mutex", true)}
 }
 
 // Name returns the mutex's name.

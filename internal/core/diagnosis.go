@@ -150,8 +150,12 @@ func (s *Sched) Monitor() *Monitor { return &s.monitor }
 // NewResource registers a diagnosable resource. kind is a short class
 // name ("mutex", "semaphore", "queue", ...); exclusive marks
 // ownership-style resources (single determinate holder), which enable the
-// immediate cycle check at block time.
+// immediate cycle check at block time. A nil monitor (a channel outside
+// any RTOS instance) returns a nil resource, which tracks nothing.
 func (m *Monitor) NewResource(name, kind string, exclusive bool) *Resource {
+	if m == nil {
+		return nil
+	}
 	r := &Resource{m: m, name: name, kind: kind, exclusive: exclusive}
 	m.resources = append(m.resources, r)
 	return r
@@ -179,50 +183,46 @@ type Resource struct {
 // Site returns the blocking-site label, "kind:name".
 func (r *Resource) Site() string { return r.kind + ":" + r.name }
 
+// TaskOf resolves the calling process to its task on r's OS instance:
+// nil for ISRs, spec-level processes and unmonitored (nil) resources.
+// Channels pass the result to the *Task methods below, which treat a nil
+// task as a no-op.
+func (r *Resource) TaskOf(p *sim.Proc) *Task {
+	if r == nil {
+		return nil
+	}
+	return r.m.s.taskOf(p)
+}
+
 // Block registers the calling process's task as blocked on r and, for
 // exclusive resources, runs the immediate circular-wait check. Pair with
 // Unblock (or Acquire) when the wait is over. Calls from processes that
 // are not tasks of the monitored OS (ISRs, spec-level processes) are
 // no-ops.
 func (r *Resource) Block(p *sim.Proc) {
-	if r == nil {
-		return
-	}
-	if d := r.BlockTask(p.Now(), r.m.s.taskOf(p)); d != nil {
+	if d := r.BlockTask(p.Now(), r.TaskOf(p)); d != nil {
 		p.Kernel().Fail(d)
 	}
 }
 
 // Unblock removes the calling process's task from the waiter set.
-func (r *Resource) Unblock(p *sim.Proc) {
-	if r != nil {
-		r.UnblockTask(r.m.s.taskOf(p))
-	}
-}
+func (r *Resource) Unblock(p *sim.Proc) { r.UnblockTask(r.TaskOf(p)) }
 
 // Acquire records the calling process's task as a holder of r (and ends
 // any registered wait).
-func (r *Resource) Acquire(p *sim.Proc) {
-	if r != nil {
-		r.AcquireTask(r.m.s.taskOf(p))
-	}
-}
+func (r *Resource) Acquire(p *sim.Proc) { r.AcquireTask(r.TaskOf(p)) }
 
 // Release drops one hold of the calling process's task on r. Releases by
 // processes that never acquired (interrupt handlers signalling a
 // semaphore) are no-ops.
-func (r *Resource) Release(p *sim.Proc) {
-	if r != nil {
-		r.ReleaseTask(r.m.s.taskOf(p))
-	}
-}
+func (r *Resource) Release(p *sim.Proc) { r.ReleaseTask(r.TaskOf(p)) }
 
 // BlockTask records t as blocked on r at now. For an exclusive resource
 // it walks the ownership chain: if that leads back to t, the circular
 // wait is definite, and the recorded deadlock is returned for the engine
 // to fail the run with. A nil t (no task) is a no-op.
 func (r *Resource) BlockTask(now sim.Time, t *Task) *DiagnosisError {
-	if t == nil {
+	if r == nil || t == nil {
 		return nil
 	}
 	t.waitingRes = r
@@ -253,7 +253,7 @@ func (r *Resource) BlockTask(now sim.Time, t *Task) *DiagnosisError {
 
 // UnblockTask ends t's registered wait (nil t: no-op).
 func (r *Resource) UnblockTask(t *Task) {
-	if t != nil {
+	if r != nil && t != nil {
 		t.waitingRes = nil
 	}
 }
@@ -261,7 +261,7 @@ func (r *Resource) UnblockTask(t *Task) {
 // AcquireTask records t as a holder of r and ends any registered wait
 // (nil t: no-op).
 func (r *Resource) AcquireTask(t *Task) {
-	if t == nil {
+	if r == nil || t == nil {
 		return
 	}
 	t.waitingRes = nil
@@ -277,6 +277,9 @@ func (r *Resource) AcquireTask(t *Task) {
 // ReleaseTask drops one hold of t on r (nil t, or a t that never
 // acquired: no-op).
 func (r *Resource) ReleaseTask(t *Task) {
+	if r == nil {
+		return
+	}
 	for i := range r.holders {
 		if r.holders[i].t == t {
 			if r.holders[i].n > 1 {

@@ -22,17 +22,20 @@ func (e *StateWriter) Line(format string, args ...any) {
 }
 
 // Ints appends a tagged, length-prefixed list of ints.
-func (e *StateWriter) Ints(tag string, vals []int) { writeInts(&e.b, tag, vals) }
+func (e *StateWriter) Ints(tag string, vals []int) { WriteList(e, tag, vals) }
 
 // Ints64 is Ints for int64 values.
-func (e *StateWriter) Ints64(tag string, vals []int64) { writeInts(&e.b, tag, vals) }
+func (e *StateWriter) Ints64(tag string, vals []int64) { WriteList(e, tag, vals) }
 
-func writeInts[T int | int64](b *bytes.Buffer, tag string, vals []T) {
-	fmt.Fprintf(b, "%s %d", tag, len(vals))
+// WriteList appends a tagged, length-prefixed list of values, each
+// formatted with %v; ReadList reads it back. Integers of any width encode
+// as Ints does.
+func WriteList[T any](e *StateWriter, tag string, vals []T) {
+	fmt.Fprintf(&e.b, "%s %d", tag, len(vals))
 	for _, v := range vals {
-		fmt.Fprintf(b, " %d", v)
+		fmt.Fprintf(&e.b, " %v", v)
 	}
-	b.WriteByte('\n')
+	e.b.WriteByte('\n')
 }
 
 // Bytes returns the encoding written so far.
@@ -100,7 +103,14 @@ func (d *StateReader) Count(tag string, want int) error {
 }
 
 // Ints64 reads a list written by StateWriter.Ints64 under tag.
-func (d *StateReader) Ints64(tag string) ([]int64, error) {
+func (d *StateReader) Ints64(tag string) ([]int64, error) { return ReadList[int64](d, tag) }
+
+// Ints reads a list written by StateWriter.Ints under tag.
+func (d *StateReader) Ints(tag string) ([]int, error) { return ReadList[int](d, tag) }
+
+// ReadList reads a list WriteList wrote under tag, scanning each element
+// into a T.
+func ReadList[T any](d *StateReader, tag string) ([]T, error) {
 	ln, err := d.Next()
 	if err != nil {
 		return nil, err
@@ -113,24 +123,11 @@ func (d *StateReader) Ints64(tag string) ([]int64, error) {
 	if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n != len(fields)-2 {
 		return nil, fmt.Errorf("snapshot line %d %q: bad %q list length", d.pos, ln, tag)
 	}
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		if _, err := fmt.Sscanf(fields[i+2], "%d", &out[i]); err != nil {
-			return nil, fmt.Errorf("snapshot line %d %q: bad int %q", d.pos, ln, fields[i+2])
+	out := make([]T, n)
+	for i := range out {
+		if _, err := fmt.Sscan(fields[i+2], &out[i]); err != nil {
+			return nil, fmt.Errorf("snapshot line %d %q: bad element %q", d.pos, ln, fields[i+2])
 		}
-	}
-	return out, nil
-}
-
-// Ints reads a list written by StateWriter.Ints under tag.
-func (d *StateReader) Ints(tag string) ([]int, error) {
-	v64, err := d.Ints64(tag)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(v64))
-	for i, v := range v64 {
-		out[i] = int(v)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package personality
 
 import (
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/personality/itron"
 	"repro/internal/sim"
@@ -42,52 +43,31 @@ func (r *itronRT) ChangePriority(p *sim.Proc, t *core.Task, prio int) {
 	}
 }
 
+// NewQueue creates a mailbox. Mailboxes are unbounded (capacity is a
+// property of the message pool in real ITRON systems), so sends never
+// block — scenarios are constructed so that bounded-queue sends never
+// block either, keeping the personalities comparable. The capacity is
+// still validated, so every personality accepts the same declarations.
 func (r *itronRT) NewQueue(name string, capacity int) Queue {
+	if err := channel.ValidateQueue(name, capacity); err != nil {
+		panic(err.Error())
+	}
 	m, er := r.kr.CreMbx(name, itron.TATFifo)
 	if er != itron.EOK {
 		panic("personality: cre_mbx " + er.String())
 	}
-	return itronQueue{m: m}
+	return native{m, r.kr.OS()}
 }
 
+// NewSemaphore creates an ITRON semaphore. A release past TMAX_SEMCNT
+// ends the run with E_QOVR, as on the run-to-completion engine.
 func (r *itronRT) NewSemaphore(name string, count int) Semaphore {
+	if err := channel.ValidateSemaphore(name, count); err != nil {
+		panic(err.Error())
+	}
 	s, er := r.kr.CreSem(name, count, itron.TMaxSemCnt, itron.TATFifo)
 	if er != itron.EOK {
 		panic("personality: cre_sem " + er.String())
 	}
-	return itronSem{s: s}
-}
-
-// itronQueue adapts a mailbox. Mailboxes are unbounded (capacity is a
-// property of the message pool in real ITRON systems), so sends never
-// block — scenarios are constructed so that bounded-queue sends never
-// block either, keeping the personalities comparable.
-type itronQueue struct{ m *itron.Mailbox }
-
-func (q itronQueue) Send(p *sim.Proc, v int64) {
-	if er := q.m.Snd(p, itron.Msg{Val: v}); er != itron.EOK {
-		panic("personality: snd_mbx " + er.String())
-	}
-}
-
-func (q itronQueue) Recv(p *sim.Proc) int64 {
-	msg, er := q.m.Rcv(p)
-	if er != itron.EOK {
-		panic("personality: rcv_mbx " + er.String())
-	}
-	return msg.Val
-}
-
-type itronSem struct{ s *itron.Semaphore }
-
-func (s itronSem) Acquire(p *sim.Proc) {
-	if er := s.s.Wai(p); er != itron.EOK {
-		panic("personality: wai_sem " + er.String())
-	}
-}
-
-func (s itronSem) Release(p *sim.Proc) {
-	if er := s.s.Sig(p); er != itron.EOK {
-		panic("personality: sig_sem " + er.String())
-	}
+	return native{s, r.kr.OS()}
 }

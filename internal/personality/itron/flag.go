@@ -37,7 +37,7 @@ type EventFlag struct {
 func (k *Kernel) CreFlg(name string, attr Attr, init FlagPattern) (*EventFlag, ER) {
 	return &EventFlag{k: k, name: name, site: "eventflag:" + name, attr: attr,
 		ptn: init, wq: newWaitQueue(attr),
-		res: k.os.Monitor().NewResource(name, "eventflag", false)}, EOK
+		res: k.s.Monitor().NewResource(name, "eventflag", false)}, EOK
 }
 
 // Name returns the eventflag's name.

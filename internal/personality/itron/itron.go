@@ -95,20 +95,31 @@ const (
 	TMaxFlagBit = 32
 )
 
-// Kernel is one µITRON personality instance over a core.OS. All tasks of
-// the OS may use its services; per-task µITRON state (wakeup count,
-// pending forced release) is attached lazily.
+// Kernel is one µITRON personality instance. Its object and tcb half —
+// the objects' state, wait queues and the per-task extension — works over
+// the shared scheduler state alone (core.Sched), so the run-to-completion
+// engine drives semaphores and mailboxes through the same transitions as
+// the goroutine kernel. The service calls that park a process (the
+// methods taking a *sim.Proc) need the goroutine kernel's core.OS. All
+// tasks of the scheduler may use its services; per-task µITRON state
+// (wakeup count, pending forced release, mailbox hand-off) is attached
+// lazily.
 type Kernel struct {
-	os   *core.OS
-	tcbs map[*core.Task]*tcb
+	s    *core.Sched
+	os   *core.OS // nil on an engine other than the goroutine kernel
+	tcbs []*tcb   // by task id
 }
 
 // NewKernel attaches a µITRON personality to an OS instance.
-func NewKernel(os *core.OS) *Kernel {
-	return &Kernel{os: os, tcbs: make(map[*core.Task]*tcb)}
-}
+func NewKernel(os *core.OS) *Kernel { return &Kernel{s: &os.Sched, os: os} }
 
-// OS returns the underlying dispatcher instance.
+// NewSchedKernel attaches the object and tcb half of a µITRON personality
+// to a scheduler state driven by another engine. Only the transitions
+// that take a task rather than a process apply.
+func NewSchedKernel(s *core.Sched) *Kernel { return &Kernel{s: s} }
+
+// OS returns the underlying dispatcher instance (nil for a kernel made by
+// NewSchedKernel).
 func (k *Kernel) OS() *core.OS { return k.os }
 
 // tcb is the µITRON extension of a task control block.
@@ -123,17 +134,70 @@ type tcb struct {
 	waiptn FlagPattern // eventflag wait pattern
 	wfmode Mode        // eventflag wait mode
 	relptn FlagPattern // eventflag pattern at release
-	msg    Msg         // mailbox handoff slot
+	msg    Msg         // mailbox hand-off slot, cleared when collected
 }
 
 // tcbOf returns (creating on first use) the µITRON state of a task.
 func (k *Kernel) tcbOf(t *core.Task) *tcb {
-	tc := k.tcbs[t]
+	id := t.ID()
+	if id >= len(k.tcbs) {
+		k.tcbs = append(k.tcbs, make([]*tcb, id+1-len(k.tcbs))...)
+	}
+	tc := k.tcbs[id]
 	if tc == nil {
 		tc = &tcb{task: t}
-		k.tcbs[t] = tc
+		k.tcbs[id] = tc
 	}
 	return tc
+}
+
+// EncodeState writes the per-task state the object half keeps for a
+// checkpoint: the mailbox hand-offs a resumed receiver has not collected
+// yet, as (task id, value, priority) triples. Wait-queue membership is
+// written by the objects themselves.
+func (k *Kernel) EncodeState(e *core.StateWriter) {
+	var pending []int64
+	for _, tc := range k.tcbs {
+		if tc != nil && tc.msg != (Msg{}) {
+			pending = append(pending, int64(tc.task.ID()), tc.msg.Val, int64(tc.msg.Pri))
+		}
+	}
+	e.Ints64("itcb", pending)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (k *Kernel) DecodeState(d *core.StateReader) error {
+	pending, err := d.Ints64("itcb")
+	if err != nil {
+		return err
+	}
+	if len(pending)%3 != 0 {
+		return fmt.Errorf("itcb list of %d values is not a list of triples", len(pending))
+	}
+	for i := 0; i < len(pending); i += 3 {
+		t, err := k.s.TaskByID(int(pending[i]))
+		if err != nil || t == nil {
+			return fmt.Errorf("bad task id %d in itcb list", pending[i])
+		}
+		k.tcbOf(t).msg = Msg{Val: pending[i+1], Pri: int(pending[i+2])}
+	}
+	return nil
+}
+
+// decodeWaiters restores a wait queue from a task list written under tag,
+// in its written order.
+func (k *Kernel) decodeWaiters(d *core.StateReader, tag string, w *waitQueue) error {
+	var ts []*core.Task
+	if err := k.s.DecodeTasks(d, tag, &ts); err != nil {
+		return err
+	}
+	w.q = w.q[:0]
+	for _, t := range ts {
+		tc := k.tcbOf(t)
+		tc.wait = w
+		w.q = append(w.q, tc)
+	}
+	return nil
 }
 
 // self resolves the calling process to the running task, or E_CTX when
@@ -252,8 +316,10 @@ func (k *Kernel) ChgPri(p *sim.Proc, t *core.Task, pri int) ER {
 // from the shared generator and may fall outside µITRON's band.
 func (k *Kernel) chgPriAny(p *sim.Proc, t *core.Task, pri int) {
 	t.SetPriority(pri)
-	if tc := k.tcbs[t]; tc != nil && tc.wait != nil {
-		tc.wait.requeue(tc)
+	if id := t.ID(); id < len(k.tcbs) {
+		if tc := k.tcbs[id]; tc != nil && tc.wait != nil {
+			tc.wait.requeue(tc)
+		}
 	}
 	k.os.Reschedule(p)
 }

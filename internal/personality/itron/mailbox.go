@@ -16,7 +16,10 @@ type Msg struct {
 // Mailbox is a µITRON mailbox (cre_mbx/snd_mbx/rcv_mbx): an unbounded
 // message queue, FIFO or message-priority ordered. snd_mbx never blocks;
 // rcv_mbx blocks while the box is empty. A send with waiters is a direct
-// handoff to the head of the wait queue.
+// handoff to the head of the wait queue, through the waiter's tcb. Its
+// Step is the core.Channel both execution engines drive (priority-0
+// messages, receives waiting forever); the service calls add message
+// priorities, timeouts and forced releases on the goroutine kernel.
 type Mailbox struct {
 	k    *Kernel
 	name string
@@ -31,7 +34,7 @@ type Mailbox struct {
 func (k *Kernel) CreMbx(name string, attr Attr) (*Mailbox, ER) {
 	return &Mailbox{k: k, name: name, site: "mailbox:" + name, attr: attr,
 		wq:  newWaitQueue(attr),
-		res: k.os.Monitor().NewResource(name, "mailbox", false)}, EOK
+		res: k.s.Monitor().NewResource(name, "mailbox", false)}, EOK
 }
 
 // Name returns the mailbox's name.
@@ -40,31 +43,102 @@ func (m *Mailbox) Name() string { return m.name }
 // Len returns the number of queued messages (ref_mbx snapshot).
 func (m *Mailbox) Len() int { return len(m.msgs) }
 
-// Snd sends a message (snd_mbx). Never blocks: with a waiter present the
-// message is handed over directly; otherwise it is queued, under TA_MPRI
-// ordered by ascending Pri (smaller = higher) with FIFO tie-break.
-// Callable from ISRs.
-func (m *Mailbox) Snd(p *sim.Proc, msg Msg) ER {
-	m.res.Release(p)
+// Step performs OpSend (snd_mbx) or OpRecv (rcv_mbx) for task t.
+func (m *Mailbox) Step(now sim.Time, t *core.Task, op core.ChanOp, val *int64, again bool) core.Verdict {
+	switch {
+	case op == core.OpSend:
+		return core.Verdict{Wake: m.send(t, Msg{Val: *val})}
+	case again: // a send left the message in t's tcb
+		*val = m.received(t).Val
+	default:
+		msg, ok := m.take(t)
+		if !ok {
+			tc := m.k.tcbOf(t)
+			m.wq.enqueue(tc)
+			m.res.BlockTask(now, t)
+			return core.Verdict{Suspend: m.site}
+		}
+		*val = msg.Val
+	}
+	return core.Verdict{}
+}
+
+// send queues msg for task t (nil: an interrupt handler), or hands it to
+// the head waiter's tcb and returns that waiter to be resumed. Under
+// TA_MPRI the queue is ordered by ascending Pri (smaller = higher) with
+// FIFO tie-break.
+func (m *Mailbox) send(t *core.Task, msg Msg) *core.Task {
+	m.res.ReleaseTask(t)
 	if tc := m.wq.pop(); tc != nil {
 		tc.msg = msg
-		m.k.os.Resume(p, tc.task)
-		return EOK
-	}
-	if m.attr&TAMPri == 0 {
-		m.msgs = append(m.msgs, msg)
-		return EOK
+		return tc.task
 	}
 	i := len(m.msgs)
-	for j, x := range m.msgs {
-		if x.Pri > msg.Pri {
-			i = j
-			break
+	if m.attr&TAMPri != 0 {
+		for j, x := range m.msgs {
+			if x.Pri > msg.Pri {
+				i = j
+				break
+			}
 		}
 	}
 	m.msgs = append(m.msgs, Msg{})
 	copy(m.msgs[i+1:], m.msgs[i:])
 	m.msgs[i] = msg
+	return nil
+}
+
+func (m *Mailbox) take(t *core.Task) (Msg, bool) {
+	if len(m.msgs) == 0 {
+		return Msg{}, false
+	}
+	msg := m.msgs[0]
+	copy(m.msgs, m.msgs[1:])
+	m.msgs = m.msgs[:len(m.msgs)-1]
+	m.res.AcquireTask(t)
+	return msg, true
+}
+
+// received collects the message a send handed to the resumed waiter t.
+func (m *Mailbox) received(t *core.Task) Msg {
+	m.res.AcquireTask(t)
+	tc := m.k.tcbOf(t)
+	msg := tc.msg
+	tc.msg = Msg{}
+	return msg
+}
+
+// EncodeState writes the queued messages as (value, priority) pairs and
+// the wait queue for a checkpoint.
+func (m *Mailbox) EncodeState(e *core.StateWriter) {
+	var msgs []int64
+	for _, msg := range m.msgs {
+		msgs = append(msgs, msg.Val, int64(msg.Pri))
+	}
+	e.Ints64("imm", msgs)
+	e.Tasks("imw", m.wq.tasks())
+}
+
+// DecodeState restores what EncodeState wrote.
+func (m *Mailbox) DecodeState(_ *core.Sched, d *core.StateReader) error {
+	msgs, err := d.Ints64("imm")
+	if err != nil {
+		return err
+	}
+	m.msgs = m.msgs[:0]
+	for i := 0; i+1 < len(msgs); i += 2 {
+		m.msgs = append(m.msgs, Msg{Val: msgs[i], Pri: int(msgs[i+1])})
+	}
+	return m.k.decodeWaiters(d, "imw", &m.wq)
+}
+
+// Snd sends a message (snd_mbx). Never blocks: with a waiter present the
+// message is handed over directly; otherwise it is queued. Callable from
+// ISRs.
+func (m *Mailbox) Snd(p *sim.Proc, msg Msg) ER {
+	if t := m.send(m.res.TaskOf(p), msg); t != nil {
+		m.k.os.Resume(p, t)
+	}
 	return EOK
 }
 
@@ -82,18 +156,14 @@ func (m *Mailbox) TRcv(p *sim.Proc, tmo sim.Time) (Msg, ER) {
 	if er != EOK {
 		return Msg{}, er
 	}
-	if len(m.msgs) > 0 {
-		msg := m.msgs[0]
-		copy(m.msgs, m.msgs[1:])
-		m.msgs = m.msgs[:len(m.msgs)-1]
-		m.res.Acquire(p)
+	if msg, ok := m.take(tc.task); ok {
 		return msg, EOK
 	}
 	if tmo == TMOPol {
 		return Msg{}, ETMOUT
 	}
 	m.wq.enqueue(tc)
-	m.res.Block(p)
+	m.res.BlockTask(p.Now(), tc.task)
 	woken := m.k.os.SuspendTimeout(p, core.TaskWaitingEvent, m.site, tmo,
 		func() { m.wq.remove(tc) })
 	if tc.relwai {
@@ -105,6 +175,5 @@ func (m *Mailbox) TRcv(p *sim.Proc, tmo sim.Time) (Msg, ER) {
 		m.res.Unblock(p)
 		return Msg{}, ETMOUT
 	}
-	m.res.Acquire(p)
-	return tc.msg, EOK
+	return m.received(tc.task), EOK
 }

@@ -1,5 +1,7 @@
 package itron
 
+import "repro/internal/core"
+
 // waitQueue holds tasks blocked on one kernel object, ordered FIFO
 // (TA_TFIFO) or by current task priority with FIFO tie-break (TA_TPRI) —
 // the µITRON queueing attribute that decides wakeup ordering. The
@@ -35,6 +37,15 @@ func (w *waitQueue) enqueue(tc *tcb) {
 	w.q = append(w.q, nil)
 	copy(w.q[i+1:], w.q[i:])
 	w.q[i] = tc
+}
+
+// tasks lists the waiting tasks in queue order.
+func (w *waitQueue) tasks() []*core.Task {
+	ts := make([]*core.Task, len(w.q))
+	for i, tc := range w.q {
+		ts[i] = tc.task
+	}
+	return ts
 }
 
 // pop removes and returns the queue head (nil when empty).

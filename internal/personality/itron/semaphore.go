@@ -1,6 +1,8 @@
 package itron
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -9,7 +11,9 @@ import (
 // Release is a direct handoff: sig_sem with waiters grants the resource
 // to the head of the wait queue (FIFO under TA_TFIFO regardless of task
 // priority — a genuine divergence from the generic personality, whose
-// notify-all/recheck discipline grants in policy order).
+// notify-all/recheck discipline grants in policy order). Its Step is the
+// core.Channel both execution engines drive (waits forever); the
+// service calls add timeouts and forced releases on the goroutine kernel.
 type Semaphore struct {
 	k     *Kernel
 	name  string
@@ -28,7 +32,7 @@ func (k *Kernel) CreSem(name string, init, max int, attr Attr) (*Semaphore, ER) 
 	}
 	return &Semaphore{k: k, name: name, site: "semaphore:" + name,
 		count: init, max: max, wq: newWaitQueue(attr),
-		res: k.os.Monitor().NewResource(name, "semaphore", false)}, EOK
+		res: k.s.Monitor().NewResource(name, "semaphore", false)}, EOK
 }
 
 // Name returns the semaphore's name.
@@ -36,6 +40,52 @@ func (s *Semaphore) Name() string { return s.name }
 
 // Count returns the current resource count (ref_sem snapshot).
 func (s *Semaphore) Count() int { return s.count }
+
+// Step performs OpAcquire (wai_sem) or OpRelease (sig_sem) for task t.
+func (s *Semaphore) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+	switch {
+	case op == core.OpRelease:
+		s.res.ReleaseTask(t)
+		if tc := s.wq.pop(); tc != nil {
+			return core.Verdict{Wake: tc.task}
+		}
+		if s.count >= s.max {
+			return core.Verdict{Err: fmt.Errorf("itron: sig_sem %q: %v", s.name, EQOVR)}
+		}
+		s.count++
+	case again: // direct handoff from a release: the count was never incremented
+		s.res.AcquireTask(t)
+	case !s.take(t):
+		tc := s.k.tcbOf(t)
+		s.wq.enqueue(tc)
+		s.res.BlockTask(now, t)
+		return core.Verdict{Suspend: s.site}
+	}
+	return core.Verdict{}
+}
+
+func (s *Semaphore) take(t *core.Task) bool {
+	if s.count == 0 {
+		return false
+	}
+	s.count--
+	s.res.AcquireTask(t)
+	return true
+}
+
+// EncodeState writes the count and the wait queue for a checkpoint.
+func (s *Semaphore) EncodeState(e *core.StateWriter) {
+	e.Line("is %d", s.count)
+	e.Tasks("isw", s.wq.tasks())
+}
+
+// DecodeState restores what EncodeState wrote.
+func (s *Semaphore) DecodeState(_ *core.Sched, d *core.StateReader) error {
+	if err := d.Scan("is %d", &s.count); err != nil {
+		return err
+	}
+	return s.k.decodeWaiters(d, "isw", &s.wq)
+}
 
 // Wai acquires one resource, waiting forever (wai_sem).
 func (s *Semaphore) Wai(p *sim.Proc) ER { return s.TWai(p, TMOFevr) }
@@ -51,17 +101,17 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 	if er != EOK {
 		return er
 	}
-	if s.count > 0 {
-		s.count--
-		s.res.Acquire(p)
-		return EOK
-	}
 	if tmo == TMOPol {
+		if s.take(tc.task) {
+			return EOK
+		}
 		return ETMOUT
 	}
-	s.wq.enqueue(tc)
-	s.res.Block(p)
-	woken := s.k.os.SuspendTimeout(p, core.TaskWaitingEvent, s.site, tmo,
+	v := s.Step(p.Now(), tc.task, core.OpAcquire, nil, false)
+	if v.Suspend == "" {
+		return EOK
+	}
+	woken := s.k.os.SuspendTimeout(p, core.TaskWaitingEvent, v.Suspend, tmo,
 		func() { s.wq.remove(tc) })
 	if tc.relwai {
 		tc.relwai = false
@@ -72,8 +122,7 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 		s.res.Unblock(p)
 		return ETMOUT
 	}
-	// Direct handoff from Sig: the count was never incremented.
-	s.res.Acquire(p)
+	s.Step(p.Now(), tc.task, core.OpAcquire, nil, true)
 	return EOK
 }
 
@@ -81,14 +130,12 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 // directly, or the count is incremented — E_QOVR past the maximum.
 // Callable from ISRs.
 func (s *Semaphore) Sig(p *sim.Proc) ER {
-	s.res.Release(p)
-	if tc := s.wq.pop(); tc != nil {
-		s.k.os.Resume(p, tc.task)
-		return EOK
+	v := s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, nil, false)
+	if v.Wake != nil {
+		s.k.os.Resume(p, v.Wake)
 	}
-	if s.count >= s.max {
+	if v.Err != nil {
 		return EQOVR
 	}
-	s.count++
 	return EOK
 }

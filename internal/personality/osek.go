@@ -49,65 +49,88 @@ func (r *osekRT) ChangePriority(p *sim.Proc, t *core.Task, prio int) {
 }
 
 func (r *osekRT) NewQueue(name string, capacity int) Queue {
-	return &osekQueue{
-		os: r.os, site: "queue:" + name, cap: capacity, buf: channel.NewRing[int64](capacity),
-		res: r.os.Monitor().NewResource(name, "queue", false),
+	q, err := NewOSEKQueue(r.os.Monitor(), name, capacity)
+	if err != nil {
+		panic(err.Error())
 	}
+	return native{q, r.os}
 }
 
 func (r *osekRT) NewSemaphore(name string, count int) Semaphore {
-	return &osekSem{
-		os: r.os, site: "semaphore:" + name, count: count,
-		res: r.os.Monitor().NewResource(name, "semaphore", false),
+	s, err := NewOSEKSem(r.os.Monitor(), name, count)
+	if err != nil {
+		panic(err.Error())
 	}
+	return native{s, r.os}
 }
 
-// osekSem is a counting semaphore with FIFO direct handoff: a release
+// OSEKSem is a counting semaphore with FIFO direct handoff: a release
 // with waiters grants the head waiter without touching the count, so
-// grant order is arrival order regardless of task priority.
-type osekSem struct {
-	os    *core.OS
+// grant order is arrival order regardless of task priority. It is a
+// core.Channel both execution engines drive.
+type OSEKSem struct {
 	site  string
 	count int
 	wq    []*core.Task
 	res   *core.Resource
 }
 
-func (s *osekSem) Acquire(p *sim.Proc) {
-	if s.count > 0 {
+// NewOSEKSem validates the initial count and registers the semaphore with
+// the monitor m.
+func NewOSEKSem(m *core.Monitor, name string, count int) (*OSEKSem, error) {
+	if err := channel.ValidateSemaphore(name, count); err != nil {
+		return nil, err
+	}
+	return &OSEKSem{site: "semaphore:" + name, count: count,
+		res: m.NewResource(name, "semaphore", false)}, nil
+}
+
+// Step performs OpAcquire or OpRelease for task t.
+func (s *OSEKSem) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+	switch {
+	case op == core.OpRelease:
+		s.res.ReleaseTask(t)
+		if len(s.wq) > 0 {
+			return core.Verdict{Wake: popTask(&s.wq)}
+		}
+		s.count++
+	case again:
+		// The releaser removed t from the queue before the wakeup: the
+		// grant is t's, the count was never incremented.
+		s.res.UnblockTask(t)
+		s.res.AcquireTask(t)
+	case s.count > 0:
 		s.count--
-		s.res.Acquire(p)
-		return
+		s.res.AcquireTask(t)
+	default:
+		s.wq = append(s.wq, t)
+		s.res.BlockTask(now, t)
+		return core.Verdict{Suspend: s.site}
 	}
-	t := s.os.Current()
-	s.wq = append(s.wq, t)
-	s.res.Block(p)
-	s.os.Suspend(p, core.TaskWaitingEvent, s.site)
-	// The releaser removed us from the queue before the wakeup: the
-	// grant is ours, the count was never incremented.
-	s.res.Unblock(p)
-	s.res.Acquire(p)
+	return core.Verdict{}
 }
 
-func (s *osekSem) Release(p *sim.Proc) {
-	s.res.Release(p)
-	if len(s.wq) > 0 {
-		t := s.wq[0]
-		copy(s.wq, s.wq[1:])
-		s.wq = s.wq[:len(s.wq)-1]
-		s.os.Resume(p, t)
-		return
-	}
-	s.count++
+// EncodeState writes the count and the wait queue for a checkpoint.
+func (s *OSEKSem) EncodeState(e *core.StateWriter) {
+	e.Line("os %d", s.count)
+	e.Tasks("osw", s.wq)
 }
 
-// osekQueue is a FIFO queued message object (OSEK COM queued messages):
-// receives block while empty, sends block while a finite capacity is
-// full. Wakeups hand exactly one blocked peer back to the ready queue;
-// the woken task re-checks the buffer under the single-CPU atomicity the
-// dispatcher guarantees.
-type osekQueue struct {
-	os    *core.OS
+// DecodeState restores what EncodeState wrote over the tasks of sc.
+func (s *OSEKSem) DecodeState(sc *core.Sched, d *core.StateReader) error {
+	if err := d.Scan("os %d", &s.count); err != nil {
+		return err
+	}
+	return sc.DecodeTasks(d, "osw", &s.wq)
+}
+
+// OSEKQueue is a FIFO queued message object (OSEK COM queued messages):
+// receives block while empty, sends block while the capacity is full.
+// Wakeups hand exactly one blocked peer back to the ready queue; the
+// woken task re-checks the buffer under the single-CPU atomicity the
+// dispatcher guarantees. It is a core.Channel both execution engines
+// drive.
+type OSEKQueue struct {
 	site  string
 	cap   int
 	buf   channel.Ring[int64]
@@ -116,37 +139,66 @@ type osekQueue struct {
 	res   *core.Resource
 }
 
-func (q *osekQueue) Send(p *sim.Proc, v int64) {
-	for q.cap > 0 && q.buf.Len() >= q.cap {
-		t := q.os.Current()
-		q.sendQ = append(q.sendQ, t)
-		q.res.Block(p)
-		q.os.Suspend(p, core.TaskWaitingEvent, q.site)
-		q.res.Unblock(p)
+// NewOSEKQueue validates the capacity and registers the queue with the
+// monitor m.
+func NewOSEKQueue(m *core.Monitor, name string, capacity int) (*OSEKQueue, error) {
+	if err := channel.ValidateQueue(name, capacity); err != nil {
+		return nil, err
 	}
-	q.buf.Push(v)
-	if len(q.recvQ) > 0 {
-		t := q.recvQ[0]
-		copy(q.recvQ, q.recvQ[1:])
-		q.recvQ = q.recvQ[:len(q.recvQ)-1]
-		q.os.Resume(p, t)
-	}
+	return &OSEKQueue{site: "queue:" + name, cap: capacity, buf: channel.NewRing[int64](capacity),
+		res: m.NewResource(name, "queue", false)}, nil
 }
 
-func (q *osekQueue) Recv(p *sim.Proc) int64 {
-	for q.buf.Len() == 0 {
-		t := q.os.Current()
-		q.recvQ = append(q.recvQ, t)
-		q.res.Block(p)
-		q.os.Suspend(p, core.TaskWaitingEvent, q.site)
-		q.res.Unblock(p)
+// Step performs OpSend or OpRecv for task t.
+func (q *OSEKQueue) Step(now sim.Time, t *core.Task, op core.ChanOp, val *int64, again bool) core.Verdict {
+	if again {
+		q.res.UnblockTask(t)
 	}
-	v := q.buf.Pop()
-	if len(q.sendQ) > 0 {
-		t := q.sendQ[0]
-		copy(q.sendQ, q.sendQ[1:])
-		q.sendQ = q.sendQ[:len(q.sendQ)-1]
-		q.os.Resume(p, t)
+	wq, peers := &q.recvQ, &q.sendQ
+	if op == core.OpSend {
+		wq, peers = peers, wq
 	}
-	return v
+	if op == core.OpSend && q.buf.Len() >= q.cap || op == core.OpRecv && q.buf.Len() == 0 {
+		*wq = append(*wq, t)
+		q.res.BlockTask(now, t)
+		return core.Verdict{Suspend: q.site}
+	}
+	if op == core.OpSend {
+		q.buf.Push(*val)
+	} else {
+		*val = q.buf.Pop()
+	}
+	return core.Verdict{Wake: popTask(peers)}
+}
+
+// EncodeState writes the buffer and both wait lists for a checkpoint.
+func (q *OSEKQueue) EncodeState(e *core.StateWriter) {
+	q.buf.EncodeState(e, "oq")
+	e.Tasks("oqs", q.sendQ)
+	e.Tasks("oqr", q.recvQ)
+}
+
+// DecodeState restores what EncodeState wrote over the tasks of sc.
+func (q *OSEKQueue) DecodeState(sc *core.Sched, d *core.StateReader) error {
+	if err := q.buf.DecodeState(d, "oq"); err != nil {
+		return err
+	}
+	if err := sc.DecodeTasks(d, "oqs", &q.sendQ); err != nil {
+		return err
+	}
+	return sc.DecodeTasks(d, "oqr", &q.recvQ)
+}
+
+// popTask removes and returns the head of a FIFO wait list (nil when
+// empty), reusing its backing array.
+func popTask(wq *[]*core.Task) *core.Task {
+	q := *wq
+	if len(q) == 0 {
+		return nil
+	}
+	t := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	*wq = q[:len(q)-1]
+	return t
 }

@@ -62,6 +62,41 @@ type Semaphore interface {
 	Release(p *sim.Proc)
 }
 
+// native drives a personality's own channel object — one that suspends
+// its waiters and hands grants over directly — on the goroutine kernel,
+// as both the Queue and the Semaphore of that kind.
+type native struct {
+	obj core.Channel
+	os  *core.OS
+}
+
+func (n native) Send(p *sim.Proc, v int64) { n.do(p, core.OpSend, v) }
+func (n native) Recv(p *sim.Proc) int64    { return n.do(p, core.OpRecv, 0) }
+func (n native) Acquire(p *sim.Proc)       { n.do(p, core.OpAcquire, 0) }
+func (n native) Release(p *sim.Proc)       { n.do(p, core.OpRelease, 0) }
+
+// do steps op for the calling task (none for an interrupt handler) until
+// it completes, suspending the task wherever the object asks.
+func (n native) do(p *sim.Proc, op core.ChanOp, val int64) int64 {
+	t := n.os.Current()
+	if t != nil && t.Proc() != p {
+		t = nil
+	}
+	for again := false; ; again = true {
+		v := n.obj.Step(p.Now(), t, op, &val, again)
+		if v.Err != nil {
+			p.Kernel().Fail(v.Err)
+		}
+		if v.Wake != nil {
+			n.os.Resume(p, v.Wake)
+		}
+		if v.Suspend == "" {
+			return val
+		}
+		n.os.Suspend(p, core.TaskWaitingEvent, v.Suspend)
+	}
+}
+
 // Runtime is the personality-neutral service surface application runners
 // program against. Implementations translate each operation to the
 // native service of their kernel API; all of them drive the same

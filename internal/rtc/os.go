@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/personality/itron"
 	"repro/internal/trace"
 )
 
@@ -17,6 +18,15 @@ type osState struct {
 	k     *kernel
 	tasks []*machine      // task id → the machine running it
 	rec   *trace.Recorder // nil unless the workload traces
+	itron *itron.Kernel   // the ITRON objects' tcb half; nil until one is built
+}
+
+// itronKernel returns the ITRON object kernel, creating it on first use.
+func (os *osState) itronKernel() *itron.Kernel {
+	if os.itron == nil {
+		os.itron = itron.NewSchedKernel(&os.Sched)
+	}
+	return os.itron
 }
 
 // newTask creates a task control block; bind attaches its machine.

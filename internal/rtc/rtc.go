@@ -15,6 +15,7 @@ package rtc
 import (
 	"fmt"
 
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/personality"
 	"repro/internal/trace"
@@ -150,51 +151,53 @@ func Run(w Workload) *Result {
 }
 
 // bodyOp is a resolved Op with its channel bound. For the generic
-// personality the concrete channel is also kept (gq/gs) so the body can
-// run the non-blocking halves of each primitive inline — same observable
-// sequence, no opFrame dispatch; blocking paths fall back to the frame
-// and keep their stack shapes (and so the snapshot layout) unchanged.
+// personality's channels the concrete state is also kept (gq/gs) so the
+// body can take each operation's first step inline — the same
+// transition, no opFrame dispatch; a step that blocks continues in the
+// op frame at its wait, keeping the frame's stack shape (and so the
+// snapshot layout) unchanged.
 type bodyOp struct {
-	kind opKind
-	del  bool
-	dur  Time
-	gq   *genQueue
-	gs   *genSem
-	q    rQueue
-	s    rSem
+	op  core.ChanOp
+	del bool
+	dur Time
+	c   *chanRef
+	gq  *channel.QueueState[int64]
+	gs  *channel.SemaphoreState
 }
 
-func bindOps(ops []Op, queues map[string]rQueue, sems map[string]rSem) ([]bodyOp, error) {
+// chanOps maps the channel op kinds onto channel operations and the
+// channel kind they need. Flat task bodies use the queue and semaphore
+// ones.
+var chanOps = map[string]struct {
+	op   core.ChanOp
+	kind string
+}{
+	"send":    {core.OpSend, "queue"},
+	"recv":    {core.OpRecv, "queue"},
+	"acquire": {core.OpAcquire, "semaphore"},
+	"release": {core.OpRelease, "semaphore"},
+	"signal":  {core.OpSignal, "handshake"},
+	"waitsig": {core.OpWait, "handshake"},
+}
+
+func (s *Session) bindOps(ops []Op) ([]bodyOp, error) {
 	out := make([]bodyOp, len(ops))
 	for i, op := range ops {
-		switch op.Kind {
-		case "delay":
+		if op.Kind == "delay" {
 			out[i] = bodyOp{del: true, dur: op.Dur}
-		case "send", "recv":
-			q, ok := queues[op.Ch]
-			if !ok {
-				return nil, fmt.Errorf("rtc: op %q references unknown queue %q", op.Kind, op.Ch)
-			}
-			k := opSend
-			if op.Kind == "recv" {
-				k = opRecv
-			}
-			out[i] = bodyOp{kind: k, q: q}
-			out[i].gq, _ = q.(*genQueue)
-		case "acquire", "release":
-			s, ok := sems[op.Ch]
-			if !ok {
-				return nil, fmt.Errorf("rtc: op %q references unknown semaphore %q", op.Kind, op.Ch)
-			}
-			k := opAcquire
-			if op.Kind == "release" {
-				k = opRelease
-			}
-			out[i] = bodyOp{kind: k, s: s}
-			out[i].gs, _ = s.(*genSem)
-		default:
+			continue
+		}
+		b, ok := chanOps[op.Kind]
+		if !ok || b.kind == "handshake" {
 			return nil, fmt.Errorf("rtc: unknown op kind %q", op.Kind)
 		}
+		c := s.channel(op.Ch, b.kind)
+		if c == nil {
+			return nil, fmt.Errorf("rtc: op %q references unknown %s %q", op.Kind, b.kind, op.Ch)
+		}
+		out[i] = bodyOp{op: b.op, c: c}
+		out[i].gq, _ = c.obj.(*channel.QueueState[int64])
+		out[i].gs, _ = c.obj.(*channel.SemaphoreState)
 	}
 	return out, nil
 }
@@ -278,34 +281,23 @@ func (f *fAperiodicBody) step(m *machine) status {
 				if op.del {
 					return m.callTimeWait(op.dur, os)
 				}
-				switch op.kind {
-				case opSend:
-					if gq := op.gq; gq != nil && gq.buf.Len() < gq.capacity {
-						gq.buf.Push(1)
-						return m.callEventNotify(gq.cond, os)
-					}
-					return m.callSend(op.q, 1)
-				case opRecv:
-					if gq := op.gq; gq != nil && gq.buf.Len() > 0 {
-						gq.buf.Pop()
-						return m.callEventNotify(gq.cond, os)
-					}
-					return m.callRecv(op.q)
-				case opAcquire:
-					if gs := op.gs; gs != nil && gs.count > 0 {
-						gs.count--
-						gs.res.AcquireTask(m.task)
-						continue
-					}
-					return m.callAcquire(op.s)
+				val, t := int64(1), m.task
+				var v core.Verdict
+				switch {
+				case op.gq != nil:
+					v = op.gq.Step(os.k.now, t, op.op, &val, false)
+				case op.gs != nil:
+					v = op.gs.Step(os.k.now, t, op.op, nil, false)
 				default:
-					if gs := op.gs; gs != nil {
-						gs.count++
-						gs.res.ReleaseTask(m.task)
-						return m.callEventNotify(gs.cond, os)
-					}
-					return m.callRelease(op.s)
+					return m.callOp(op.op, op.c, 1, 0)
 				}
+				if v.Wait {
+					return m.callOp(op.op, op.c, 1, 1)
+				}
+				if v.Notify {
+					return m.callEventNotify(op.c.ev, os)
+				}
+				continue
 			}
 			if f.rep+1 < f.repeat {
 				f.rep++
@@ -323,7 +315,7 @@ func (f *fAperiodicBody) step(m *machine) status {
 type fIRQBody struct {
 	os    *osState
 	name  string
-	sem   rSem
+	sem   *chanRef
 	at    Time
 	every Time
 	count int
@@ -351,7 +343,7 @@ func (f *fIRQBody) step(m *machine) status {
 		case 2: // InterruptEnter + semaphore release
 			os.IRQ(os.k.now, f.name, true)
 			f.pc = 3
-			return m.callRelease(f.sem)
+			return m.callOp(core.OpRelease, f.sem, 0, 0)
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4

@@ -3,6 +3,7 @@ package rtc
 import (
 	"fmt"
 
+	"repro/internal/channel"
 	"repro/internal/core"
 )
 
@@ -10,59 +11,11 @@ import (
 // the SDL frontend's hierarchical behaviors: sequential and parallel
 // compositions over leaf statement lists, handshake channels, markers,
 // and the architecture model's split stimulus/ISR interrupt shape. Every
-// construct is a frame-level port of the goroutine path it mirrors
-// (refine.RunArchitecture + sdl.Model.build), so the engine-equivalence
-// suite can compare the two engines byte for byte on SDL models.
-
-// --- handshake channel (channel.Handshake over RTOS conds) ---
-
-// rHandshake ports channel.Handshake built on an RTOSFactory: a latched
-// signal whose condition is an OS event and whose wait registers with the
-// stall monitor. Handshakes have no personality-native kind, so one port
-// serves every personality (matching sdl.instance.makeChannel).
-type rHandshake struct {
-	os      *osState
-	cond    *core.OSEvent
-	pending int
-	res     *core.Resource
-}
-
-func newRHandshake(os *osState, name string) *rHandshake {
-	return &rHandshake{
-		os:   os,
-		cond: core.NewOSEvent(name + ".hs"),
-		res:  os.Monitor().NewResource(name, "handshake", false),
-	}
-}
-
-// fWaitSig is Handshake.WaitSig: consume a latched signal, blocking in a
-// predicate loop around the condition while none is pending.
-type fWaitSig struct {
-	os *osState
-	h  *rHandshake
-	pc int
-}
-
-func (f *fWaitSig) step(m *machine) status {
-	h := f.h
-	switch f.pc {
-	case 0:
-		if h.pending == 0 {
-			h.res.BlockTask(f.os.k.now, m.task)
-			f.pc = 1
-			return m.callEventWait(h.cond, f.os)
-		}
-		h.pending--
-		return statDone
-	default: // re-check after every wake (the for-loop around cond.Wait)
-		if h.pending == 0 {
-			return m.callEventWait(h.cond, f.os)
-		}
-		h.res.UnblockTask(m.task)
-		h.pending--
-		return statDone
-	}
-}
+// construct mirrors the goroutine path frame by frame
+// (refine.RunArchitecture + sdl.Model.build), and channel operations,
+// handshakes included, drive the same state objects, so the
+// engine-equivalence suite can compare the two engines byte for byte on
+// SDL models.
 
 // --- spec-level handshake (the ISR pending latch) ---
 
@@ -70,8 +23,8 @@ func (f *fWaitSig) step(m *machine) status {
 // between an interrupt stimulus and its ISR process, carried by a raw
 // kernel event with no monitor resource (arch.PE.AttachISR's shape).
 type specHS struct {
-	cond    *event
-	pending int
+	channel.HandshakeState
+	cond *event
 }
 
 // fISRBody is arch.PE.AttachISR's service process on a software PE with
@@ -82,7 +35,7 @@ type fISRBody struct {
 	os   *osState
 	name string // interrupt line name (trace label)
 	h    *specHS
-	sem  rSem
+	sem  *chanRef
 	pc   int
 }
 
@@ -90,26 +43,20 @@ func (f *fISRBody) step(m *machine) status {
 	os := f.os
 	for {
 		switch f.pc {
-		case 0: // WaitSig on the spec handshake (no monitor resource)
-			if f.h.pending == 0 {
+		case 0, 1: // WaitSig on the spec handshake (no task); pc 1 re-checks after a wake
+			if f.pc == 1 {
+				m.afterWait()
+			}
+			if f.h.Step(os.k.now, nil, core.OpWait, nil, f.pc == 1).Wait {
 				f.pc = 1
 				m.wait(f.h.cond)
 				return statBlocked
 			}
-			f.h.pending--
-			f.pc = 2
-		case 1: // woken; re-check the predicate
-			m.afterWait()
-			if f.h.pending == 0 {
-				m.wait(f.h.cond)
-				return statBlocked
-			}
-			f.h.pending--
 			f.pc = 2
 		case 2: // InterruptEnter, then the handler: sem.Release
 			os.IRQ(os.k.now, f.name, true)
 			f.pc = 3
-			return m.callRelease(f.sem)
+			return m.callOp(core.OpRelease, f.sem, 0, 0)
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4
@@ -150,7 +97,7 @@ func (f *fStimBody) step(m *machine) status {
 				return statBlocked
 			}
 		case 2: // Raise: latch and notify
-			f.h.pending++
+			f.h.Step(f.k.now, nil, core.OpSignal, nil, false)
 			f.k.flush(f.h.cond)
 			f.i++
 			f.pc = 1
@@ -182,12 +129,7 @@ type stmtKind uint8
 
 const (
 	cDelay stmtKind = iota
-	cSend
-	cRecv
-	cAcquire
-	cRelease
-	cSignal
-	cWaitSig
+	cChan
 	cMarker
 	cRepeat
 )
@@ -198,9 +140,8 @@ type cStmt struct {
 	dur   Time
 	val   int64
 	label string
-	q     rQueue
-	s     rSem
-	h     *rHandshake
+	op    core.ChanOp
+	c     *chanRef
 	body  []cStmt
 	count int
 }
@@ -323,19 +264,8 @@ func (f *fStmts) step(m *machine) status {
 		switch st.kind {
 		case cDelay:
 			return m.callTimeWait(st.dur, os)
-		case cSend:
-			return m.callSend(st.q, st.val)
-		case cRecv:
-			return m.callRecv(st.q)
-		case cAcquire:
-			return m.callAcquire(st.s)
-		case cRelease:
-			return m.callRelease(st.s)
-		case cSignal: // Handshake.Signal: latch, then notify
-			st.h.pending++
-			return m.callEventNotify(st.h.cond, os)
-		case cWaitSig:
-			return m.push(&fWaitSig{os: os, h: st.h})
+		case cChan:
+			return m.callOp(st.op, st.c, st.val, 0)
 		case cMarker:
 			if os.rec != nil {
 				os.rec.Marker(os.k.now, st.label, f.name, st.val)
@@ -434,36 +364,13 @@ func (s *Session) compileStmts(ops []Op) ([]cStmt, error) {
 		switch op.Kind {
 		case "delay":
 			out = append(out, cStmt{kind: cDelay, dur: op.Dur})
-		case "send", "recv":
-			q, ok := s.queues[op.Ch]
-			if !ok {
-				return nil, fmt.Errorf("rtc: stmt %q references unknown queue %q", op.Kind, op.Ch)
+		case "send", "recv", "acquire", "release", "signal", "waitsig":
+			b := chanOps[op.Kind]
+			c := s.channel(op.Ch, b.kind)
+			if c == nil {
+				return nil, fmt.Errorf("rtc: stmt %q references unknown %s %q", op.Kind, b.kind, op.Ch)
 			}
-			k := cSend
-			if op.Kind == "recv" {
-				k = cRecv
-			}
-			out = append(out, cStmt{kind: k, q: q, val: op.Value})
-		case "acquire", "release":
-			sem, ok := s.sems[op.Ch]
-			if !ok {
-				return nil, fmt.Errorf("rtc: stmt %q references unknown semaphore %q", op.Kind, op.Ch)
-			}
-			k := cAcquire
-			if op.Kind == "release" {
-				k = cRelease
-			}
-			out = append(out, cStmt{kind: k, s: sem})
-		case "signal", "waitsig":
-			h, ok := s.hss[op.Ch]
-			if !ok {
-				return nil, fmt.Errorf("rtc: stmt %q references unknown handshake %q", op.Kind, op.Ch)
-			}
-			k := cSignal
-			if op.Kind == "waitsig" {
-				k = cWaitSig
-			}
-			out = append(out, cStmt{kind: k, h: h})
+			out = append(out, cStmt{kind: cChan, op: b.op, c: c, val: op.Value})
 		case "marker":
 			out = append(out, cStmt{kind: cMarker, label: op.Label, val: op.Value})
 		case "repeat":
@@ -493,8 +400,8 @@ func (s *Session) initHier(w Workload) error {
 	// Interrupts: per line, the ISR daemon first, then its stimulus —
 	// arch.PE.AttachISR followed by the builder's stimulus Spawn.
 	for _, irq := range w.IRQs {
-		sem, ok := s.sems[irq.Sem]
-		if !ok {
+		sem := s.channel(irq.Sem, "semaphore")
+		if sem == nil {
 			return fmt.Errorf("rtc: irq %q releases unknown semaphore %q", irq.Name, irq.Sem)
 		}
 		h := &specHS{cond: new(event)}

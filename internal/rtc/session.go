@@ -22,9 +22,7 @@ type Session struct {
 	k      *kernel
 	os     *osState
 	bodies []frame
-	queues map[string]rQueue
-	sems   map[string]rSem
-	hss    map[string]*rHandshake
+	chans  []chanRef // declaration order
 
 	err error
 
@@ -79,45 +77,13 @@ func (s *Session) init(w Workload) error {
 	s.k, s.os = k, os
 
 	// Channels in declaration order (resource order feeds findCycle).
-	// The maps stay nil for channel-free workloads: stored in the Session
-	// they must live on the heap, and the scheduler-only hot path (pinned
-	// by the simbench alloc gate) should not pay two map allocations for
-	// channels it doesn't have. Lookups on the nil maps still miss cleanly.
-	var queues map[string]rQueue
-	var sems map[string]rSem
-	var hss map[string]*rHandshake
-	if len(w.Channels) > 0 {
-		queues = map[string]rQueue{}
-		sems = map[string]rSem{}
-		hss = map[string]*rHandshake{}
-	}
-	for _, c := range w.Channels {
-		switch c.Kind {
-		case "queue":
-			switch pers {
-			case "itron":
-				queues[c.Name] = newItronMailbox(os, c.Name)
-			case "osek":
-				queues[c.Name] = newOsekQueue(os, c.Name, c.Arg)
-			default:
-				queues[c.Name] = newGenQueue(os, c.Name, c.Arg)
-			}
-		case "semaphore":
-			switch pers {
-			case "itron":
-				sems[c.Name] = newItronSem(os, c.Name, c.Arg)
-			case "osek":
-				sems[c.Name] = newOsekSem(os, c.Name, c.Arg)
-			default:
-				sems[c.Name] = newGenSem(os, c.Name, c.Arg)
-			}
-		case "handshake":
-			hss[c.Name] = newRHandshake(os, c.Name)
-		default:
-			return fmt.Errorf("rtc: unknown channel kind %q", c.Kind)
+	s.chans = make([]chanRef, len(w.Channels))
+	for i, c := range w.Channels {
+		var err error
+		if s.chans[i], err = newChannel(os, pers, c); err != nil {
+			return fmt.Errorf("rtc: %w", err)
 		}
 	}
-	s.queues, s.sems, s.hss = queues, sems, hss
 
 	// Hierarchical (SDL) workloads elaborate a behavior tree instead of a
 	// flat task set; see initHier.
@@ -153,7 +119,7 @@ func (s *Session) init(w Workload) error {
 			bodies[i] = pb
 		case "aperiodic":
 			t := os.newTask(td.Name, core.Aperiodic, 0, td.Prio)
-			ops, err := bindOps(td.Ops, queues, sems)
+			ops, err := s.bindOps(td.Ops)
 			if err != nil {
 				return err
 			}
@@ -174,8 +140,8 @@ func (s *Session) init(w Workload) error {
 		os.bind(tasks[i], k.spawn(td.Name, bodies[i], daemon))
 	}
 	for _, irq := range w.IRQs {
-		sem, ok := sems[irq.Sem]
-		if !ok {
+		sem := s.channel(irq.Sem, "semaphore")
+		if sem == nil {
 			return fmt.Errorf("rtc: irq %q releases unknown semaphore %q", irq.Name, irq.Sem)
 		}
 		body := &fIRQBody{os: os, name: irq.Name, sem: sem,
@@ -186,6 +152,17 @@ func (s *Session) init(w Workload) error {
 	s.bodies = bodies
 
 	os.StartAt(k.now, nil)
+	return nil
+}
+
+// channel returns the declared channel of the given kind named name, or
+// nil.
+func (s *Session) channel(name, kind string) *chanRef {
+	for i := range s.chans {
+		if c := &s.chans[i]; c.name == name && c.kind == kind {
+			return c
+		}
+	}
 	return nil
 }
 

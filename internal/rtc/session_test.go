@@ -2,6 +2,7 @@ package rtc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -94,9 +95,9 @@ func channelWorkload(n int, pers string) Workload {
 // every personality.
 func TestNewSessionChannelAllocs(t *testing.T) {
 	want := map[string][2]float64{ // personality → build, run
-		"generic": {45, 54},
-		"itron":   {37, 46},
-		"osek":    {37, 46},
+		"generic": {41, 50},
+		"itron":   {34, 45},
+		"osek":    {33, 42},
 	}
 	for _, pers := range []string{"generic", "itron", "osek"} {
 		for _, n := range []int{8, 32} {
@@ -124,6 +125,30 @@ func TestNewSessionChannelAllocs(t *testing.T) {
 			if got := [2]float64{build, run}; got != want[pers] {
 				t.Errorf("%s, %d tasks: NewSession allocates %.0f times and a whole run %.0f, want %.0f and %.0f",
 					pers, n, build, run, want[pers][0], want[pers][1])
+			}
+		}
+	}
+}
+
+// TestNewSessionRejectsMalformedChannels: a queue capacity below 1 or a
+// negative semaphore count fails the build under every personality, with
+// an error naming the channel — the rule the goroutine kernel's
+// constructors and the SDL and simcheck validators apply.
+func TestNewSessionRejectsMalformedChannels(t *testing.T) {
+	cases := []struct {
+		ch   ChannelDef
+		want string
+	}{
+		{ChannelDef{Name: "q", Kind: "queue", Arg: 0}, `queue "q" capacity 0 < 1`},
+		{ChannelDef{Name: "s", Kind: "semaphore", Arg: -1}, `semaphore "s" initial count -1 < 0`},
+	}
+	for _, pers := range []string{"generic", "itron", "osek"} {
+		for _, c := range cases {
+			w := periodicWorkload(1, pers)
+			w.Channels = []ChannelDef{c.ch}
+			_, err := NewSession(w)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %+v: NewSession error %v, want one containing %q", pers, c.ch, err, c.want)
 			}
 		}
 	}

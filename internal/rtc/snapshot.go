@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -33,7 +32,7 @@ type Checkpoint struct {
 }
 
 // snapVersion guards the State encoding; bump on any format change.
-const snapVersion = "rtcsnap/2"
+const snapVersion = "rtcsnap/3"
 
 // Snapshot captures the session's complete state. The session must be
 // quiescent — paused at a RunUntil horizon with no failure — because a
@@ -89,12 +88,14 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		}
 	}
 
-	qs, ss := s.queueList(), s.semList()
-	e.Line("chans %d", len(s.w.Channels))
-	for _, obj := range s.chanObjects() {
-		if err := encodeChannel(&e, obj); err != nil {
-			return nil, err
-		}
+	// Every channel object writes its own state; ITRON objects keep part
+	// of theirs in the tasks' tcbs.
+	e.Line("chans %d", len(s.chans))
+	for _, c := range s.chans {
+		c.obj.EncodeState(&e)
+	}
+	if os.itron != nil {
+		os.itron.EncodeState(&e)
 	}
 
 	e.Line("machines %d", len(k.machines))
@@ -108,7 +109,7 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		e.Line("m %d state=%d timedout=%t parked=%t preempt=%t", i, int(m.state), m.timedOut, m.parked, preempt)
 		e.Line("stk %d", len(m.stack))
 		for _, f := range m.stack {
-			if err := s.encodeFrame(&e, f, qs, ss); err != nil {
+			if err := s.encodeFrame(&e, f); err != nil {
 				return nil, err
 			}
 		}
@@ -217,11 +218,16 @@ func (s *Session) apply(cp *Checkpoint) error {
 		}
 	}
 
-	if err := d.Count("chans", len(s.w.Channels)); err != nil {
+	if err := d.Count("chans", len(s.chans)); err != nil {
 		return err
 	}
-	for _, obj := range s.chanObjects() {
-		if err := s.decodeChannel(d, obj); err != nil {
+	for _, c := range s.chans {
+		if err := c.obj.DecodeState(&os.Sched, d); err != nil {
+			return err
+		}
+	}
+	if os.itron != nil {
+		if err := os.itron.DecodeState(d); err != nil {
 			return err
 		}
 	}
@@ -229,7 +235,6 @@ func (s *Session) apply(cp *Checkpoint) error {
 	if err := d.Count("machines", len(k.machines)); err != nil {
 		return err
 	}
-	qs, ss := s.queueList(), s.semList()
 	for i, m := range k.machines {
 		var ix int
 		var preempt bool
@@ -255,7 +260,7 @@ func (s *Session) apply(cp *Checkpoint) error {
 		}
 		m.stack = m.stack[:0]
 		for j := 0; j < depth; j++ {
-			f, err := s.decodeFrame(d, m, body, j == 0, qs, ss)
+			f, err := s.decodeFrame(d, m, body, j == 0)
 			if err != nil {
 				return err
 			}
@@ -343,20 +348,13 @@ func (s *Session) structureHash() string {
 // --- lookup helpers ---
 
 // osEventList enumerates OS-level events in creation order: one condition
-// variable per generic-personality channel, in declaration order (the
-// itron/osek channels use task wait queues instead).
+// variable per generic-personality channel and handshake, in declaration
+// order (the itron/osek channels suspend their waiters instead).
 func (s *Session) osEventList() []*core.OSEvent {
 	var out []*core.OSEvent
-	for _, c := range s.w.Channels {
-		switch c.Kind {
-		case "queue":
-			if q, ok := s.queues[c.Name].(*genQueue); ok {
-				out = append(out, q.cond)
-			}
-		case "semaphore":
-			if sm, ok := s.sems[c.Name].(*genSem); ok {
-				out = append(out, sm.cond)
-			}
+	for _, c := range s.chans {
+		if c.ev != nil {
+			out = append(out, c.ev)
 		}
 	}
 	return out
@@ -371,131 +369,13 @@ func (s *Session) osEventIndex(oe *core.OSEvent) (int, error) {
 	return 0, fmt.Errorf("os event %q not found in channel declaration order", oe.Name())
 }
 
-// chanObjects returns the channel objects in declaration order.
-func (s *Session) chanObjects() []interface{} {
-	out := make([]interface{}, 0, len(s.w.Channels))
-	for _, c := range s.w.Channels {
-		if c.Kind == "queue" {
-			out = append(out, s.queues[c.Name])
-		} else {
-			out = append(out, s.sems[c.Name])
-		}
-	}
-	return out
-}
-
-// queueList / semList index the queue-kind and semaphore-kind channels in
-// declaration order, the id space opFrame references use.
-func (s *Session) queueList() []rQueue {
-	var out []rQueue
-	for _, c := range s.w.Channels {
-		if c.Kind == "queue" {
-			out = append(out, s.queues[c.Name])
-		}
-	}
-	return out
-}
-
-func (s *Session) semList() []rSem {
-	var out []rSem
-	for _, c := range s.w.Channels {
-		if c.Kind == "semaphore" {
-			out = append(out, s.sems[c.Name])
-		}
-	}
-	return out
-}
-
-// --- channel state ---
-
-func encodeChannel(e *core.StateWriter, obj interface{}) error {
-	switch c := obj.(type) {
-	case *genQueue:
-		e.Ints64("cq", ringSlice(&c.buf))
-	case *genSem:
-		e.Line("cs %d", c.count)
-	case *itronSem:
-		e.Line("is %d", c.count)
-		e.Tasks("isw", c.wq)
-	case *itronMailbox:
-		e.Ints64("imm", ringSlice(&c.msgs))
-		e.Tasks("imw", c.wq)
-	case *osekSem:
-		e.Line("os %d", c.count)
-		e.Tasks("osw", c.wq)
-	case *osekQueue:
-		e.Ints64("oq", ringSlice(&c.buf))
-		e.Tasks("oqs", c.sendQ)
-		e.Tasks("oqr", c.recvQ)
-	default:
-		return fmt.Errorf("rtc: unknown channel object %T", obj)
-	}
-	return nil
-}
-
-func (s *Session) decodeChannel(d *core.StateReader, obj interface{}) error {
-	switch c := obj.(type) {
-	case *genQueue:
-		return readRing(d, "cq", &c.buf)
-	case *genSem:
-		return d.Scan("cs %d", &c.count)
-	case *itronSem:
-		if err := d.Scan("is %d", &c.count); err != nil {
-			return err
-		}
-		return s.os.DecodeTasks(d, "isw", &c.wq)
-	case *itronMailbox:
-		if err := readRing(d, "imm", &c.msgs); err != nil {
-			return err
-		}
-		return s.os.DecodeTasks(d, "imw", &c.wq)
-	case *osekSem:
-		if err := d.Scan("os %d", &c.count); err != nil {
-			return err
-		}
-		return s.os.DecodeTasks(d, "osw", &c.wq)
-	case *osekQueue:
-		if err := readRing(d, "oq", &c.buf); err != nil {
-			return err
-		}
-		if err := s.os.DecodeTasks(d, "oqs", &c.sendQ); err != nil {
-			return err
-		}
-		return s.os.DecodeTasks(d, "oqr", &c.recvQ)
-	default:
-		return fmt.Errorf("unknown channel object %T", obj)
-	}
-}
-
-// ringSlice lists a channel buffer's messages, oldest first.
-func ringSlice(r *channel.Ring[int64]) []int64 {
-	out := make([]int64, 0, r.Len())
-	r.Each(func(v int64) { out = append(out, v) })
-	return out
-}
-
-// readRing refills a channel buffer from a list ringSlice wrote.
-func readRing(d *core.StateReader, tag string, r *channel.Ring[int64]) error {
-	vals, err := d.Ints64(tag)
-	if err != nil {
-		return err
-	}
-	for r.Len() > 0 {
-		r.Pop()
-	}
-	for _, v := range vals {
-		r.Push(v)
-	}
-	return nil
-}
-
 // --- frame codec ---
 
 // encodeFrame writes one stack frame: its type tag plus every mutable
 // field. Structural fields (bound tasks of body frames, segment lists,
 // op lists) are rebuilt by the session constructor and omitted; a task
 // body's state is in the checkpoint's bodies section.
-func (s *Session) encodeFrame(e *core.StateWriter, f frame, qs []rQueue, ss []rSem) error {
+func (s *Session) encodeFrame(e *core.StateWriter, f frame) error {
 	switch fr := f.(type) {
 	case *fPeriodicBody, *fAperiodicBody:
 		e.Line("f body")
@@ -532,26 +412,11 @@ func (s *Session) encodeFrame(e *core.StateWriter, f frame, qs []rQueue, ss []rS
 	case *fResume:
 		e.Line("f res %d", fr.t.ID())
 	case *opFrame:
-		ref := "-"
-		if fr.q != nil {
-			for i, q := range qs {
-				if q == fr.q {
-					ref = fmt.Sprintf("q%d", i)
-					break
-				}
-			}
-		} else if fr.s != nil {
-			for i, sm := range ss {
-				if sm == fr.s {
-					ref = fmt.Sprintf("s%d", i)
-					break
-				}
-			}
+		ix := 0 // the channel's declaration index
+		for &s.chans[ix] != fr.c {
+			ix++
 		}
-		if ref == "-" {
-			return fmt.Errorf("rtc: op frame references an unknown channel")
-		}
-		e.Line("f op %d %s %d %d %d", int(fr.kind), ref, fr.v, fr.ret, fr.pc)
+		e.Line("f op %d %d %d %d", int(fr.op), ix, fr.val, fr.pc)
 	default:
 		return fmt.Errorf("rtc: unknown frame type %T", f)
 	}
@@ -562,7 +427,7 @@ func (s *Session) encodeFrame(e *core.StateWriter, f frame, qs []rQueue, ss []rS
 // stack must be the machine's spawn body (taken from the fresh build);
 // service frames land in the machine's preallocated slots, exactly as
 // the call helpers place them.
-func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBody bool, qs []rQueue, ss []rSem) (frame, error) {
+func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBody bool) (frame, error) {
 	ln, err := d.Next()
 	if err != nil {
 		return nil, err
@@ -648,23 +513,15 @@ func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBod
 		}
 		return &m.fRes, nil
 	case "op":
-		var ref string
+		var cix int
 		m.fOp = opFrame{}
-		if _, err := scan(nil, &m.fOp.kind, &ref, &m.fOp.v, &m.fOp.ret, &m.fOp.pc); err != nil {
+		if _, err := scan(nil, &m.fOp.op, &cix, &m.fOp.val, &m.fOp.pc); err != nil {
 			return nil, err
 		}
-		var cix int
-		if _, err := fmt.Sscan(ref[1:], &cix); err != nil {
-			return nil, fmt.Errorf("bad op channel ref %q", ref)
+		if cix < 0 || cix >= len(s.chans) {
+			return nil, fmt.Errorf("op channel index %d out of range (%d channels)", cix, len(s.chans))
 		}
-		switch {
-		case ref[0] == 'q' && cix >= 0 && cix < len(qs):
-			m.fOp.q = qs[cix]
-		case ref[0] == 's' && cix >= 0 && cix < len(ss):
-			m.fOp.s = ss[cix]
-		default:
-			return nil, fmt.Errorf("bad op channel ref %q (%d queues, %d semaphores)", ref, len(qs), len(ss))
-		}
+		m.fOp.c = &s.chans[cix]
 		return &m.fOp, nil
 	default:
 		return nil, fmt.Errorf("unknown frame tag %q", tag)

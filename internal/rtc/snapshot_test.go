@@ -370,3 +370,51 @@ func TestSnapshotRejectsStoppedRun(t *testing.T) {
 		t.Error("Snapshot succeeded on a stopped run")
 	}
 }
+
+// TestSnapshotITRONHandoff captures an ITRON mailbox hand-off in flight:
+// a send resumed the waiting receiver, which a higher-priority sender
+// keeps off the CPU, so the message sits in the receiver's tcb. The
+// checkpoint must carry it: a session restored from it snapshots to the
+// same bytes and finishes like the uninterrupted run.
+func TestSnapshotITRONHandoff(t *testing.T) {
+	w := Workload{
+		Policy: "priority", Personality: "itron", Trace: true,
+		Horizon:  sim.Millisecond,
+		Channels: []ChannelDef{{Name: "q", Kind: "queue", Arg: 1}},
+		Tasks: []TaskDef{
+			{Name: "recv", Type: "aperiodic", Prio: 2, Ops: []Op{{Kind: "recv", Ch: "q"}}},
+			{Name: "send", Type: "aperiodic", Prio: 1, Start: 10, Ops: []Op{
+				{Kind: "send", Ch: "q"}, {Kind: "delay", Dur: 100},
+			}},
+		},
+	}
+	s, err := NewSession(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(cp.State, []byte("\nitcb 3 0 1 0\n")) {
+		t.Fatalf("checkpoint at t=50 holds no hand-off to the receiver:\n%s", cp.State)
+	}
+	r, err := Restore(w, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.State, cp.State) {
+		t.Fatalf("restored session snapshots differently:\n%s\nwant:\n%s", again.State, cp.State)
+	}
+	r.RunUntil(w.Horizon)
+	if got, want := serializeResult(r.Finish()), serializeResult(Run(w)); !bytes.Equal(got, want) {
+		t.Fatalf("restored run diverges:\n%s\nwant:\n%s", got, want)
+	}
+}

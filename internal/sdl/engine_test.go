@@ -196,3 +196,37 @@ func TestRTCWorkloadRejectsMultiPE(t *testing.T) {
 		t.Fatal("RTCWorkload accepted a multi-PE model")
 	}
 }
+
+// TestEngineEquivalenceSemaphoreOverflow pins one rule for an ITRON
+// sig_sem past TMAX_SEMCNT: an interrupt releasing a semaphore declared at
+// the maximum count ends the run with E_QOVR on both engines, with the
+// same error and the same trace up to it.
+func TestEngineEquivalenceSemaphoreOverflow(t *testing.T) {
+	const src = `
+channel s semaphore 1073741824
+behavior main { delay 100us }
+top main
+irq i at 10us releases s
+personality itron
+`
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.PolicyByName("priority", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, osi, gerr := m.RunArchitecture(pol, core.TimeModelCoarse)
+	defer osi.Kernel().Shutdown()
+	res, rerr := m.RunArchitectureRTC("priority", 0, core.TimeModelCoarse, sim.Second)
+	const want = `itron: sig_sem "s": E_QOVR`
+	if gerr == nil || rerr == nil || gerr.Error() != want || rerr.Error() != want {
+		t.Fatalf("goroutine error %v, rtc error %v; want %q from both", gerr, rerr, want)
+	}
+	g := renderArch(rec.Records(), osi.StatsSnapshot(), osi.Kernel().Now())
+	r := renderArch(res.Records, res.Stats, res.End)
+	if !bytes.Equal(g, r) {
+		t.Fatalf("engines diverge up to the overflow:\n%s", firstDiff(g, r))
+	}
+}

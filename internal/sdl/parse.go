@@ -65,6 +65,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/channel"
 	"repro/internal/personality"
 	"repro/internal/sim"
 )
@@ -661,6 +662,16 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("sdl: duplicate channel %q", c.Name)
 		}
 		chans[c.Name] = c.Kind
+		var err error
+		switch c.Kind {
+		case ChanQueue:
+			err = channel.ValidateQueue(c.Name, c.Arg)
+		case ChanSemaphore:
+			err = channel.ValidateSemaphore(c.Name, c.Arg)
+		}
+		if err != nil {
+			return fmt.Errorf("sdl: %w", err)
+		}
 	}
 	for _, l := range m.Links {
 		if _, dup := chans[l.Name]; dup {

@@ -205,6 +205,8 @@ func TestParseErrors(t *testing.T) {
 		{"missing-brace", `behavior a { delay 1`, "missing }"},
 		{"task-unknown", `behavior a { delay 1 } top a task ghost priority 1`, "unknown behavior"},
 		{"top-unknown", `behavior a { delay 1 } top ghost`, "not declared"},
+		{"queue-capacity-0", `channel q queue 0 behavior a { delay 1 } top a`, `queue "q" capacity 0 < 1`},
+		{"semaphore-negative", `channel s semaphore -1 behavior a { delay 1 } top a`, `semaphore "s" initial count -1 < 0`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -201,8 +202,14 @@ func (s *Scenario) Validate() error {
 		if _, dup := chans[c.Name]; dup {
 			return fmt.Errorf("simcheck: duplicate channel %q", c.Name)
 		}
-		if c.Arg < 0 {
-			return fmt.Errorf("simcheck: channel %q has negative arg", c.Name)
+		var err error
+		if c.Kind == "queue" {
+			err = channel.ValidateQueue(c.Name, c.Arg)
+		} else {
+			err = channel.ValidateSemaphore(c.Name, c.Arg)
+		}
+		if err != nil {
+			return fmt.Errorf("simcheck: %w", err)
 		}
 		chans[c.Name] = c
 	}
