@@ -5,58 +5,68 @@
 #
 #   ./scripts/check.sh              # full gate (~1 min)
 #   SIMFUZZ_DURATION=5s ./scripts/check.sh   # shorter soak
-set -eu
-cd "$(dirname "$0")/.."
+#
+# Every step runs even when an earlier one fails; the script then lists
+# the failed steps and exits non-zero.
+set -u
+cd "$(dirname "$0")/.." || exit 1
 
-echo "== go vet ./..."
-go vet ./...
+failed=""
+last=""
 
-echo "== gofmt -l ."
-test -z "$(gofmt -l .)"
+# step NAME CMD...: print the header of step NAME (once for consecutive
+# commands of one step), run CMD and record it if it fails.
+step() {
+	name=$1
+	shift
+	[ "$name" = "$last" ] || echo "== $name"
+	last=$name
+	if ! "$@"; then
+		failed="$failed
+  $name: $*"
+	fi
+}
 
-echo "== go build ./..."
-go build ./...
+step "go vet ./..." go vet ./...
 
-echo "== go test -race ./..."
-go test -race ./...
+step "gofmt -l ." sh -c 'test -z "$(gofmt -l .)"'
+
+step "go build ./..." go build ./...
+
+step "go test -race ./..." go test -race ./...
 
 # The batch engine and the property harness are the two packages whose
 # bugs only show up under contention; run them again with a higher
 # -count so the race detector sees more interleavings.
-echo "== go test -race -count=2 ./internal/runner ./internal/simcheck"
-go test -race -count=2 ./internal/runner ./internal/simcheck
+step "go test -race -count=2 ./internal/runner ./internal/simcheck" go test -race -count=2 ./internal/runner ./internal/simcheck
 
 # Golden-trace diff: the canonical telemetry event streams of the two
 # example designs must match testdata/golden/ byte-for-byte, sequentially
 # and under the parallel batch engine. (go test ./... above already ran
 # these; this explicit pass keeps the gate's contract visible and
 # survives future test-filtering in the step above.)
-echo "== golden-trace diff (testdata/golden)"
-go test -run 'TestGoldenTrace' -count=1 .
+step "golden-trace diff (testdata/golden)" go test -run 'TestGoldenTrace' -count=1 .
 
 # Table-1 allocation budget: one RunSpec + RunArch pair of the full-size
 # vocoder must stay within a fixed allocation count, so trace storage and
 # queue bookkeeping stay off the paper's figure-of-merit hot path. (go
 # test ./... above already ran it; the explicit pass keeps the budget
 # visible in the gate.)
-echo "== Table-1 allocation budget"
-go test -run 'TestTable1AllocBudget' -count=1 .
+step "Table-1 allocation budget" go test -run 'TestTable1AllocBudget' -count=1 .
 
 # Telemetry overhead guard: an always-on ring sink must stay within a
 # generous multiple of the uninstrumented baseline (catches accidental
 # per-event allocation/formatting on the observer hot path).
-echo "== telemetry overhead guard"
-TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
+step "telemetry overhead guard" env TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
 
 # RTOS personality conformance: the µITRON 4.0 and OSEK OS 2.2.3 suites
 # (spec-clause-keyed, table-driven) plus the seeded cross-personality
 # corpus whose per-task outcomes must match the generic kernel run for
 # every seed. (go test ./... above already ran these; the explicit pass keeps
 # the personality layer's contract visible in the gate.)
-echo "== personality conformance suites (itron, osek) + cross corpus"
-go test -run 'TestITRONConformance' -count=1 ./internal/personality/itron
-go test -run 'TestOSEKConformance' -count=1 ./internal/personality/osek
-go test -run 'TestCrossPersonalityCorpus' -count=1 ./internal/simcheck
+step "personality conformance suites (itron, osek) + cross corpus" go test -run 'TestITRONConformance' -count=1 ./internal/personality/itron
+step "personality conformance suites (itron, osek) + cross corpus" go test -run 'TestOSEKConformance' -count=1 ./internal/personality/osek
+step "personality conformance suites (itron, osek) + cross corpus" go test -run 'TestCrossPersonalityCorpus' -count=1 ./internal/simcheck
 
 # Execution-engine equivalence: the run-to-completion engine
 # (internal/rtc, -engine=rtc) must produce byte-identical traces,
@@ -67,18 +77,16 @@ go test -run 'TestCrossPersonalityCorpus' -count=1 ./internal/simcheck
 # figure3, vocoder, bus-driver) with its per-example golden traces.
 # (go test ./... above already ran these; the explicit pass keeps the
 # two-engine contract visible.)
-echo "== execution-engine equivalence (goroutine vs run-to-completion)"
-go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
-go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
+step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
+step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
 # Timer-boundary ordering: the hierarchical timing wheel must agree
 # with the reference heap on every boundary case the randomized
 # differential harness can produce — slot/level edges, same-instant
 # FIFO order, front-slot (fast path) arming — and its steady state must
 # stay allocation-free.
-echo "== timewheel boundary ordering + differential harness"
-go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
+step "timewheel boundary ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
+step "timewheel boundary ordering + differential harness" go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 
 # Checkpoint equivalence: an rtc session snapshotted at a randomized
 # instant and restored into a fresh session must finish with
@@ -86,45 +94,39 @@ go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 # the rtc snapshot suite (determinism, forking, structure-hash
 # rejection). (go test ./... above already ran these; the explicit pass
 # keeps the checkpoint contract visible in the gate.)
-echo "== checkpoint/restore equivalence (simcheck matrix + rtc suite)"
-go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
-go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
+step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
+step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
 
 # Design-space-exploration gates: memoization accounting (a repeated
 # sweep must be answered 100% from the content-hash cache, byte-identical
 # to the cold run), Pareto-front ranking, cache-key canonicalization
 # (golden hash), and checkpoint-forked sweeps.
-echo "== design-space exploration gates (internal/dse)"
-go test -race -count=1 ./internal/dse
+step "design-space exploration gates (internal/dse)" go test -race -count=1 ./internal/dse
 
 # End-to-end benchmark self-tests (~30 s): perfbench is a Go module of
 # its own (replace repro => ../), so go test ./... above never reaches
 # it. Its tests pin the metric names against BENCHMARK.json, per-op
 # metrics independent of run length, tampered outputs failing their op,
 # and a warm reset starting a fresh server life.
-echo "== perfbench self-tests (separate module)"
-(cd perfbench && go test ./...)
+step "perfbench self-tests (separate module)" sh -c 'cd perfbench && go test ./...'
 
 # Personality dispatch overhead guard: the personality interface in
 # front of the core services must stay within 5% of direct calls on the
 # context-switch scenario (generic passthrough isolates the indirection).
-echo "== personality dispatch overhead guard"
-PERSONALITY_OVERHEAD_GUARD=1 go test -run TestPersonalityOverheadGuard -count=1 -v .
+step "personality dispatch overhead guard" env PERSONALITY_OVERHEAD_GUARD=1 go test -run TestPersonalityOverheadGuard -count=1 -v .
 
 # Kernel performance gate: re-run the benchmark scenarios — both the
 # goroutine kernel's and the run-to-completion engine's (rtc/*) — and
 # compare against the committed baseline (BENCH_kernel.json). Allocation
 # counts are gated exactly — any steady-state alloc regression fails here —
 # while ns/op gets a wide 100% tolerance to absorb host variation.
-echo "== simbench baseline check (BENCH_kernel.json)"
-go run ./cmd/simbench -check -tolerance 1.0
+step "simbench baseline check (BENCH_kernel.json)" go run ./cmd/simbench -check -tolerance 1.0
 
 # DSE throughput gate: configurations/second cold vs memoized and the
 # checkpoint snapshot/restore cost against the committed BENCH_dse.json.
 # The snapshot/restore alloc counts are gated exactly, like the kernel
 # suite's.
-echo "== simbench DSE baseline check (BENCH_dse.json)"
-go run ./cmd/simbench -suite dse -check -tolerance 1.0
+step "simbench DSE baseline check (BENCH_dse.json)" go run ./cmd/simbench -suite dse -check -tolerance 1.0
 
 # Campaign crash-resume gate: the simulation-as-a-service server
 # (cmd/simd, internal/campaign) is killed at every event-log position
@@ -134,21 +136,22 @@ go run ./cmd/simbench -suite dse -check -tolerance 1.0
 # (cache-hit accounting), at worker counts 1 and 8 under the race
 # detector. (go test -race ./... above already ran these; the explicit
 # pass keeps the crash-resume contract visible in the gate.)
-echo "== campaign crash-resume differential matrix (jobs 1 and 8)"
-go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 ./internal/campaign
+step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 ./internal/campaign
 
 # Soak the scheduler with fresh seeds (offset so they do not just repeat
 # the seeds go test already covered); 4 seeds in flight exercises the
 # concurrent-kernel contract on every run of this gate.
-echo "== simfuzz soak (${SIMFUZZ_DURATION:-30s}, 4 jobs)"
-go run ./cmd/simfuzz -start 10000 -duration "${SIMFUZZ_DURATION:-30s}" -jobs 4
+step "simfuzz soak (${SIMFUZZ_DURATION:-30s}, 4 jobs)" go run ./cmd/simfuzz -start 10000 -duration "${SIMFUZZ_DURATION:-30s}" -jobs 4
 
 # Fault-injection campaign smoke: 16 seeds across the built-in plan
 # battery with the three diagnosis gates — no false positive on any
 # ExpectClean plan, the diagnostic stream byte-identical at -jobs 8 and
 # -jobs 1, and the seeded three-task semaphore deadlock detected with its
 # exact wait-for cycle (README.md "Robustness").
-echo "== fault-injection campaign smoke (16 seeds, 8 jobs)"
-go run ./cmd/simfuzz -faults -n 16 -jobs 8
+step "fault-injection campaign smoke (16 seeds, 8 jobs)" go run ./cmd/simfuzz -faults -n 16 -jobs 8
 
+if [ -n "$failed" ]; then
+	echo "check.sh: failed steps:$failed"
+	exit 1
+fi
 echo "check.sh: all gates passed"
