@@ -94,11 +94,14 @@ func (s *Semaphore) Acquire(p *sim.Proc) {
 	}
 }
 
-// TryAcquire decrements the count if positive and reports success. It
-// steps as a re-check (again), which records no wait when the count is
-// zero.
+// TryAcquire decrements the count if positive and reports success.
 func (s *Semaphore) TryAcquire(p *sim.Proc) bool {
-	return !s.Step(p.Now(), s.res.TaskOf(p), core.OpAcquire, nil, true).Wait
+	if s.count == 0 {
+		return false
+	}
+	s.count--
+	s.res.Acquire(p)
+	return true
 }
 
 // Release increments the count and wakes waiters. It may be called from

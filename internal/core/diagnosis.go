@@ -317,8 +317,12 @@ func (r *Resource) sortedHolders() []*Task {
 }
 
 // taskOf resolves a simulation process to its task on this instance (nil
-// for ISRs and foreign processes).
+// for ISRs and foreign processes). Channel operations mostly come from
+// the running task, which is checked first.
 func (s *Sched) taskOf(p *sim.Proc) *Task {
+	if t := s.current; t != nil && t.proc == p {
+		return t
+	}
 	for _, t := range s.tasks {
 		if t.proc == p {
 			return t
