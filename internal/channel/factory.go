@@ -15,7 +15,10 @@
 //
 // All channels follow the predicate re-check discipline (state guarded by
 // loops around Cond.Wait), so they are immune to the lost-notification
-// semantics of the underlying memoryless events under preemption.
+// semantics of the underlying memoryless events under preemption. The
+// queue, semaphore and handshake keep that discipline in their state
+// types (QueueState, SemaphoreState, HandshakeState), which the
+// run-to-completion engine (internal/rtc) drives too.
 package channel
 
 import (

@@ -7,9 +7,8 @@ import "repro/internal/core"
 // follows the peak occupancy rather than a declared capacity and
 // steady-state traffic does not allocate. Popped slots are cleared, so
 // the ring holds no stale references. The zero Ring is an empty,
-// unbounded buffer. Every message buffer of the RTOS model uses it: the
-// generic Queue, the personalities' queues and the run-to-completion
-// engine's channels.
+// unbounded buffer. The bounded queues of the RTOS model use it: the
+// generic QueueState and the OSEK queue, on both engines.
 type Ring[T any] struct {
 	ring    []T
 	head, n int // oldest element's slot; buffered elements
@@ -54,22 +53,13 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
-// Each calls f on every buffered element, oldest first.
-func (r *Ring[T]) Each(f func(T)) {
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.ring) {
-			j -= len(r.ring)
-		}
-		f(r.ring[j])
-	}
-}
-
 // EncodeState writes the buffered elements, oldest first, as one tagged
 // checkpoint list.
 func (r *Ring[T]) EncodeState(e *core.StateWriter, tag string) {
-	vals := make([]T, 0, r.n)
-	r.Each(func(v T) { vals = append(vals, v) })
+	vals := make([]T, r.n)
+	for i := range vals {
+		vals[i] = r.ring[(r.head+i)%len(r.ring)]
+	}
 	core.WriteList(e, tag, vals)
 }
 

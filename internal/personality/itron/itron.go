@@ -95,13 +95,10 @@ const (
 	TMaxFlagBit = 32
 )
 
-// Kernel is one µITRON personality instance. Its object and tcb half —
-// the objects' state, wait queues and the per-task extension — works over
-// the shared scheduler state alone (core.Sched), so the run-to-completion
-// engine drives semaphores and mailboxes through the same transitions as
-// the goroutine kernel. The service calls that park a process (the
-// methods taking a *sim.Proc) need the goroutine kernel's core.OS. All
-// tasks of the scheduler may use its services; per-task µITRON state
+// Kernel is one µITRON personality instance. Its object and tcb half
+// works over the scheduler state alone (core.Sched), so both engines
+// drive its semaphores and mailboxes; the service calls that park a
+// process need the goroutine kernel's core.OS. Per-task µITRON state
 // (wakeup count, pending forced release, mailbox hand-off) is attached
 // lazily.
 type Kernel struct {
@@ -140,8 +137,10 @@ type tcb struct {
 // tcbOf returns (creating on first use) the µITRON state of a task.
 func (k *Kernel) tcbOf(t *core.Task) *tcb {
 	id := t.ID()
-	if id >= len(k.tcbs) {
-		k.tcbs = append(k.tcbs, make([]*tcb, id+1-len(k.tcbs))...)
+	if id >= len(k.tcbs) { // room for every task created so far
+		tcbs := make([]*tcb, max(id+1, len(k.s.Tasks())))
+		copy(tcbs, k.tcbs)
+		k.tcbs = tcbs
 	}
 	tc := k.tcbs[id]
 	if tc == nil {

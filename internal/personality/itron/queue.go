@@ -15,7 +15,6 @@ type waitQueue struct {
 func newWaitQueue(attr Attr) waitQueue { return waitQueue{pri: attr&TATPri != 0} }
 
 func (w *waitQueue) empty() bool { return len(w.q) == 0 }
-func (w *waitQueue) len() int    { return len(w.q) }
 
 // enqueue inserts tc at its ordering position and records the membership
 // back-pointer used by timeout/rel_wai removal.
