@@ -98,8 +98,13 @@ func (q *Queue[T]) Sent() uint64 { return q.sent }
 // Received returns the total number of elements returned by Recv.
 func (q *Queue[T]) Received() uint64 { return q.received }
 
-// Send enqueues v, blocking while the queue is full.
+// Send enqueues v, blocking while the queue is full. A send with room
+// takes TrySend's short path; only a full queue steps the shared
+// transition.
 func (q *Queue[T]) Send(p *sim.Proc, v T) {
+	if q.TrySend(p, v) {
+		return
+	}
 	t := q.res.TaskOf(p)
 	for again := false; q.Step(p.Now(), t, core.OpSend, &v, again).Wait; again = true {
 		q.cond.Wait(p)
@@ -119,10 +124,14 @@ func (q *Queue[T]) TrySend(p *sim.Proc, v T) bool {
 	return true
 }
 
-// Recv dequeues the oldest element, blocking while the queue is empty.
+// Recv dequeues the oldest element, blocking while the queue is empty
+// (short path: TryRecv).
 func (q *Queue[T]) Recv(p *sim.Proc) T {
+	v, ok := q.TryRecv(p)
+	if ok {
+		return v
+	}
 	t := q.res.TaskOf(p)
-	var v T
 	for again := false; q.Step(p.Now(), t, core.OpRecv, &v, again).Wait; again = true {
 		q.cond.Wait(p)
 	}

@@ -86,8 +86,12 @@ func NewSemaphore(f Factory, name string, initial int) *Semaphore {
 // Name returns the semaphore's name.
 func (s *Semaphore) Name() string { return s.name }
 
-// Acquire decrements the count, blocking while it is zero.
+// Acquire decrements the count, blocking while it is zero (short path:
+// TryAcquire).
 func (s *Semaphore) Acquire(p *sim.Proc) {
+	if s.TryAcquire(p) {
+		return
+	}
 	t := s.res.TaskOf(p)
 	for again := false; s.Step(p.Now(), t, core.OpAcquire, nil, again).Wait; again = true {
 		s.cond.Wait(p)
