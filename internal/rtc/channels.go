@@ -19,48 +19,40 @@ type chanRef struct {
 	ev   *core.OSEvent
 }
 
-// newChannel builds a declared channel of the personality's native kind,
-// after the argument checks every personality shares.
-func newChannel(os *osState, pers string, c ChannelDef) (chanRef, error) {
-	r := chanRef{name: c.Name, kind: c.Kind}
-	switch c.Kind {
-	case "queue":
-		if err := channel.ValidateQueue(c.Name, c.Arg); err != nil {
-			return r, err
-		}
-		switch pers {
-		case personality.ITRON: // unbounded: the capacity is only checked
-			r.obj, _ = os.itronKernel().CreMbx(c.Name, itron.TATFifo)
-		case personality.OSEK:
-			r.obj, _ = personality.NewOSEKQueue(os.Monitor(), c.Name, c.Arg)
-		default:
-			q, _ := channel.NewQueueState[int64](os.Monitor(), c.Name, c.Arg)
-			r.obj, r.ev = &q, core.NewOSEvent(c.Name+".q")
-		}
-	case "semaphore":
-		if err := channel.ValidateSemaphore(c.Name, c.Arg); err != nil {
-			return r, err
-		}
-		switch pers {
-		case personality.ITRON:
-			s, er := os.itronKernel().CreSem(c.Name, c.Arg, itron.TMaxSemCnt, itron.TATFifo)
-			if er != itron.EOK {
-				return r, fmt.Errorf("itron: cre_sem %q: %v", c.Name, er)
-			}
-			r.obj = s
-		case personality.OSEK:
-			r.obj, _ = personality.NewOSEKSem(os.Monitor(), c.Name, c.Arg)
-		default:
-			s, _ := channel.NewSemaphoreState(os.Monitor(), c.Name, c.Arg)
-			r.obj, r.ev = &s, core.NewOSEvent(c.Name+".sem")
-		}
-	case "handshake": // no personality-native kind (sdl.instance.makeChannel)
+// newChannel builds a declared channel of the personality's native kind
+// through the constructors both engines share, which check its argument.
+func newChannel(os *osState, pers string, c ChannelDef) (r chanRef, err error) {
+	r = chanRef{name: c.Name, kind: c.Kind}
+	switch {
+	case c.Kind == "handshake": // no personality-native kind (sdl.instance.makeChannel)
 		h := channel.NewHandshakeState(os.Monitor(), c.Name)
 		r.obj, r.ev = &h, core.NewOSEvent(c.Name+".hs")
+	case c.Kind == "queue" && pers == personality.ITRON: // unbounded: the capacity is only checked
+		if err = channel.ValidateQueue(c.Name, c.Arg); err == nil {
+			r.obj, _ = os.itronKernel().CreMbx(c.Name, itron.TATFifo)
+		}
+	case c.Kind == "queue" && pers == personality.OSEK:
+		r.obj, err = personality.NewOSEKQueue(os.Monitor(), c.Name, c.Arg)
+	case c.Kind == "queue":
+		q, e := channel.NewQueueState[int64](os.Monitor(), c.Name, c.Arg)
+		r.obj, r.ev, err = &q, core.NewOSEvent(c.Name+".q"), e
+	case c.Kind == "semaphore" && pers == personality.ITRON:
+		if err = channel.ValidateSemaphore(c.Name, c.Arg); err == nil {
+			s, er := os.itronKernel().CreSem(c.Name, c.Arg, itron.TMaxSemCnt, itron.TATFifo)
+			r.obj = s
+			if er != itron.EOK {
+				err = fmt.Errorf("itron: cre_sem %q: %v", c.Name, er)
+			}
+		}
+	case c.Kind == "semaphore" && pers == personality.OSEK:
+		r.obj, err = personality.NewOSEKSem(os.Monitor(), c.Name, c.Arg)
+	case c.Kind == "semaphore":
+		s, e := channel.NewSemaphoreState(os.Monitor(), c.Name, c.Arg)
+		r.obj, r.ev, err = &s, core.NewOSEvent(c.Name+".sem"), e
 	default:
-		return r, fmt.Errorf("unknown channel kind %q", c.Kind)
+		err = fmt.Errorf("unknown channel kind %q", c.Kind)
 	}
-	return r, nil
+	return r, err
 }
 
 // opFrame is the single reusable channel-operation frame per machine. It
