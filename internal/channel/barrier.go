@@ -74,22 +74,22 @@ func NewHandshakeState(m *core.Monitor, name string) HandshakeState {
 func (h *HandshakeState) Pending() int { return h.pending }
 
 // Step performs OpSignal or OpWait for task t.
-func (h *HandshakeState) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+func (h *HandshakeState) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	switch {
 	case op == core.OpSignal:
 		h.pending++
-		return core.Verdict{Notify: true}
+		return val, core.Verdict{Notify: true}
 	case h.pending == 0:
 		if !again {
 			h.res.BlockTask(now, t)
 		}
-		return core.Verdict{Wait: true}
+		return val, core.Verdict{Wait: true}
 	}
 	if again {
 		h.res.UnblockTask(t)
 	}
 	h.pending--
-	return core.Verdict{}
+	return val, core.Verdict{}
 }
 
 // EncodeState writes the latch for a checkpoint.
@@ -121,14 +121,17 @@ func (h *Handshake) Name() string { return h.name }
 
 // Signal latches one signal and wakes a waiter. Callable from ISRs.
 func (h *Handshake) Signal(p *sim.Proc) {
-	h.Step(p.Now(), nil, core.OpSignal, nil, false)
+	h.Step(p.Now(), nil, core.OpSignal, 0, false)
 	h.cond.Notify(p)
 }
 
 // WaitSig blocks until a signal is (or was) delivered and consumes it.
 func (h *Handshake) WaitSig(p *sim.Proc) {
 	t := h.res.TaskOf(p)
-	for again := false; h.Step(p.Now(), t, core.OpWait, nil, again).Wait; again = true {
+	for again := false; ; again = true {
+		if _, vd := h.Step(p.Now(), t, core.OpWait, 0, again); !vd.Wait {
+			return
+		}
 		h.cond.Wait(p)
 	}
 }

@@ -42,22 +42,22 @@ func NewQueueState[T any](m *core.Monitor, name string, capacity int) (QueueStat
 func (q *QueueState[T]) Cap() int { return q.capacity }
 
 // Step performs OpSend or OpRecv for task t.
-func (q *QueueState[T]) Step(now sim.Time, t *core.Task, op core.ChanOp, val *T, again bool) core.Verdict {
+func (q *QueueState[T]) Step(now sim.Time, t *core.Task, op core.ChanOp, val T, again bool) (T, core.Verdict) {
 	if op == core.OpSend && q.n == q.capacity || op == core.OpRecv && q.n == 0 {
 		if !again {
 			q.res.BlockTask(now, t)
 		}
-		return core.Verdict{Wait: true}
+		return val, core.Verdict{Wait: true}
 	}
 	if again {
 		q.res.UnblockTask(t)
 	}
 	if op == core.OpSend {
-		q.Push(*val)
+		q.Push(val)
 	} else {
-		*val = q.Pop()
+		val = q.Pop()
 	}
-	return core.Verdict{Notify: true}
+	return val, core.Verdict{Notify: true}
 }
 
 // EncodeState writes the buffered elements for a checkpoint.
@@ -98,19 +98,12 @@ func (q *Queue[T]) Sent() uint64 { return q.sent }
 // Received returns the total number of elements returned by Recv.
 func (q *Queue[T]) Received() uint64 { return q.received }
 
-// Send enqueues v, blocking while the queue is full. A send with room
-// takes TrySend's short path; only a full queue steps the shared
-// transition.
+// Send enqueues v, blocking while the queue is full.
 func (q *Queue[T]) Send(p *sim.Proc, v T) {
-	if q.TrySend(p, v) {
-		return
+	if !q.TrySend(p, v) {
+		q.await(p, core.OpSend, v)
+		q.sent++
 	}
-	t := q.res.TaskOf(p)
-	for again := false; q.Step(p.Now(), t, core.OpSend, &v, again).Wait; again = true {
-		q.cond.Wait(p)
-	}
-	q.sent++
-	q.cond.Notify(p)
 }
 
 // TrySend enqueues v if space is available and reports success.
@@ -124,20 +117,29 @@ func (q *Queue[T]) TrySend(p *sim.Proc, v T) bool {
 	return true
 }
 
-// Recv dequeues the oldest element, blocking while the queue is empty
-// (short path: TryRecv).
+// Recv dequeues the oldest element, blocking while the queue is empty.
 func (q *Queue[T]) Recv(p *sim.Proc) T {
 	v, ok := q.TryRecv(p)
-	if ok {
-		return v
+	if !ok {
+		v = q.await(p, core.OpRecv, v)
+		q.received++
 	}
+	return v
+}
+
+// await is the blocking path of Send and Recv (a queue with room or an
+// element takes the Try path): step op until the queue stops asking to
+// wait on the condition, then notify it.
+func (q *Queue[T]) await(p *sim.Proc, op core.ChanOp, v T) T {
 	t := q.res.TaskOf(p)
-	for again := false; q.Step(p.Now(), t, core.OpRecv, &v, again).Wait; again = true {
+	for again := false; ; again = true {
+		v, vd := q.Step(p.Now(), t, op, v, again)
+		if !vd.Wait {
+			q.cond.Notify(p)
+			return v
+		}
 		q.cond.Wait(p)
 	}
-	q.received++
-	q.cond.Notify(p)
-	return v
 }
 
 // TryRecv dequeues if an element is available.

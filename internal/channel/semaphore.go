@@ -39,21 +39,21 @@ func (s *SemaphoreState) Value() int { return s.count }
 
 // Step performs OpAcquire or OpRelease for task t. An acquire ends a
 // wait by the hold it records.
-func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	switch {
 	case op == core.OpRelease:
 		s.count++
 		s.res.ReleaseTask(t)
-		return core.Verdict{Notify: true}
+		return val, core.Verdict{Notify: true}
 	case s.count == 0:
 		if !again {
 			s.res.BlockTask(now, t)
 		}
-		return core.Verdict{Wait: true}
+		return val, core.Verdict{Wait: true}
 	}
 	s.count--
 	s.res.AcquireTask(t)
-	return core.Verdict{}
+	return val, core.Verdict{}
 }
 
 // EncodeState writes the count for a checkpoint.
@@ -86,14 +86,16 @@ func NewSemaphore(f Factory, name string, initial int) *Semaphore {
 // Name returns the semaphore's name.
 func (s *Semaphore) Name() string { return s.name }
 
-// Acquire decrements the count, blocking while it is zero (short path:
-// TryAcquire).
+// Acquire decrements the count, blocking while it is zero.
 func (s *Semaphore) Acquire(p *sim.Proc) {
 	if s.TryAcquire(p) {
 		return
 	}
 	t := s.res.TaskOf(p)
-	for again := false; s.Step(p.Now(), t, core.OpAcquire, nil, again).Wait; again = true {
+	for again := false; ; again = true {
+		if _, vd := s.Step(p.Now(), t, core.OpAcquire, 0, again); !vd.Wait {
+			return
+		}
 		s.cond.Wait(p)
 	}
 }
@@ -111,7 +113,7 @@ func (s *Semaphore) TryAcquire(p *sim.Proc) bool {
 // Release increments the count and wakes waiters. It may be called from
 // interrupt handlers (the paper's ISR-to-driver signalling path).
 func (s *Semaphore) Release(p *sim.Proc) {
-	s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, nil, false)
+	s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, 0, false)
 	s.cond.Notify(p)
 }
 

@@ -25,8 +25,9 @@ type Channel interface {
 	// Step performs op for task t (nil: an interrupt handler) at now. It
 	// never blocks; the verdict says what the engine must do next. again
 	// marks the attempt after the wait an earlier verdict asked for ended.
-	// val carries a message: read by OpSend, written by OpRecv.
-	Step(now sim.Time, t *Task, op ChanOp, val *int64, again bool) Verdict
+	// val is the message OpSend sends; Step returns it, or the message
+	// OpRecv received.
+	Step(now sim.Time, t *Task, op ChanOp, val int64, again bool) (int64, Verdict)
 	EncodeState(e *StateWriter)
 	DecodeState(s *Sched, d *StateReader) error
 }

@@ -44,23 +44,20 @@ func (m *Mailbox) Name() string { return m.name }
 func (m *Mailbox) Len() int { return len(m.msgs) }
 
 // Step performs OpSend (snd_mbx) or OpRecv (rcv_mbx) for task t.
-func (m *Mailbox) Step(now sim.Time, t *core.Task, op core.ChanOp, val *int64, again bool) core.Verdict {
+func (m *Mailbox) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	switch {
 	case op == core.OpSend:
-		return core.Verdict{Wake: m.send(t, Msg{Val: *val})}
+		return val, core.Verdict{Wake: m.send(t, Msg{Val: val})}
 	case again: // a send left the message in t's tcb
-		*val = m.received(t).Val
-	default:
-		msg, ok := m.take(t)
-		if !ok {
-			tc := m.k.tcbOf(t)
-			m.wq.enqueue(tc)
-			m.res.BlockTask(now, t)
-			return core.Verdict{Suspend: m.site}
-		}
-		*val = msg.Val
+		return m.received(t).Val, core.Verdict{}
 	}
-	return core.Verdict{}
+	msg, ok := m.take(t)
+	if !ok {
+		m.wq.enqueue(m.k.tcbOf(t))
+		m.res.BlockTask(now, t)
+		return val, core.Verdict{Suspend: m.site}
+	}
+	return msg.Val, core.Verdict{}
 }
 
 // send queues msg for task t (nil: an interrupt handler), or hands it to
@@ -162,8 +159,7 @@ func (m *Mailbox) TRcv(p *sim.Proc, tmo sim.Time) (Msg, ER) {
 	if tmo == TMOPol {
 		return Msg{}, ETMOUT
 	}
-	m.wq.enqueue(tc)
-	m.res.BlockTask(p.Now(), tc.task)
+	m.Step(p.Now(), tc.task, core.OpRecv, 0, false) // queues tc: the box is empty
 	woken := m.k.os.SuspendTimeout(p, core.TaskWaitingEvent, m.site, tmo,
 		func() { m.wq.remove(tc) })
 	if tc.relwai {

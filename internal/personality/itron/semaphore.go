@@ -42,15 +42,15 @@ func (s *Semaphore) Name() string { return s.name }
 func (s *Semaphore) Count() int { return s.count }
 
 // Step performs OpAcquire (wai_sem) or OpRelease (sig_sem) for task t.
-func (s *Semaphore) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+func (s *Semaphore) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	switch {
 	case op == core.OpRelease:
 		s.res.ReleaseTask(t)
 		if tc := s.wq.pop(); tc != nil {
-			return core.Verdict{Wake: tc.task}
+			return val, core.Verdict{Wake: tc.task}
 		}
 		if s.count >= s.max {
-			return core.Verdict{Err: fmt.Errorf("itron: sig_sem %q: %v", s.name, EQOVR)}
+			return val, core.Verdict{Err: fmt.Errorf("itron: sig_sem %q: %v", s.name, EQOVR)}
 		}
 		s.count++
 	case again: // direct handoff from a release: the count was never incremented
@@ -59,9 +59,9 @@ func (s *Semaphore) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, a
 		tc := s.k.tcbOf(t)
 		s.wq.enqueue(tc)
 		s.res.BlockTask(now, t)
-		return core.Verdict{Suspend: s.site}
+		return val, core.Verdict{Suspend: s.site}
 	}
-	return core.Verdict{}
+	return val, core.Verdict{}
 }
 
 func (s *Semaphore) take(t *core.Task) bool {
@@ -107,7 +107,7 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 		}
 		return ETMOUT
 	}
-	v := s.Step(p.Now(), tc.task, core.OpAcquire, nil, false)
+	_, v := s.Step(p.Now(), tc.task, core.OpAcquire, 0, false)
 	if v.Suspend == "" {
 		return EOK
 	}
@@ -122,7 +122,7 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 		s.res.Unblock(p)
 		return ETMOUT
 	}
-	s.Step(p.Now(), tc.task, core.OpAcquire, nil, true)
+	s.Step(p.Now(), tc.task, core.OpAcquire, 0, true)
 	return EOK
 }
 
@@ -130,7 +130,7 @@ func (s *Semaphore) TWai(p *sim.Proc, tmo sim.Time) ER {
 // directly, or the count is incremented — E_QOVR past the maximum.
 // Callable from ISRs.
 func (s *Semaphore) Sig(p *sim.Proc) ER {
-	v := s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, nil, false)
+	_, v := s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, 0, false)
 	if v.Wake != nil {
 		s.k.os.Resume(p, v.Wake)
 	}

@@ -86,12 +86,12 @@ func NewOSEKSem(m *core.Monitor, name string, count int) (*OSEKSem, error) {
 }
 
 // Step performs OpAcquire or OpRelease for task t.
-func (s *OSEKSem) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, again bool) core.Verdict {
+func (s *OSEKSem) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	switch {
 	case op == core.OpRelease:
 		s.res.ReleaseTask(t)
 		if len(s.wq) > 0 {
-			return core.Verdict{Wake: popTask(&s.wq)}
+			return val, core.Verdict{Wake: popTask(&s.wq)}
 		}
 		s.count++
 	case again:
@@ -105,9 +105,9 @@ func (s *OSEKSem) Step(now sim.Time, t *core.Task, op core.ChanOp, _ *int64, aga
 	default:
 		s.wq = append(s.wq, t)
 		s.res.BlockTask(now, t)
-		return core.Verdict{Suspend: s.site}
+		return val, core.Verdict{Suspend: s.site}
 	}
-	return core.Verdict{}
+	return val, core.Verdict{}
 }
 
 // EncodeState writes the count and the wait queue for a checkpoint.
@@ -150,7 +150,7 @@ func NewOSEKQueue(m *core.Monitor, name string, capacity int) (*OSEKQueue, error
 }
 
 // Step performs OpSend or OpRecv for task t.
-func (q *OSEKQueue) Step(now sim.Time, t *core.Task, op core.ChanOp, val *int64, again bool) core.Verdict {
+func (q *OSEKQueue) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
 	if again {
 		q.res.UnblockTask(t)
 	}
@@ -161,14 +161,14 @@ func (q *OSEKQueue) Step(now sim.Time, t *core.Task, op core.ChanOp, val *int64,
 	if op == core.OpSend && q.buf.Len() >= q.cap || op == core.OpRecv && q.buf.Len() == 0 {
 		*wq = append(*wq, t)
 		q.res.BlockTask(now, t)
-		return core.Verdict{Suspend: q.site}
+		return val, core.Verdict{Suspend: q.site}
 	}
 	if op == core.OpSend {
-		q.buf.Push(*val)
+		q.buf.Push(val)
 	} else {
-		*val = q.buf.Pop()
+		val = q.buf.Pop()
 	}
-	return core.Verdict{Wake: popTask(peers)}
+	return val, core.Verdict{Wake: popTask(peers)}
 }
 
 // EncodeState writes the buffer and both wait lists for a checkpoint.

@@ -90,7 +90,8 @@ func (n native) do(p *sim.Proc, op core.ChanOp, val int64) int64 {
 		t = nil
 	}
 	for again := false; ; again = true {
-		v := n.obj.Step(p.Now(), t, op, &val, again)
+		var v core.Verdict
+		val, v = n.obj.Step(p.Now(), t, op, val, again)
 		if v.Err != nil {
 			p.Kernel().Fail(v.Err)
 		}

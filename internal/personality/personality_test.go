@@ -266,3 +266,52 @@ func TestChangePriorityZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestNativeChannelZeroAlloc pins steady-state channel traffic at zero
+// allocations under the personalities whose queues and semaphores are
+// their own kind: a producer/consumer pair blocking on both a queue and
+// a semaphore every round must not allocate once warm.
+func TestNativeChannelZeroAlloc(t *testing.T) {
+	for _, kind := range []string{ITRON, OSEK} {
+		t.Run(kind, func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Shutdown()
+			os := core.New(k, "PE", core.PriorityPolicy{})
+			os.Init()
+			rt, _ := New(kind, os)
+
+			q := rt.NewQueue("q", 1)
+			ack := rt.NewSemaphore("ack", 0)
+			prod := rt.TaskCreate("prod", core.Aperiodic, 0, 0, 2)
+			cons := rt.TaskCreate("cons", core.Aperiodic, 0, 0, 1)
+			k.Spawn("prod", func(p *sim.Proc) {
+				rt.Activate(p, prod)
+				for i := int64(0); ; i++ {
+					rt.Compute(p, 10)
+					q.Send(p, i)
+					ack.Acquire(p)
+				}
+			})
+			k.Spawn("cons", func(p *sim.Proc) {
+				rt.Activate(p, cons)
+				for {
+					q.Recv(p)
+					ack.Release(p)
+				}
+			})
+			os.Start(nil)
+
+			var horizon sim.Time
+			step := func() {
+				horizon += 1000
+				if err := k.RunUntil(horizon); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // warm-up: lazy TCBs, wait-list growth
+			if avg := testing.AllocsPerRun(20, step); avg != 0 {
+				t.Errorf("%s: %.1f allocs per 100 rounds of queue and semaphore traffic, want 0", kind, avg)
+			}
+		})
+	}
+}

@@ -69,7 +69,8 @@ type opFrame struct {
 
 func (f *opFrame) step(m *machine) status {
 	os := m.k.os
-	v := f.c.obj.Step(os.k.now, m.task, f.op, &f.val, f.pc == 1)
+	var v core.Verdict
+	f.val, v = f.c.obj.Step(os.k.now, m.task, f.op, f.val, f.pc == 1)
 	f.pc = 1
 	switch {
 	case v.Err != nil:

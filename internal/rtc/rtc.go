@@ -281,13 +281,12 @@ func (f *fAperiodicBody) step(m *machine) status {
 				if op.del {
 					return m.callTimeWait(op.dur, os)
 				}
-				val, t := int64(1), m.task
 				var v core.Verdict
 				switch {
 				case op.gq != nil:
-					v = op.gq.Step(os.k.now, t, op.op, &val, false)
+					_, v = op.gq.Step(os.k.now, m.task, op.op, 1, false)
 				case op.gs != nil:
-					v = op.gs.Step(os.k.now, t, op.op, nil, false)
+					_, v = op.gs.Step(os.k.now, m.task, op.op, 0, false)
 				default:
 					return m.callOp(op.op, op.c, 1, 0)
 				}

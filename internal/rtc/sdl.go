@@ -47,7 +47,7 @@ func (f *fISRBody) step(m *machine) status {
 			if f.pc == 1 {
 				m.afterWait()
 			}
-			if f.h.Step(os.k.now, nil, core.OpWait, nil, f.pc == 1).Wait {
+			if _, v := f.h.Step(os.k.now, nil, core.OpWait, 0, f.pc == 1); v.Wait {
 				f.pc = 1
 				m.wait(f.h.cond)
 				return statBlocked
@@ -97,7 +97,7 @@ func (f *fStimBody) step(m *machine) status {
 				return statBlocked
 			}
 		case 2: // Raise: latch and notify
-			f.h.Step(f.k.now, nil, core.OpSignal, nil, false)
+			f.h.Step(f.k.now, nil, core.OpSignal, 0, false)
 			f.k.flush(f.h.cond)
 			f.i++
 			f.pc = 1
