@@ -41,23 +41,39 @@ func NewQueueState[T any](m *core.Monitor, name string, capacity int) (QueueStat
 // Cap returns the queue capacity.
 func (q *QueueState[T]) Cap() int { return q.capacity }
 
+// Put enqueues v if the queue has room.
+func (q *QueueState[T]) Put(v T) bool {
+	if q.n == q.capacity {
+		return false
+	}
+	q.Push(v)
+	return true
+}
+
+// Take dequeues the oldest element if there is one.
+func (q *QueueState[T]) Take() (T, bool) {
+	if q.n == 0 {
+		var zero T
+		return zero, false
+	}
+	return q.Pop(), true
+}
+
 // Step performs OpSend or OpRecv for task t.
 func (q *QueueState[T]) Step(now sim.Time, t *core.Task, op core.ChanOp, val T, again bool) (T, core.Verdict) {
-	if op == core.OpSend && q.n == q.capacity || op == core.OpRecv && q.n == 0 {
-		if !again {
-			q.res.BlockTask(now, t)
-		}
-		return val, core.Verdict{Wait: true}
-	}
-	if again {
-		q.res.UnblockTask(t)
-	}
+	ok := false
 	if op == core.OpSend {
-		q.Push(val)
+		ok = q.Put(val)
 	} else {
-		val = q.Pop()
+		val, ok = q.Take()
 	}
-	return val, core.Verdict{Notify: true}
+	switch {
+	case ok && again:
+		q.res.UnblockTask(t)
+	case !ok && !again:
+		q.res.BlockTask(now, t)
+	}
+	return val, core.Verdict{Wait: !ok, Notify: ok}
 }
 
 // EncodeState writes the buffered elements for a checkpoint.
@@ -108,10 +124,9 @@ func (q *Queue[T]) Send(p *sim.Proc, v T) {
 
 // TrySend enqueues v if space is available and reports success.
 func (q *Queue[T]) TrySend(p *sim.Proc, v T) bool {
-	if q.n == q.capacity {
+	if !q.Put(v) {
 		return false
 	}
-	q.Push(v)
 	q.sent++
 	q.cond.Notify(p)
 	return true
@@ -144,14 +159,12 @@ func (q *Queue[T]) await(p *sim.Proc, op core.ChanOp, v T) T {
 
 // TryRecv dequeues if an element is available.
 func (q *Queue[T]) TryRecv(p *sim.Proc) (T, bool) {
-	if q.n == 0 {
-		var zero T
-		return zero, false
+	v, ok := q.Take()
+	if ok {
+		q.received++
+		q.cond.Notify(p)
 	}
-	q.received++
-	v := q.Pop()
-	q.cond.Notify(p)
-	return v, true
+	return v, ok
 }
 
 // Mailbox is an unbuffered rendezvous channel: Send blocks until a

@@ -37,23 +37,35 @@ func NewSemaphoreState(m *core.Monitor, name string, initial int) (SemaphoreStat
 // Value returns the current count (non-blocking snapshot).
 func (s *SemaphoreState) Value() int { return s.count }
 
-// Step performs OpAcquire or OpRelease for task t. An acquire ends a
-// wait by the hold it records.
-func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
-	switch {
-	case op == core.OpRelease:
-		s.count++
-		s.res.ReleaseTask(t)
-		return val, core.Verdict{Notify: true}
-	case s.count == 0:
-		if !again {
-			s.res.BlockTask(now, t)
-		}
-		return val, core.Verdict{Wait: true}
+// TryAcquire takes a unit for task t if one is left. The hold it records
+// ends t's wait, if any.
+func (s *SemaphoreState) TryAcquire(t *core.Task) bool {
+	if s.count == 0 {
+		return false
 	}
 	s.count--
 	s.res.AcquireTask(t)
-	return val, core.Verdict{}
+	return true
+}
+
+// Release returns a unit from task t (nil: an interrupt handler).
+func (s *SemaphoreState) Release(t *core.Task) {
+	s.count++
+	s.res.ReleaseTask(t)
+}
+
+// Step performs OpAcquire or OpRelease for task t.
+func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, again bool) (int64, core.Verdict) {
+	switch {
+	case op == core.OpRelease:
+		s.Release(t)
+		return val, core.Verdict{Notify: true}
+	case s.TryAcquire(t):
+		return val, core.Verdict{}
+	case !again:
+		s.res.BlockTask(now, t)
+	}
+	return val, core.Verdict{Wait: true}
 }
 
 // EncodeState writes the count for a checkpoint.
@@ -102,18 +114,13 @@ func (s *Semaphore) Acquire(p *sim.Proc) {
 
 // TryAcquire decrements the count if positive and reports success.
 func (s *Semaphore) TryAcquire(p *sim.Proc) bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	s.res.Acquire(p)
-	return true
+	return s.SemaphoreState.TryAcquire(s.res.TaskOf(p))
 }
 
 // Release increments the count and wakes waiters. It may be called from
 // interrupt handlers (the paper's ISR-to-driver signalling path).
 func (s *Semaphore) Release(p *sim.Proc) {
-	s.Step(p.Now(), s.res.TaskOf(p), core.OpRelease, 0, false)
+	s.SemaphoreState.Release(s.res.TaskOf(p))
 	s.cond.Notify(p)
 }
 

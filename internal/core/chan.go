@@ -2,11 +2,12 @@ package core
 
 import "repro/internal/sim"
 
-// ChanOp is an operation on a channel primitive.
+// ChanOp is an operation on a channel primitive: queues take
+// OpSend/OpRecv, semaphores OpAcquire/OpRelease, handshakes
+// OpSignal/OpWait.
 type ChanOp uint8
 
-// Channel operations: queues take OpSend/OpRecv, semaphores
-// OpAcquire/OpRelease, handshakes OpSignal/OpWait.
+// Channel operations.
 const (
 	OpSend ChanOp = iota
 	OpRecv
@@ -16,37 +17,31 @@ const (
 	OpWait
 )
 
-// Channel is the state of one channel primitive — a queue, semaphore,
-// mailbox or handshake of some personality — with its transitions, shared
-// by both execution engines, which keep only the glue that blocks and
-// wakes their processes or machines. The objects also write their own
-// checkpoint state.
+// Channel is one channel primitive's state and transitions — a queue,
+// semaphore, mailbox or handshake of some personality — shared by both
+// execution engines, which only block, wake and notify as told. The
+// object also writes its own checkpoint state.
 type Channel interface {
-	// Step performs op for task t (nil: an interrupt handler) at now. It
-	// never blocks; the verdict says what the engine must do next. again
-	// marks the attempt after the wait an earlier verdict asked for ended.
-	// val is the message OpSend sends; Step returns it, or the message
-	// OpRecv received.
+	// Step performs op for task t (nil: an interrupt handler) at now and
+	// never blocks. again marks the attempt after a wait the previous
+	// verdict asked for. val is the message OpSend sends; Step returns it,
+	// or the message OpRecv received.
 	Step(now sim.Time, t *Task, op ChanOp, val int64, again bool) (int64, Verdict)
 	EncodeState(e *StateWriter)
 	DecodeState(s *Sched, d *StateReader) error
 }
 
-// Verdict is a channel transition's outcome. The zero Verdict means the
-// operation completed with nothing left for the engine to do.
+// Verdict is what a transition leaves the engine to do; the zero Verdict
+// means nothing.
 type Verdict struct {
-	// Wait: t is blocked and waits on the object's condition (an OS event
-	// on the RTOS model), then steps again after every wake-up.
+	// Wait: t waits on the object's condition, then steps again.
 	Wait bool
-	// Suspend, if set, is the site t is suspended at until a later
-	// transition hands it its grant and wakes it; t then steps again to
-	// collect it.
+	// Suspend: t is suspended at this site until a transition hands it
+	// its grant and wakes it; it then steps again to collect it.
 	Suspend string
-	// Notify: the operation completed and changed state the waiters on the
-	// object's condition re-check; the engine notifies the condition.
+	// Notify: notify the object's condition, whose waiters re-check.
 	Notify bool
-	// Wake is a suspended waiter the operation handed a grant to; the
-	// engine resumes it.
+	// Wake: resume this waiter, which was handed a grant.
 	Wake *Task
 	// Err ends the run (a µITRON service error such as E_QOVR).
 	Err error

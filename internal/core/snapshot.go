@@ -21,15 +21,8 @@ func (e *StateWriter) Line(format string, args ...any) {
 	e.b.WriteByte('\n')
 }
 
-// Ints appends a tagged, length-prefixed list of ints.
-func (e *StateWriter) Ints(tag string, vals []int) { WriteList(e, tag, vals) }
-
-// Ints64 is Ints for int64 values.
-func (e *StateWriter) Ints64(tag string, vals []int64) { WriteList(e, tag, vals) }
-
 // WriteList appends a tagged, length-prefixed list of values, each
-// formatted with %v; ReadList reads it back. Integers of any width encode
-// as Ints does.
+// formatted with %v; ReadList reads it back.
 func WriteList[T any](e *StateWriter, tag string, vals []T) {
 	fmt.Fprintf(&e.b, "%s %d", tag, len(vals))
 	for _, v := range vals {
@@ -101,12 +94,6 @@ func (d *StateReader) Count(tag string, want int) error {
 	}
 	return nil
 }
-
-// Ints64 reads a list written by StateWriter.Ints64 under tag.
-func (d *StateReader) Ints64(tag string) ([]int64, error) { return ReadList[int64](d, tag) }
-
-// Ints reads a list written by StateWriter.Ints under tag.
-func (d *StateReader) Ints(tag string) ([]int, error) { return ReadList[int](d, tag) }
 
 // ReadList reads a list WriteList wrote under tag, scanning each element
 // into a T.
@@ -181,7 +168,7 @@ func (s *Sched) EncodeState(e *StateWriter) {
 	for _, t := range s.rq {
 		ready = append(ready, t.id, t.readySeq)
 	}
-	e.Ints("ready", ready)
+	WriteList(e, "ready", ready)
 
 	e.Line("resources %d", len(s.monitor.resources))
 	for _, r := range s.monitor.resources {
@@ -189,7 +176,7 @@ func (s *Sched) EncodeState(e *StateWriter) {
 		for _, h := range r.holders {
 			pairs = append(pairs, h.t.id, h.n)
 		}
-		e.Ints("r", pairs)
+		WriteList(e, "r", pairs)
 	}
 }
 
@@ -207,13 +194,13 @@ func (e *StateWriter) Tasks(tag string, ts []*Task) {
 	for i, t := range ts {
 		ids[i] = t.id
 	}
-	e.Ints(tag, ids)
+	WriteList(e, tag, ids)
 }
 
 // DecodeTasks reads a list StateWriter.Tasks wrote into *dst, reusing
 // its storage.
 func (s *Sched) DecodeTasks(d *StateReader, tag string, dst *[]*Task) error {
-	ids, err := d.Ints(tag)
+	ids, err := ReadList[int](d, tag)
 	if err != nil {
 		return err
 	}
@@ -291,7 +278,7 @@ func (s *Sched) DecodeState(d *StateReader) error {
 
 // decodePairs reads a list of (task id, value) pairs under tag.
 func (s *Sched) decodePairs(d *StateReader, tag string, f func(t *Task, v int)) error {
-	pairs, err := d.Ints(tag)
+	pairs, err := ReadList[int](d, tag)
 	if err != nil {
 		return err
 	}

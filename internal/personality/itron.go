@@ -46,8 +46,7 @@ func (r *itronRT) ChangePriority(p *sim.Proc, t *core.Task, prio int) {
 // NewQueue creates a mailbox. Mailboxes are unbounded (capacity is a
 // property of the message pool in real ITRON systems), so sends never
 // block — scenarios are constructed so that bounded-queue sends never
-// block either, keeping the personalities comparable. The capacity is
-// still validated, so every personality accepts the same declarations.
+// block either, keeping the personalities comparable.
 func (r *itronRT) NewQueue(name string, capacity int) Queue {
 	if err := channel.ValidateQueue(name, capacity); err != nil {
 		panic(err.Error())

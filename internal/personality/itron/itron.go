@@ -150,10 +150,8 @@ func (k *Kernel) tcbOf(t *core.Task) *tcb {
 	return tc
 }
 
-// EncodeState writes the per-task state the object half keeps for a
-// checkpoint: the mailbox hand-offs a resumed receiver has not collected
-// yet, as (task id, value, priority) triples. Wait-queue membership is
-// written by the objects themselves.
+// EncodeState writes the mailbox hand-offs resumed receivers have not
+// collected yet, as (task id, value, priority) triples, for a checkpoint.
 func (k *Kernel) EncodeState(e *core.StateWriter) {
 	var pending []int64
 	for _, tc := range k.tcbs {
@@ -161,12 +159,12 @@ func (k *Kernel) EncodeState(e *core.StateWriter) {
 			pending = append(pending, int64(tc.task.ID()), tc.msg.Val, int64(tc.msg.Pri))
 		}
 	}
-	e.Ints64("itcb", pending)
+	core.WriteList(e, "itcb", pending)
 }
 
 // DecodeState restores what EncodeState wrote.
 func (k *Kernel) DecodeState(d *core.StateReader) error {
-	pending, err := d.Ints64("itcb")
+	pending, err := core.ReadList[int64](d, "itcb")
 	if err != nil {
 		return err
 	}

@@ -112,13 +112,13 @@ func (m *Mailbox) EncodeState(e *core.StateWriter) {
 	for _, msg := range m.msgs {
 		msgs = append(msgs, msg.Val, int64(msg.Pri))
 	}
-	e.Ints64("imm", msgs)
+	core.WriteList(e, "imm", msgs)
 	e.Tasks("imw", m.wq.tasks())
 }
 
 // DecodeState restores what EncodeState wrote.
 func (m *Mailbox) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	msgs, err := d.Ints64("imm")
+	msgs, err := core.ReadList[int64](d, "imm")
 	if err != nil {
 		return err
 	}

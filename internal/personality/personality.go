@@ -19,12 +19,8 @@
 // no blocking semaphore, its resources are the ceiling-protocol locks
 // tested in the osek package's conformance suite.
 //
-// Every channel kind is one state type, a core.Channel, that both
-// execution engines drive: the channel package's for the generic
-// personality, itron.Semaphore and itron.Mailbox, and OSEKSem and
-// OSEKQueue here. On the goroutine kernel the native kinds share one
-// adapter that suspends and resumes tasks as the objects' verdicts say;
-// the run-to-completion engine (internal/rtc) does the same with frames.
+// Every channel kind is one core.Channel both execution engines drive;
+// on the goroutine kernel the native kinds share one adapter.
 package personality
 
 import (

@@ -87,9 +87,8 @@ func (f *opFrame) step(m *machine) status {
 	return statDone
 }
 
-// callOp pushes the op frame for op on c at pc (1: a fast path's first
-// attempt already blocked the task).
-func (m *machine) callOp(op core.ChanOp, c *chanRef, val int64, pc int) status {
-	m.fOp = opFrame{op: op, c: c, val: val, pc: pc}
+// callOp pushes the op frame for op on c.
+func (m *machine) callOp(op core.ChanOp, c *chanRef, val int64) status {
+	m.fOp = opFrame{op: op, c: c, val: val}
 	return m.push(&m.fOp)
 }

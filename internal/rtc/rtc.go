@@ -152,10 +152,10 @@ func Run(w Workload) *Result {
 
 // bodyOp is a resolved Op with its channel bound. For the generic
 // personality's channels the concrete state is also kept (gq/gs) so the
-// body can take each operation's first step inline — the same
-// transition, no opFrame dispatch; a step that blocks continues in the
-// op frame at its wait, keeping the frame's stack shape (and so the
-// snapshot layout) unchanged.
+// body can run an operation that does not block inline, through the
+// state's own Put, Take, TryAcquire and Release — no opFrame dispatch;
+// one that blocks takes the op frame, keeping its stack shape (and so
+// the snapshot layout) unchanged.
 type bodyOp struct {
 	op  core.ChanOp
 	del bool
@@ -281,22 +281,20 @@ func (f *fAperiodicBody) step(m *machine) status {
 				if op.del {
 					return m.callTimeWait(op.dur, os)
 				}
-				var v core.Verdict
 				switch {
-				case op.gq != nil:
-					_, v = op.gq.Step(os.k.now, m.task, op.op, 1, false)
-				case op.gs != nil:
-					_, v = op.gs.Step(os.k.now, m.task, op.op, 0, false)
-				default:
-					return m.callOp(op.op, op.c, 1, 0)
-				}
-				if v.Wait {
-					return m.callOp(op.op, op.c, 1, 1)
-				}
-				if v.Notify {
+				case op.gs != nil && op.op == core.OpRelease:
+					op.gs.Release(m.task)
 					return m.callEventNotify(op.c.ev, os)
+				case op.gs != nil && op.gs.TryAcquire(m.task):
+					continue
+				case op.gq != nil && op.op == core.OpSend && op.gq.Put(1):
+					return m.callEventNotify(op.c.ev, os)
+				case op.gq != nil && op.op == core.OpRecv:
+					if _, ok := op.gq.Take(); ok {
+						return m.callEventNotify(op.c.ev, os)
+					}
 				}
-				continue
+				return m.callOp(op.op, op.c, 1)
 			}
 			if f.rep+1 < f.repeat {
 				f.rep++
@@ -342,7 +340,7 @@ func (f *fIRQBody) step(m *machine) status {
 		case 2: // InterruptEnter + semaphore release
 			os.IRQ(os.k.now, f.name, true)
 			f.pc = 3
-			return m.callOp(core.OpRelease, f.sem, 0, 0)
+			return m.callOp(core.OpRelease, f.sem, 0)
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4

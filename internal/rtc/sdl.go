@@ -56,7 +56,7 @@ func (f *fISRBody) step(m *machine) status {
 		case 2: // InterruptEnter, then the handler: sem.Release
 			os.IRQ(os.k.now, f.name, true)
 			f.pc = 3
-			return m.callOp(core.OpRelease, f.sem, 0, 0)
+			return m.callOp(core.OpRelease, f.sem, 0)
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4
@@ -265,7 +265,7 @@ func (f *fStmts) step(m *machine) status {
 		case cDelay:
 			return m.callTimeWait(st.dur, os)
 		case cChan:
-			return m.callOp(st.op, st.c, st.val, 0)
+			return m.callOp(st.op, st.c, st.val)
 		case cMarker:
 			if os.rec != nil {
 				os.rec.Marker(os.k.now, st.label, f.name, st.val)
