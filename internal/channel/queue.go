@@ -148,10 +148,10 @@ func (q *Queue[T]) Recv(p *sim.Proc) T {
 func (q *Queue[T]) await(p *sim.Proc, op core.ChanOp, v T) T {
 	t := q.res.TaskOf(p)
 	for again := false; ; again = true {
-		v, vd := q.Step(p.Now(), t, op, v, again)
+		got, vd := q.Step(p.Now(), t, op, v, again)
 		if !vd.Wait {
 			q.cond.Notify(p)
-			return v
+			return got
 		}
 		q.cond.Wait(p)
 	}
