@@ -4,7 +4,7 @@
 
 .PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget
 
-check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
+check: ## full tier-1 gate (scripts/check.sh: static checks, race tests, contract passes, baselines, crash-resume, soak, fault smoke)
 	./scripts/check.sh
 
 build:
@@ -84,8 +84,9 @@ timer-boundary: ## timing-wheel boundary ordering: differential harness vs refer
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
 	go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
 
-engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, SDL corpus + goldens)
+engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens)
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
+	go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
 checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite

@@ -19,24 +19,24 @@ func runRTCCheckpointed(s *Scenario, cfg Config) *RunResult {
 	w := BuildRTCWorkload(s, cfg)
 	ses, err := rtc.NewSession(w)
 	if err != nil {
-		return assembleRTC(cfg, &rtc.Result{Err: err})
+		return assemble(cfg, &rtc.Result{Err: err})
 	}
 	if err := ses.RunUntil(cfg.CheckpointAt); err != nil {
 		// The run failed before the checkpoint instant; the uninterrupted
 		// run fails identically, so finish and let the oracle compare.
-		return assembleRTC(cfg, ses.Finish())
+		return assemble(cfg, ses.Finish())
 	}
 	cp, err := ses.Snapshot()
 	if err != nil {
-		return assembleRTC(cfg, &rtc.Result{
+		return assemble(cfg, &rtc.Result{
 			Err: fmt.Errorf("checkpoint: snapshot at %v: %w", cfg.CheckpointAt, err)})
 	}
 	restored, err := rtc.Restore(w, cp)
 	if err != nil {
-		return assembleRTC(cfg, &rtc.Result{Err: fmt.Errorf("checkpoint: %w", err)})
+		return assemble(cfg, &rtc.Result{Err: fmt.Errorf("checkpoint: %w", err)})
 	}
 	restored.RunUntil(w.Horizon)
-	return assembleRTC(cfg, restored.Finish())
+	return assemble(cfg, restored.Finish())
 }
 
 // CheckpointInstant derives a deterministic pseudo-random snapshot

@@ -180,24 +180,17 @@ func Run(s *Scenario, cfg Config) *RunResult {
 		// goroutine kernel regardless of Engine.
 		return runSMP(s, cfg)
 	}
+	w := BuildRTCWorkload(s, cfg)
 	if cfg.Engine == "rtc" {
-		return runRTC(s, cfg)
+		return assemble(cfg, rtc.Run(w))
 	}
-	return runSingle(s, cfg)
+	return assemble(cfg, rtc.RunGoroutine(w))
 }
 
-// runRTC executes the scenario on the run-to-completion engine
-// (internal/rtc) and assembles the same RunResult shape runSingle
-// produces, so every oracle — including the byte-level trace diff —
-// applies across engines unchanged.
-func runRTC(s *Scenario, cfg Config) *RunResult {
-	r := rtc.Run(BuildRTCWorkload(s, cfg))
-	return assembleRTC(cfg, r)
-}
-
-// BuildRTCWorkload translates the scenario into the rtc engine's
-// workload form under the config's policy/time-model/personality axes.
-// Exported so the DSE layer can checkpoint-fork simcheck scenarios.
+// BuildRTCWorkload translates the scenario into the engines' workload
+// form under the config's policy/time-model/personality axes: rtc.Run
+// and rtc.RunGoroutine both execute it. Exported so the DSE layer can
+// checkpoint-fork simcheck scenarios.
 func BuildRTCWorkload(s *Scenario, cfg Config) rtc.Workload {
 	tm := core.TimeModelCoarse
 	if cfg.Segmented() {
@@ -239,9 +232,9 @@ func BuildRTCWorkload(s *Scenario, cfg Config) rtc.Workload {
 	return w
 }
 
-// assembleRTC maps an rtc.Result into the RunResult shape every oracle
-// consumes.
-func assembleRTC(cfg Config, r *rtc.Result) *RunResult {
+// assemble maps an rtc.Result, from either engine, into the RunResult
+// shape every oracle consumes.
+func assemble(cfg Config, r *rtc.Result) *RunResult {
 	res := &RunResult{Config: cfg}
 	res.Err = r.Err
 	res.End = r.End
@@ -258,133 +251,6 @@ func assembleRTC(cfg Config, r *rtc.Result) *RunResult {
 			Missed:      t.Missed,
 			CPUTime:     t.CPUTime,
 			MaxResp:     t.MaxResp,
-		})
-	}
-	res.Trace = serializeSingle(res)
-	return res
-}
-
-// runSingle executes the scenario on one core.OS instance, programming
-// the tasks against the config's personality runtime.
-func runSingle(s *Scenario, cfg Config) *RunResult {
-	res := &RunResult{Config: cfg}
-	policy, err := core.PolicyByName(cfg.Policy, cfg.Quantum)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tm := core.TimeModelCoarse
-	if cfg.Segmented() {
-		tm = core.TimeModelSegmented
-	}
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	rtos := core.New(k, "PE", policy, core.WithTimeModel(tm))
-	rec := trace.New("simcheck")
-	rec.Attach(rtos)
-
-	rt, err := personality.New(cfg.Personality, rtos)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	queues := map[string]personality.Queue{}
-	sems := map[string]personality.Semaphore{}
-	for _, c := range s.Channels {
-		switch c.Kind {
-		case "queue":
-			queues[c.Name] = rt.NewQueue(c.Name, c.Arg)
-		case "semaphore":
-			sems[c.Name] = rt.NewSemaphore(c.Name, c.Arg)
-		}
-	}
-
-	tasks := make([]*core.Task, len(s.Tasks))
-	resp := make([]sim.Time, len(s.Tasks))
-	for i := range s.Tasks {
-		i := i
-		spec := &s.Tasks[i]
-		switch spec.Type {
-		case "periodic":
-			task := rt.TaskCreate(spec.Name, core.Periodic, spec.Period, spec.Work()/sim.Time(spec.Cycles), spec.Prio)
-			tasks[i] = task
-			k.Spawn(spec.Name, func(p *sim.Proc) {
-				rt.Activate(p, task)
-				for c := 0; c < spec.Cycles; c++ {
-					rel := task.Release()
-					for _, seg := range spec.Segments {
-						rt.Compute(p, seg)
-					}
-					if done := task.LastWorkDone(); done > rel && done-rel > resp[i] {
-						resp[i] = done - rel
-					}
-					rt.EndCycle(p)
-				}
-				rt.Terminate(p)
-			})
-		case "aperiodic":
-			task := rt.TaskCreate(spec.Name, core.Aperiodic, 0, spec.Work(), spec.Prio)
-			tasks[i] = task
-			k.Spawn(spec.Name, func(p *sim.Proc) {
-				if spec.Start > 0 {
-					p.WaitFor(spec.Start)
-				}
-				rt.Activate(p, task)
-				for _, op := range spec.Ops {
-					switch op.Kind {
-					case OpDelay:
-						rt.Compute(p, op.Dur)
-					case OpSend:
-						queues[op.Ch].Send(p, 1)
-					case OpRecv:
-						queues[op.Ch].Recv(p)
-					case OpAcquire:
-						sems[op.Ch].Acquire(p)
-					}
-				}
-				rt.Terminate(p)
-			})
-		}
-	}
-
-	for _, irq := range s.IRQs {
-		irq := irq
-		sem := sems[irq.Sem]
-		p := k.Spawn("irq:"+irq.Name, func(p *sim.Proc) {
-			p.WaitFor(irq.At)
-			for i := 0; i < irq.Count; i++ {
-				if i > 0 {
-					p.WaitFor(irq.Every)
-				}
-				rtos.InterruptEnter(p, irq.Name)
-				sem.Release(p)
-				rtos.InterruptReturn(p, irq.Name)
-			}
-		})
-		p.SetDaemon(true)
-	}
-
-	rtos.EnableWatchdog(watchdogWindow(s))
-	rtos.Start(nil)
-
-	res.Err = k.RunUntil(s.Horizon())
-	res.End = k.Now()
-	res.Diag = rtos.Diagnosis()
-	if res.Diag == nil {
-		res.Diag = rtos.DiagnoseNow()
-	}
-	res.Records = rec.Records()
-	res.Stats = rtos.StatsSnapshot()
-	res.conservation = rtos.CheckConservation()
-	for i, t := range tasks {
-		res.Tasks = append(res.Tasks, TaskOutcome{
-			Name:        t.Name(),
-			Index:       i,
-			Terminated:  t.State() == core.TaskTerminated,
-			Activations: t.Activations(),
-			Missed:      t.MissedDeadlines(),
-			CPUTime:     t.CPUTime(),
-			MaxResp:     resp[i],
 		})
 	}
 	res.Trace = serializeSingle(res)

@@ -84,10 +84,10 @@ func (os *OS) EnableWatchdog(window sim.Time) {
 }
 
 func (os *OS) watchdogDiagnose(window sim.Time) *core.DiagnosisError {
-	if os.rq.Len() == 0 && os.RunningCount() == 0 && os.k.PendingTimers() == 0 {
+	if len(os.ready) == 0 && os.RunningCount() == 0 && os.k.PendingTimers() == 0 {
 		return os.diagnoseStall()
 	}
-	if os.rq.Len() > 0 {
+	if len(os.ready) > 0 {
 		d := &core.DiagnosisError{PE: os.name, Kind: core.DiagStarvation,
 			At: os.k.Now(), Window: window}
 		for _, t := range os.tasks {

@@ -19,10 +19,8 @@ package smp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/readyq"
 	"repro/internal/sim"
 )
 
@@ -31,9 +29,6 @@ import (
 type Policy interface {
 	Name() string
 	Less(a, b *Task) bool
-	// Rank maps a task to its key in the indexed ready queue
-	// (internal/readyq); it must order identically to Less.
-	Rank(t *Task) readyq.Key
 }
 
 // FixedPriority is global fixed-priority scheduling (global RM when
@@ -45,9 +40,6 @@ func (FixedPriority) Name() string { return "g-fp" }
 
 // Less orders by base priority (smaller = higher).
 func (FixedPriority) Less(a, b *Task) bool { return a.prio < b.prio }
-
-// Rank indexes by base priority.
-func (FixedPriority) Rank(t *Task) readyq.Key { return readyq.Key{A: int64(t.prio)} }
 
 // GEDF is global earliest-deadline-first scheduling.
 type GEDF struct{}
@@ -61,11 +53,6 @@ func (GEDF) Less(a, b *Task) bool {
 		return a.deadline < b.deadline
 	}
 	return a.prio < b.prio
-}
-
-// Rank indexes by absolute deadline, then base priority.
-func (GEDF) Rank(t *Task) readyq.Key {
-	return readyq.Key{A: int64(t.deadline), B: int64(t.prio)}
 }
 
 // Task is the SMP scheduler's task control block.
@@ -87,7 +74,7 @@ type Task struct {
 
 	cpu      int // occupied CPU slot, -1 if none
 	lastCPU  int // last CPU the task ran on, -1 initially
-	rq       readyq.Links[*Task]
+	slot     int // index in OS.ready, -1 if not ready
 	readySeq int
 
 	release      sim.Time
@@ -164,7 +151,7 @@ type OS struct {
 	tasks   []*Task
 	seq     int
 
-	rq *readyq.Queue[*Task] // ready queue, indexed by Policy.Rank
+	ready []*Task // ready tasks, unordered; pickBest scans them
 
 	segmented bool
 	stats     Stats
@@ -192,7 +179,6 @@ func New(k *sim.Kernel, name string, policy Policy, ncpu int, segmented bool) *O
 		running:   make([]*Task, ncpu),
 		lastRun:   make([]*Task, ncpu),
 		segmented: segmented,
-		rq:        readyq.New(taskLinks),
 	}
 	// Translate a generic kernel deadlock into a scheduler diagnosis when
 	// this instance has stranded tasks to report (see diagnosis.go).
@@ -256,6 +242,7 @@ func (os *OS) TaskCreate(name string, typ core.TaskType, period, wcet sim.Time, 
 		preempt:  os.k.NewEvent(name + ".preempt"),
 		cpu:      -1,
 		lastCPU:  -1,
+		slot:     -1,
 		deadline: sim.Forever,
 	}
 	os.tasks = append(os.tasks, t)
@@ -273,7 +260,6 @@ func (os *OS) AssignRateMonotonic() {
 	for i, t := range order {
 		t.prio = i
 	}
-	os.rebuildReady() // re-key any task already sitting in the ready queue
 }
 
 // TaskActivate binds the calling process to the task, enters the global
@@ -381,30 +367,6 @@ func (os *OS) mustRunning(p *sim.Proc, op string) *Task {
 	panic(fmt.Sprintf("smp[%s]: %s called by process %q which runs no task", os.name, op, p.Name()))
 }
 
-// taskLinks is the intrusive-links accessor for the indexed ready queue.
-func taskLinks(t *Task) *readyq.Links[*Task] { return &t.rq }
-
-// rebuildReady re-keys all queued tasks under the current policy,
-// preserving FIFO arrival order.
-func (os *OS) rebuildReady() {
-	n := os.rq.Len()
-	if n == 0 {
-		return
-	}
-	queued := make([]*Task, 0, n)
-	os.rq.Do(func(t *Task) { queued = append(queued, t) })
-	os.rq.Clear()
-	sort.Slice(queued, func(i, j int) bool { return queued[i].readySeq < queued[j].readySeq })
-	for _, t := range queued {
-		os.pushReady(t)
-	}
-}
-
-// pushReady inserts an already-sequenced ready task.
-func (os *OS) pushReady(t *Task) {
-	os.rq.Push(t, os.policy.Rank(t), t.readySeq)
-}
-
 func (os *OS) makeReady(t *Task) {
 	if !t.state.Alive() {
 		return
@@ -412,7 +374,16 @@ func (os *OS) makeReady(t *Task) {
 	t.state = core.TaskReady
 	os.seq++
 	t.readySeq = os.seq
-	os.pushReady(t)
+	t.slot = len(os.ready)
+	os.ready = append(os.ready, t)
+}
+
+// unready removes a ready task in O(1): the last entry takes its slot.
+func (os *OS) unready(t *Task) {
+	last := os.ready[len(os.ready)-1]
+	os.ready[t.slot], last.slot = last, t.slot
+	os.ready = os.ready[:len(os.ready)-1]
+	t.slot = -1
 }
 
 // freeSlot vacates the task's CPU slot.
@@ -427,8 +398,18 @@ func (os *OS) freeSlot(t *Task) {
 	}
 }
 
-// pickBest returns the policy-least ready task.
-func (os *OS) pickBest() *Task { return os.rq.Min() }
+// pickBest returns the policy-least ready task, the earliest-readied
+// among equals (the FIFO tie-break core.Sched's ready list uses too).
+func (os *OS) pickBest() *Task {
+	var best *Task
+	for _, t := range os.ready {
+		if best == nil || os.policy.Less(t, best) ||
+			(!os.policy.Less(best, t) && t.readySeq < best.readySeq) {
+			best = t
+		}
+	}
+	return best
+}
 
 // worstRunning returns the CPU slot whose task orders last (the
 // preemption victim), or -1 if some CPU is idle.
@@ -451,7 +432,7 @@ func (os *OS) dispatchInto(p *sim.Proc, cpu int, t *Task) {
 	if os.running[cpu] != nil {
 		panic(fmt.Sprintf("smp[%s]: dispatch into occupied CPU %d", os.name, cpu))
 	}
-	os.rq.Remove(t)
+	os.unready(t)
 	t.state = core.TaskRunning
 	t.cpu = cpu
 	os.running[cpu] = t

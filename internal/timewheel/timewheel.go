@@ -22,10 +22,11 @@
 // (time, seq) FIFO firing order a binary heap provides — the order the
 // simulation kernel's trace byte-equivalence depends on.
 //
-// The structure is generic over the entry type with pure-field accessors,
-// in the style of internal/readyq, so the goroutine kernel
-// (internal/sim) and the run-to-completion engine (internal/rtc) share
-// one implementation.
+// The structure is generic over the entry type with pure-field accessors
+// into intrusive nodes, so it allocates nothing per entry. The
+// run-to-completion engine (internal/rtc) runs on it; the goroutine
+// kernel (internal/sim) keeps its binary heap, which fires in the same
+// order.
 //
 // A front slot accelerates the dominant simulation pattern — the newly
 // scheduled deadline is earlier than everything pending, and N wakes land

@@ -1,9 +1,24 @@
 #!/bin/sh
-# Tier-1 verification gate (see README.md "Verification"): vet, build,
-# the full test suite under the race detector, and a bounded simcheck
-# soak run. Every change must keep this script green.
+# Tier-1 verification gate (see README.md "Verification"). It runs, in
+# order:
 #
-#   ./scripts/check.sh              # full gate (~1 min)
+#   - static checks: go vet, gofmt, go build;
+#   - the full test suite under the race detector, and the batch engine
+#     and simcheck again at -count=2;
+#   - named contract passes: golden traces, the Table-1 allocation
+#     budget, the telemetry overhead guard, the itron/osek conformance
+#     suites and cross-personality corpus, goroutine-vs-rtc engine
+#     equivalence (simcheck, taskset, rtc.RunGoroutine, sdl),
+#     timing-wheel boundary ordering, checkpoint/restore equivalence and
+#     the design-space-exploration gates;
+#   - perfbench's self-tests (a separate module) and the personality
+#     dispatch overhead guard;
+#   - the committed performance baselines (BENCH_kernel.json,
+#     BENCH_dse.json): allocation counts exactly, ns/op within 100 %;
+#   - campaign crash-resume at jobs 1 and 8 under the race detector;
+#   - a bounded simfuzz soak and the fault-injection smoke.
+#
+#   ./scripts/check.sh                       # full gate (a few minutes)
 #   SIMFUZZ_DURATION=5s ./scripts/check.sh   # shorter soak
 #
 # Every step runs even when an earlier one fails; the script then lists
@@ -72,12 +87,15 @@ step "personality conformance suites (itron, osek) + cross corpus" go test -run 
 # (internal/rtc, -engine=rtc) must produce byte-identical traces,
 # diagnoses and statistics to the goroutine kernel across the
 # policy × time-model × personality matrix — the seeded simcheck
-# corpus, the taskset-level matrix, and the SDL corpus (hierarchical
-# seq/par behaviors, handshakes, split stimulus/ISR interrupts:
-# figure3, vocoder, bus-driver) with its per-example golden traces.
-# (go test ./... above already ran these; the explicit pass keeps the
-# two-engine contract visible.)
+# corpus, the taskset-level matrix, rtc.RunGoroutine against rtc.Run on
+# the flat shapes neither front end sends (Repeat, release ops,
+# interrupt-fed semaphores beside queues), and the SDL corpus
+# (hierarchical seq/par behaviors, handshakes, split stimulus/ISR
+# interrupts: figure3, vocoder, bus-driver) with its per-example golden
+# traces. (go test ./... above already ran these; the explicit pass
+# keeps the two-engine contract visible.)
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
+step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
 # Timer-boundary ordering: the hierarchical timing wheel must agree
