@@ -13,44 +13,80 @@ import (
 // (a core.Channel) and, for the generic personality's queues and
 // semaphores and for handshakes, the OS event its waiters wait on.
 type chanRef struct {
-	name string
-	kind string
-	obj  core.Channel
-	ev   *core.OSEvent
+	obj core.Channel
+	ev  *core.OSEvent
 }
 
-// newChannel builds a declared channel of the personality's native kind
-// through the constructors both engines share, which check its argument.
+// checkChannel checks a declared channel's kind and argument. Both
+// engines call it before they build the channel, so they reject the same
+// declarations with the same messages.
+func checkChannel(c ChannelDef) error {
+	switch c.Kind {
+	case "handshake":
+		return nil
+	case "queue":
+		return channel.ValidateQueue(c.Name, c.Arg)
+	case "semaphore":
+		return channel.ValidateSemaphore(c.Name, c.Arg)
+	}
+	return fmt.Errorf("unknown channel kind %q", c.Kind)
+}
+
+// findChannel returns the index of the declared channel of the given kind
+// named name, or -1. Both engines keep their channels in declaration
+// order.
+func findChannel(defs []ChannelDef, name, kind string) int {
+	for i, c := range defs {
+		if c.Name == name && c.Kind == kind {
+			return i
+		}
+	}
+	return -1
+}
+
+// flatOp resolves a flat task body's channel op (send, recv, acquire or
+// release) to its operation and the index of the declared channel it
+// works on.
+func flatOp(defs []ChannelDef, op Op) (core.ChanOp, int, error) {
+	b, ok := chanOps[op.Kind]
+	if !ok || b.kind == "handshake" {
+		return 0, 0, fmt.Errorf("rtc: unknown op kind %q", op.Kind)
+	}
+	i := findChannel(defs, op.Ch, b.kind)
+	if i < 0 {
+		return 0, 0, fmt.Errorf("rtc: op %q references unknown %s %q", op.Kind, b.kind, op.Ch)
+	}
+	return b.op, i, nil
+}
+
+// newChannel builds a checked channel declaration of the personality's
+// native kind through the constructors both engines share.
 func newChannel(os *osState, pers string, c ChannelDef) (r chanRef, err error) {
-	r = chanRef{name: c.Name, kind: c.Kind}
+	if err = checkChannel(c); err != nil {
+		return r, err
+	}
 	switch {
 	case c.Kind == "handshake": // no personality-native kind (sdl.instance.makeChannel)
 		h := channel.NewHandshakeState(os.Monitor(), c.Name)
 		r.obj, r.ev = &h, core.NewOSEvent(c.Name+".hs")
 	case c.Kind == "queue" && pers == personality.ITRON: // unbounded: the capacity is only checked
-		if err = channel.ValidateQueue(c.Name, c.Arg); err == nil {
-			r.obj, _ = os.itronKernel().CreMbx(c.Name, itron.TATFifo)
-		}
+		r.obj, _ = os.itronKernel().CreMbx(c.Name, itron.TATFifo)
 	case c.Kind == "queue" && pers == personality.OSEK:
 		r.obj, err = personality.NewOSEKQueue(os.Monitor(), c.Name, c.Arg)
 	case c.Kind == "queue":
 		q, e := channel.NewQueueState[int64](os.Monitor(), c.Name, c.Arg)
 		r.obj, r.ev, err = &q, core.NewOSEvent(c.Name+".q"), e
-	case c.Kind == "semaphore" && pers == personality.ITRON:
-		if err = channel.ValidateSemaphore(c.Name, c.Arg); err == nil {
-			s, er := os.itronKernel().CreSem(c.Name, c.Arg, itron.TMaxSemCnt, itron.TATFifo)
-			r.obj = s
-			if er != itron.EOK {
-				err = fmt.Errorf("itron: cre_sem %q: %v", c.Name, er)
-			}
+	case pers == personality.ITRON:
+		s, er := os.itronKernel().CreSem(c.Name, c.Arg, itron.TMaxSemCnt, itron.TATFifo)
+		r.obj = s
+		if er != itron.EOK {
+			err = fmt.Errorf("itron: cre_sem %q: %v", c.Name, er)
 		}
-	case c.Kind == "semaphore" && pers == personality.OSEK:
+	case pers == personality.OSEK:
 		r.obj, err = personality.NewOSEKSem(os.Monitor(), c.Name, c.Arg)
-	case c.Kind == "semaphore":
+	default:
 		s, e := channel.NewSemaphoreState(os.Monitor(), c.Name, c.Arg)
 		r.obj, r.ev, err = &s, core.NewOSEvent(c.Name+".sem"), e
-	default:
-		err = fmt.Errorf("unknown channel kind %q", c.Kind)
 	}
 	return r, err
 }
