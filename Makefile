@@ -80,9 +80,8 @@ bench-dse-check: ## gate the DSE scenarios against the committed BENCH_dse.json
 bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 	go run ./cmd/simbench -suite dse -out BENCH_dse.json
 
-timer-boundary: ## timing-wheel boundary ordering: differential harness vs reference heap + RunUntil edges
-	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-	go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
+timer-boundary: ## timer queue ordering: differential harness vs sorted-slice reference + RunUntil edges
+	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestRunUntilBoundary' -count=1 ./internal/sim
 
 engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens)
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset

@@ -70,8 +70,8 @@ func TestAllocsContextSwitch(t *testing.T) {
 // schedule+cancel pair: a waiter blocks in WaitTimeout (scheduling a
 // timeout timer) and is notified before expiry (cancelling it) — the
 // cancel-heavy pattern of fault campaigns. Timer entries must come from
-// the kernel's free list, and the periodic heap compaction must stay
-// in-place.
+// the kernel's free list, and a cancel must remove its entry from the
+// heap in place.
 func TestAllocsTimerScheduleCancel(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Shutdown()

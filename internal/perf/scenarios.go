@@ -128,7 +128,7 @@ func benchWaitFor(b *testing.B) {
 // benchTimerChurn schedules and cancels one timer per op: a waiter blocks
 // in WaitTimeout and a notifier wakes it before the timeout, cancelling
 // the heap entry. This is the cancel-heavy pattern of fault campaigns and
-// exercises the heap compaction path.
+// exercises the heap's in-place removal.
 func benchTimerChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
@@ -191,10 +191,10 @@ func benchRTCContextSwitch(b *testing.B) {
 	}
 }
 
-// benchRTCTimerChurn is a preemption storm on the hierarchical timing
-// wheel: a fast high-priority ticker preempts a long low-priority delay
+// benchRTCTimerChurn is a preemption storm on the rtc engine's timer
+// queue: a fast high-priority ticker preempts a long low-priority delay
 // under the segmented model, so every tick cancels the running segment's
-// wheel entry and re-arms it with the remaining time.
+// timer entry and re-arms it with the remaining time.
 func benchRTCTimerChurn(b *testing.B) {
 	b.ReportAllocs()
 	n := b.N

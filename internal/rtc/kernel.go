@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/timewheel"
 )
 
 // Time aliases the simulation time type so workloads move between the
@@ -67,14 +66,10 @@ func (e *event) removeWaiter(m *machine) {
 	}
 }
 
-// timerEntry is one pending timer: a machine timeout (m != nil) or a
-// timed notification (e != nil), fired in (at, seq) order.
+// timerEntry is one pending machine timeout.
 type timerEntry struct {
-	at   Time
-	seq  int
-	m    *machine
-	e    *event
-	node timewheel.Node[*timerEntry]
+	sim.Timer
+	m *machine
 }
 
 // kernel is the run-to-completion simulation core: the same delta-cycle
@@ -89,15 +84,9 @@ type kernel struct {
 	readyAt int        // consumption index into ready
 	next    []*machine // runnable in the next delta cycle, FIFO
 
-	wheel     *timewheel.Wheel[*timerEntry]
+	timers    sim.Timers[*timerEntry]
 	timerSeq  int
 	timerFree []*timerEntry
-	due       []*timerEntry // scratch batch for CollectDue
-	// nextDue caches the wheel's earliest due time (valid only when
-	// nextDueOK); addTimer keeps it exact, cancel/fire invalidate it, so
-	// the common push-then-fire cycle skips the wheel's NextTime scan.
-	nextDue   Time
-	nextDueOK bool
 
 	machines []*machine
 	active   int
@@ -123,11 +112,7 @@ type kernel struct {
 // the slabs and queues on demand.
 func (k *kernel) init(os *osState, machines, tasks int) []*machine {
 	k.os = os
-	k.wheel = timewheel.New(
-		func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.node },
-		func(e *timerEntry) int64 { return int64(e.at) },
-		func(e *timerEntry) int { return e.seq },
-	)
+	k.timers.Reserve(machines)
 	k.machSlab.reserve(machines)
 	k.timerSlab.reserve(machines)
 	tables := make([]*machine, machines+tasks)
@@ -135,7 +120,6 @@ func (k *kernel) init(os *osState, machines, tasks int) []*machine {
 	k.ready = make([]*machine, 0, machines)
 	k.next = make([]*machine, 0, machines)
 	k.timerFree = make([]*timerEntry, 0, machines)
-	k.due = make([]*timerEntry, 0, machines)
 	return tables[machines:machines]
 }
 
@@ -279,7 +263,7 @@ func (k *kernel) nextRunnable() *machine {
 			k.delta++
 			continue
 		}
-		t, ok := k.nextTime()
+		t, ok := k.timers.Next()
 		if !ok || t > k.limit {
 			return nil
 		}
@@ -289,51 +273,24 @@ func (k *kernel) nextRunnable() *machine {
 	}
 }
 
-// nextTime is wheel.NextTime behind the kernel's cache.
-func (k *kernel) nextTime() (Time, bool) {
-	if k.nextDueOK {
-		return k.nextDue, true
-	}
-	t, ok := k.wheel.NextTime()
-	if ok {
-		k.nextDue, k.nextDueOK = Time(t), true
-	}
-	return Time(t), ok
-}
-
-// fireTimers wakes every entry due at exactly t in (at, seq) order —
-// the order the sim kernel's timer heap fires in. Waking only enqueues
-// machines; none of them runs (and none can schedule a new timer) until
-// the scheduler loop resumes them, so one CollectDue batch is complete.
+// fireTimers wakes every machine whose timer is due at exactly t, in
+// (at, seq) order — the order sim.Kernel fires its own queue in.
 func (k *kernel) fireTimers(t Time) {
-	k.nextDueOK = false // everything due at t leaves the wheel
-	k.due = k.wheel.CollectDue(int64(t), k.due[:0])
-	for _, e := range k.due {
-		if e.m != nil {
-			e.m.wakeFromTimer()
-		} else {
-			k.flush(e.e)
+	for {
+		e, ok := k.timers.PopDue(t)
+		if !ok {
+			return
 		}
-		// No nil write into k.due: the entry goes straight onto the free
-		// pool, so the stale scratch slot retains nothing extra.
+		e.m.wakeFromTimer()
 		k.recycleTimer(e)
 	}
 }
 
-func (k *kernel) addTimer(at Time, m *machine, e *event) *timerEntry {
+func (k *kernel) addTimer(at Time, m *machine) *timerEntry {
 	k.timerSeq++
 	entry := k.newTimer()
-	entry.at, entry.seq, entry.m, entry.e = at, k.timerSeq, m, e
-	k.wheel.Push(entry)
-	if k.nextDueOK {
-		if at < k.nextDue {
-			k.nextDue = at
-		}
-	} else if k.wheel.Len() == 1 {
-		// The sole entry: the cache can be (re)seeded exactly. With other
-		// entries pending it stays invalid — one of them may be earlier.
-		k.nextDue, k.nextDueOK = at, true
-	}
+	entry.m = m
+	k.timers.Push(entry, at, k.timerSeq)
 	return entry
 }
 
@@ -349,21 +306,18 @@ func (k *kernel) newTimer() *timerEntry {
 }
 
 func (k *kernel) recycleTimer(e *timerEntry) {
-	e.m, e.e = nil, nil
+	e.m = nil
 	k.timerFree = append(k.timerFree, e)
 }
 
 func (k *kernel) cancelTimer(e *timerEntry) {
-	if k.wheel.Cancel(e) {
-		if k.nextDueOK && e.at == k.nextDue {
-			k.nextDueOK = false
-		}
+	if k.timers.Cancel(e) {
 		k.recycleTimer(e)
 	}
 }
 
 // pendingTimers counts live timers (the watchdog's hidden-stall check).
-func (k *kernel) pendingTimers() int { return k.wheel.Len() }
+func (k *kernel) pendingTimers() int { return k.timers.Len() }
 
 // flush wakes every current waiter of e into the next delta cycle
 // (sim.Event.flush, including its state guard and reslice idiom).
@@ -404,7 +358,7 @@ func (k *kernel) runUntil(limit Time) error {
 	if k.stopped {
 		return k.failure
 	}
-	if t, ok := k.wheel.NextTime(); ok && Time(t) > limit {
+	if t, ok := k.timers.Next(); ok && t > limit {
 		return nil // horizon reached; state preserved
 	}
 	live := 0
@@ -483,7 +437,7 @@ func (m *machine) sleep(d Time) {
 		m.yieldDelta()
 		return
 	}
-	m.timer = m.k.addTimer(m.k.now+d, m, nil)
+	m.timer = m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTime
 }
 
@@ -509,7 +463,7 @@ func (m *machine) waitTimeout(e *event, d Time) {
 	}
 	m.waitEvents = append(m.waitEvents[:0], e)
 	e.waiters = append(e.waiters, m)
-	m.timer = m.k.addTimer(m.k.now+d, m, nil)
+	m.timer = m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTimeout
 }
 

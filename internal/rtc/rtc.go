@@ -6,11 +6,11 @@
 // operations. Scheduling decisions, accounting, trace records and
 // diagnosis come from the same core.Sched the goroutine kernel runs, so
 // both engines produce byte-identical traces (pinned by the engine-
-// equivalence suites). Timers run on the hierarchical timing wheel
-// (internal/timewheel), which fires in the same (deadline, sequence)
-// order as the goroutine kernel's binary heap. RunGoroutine executes a
-// flat Workload on the goroutine kernel, so a front end describes its
-// task set once and picks the engine by the runner it calls.
+// equivalence suites). Timers run on sim.Timers, the (deadline,
+// sequence) heap the goroutine kernel schedules through too.
+// RunGoroutine executes a flat Workload on the goroutine kernel, so a
+// front end describes its task set once and picks the engine by the
+// runner it calls.
 package rtc
 
 import (

@@ -28,13 +28,14 @@ func periodicWorkload(n int, pers string) Workload {
 }
 
 // TestNewSessionAllocs pins a build's allocations to one per object
-// class — the session (kernel and OS state included), the timing wheel,
-// the task, machine and timer slabs, the periodic-body array, the body
-// table, and the task, machine, ready and timer lists — whatever the
+// class — the session (kernel and OS state included), the task, machine
+// and timer slabs, the periodic-body array, the body table, and the
+// task, machine, ready and timer lists (the timer queue's heap among
+// them) — whatever the
 // task count or personality. A run of the scheduler-only workload then
 // allocates just the Result and its task table.
 func TestNewSessionAllocs(t *testing.T) {
-	const wantBuild, wantRun = 14, 16
+	const wantBuild, wantRun = 13, 15
 	for _, pers := range []string{"generic", "itron", "osek"} {
 		for _, n := range []int{8, 32} {
 			w := periodicWorkload(n, pers)
@@ -95,9 +96,9 @@ func channelWorkload(n int, pers string) Workload {
 // every personality.
 func TestNewSessionChannelAllocs(t *testing.T) {
 	want := map[string][2]float64{ // personality → build, run
-		"generic": {41, 50},
-		"itron":   {34, 45},
-		"osek":    {33, 42},
+		"generic": {40, 49},
+		"itron":   {33, 44},
+		"osek":    {32, 41},
 	}
 	for _, pers := range []string{"generic", "itron", "osek"} {
 		for _, n := range []int{8, 32} {

@@ -116,19 +116,16 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 	}
 
 	var timers []*timerEntry
-	k.wheel.Each(func(te *timerEntry) { timers = append(timers, te) })
+	k.timers.Each(func(te *timerEntry) { timers = append(timers, te) })
 	sort.Slice(timers, func(i, j int) bool {
-		if timers[i].at != timers[j].at {
-			return timers[i].at < timers[j].at
+		if timers[i].At() != timers[j].At() {
+			return timers[i].At() < timers[j].At()
 		}
-		return timers[i].seq < timers[j].seq
+		return timers[i].Seq() < timers[j].Seq()
 	})
 	e.Line("timers %d", len(timers))
 	for _, te := range timers {
-		if te.m == nil {
-			return nil, fmt.Errorf("rtc: snapshot found an event timer; the engine only arms machine timers")
-		}
-		e.Line("ti at=%d seq=%d mach=%d", int64(te.at), te.seq, machIx[te.m])
+		e.Line("ti at=%d seq=%d mach=%d", int64(te.At()), te.Seq(), machIx[te.m])
 	}
 
 	var recs []trace.Record
@@ -184,7 +181,6 @@ func (s *Session) apply(cp *Checkpoint) error {
 	if err := d.Scan("k now=%d delta=%d timerseq=%d", &k.now, &k.delta, &k.timerSeq); err != nil {
 		return err
 	}
-	k.nextDueOK = false
 
 	if err := os.DecodeState(d); err != nil {
 		return err
@@ -282,9 +278,17 @@ func (s *Session) apply(cp *Checkpoint) error {
 			return fmt.Errorf("timer machine %d out of range (%d machines)", mach, len(k.machines))
 		}
 		m := k.machines[mach]
+		switch {
+		case Time(at) < k.now:
+			return fmt.Errorf("timer of machine %d due at %d, before now %d", mach, at, int64(k.now))
+		case tsq > k.timerSeq:
+			return fmt.Errorf("timer of machine %d has seq %d above timerseq %d", mach, tsq, k.timerSeq)
+		case m.timer != nil:
+			return fmt.Errorf("machine %d named by two timers", mach)
+		}
 		entry := k.newTimer()
-		entry.at, entry.seq, entry.m = Time(at), tsq, m
-		k.wheel.Push(entry)
+		entry.m = m
+		k.timers.Push(entry, Time(at), tsq)
 		m.timer = entry
 	}
 

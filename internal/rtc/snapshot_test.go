@@ -3,6 +3,9 @@ package rtc
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,11 +55,9 @@ func snapWorkloads() map[string]Workload {
 		}
 	}
 	// timerBatch parks three zero-compute tick tasks on the SAME
-	// next-release instant. The wheel part stays empty, so every re-push
-	// re-arms the front slot and its same-instant successors batch onto
-	// it: at any instant strictly inside a period the timewheel front
-	// slot holds a three-entry wake batch — the fast-path state the
-	// snapshot codec must carry (see timewheel.FastLen).
+	// next-release instant: at any instant strictly inside a period the
+	// timer queue holds a three-entry same-instant wake batch, which the
+	// snapshot codec must carry in seq order.
 	timerBatch := func() Workload {
 		return Workload{
 			Policy: "priority", Trace: true,
@@ -69,9 +70,8 @@ func snapWorkloads() map[string]Workload {
 		}
 	}
 	// timerOneshot adds a short-period tick ahead of the batch: at t=0 the
-	// lone task (highest priority, so first to re-push) arms the one-shot
-	// earliest-deadline slot while the trio's timers land in the wheel
-	// part behind it.
+	// lone task (highest priority, so first to re-push) queues the
+	// earliest timer, with the trio's timers queued behind it.
 	timerOneshot := func() Workload {
 		w := timerBatch()
 		w.Tasks = append([]TaskDef{
@@ -158,28 +158,25 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotFastPathArmed pins that a checkpoint taken while the
-// timewheel fast path is engaged round-trips it exactly: Restore
-// re-pushes timers in (at, seq) order, so the earliest chain re-forms
-// the front slot at the same depth, and the continuation stays
-// byte-identical. Both fast-path shapes are covered — the multi-entry
-// same-instant wake batch and the one-shot earliest timer armed ahead
-// of a populated wheel part.
+// TestSnapshotFastPathArmed pins that a checkpoint taken with timers
+// pending round-trips them exactly: Restore re-pushes every timer with
+// its (at, seq) key, and the continuation stays byte-identical. Two
+// queue shapes are covered — the multi-entry same-instant wake batch
+// and one earliest timer queued ahead of a same-instant batch.
 func TestSnapshotFastPathArmed(t *testing.T) {
 	ms := sim.Millisecond
 	ws := snapWorkloads()
 	cases := []struct {
 		workload string
 		instants []Time
-		fastLen  int // required front-slot depth at each instant
 		timers   int // required total pending timers
 	}{
-		// Strictly inside each 8 ms period the trio's next releases sit
-		// batched in the front slot and the wheel part is empty.
-		{"timer-batch", []Time{10 * ms, 20 * ms, 30 * ms}, 3, 3},
-		// Inside (0, 3 ms) the lone tick is armed one-shot with the
-		// trio's releases queued behind it in the wheel part.
-		{"timer-oneshot", []Time{2 * ms}, 1, 4},
+		// Strictly inside each 8 ms period the trio's next releases are
+		// the only pending timers, all due at one instant.
+		{"timer-batch", []Time{10 * ms, 20 * ms, 30 * ms}, 3},
+		// Inside (0, 3 ms) the lone tick is queued with the trio's
+		// releases behind it.
+		{"timer-oneshot", []Time{2 * ms}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {
@@ -193,10 +190,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err := s.RunUntil(at); err != nil {
 					t.Fatalf("RunUntil(%v): %v", at, err)
 				}
-				if got := s.k.wheel.FastLen(); got != tc.fastLen {
-					t.Fatalf("at %v: front slot holds %d entries, want %d", at, got, tc.fastLen)
-				}
-				if got := s.k.wheel.Len(); got != tc.timers {
+				if got := s.k.pendingTimers(); got != tc.timers {
 					t.Fatalf("at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				cp, err := s.Snapshot()
@@ -207,10 +201,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Restore at %v: %v", at, err)
 				}
-				if got := r.k.wheel.FastLen(); got != tc.fastLen {
-					t.Fatalf("restored at %v: front slot holds %d entries, want %d", at, got, tc.fastLen)
-				}
-				if got := r.k.wheel.Len(); got != tc.timers {
+				if got := r.k.pendingTimers(); got != tc.timers {
 					t.Fatalf("restored at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				r.RunUntil(w.Horizon)
@@ -416,5 +407,63 @@ func TestSnapshotITRONHandoff(t *testing.T) {
 	r.RunUntil(w.Horizon)
 	if got, want := serializeResult(r.Finish()), serializeResult(Run(w)); !bytes.Equal(got, want) {
 		t.Fatalf("restored run diverges:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRestoreRejectsImpossibleTimers edits the timer lines of a
+// timer-batch checkpoint taken at 10 ms into states no run can reach:
+// Restore must refuse each rather than resume from it.
+func TestRestoreRejectsImpossibleTimers(t *testing.T) {
+	w := snapWorkloads()["timer-batch"]
+	s, err := NewSession(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(10 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti := regexp.MustCompile(`(?m)^ti at=\d+ seq=\d+ mach=\d+$`)
+	if n := len(ti.FindAll(cp.State, -1)); n != 3 {
+		t.Fatalf("checkpoint holds %d timer lines, want 3:\n%s", n, cp.State)
+	}
+	m := regexp.MustCompile(`timerseq=(\d+)`).FindSubmatch(cp.State)
+	if m == nil {
+		t.Fatalf("checkpoint records no timerseq:\n%s", cp.State)
+	}
+	timerSeq, _ := strconv.Atoi(string(m[1]))
+	// Each case sets field to value on the first lines timer lines.
+	cases := []struct {
+		name, field, value string
+		lines              int
+		want               string
+	}{
+		{"due before now", "at", "5", 1, "before now"},
+		{"one machine, two timers", "mach", "0", 3, "two timers"},
+		{"seq above timerseq", "seq", strconv.Itoa(timerSeq + 1), 1, "above timerseq"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			field := regexp.MustCompile(`\b` + tc.field + `=\d+`)
+			edited := 0
+			state := ti.ReplaceAllFunc(cp.State, func(line []byte) []byte {
+				if edited++; edited > tc.lines {
+					return line
+				}
+				return field.ReplaceAll(line, []byte(tc.field+"="+tc.value))
+			})
+			if bytes.Equal(state, cp.State) {
+				t.Fatal("edit left the checkpoint unchanged")
+			}
+			bad := *cp
+			bad.State = state
+			_, err := Restore(w, &bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

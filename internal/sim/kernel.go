@@ -20,7 +20,7 @@ type Kernel struct {
 	readyAt int     // consumption index into ready (avoids slice creep)
 	next    []*Proc // runnable in the next delta cycle, FIFO
 
-	timers    heapTimers
+	timers    Timers[*timerEntry]
 	timerSeq  int
 	timerFree []*timerEntry // recycled entries (zero-alloc steady state)
 
@@ -48,12 +48,10 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		yield:   make(chan struct{}),
 		killAck: make(chan struct{}),
 	}
-	k.timers.k = k
-	return k
 }
 
 // Now returns the current simulation time.
@@ -221,7 +219,7 @@ func (k *Kernel) RunUntil(limit Time) error {
 	if k.stopped {
 		return k.failure
 	}
-	if t, ok := k.timers.nextTime(); ok && t > limit {
+	if t, ok := k.timers.Next(); ok && t > limit {
 		return nil // time horizon reached; state preserved
 	}
 	if live := k.liveProcs(); len(live) > 0 {
@@ -258,7 +256,7 @@ func (k *Kernel) nextRunnable() *Proc {
 			}
 			continue
 		}
-		t, ok := k.timers.nextTime()
+		t, ok := k.timers.Next()
 		if !ok || t > k.limit {
 			return nil // nothing scheduled, or horizon reached
 		}
@@ -316,12 +314,12 @@ type StallHandler func(at Time, live []*Proc) error
 // OnStall registers a stall handler; see StallHandler.
 func (k *Kernel) OnStall(h StallHandler) { k.stallHandlers = append(k.stallHandlers, h) }
 
-// PendingTimers returns the number of live (non-canceled) timer entries:
-// process timeouts and timed notifications not yet fired. Watchdog
+// PendingTimers returns the number of queued timer entries: process
+// timeouts and timed notifications neither fired nor canceled. Watchdog
 // processes use it to recognize that only their own timer keeps the
 // simulation alive.
 func (k *Kernel) PendingTimers() int {
-	return k.timers.live()
+	return k.timers.Len()
 }
 
 // SetDeltaLimit bounds the number of delta cycles within one time step
@@ -369,13 +367,21 @@ func (k *Kernel) Shutdown() {
 	k.procs = k.procs[:0]
 }
 
+// timerEntry is a pending timeout (p != nil) or timed notification
+// (e != nil).
+type timerEntry struct {
+	Timer
+	p *Proc
+	e *Event
+}
+
 // fireTimers pops every timer entry scheduled at exactly time t, waking
 // timed-out processes into the (fresh) current delta cycle and flushing
 // timed notifications.
 func (k *Kernel) fireTimers(t Time) {
 	for {
-		e := k.timers.popDue(t)
-		if e == nil {
+		e, ok := k.timers.PopDue(t)
+		if !ok {
 			return
 		}
 		switch {
@@ -398,24 +404,25 @@ func (k *Kernel) addTimer(at Time, p *Proc, e *Event) *timerEntry {
 		entry = k.timerFree[n-1]
 		k.timerFree[n-1] = nil
 		k.timerFree = k.timerFree[:n-1]
-		entry.at, entry.seq, entry.p, entry.e, entry.canceled = at, k.timerSeq, p, e, false
 	} else {
-		entry = &timerEntry{at: at, seq: k.timerSeq, p: p, e: e}
+		entry = new(timerEntry)
 	}
-	k.timers.push(entry)
+	entry.p, entry.e = p, e
+	k.timers.Push(entry, at, k.timerSeq)
 	return entry
 }
 
-// recycleTimer returns a popped (no longer heap-resident) entry to the
-// free list.
+// recycleTimer returns a popped or canceled entry to the free list.
 func (k *Kernel) recycleTimer(e *timerEntry) {
 	e.p, e.e = nil, nil
 	k.timerFree = append(k.timerFree, e)
 }
 
-// cancelTimer removes a pending entry; the heap cancels lazily.
+// cancelTimer removes a pending entry from the queue and recycles it.
 func (k *Kernel) cancelTimer(e *timerEntry) {
-	k.timers.cancel(e)
+	if k.timers.Cancel(e) {
+		k.recycleTimer(e)
+	}
 }
 
 // kill terminates target and its children recursively; see Proc.Kill.

@@ -2,11 +2,9 @@ package sim
 
 import "testing"
 
-// TestTimerCancelCompaction pins the heap-compaction invariant directly:
-// canceled entries are dropped eagerly once they reach timerCompactMin and
-// would make up half the heap, so a cancel-heavy run keeps the heap's
-// physical length bounded by the live timer count, not by the cancelation
-// history.
+// TestTimerCancelCompaction pins that cancelation removes entries in
+// place: a cancel-heavy run keeps the heap's physical length at the live
+// timer count, not at the cancelation history.
 func TestTimerCancelCompaction(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
@@ -32,7 +30,7 @@ func TestTimerCancelCompaction(t *testing.T) {
 			}
 		}
 		// The waiter's own timers have all been canceled; only the
-		// background timer is live, whatever the physical heap holds.
+		// background timer is live.
 		if got := k.PendingTimers(); got != 1 {
 			t.Errorf("PendingTimers mid-run = %d, want 1 (background timer)", got)
 		}
@@ -48,46 +46,10 @@ func TestTimerCancelCompaction(t *testing.T) {
 	}
 
 	// At any instant there are at most 2 live timers (background + the
-	// waiter's current timeout). Compaction triggers once canceled entries
-	// reach timerCompactMin and outnumber live ones, so the physical heap
-	// must stay within the threshold band — far below the 10k cancels.
-	bound := 2 * (timerCompactMin + 2)
+	// waiter's current timeout), and the heap holds nothing else.
+	bound := 2
 	if maxLen > bound {
 		t.Errorf("timer heap grew to %d entries across %d cancels, want <= %d", maxLen, rounds, bound)
-	}
-}
-
-// TestTimerCompactionBelowThreshold pins the other side of the threshold:
-// a handful of cancels is tolerated in place (popped lazily) rather than
-// triggering a compaction sweep, and PendingTimers excludes them.
-func TestTimerCompactionBelowThreshold(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	ev := k.NewEvent("ev")
-	k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < timerCompactMin/2; i++ {
-			if !p.WaitTimeout(ev, Second) {
-				t.Error("timeout fired; expected notification")
-				return
-			}
-		}
-		// All cancels are still physically in the heap (no compaction has
-		// run: the count never reached timerCompactMin), but none are live.
-		if got := k.PendingTimers(); got != 0 {
-			t.Errorf("PendingTimers mid-run = %d, want 0", got)
-		}
-		if k.timers.canceled == 0 {
-			t.Error("expected lazily retained canceled entries below the compaction threshold")
-		}
-	})
-	k.Spawn("notifier", func(p *Proc) {
-		for i := 0; i < timerCompactMin/2; i++ {
-			p.Notify(ev)
-			p.YieldDelta()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

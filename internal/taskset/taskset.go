@@ -187,7 +187,7 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 		return nil, err
 	}
 	if s.CPUs > 1 {
-		return runSMP(s)
+		return runSMP(s, bus)
 	}
 	w, err := s.workload()
 	if err != nil {
@@ -311,9 +311,10 @@ func (s *Set) horizon() sim.Time {
 
 // runSMP simulates the set on the global multiprocessor scheduler
 // (Validate guarantees no personality is in play). The trace recorder is
-// returned empty: the SMP scheduler has its own observer surface and the
-// single-PE trace formats do not carry a CPU axis.
-func runSMP(s *Set) (*Result, error) {
+// returned empty: the SMP scheduler has its own observer surface, which
+// the buses attach to, and the single-PE trace formats do not carry a
+// CPU axis.
+func runSMP(s *Set, buses []*telemetry.Bus) (*Result, error) {
 	var policy smp.Policy = smp.FixedPriority{}
 	if s.Policy == "g-edf" {
 		policy = smp.GEDF{}
@@ -322,6 +323,9 @@ func runSMP(s *Set) (*Result, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	os := smp.New(k, "SMP", policy, s.CPUs, tm == core.TimeModelSegmented)
+	for _, b := range buses {
+		b.AttachSMP(os)
+	}
 
 	var tasks []*smp.Task
 	for _, tj := range s.Tasks {

@@ -184,6 +184,31 @@ func TestRunSMP(t *testing.T) {
 	}
 }
 
+// TestRunSMPTelemetry: a telemetry bus passed to Run on a multiprocessor
+// set is attached to the SMP scheduler, so it sees tasks dispatched on
+// both CPUs instead of staying silent.
+func TestRunSMPTelemetry(t *testing.T) {
+	s, err := Parse([]byte(`{"policy":"g-fp","cpus":2,"horizonMs":5,"tasks":[
+		{"name":"a","periodUs":1000,"wcetUs":900,"prio":1},
+		{"name":"b","periodUs":1000,"wcetUs":900,"prio":2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c telemetry.Collector
+	if _, err := Run(s, telemetry.NewBus(&c)); err != nil {
+		t.Fatal(err)
+	}
+	perCPU := map[int]int{}
+	for _, e := range c.Events {
+		if e.Kind == telemetry.KindDispatch && e.Task != "" {
+			perCPU[e.CPU]++
+		}
+	}
+	if perCPU[0] == 0 || perCPU[1] == 0 {
+		t.Errorf("task dispatches per CPU = %v (of %d events), want some on cpu 0 and cpu 1", perCPU, len(c.Events))
+	}
+}
+
 func TestPeriodicWithCyclesTerminates(t *testing.T) {
 	s := &Set{
 		HorizonMs: 100,

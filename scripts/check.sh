@@ -9,7 +9,7 @@
 #     budget, the telemetry overhead guard, the itron/osek conformance
 #     suites and cross-personality corpus, goroutine-vs-rtc engine
 #     equivalence (simcheck, taskset, rtc.RunGoroutine, sdl),
-#     timing-wheel boundary ordering, checkpoint/restore equivalence and
+#     timer queue ordering, checkpoint/restore equivalence and
 #     the design-space-exploration gates;
 #   - perfbench's self-tests (a separate module) and the personality
 #     dispatch overhead guard;
@@ -98,13 +98,13 @@ step "execution-engine equivalence (goroutine vs run-to-completion)" go test -ru
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 
-# Timer-boundary ordering: the hierarchical timing wheel must agree
-# with the reference heap on every boundary case the randomized
-# differential harness can produce — slot/level edges, same-instant
-# FIFO order, front-slot (fast path) arming — and its steady state must
-# stay allocation-free.
-step "timewheel boundary ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-step "timewheel boundary ordering + differential harness" go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
+# Timer-queue ordering: the timer queue both engines share must agree
+# with the sorted-slice reference on every schedule/cancel/advance
+# interleaving the randomized differential harness produces, fire
+# same-instant entries in FIFO (seq) order whatever order they were
+# pushed in, and stay allocation-free in its steady state; RunUntil must
+# honour its inclusive horizon.
+step "timer queue ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestRunUntilBoundary' -count=1 ./internal/sim
 
 # Checkpoint equivalence: an rtc session snapshotted at a randomized
 # instant and restored into a fresh session must finish with
