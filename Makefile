@@ -31,8 +31,9 @@ fuzz: ## native Go fuzzing of the SDL parser (30s)
 fuzz-telemetry: ## native Go fuzzing of the telemetry binary event codec (30s)
 	go test ./internal/telemetry/ -fuzz FuzzEventStream -fuzztime 30s
 
-fuzz-eventlog: ## native Go fuzzing of the campaign event-log recovery path (30s)
+fuzz-eventlog: ## native Go fuzzing of the campaign event-log recovery path and record encoder (30s each)
 	go test ./internal/campaign/eventlog/ -fuzz FuzzEventLog -fuzztime 30s
+	go test ./internal/campaign/eventlog/ -fuzz FuzzEncode -fuzztime 30s
 
 simd: ## build the campaign server daemon
 	go build ./cmd/simd

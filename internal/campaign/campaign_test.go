@@ -432,6 +432,43 @@ func TestSubmitRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestDSEAxisNumbersMustBePlainFinite: a quantumUs or horizonMs axis
+// value is a plain finite number. A unit suffix or surrounding space
+// once ran the leading number under the raw label, and NaN or an
+// infinity once ran the default horizon; each is now refused with the
+// axis's message and nothing is journaled.
+func TestDSEAxisNumbersMustBePlainFinite(t *testing.T) {
+	s := openTestServer(t, t.TempDir(), 1)
+	submit := func(axis, val string) error {
+		payload := fmt.Sprintf(`{"base": %s, "axes": [{"name": %q, "values": [%q]}]}`, tinySet, axis, val)
+		_, _, err := s.Submit(KindDSE, []byte(payload))
+		return err
+	}
+	for _, axis := range []string{"quantumUs", "horizonMs"} {
+		for _, val := range []string{"20ms", " 20", "20 ", "NaN", "nan", "+Inf", "-Inf", "inf", "1e400", "", "0x"} {
+			want := fmt.Sprintf("campaign: dse axis %s value %q is not a number", axis, val)
+			if err := submit(axis, val); err == nil || err.Error() != want {
+				t.Errorf("%s=%q: err = %v, want %q", axis, val, err, want)
+			}
+		}
+	}
+	if n := len(s.JobIDs()); n != 0 {
+		t.Fatalf("%d jobs accepted from malformed axis values", n)
+	}
+	recs, err := s.LogRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("%d events journaled from malformed axis values", len(recs))
+	}
+	for _, val := range []string{"20", "2.5e1", "0x1p4"} {
+		if err := submit("horizonMs", val); err != nil {
+			t.Errorf("horizonMs=%q refused: %v", val, err)
+		}
+	}
+}
+
 // TestSDLJobEndToEnd: the SDL front end runs as a campaign job.
 func TestSDLJobEndToEnd(t *testing.T) {
 	s := openTestServer(t, t.TempDir(), 2)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -94,19 +95,46 @@ func decodeLine(line []byte, wantSeq uint64) (Record, bool) {
 	return rec, true
 }
 
-// Encode frames one record. The payload JSON is deterministic (struct
-// field order), so identical records encode to identical bytes.
+// Encode frames one record. It writes the payload the struct tags of
+// Record describe — {"seq":N,"type":T,"data":D}, "data" omitted when
+// empty — without a second JSON pass over Data: Data must be compact,
+// HTML-escaped JSON as json.Marshal produces it (Append's is), and is
+// copied as is. Identical records encode to identical bytes.
 func Encode(rec Record) []byte {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		panic("eventlog: marshal record: " + err.Error()) // plain data: cannot fail
+	out := make([]byte, len(magic)+9, len(magic)+9+len(`{"seq":,"type":"","data":}`)+20+len(rec.Type)+len(rec.Data)+1)
+	copy(out, magic)
+	out[len(magic)+8] = ' '
+	payload := len(out)
+	out = strconv.AppendUint(append(out, `{"seq":`...), rec.Seq, 10)
+	out = appendJSONString(append(out, `,"type":`...), rec.Type)
+	if len(rec.Data) > 0 {
+		out = append(append(out, `,"data":`...), rec.Data...)
 	}
-	out := make([]byte, 0, len(magic)+9+len(payload)+1)
-	out = append(out, magic...)
-	out = append(out, fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))...)
-	out = append(out, ' ')
-	out = append(out, payload...)
+	out = append(out, '}')
+	crc := crc32.ChecksumIEEE(out[payload:])
+	for i := len(magic) + 7; i >= len(magic); i-- {
+		out[i] = hexDigits[crc&0xf]
+		crc >>= 4
+	}
 	return append(out, '\n')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as json.Marshal encodes a string. Record
+// types are short ASCII names, written directly; a string holding any
+// byte json.Marshal may escape (quotes, backslashes, control and
+// non-ASCII characters, <, > and &) goes through json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Log is an open journal positioned for appending. Safe for concurrent

@@ -15,7 +15,8 @@
 #     dispatch overhead guard;
 #   - the committed performance baselines (BENCH_kernel.json,
 #     BENCH_dse.json): allocation counts exactly, ns/op within 100 %;
-#   - campaign crash-resume at jobs 1 and 8 under the race detector;
+#   - campaign crash-resume at jobs 1 and 8 under the race detector,
+#     and the campaign journal golden;
 #   - a bounded simfuzz soak and the fault-injection smoke.
 #
 #   ./scripts/check.sh                       # full gate (a few minutes)
@@ -152,9 +153,12 @@ step "simbench DSE baseline check (BENCH_dse.json)" go run ./cmd/simbench -suite
 # byte-identical to the uninterrupted golden run — results, signed
 # receipts, canonical run state — with zero completed cells re-executed
 # (cache-hit accounting), at worker counts 1 and 8 under the race
-# detector. (go test -race ./... above already ran these; the explicit
-# pass keeps the crash-resume contract visible in the gate.)
-step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 ./internal/campaign
+# detector. The journal golden pins the bytes of a one-worker campaign's
+# event log, results and receipts, so cell keys, idempotency keys and
+# journal lines cannot drift from what persisted directories hold. (go
+# test -race ./... above already ran these; the explicit pass keeps the
+# crash-resume contract visible in the gate.)
+step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestJournalGolden' -count=1 ./internal/campaign
 
 # Soak the scheduler with fresh seeds (offset so they do not just repeat
 # the seeds go test already covered); 4 seeds in flight exercises the
