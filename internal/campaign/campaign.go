@@ -58,7 +58,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	status   string
-	err      string
+	err      string // failure reason; on a done job, why its result cannot be reassembled
 	result   []byte
 	resHash  string
 	receipt  *receipt.Receipt
@@ -147,6 +147,17 @@ func Open(opts Options) (*Server, error) {
 
 // resume rebuilds live jobs from the materialized run state and
 // requeues everything unfinished, in acceptance order.
+//
+// A job is stale when its journaled payload no longer builds, or builds
+// to other keys than the journal holds, because the job was accepted by
+// an earlier version (one that took "prio" without naming it "priority",
+// or the axis value "20ms"). A stale queued or running job is failed
+// with the reason, journaled, and its key released, so resubmitting it
+// runs it under the current keys. A done job keeps its status and
+// receipt whatever the payload does now: its result is reassembled from
+// the cache entries the journal names, with the payload supplying only
+// the cell labels, and if the payload no longer builds Result reports
+// why instead.
 func (s *Server) resume(st *runstate.State) error {
 	for _, rj := range st.Jobs {
 		var id int
@@ -162,56 +173,85 @@ func (s *Server) resume(st *runstate.State) error {
 			err:     rj.Error,
 			done:    make(chan struct{}),
 		}
-		// Failed and cancelled jobs stay visible but release their key so
-		// a resubmission can run; everything else keeps its claim.
 		switch rj.Status {
 		case runstate.StatusFailed, runstate.StatusCancelled:
+			// Failed and cancelled jobs stay visible but release their key
+			// so a resubmission can run.
 			close(j.done)
-		default:
-			if owner, dup := s.reg.Claim(rj.Key, rj.ID); dup {
-				return fmt.Errorf("campaign: jobs %s and %s share idempotency key %s", owner, rj.ID, rj.Key)
-			}
-		}
-		if rj.Status == runstate.StatusDone {
+		case runstate.StatusDone:
 			j.resHash = rj.ResultHash
 			r := *rj.Receipt
 			j.receipt = &r
-			close(j.done)
-		}
-		if rj.Status == runstate.StatusQueued || rj.Status == runstate.StatusRunning || rj.Status == runstate.StatusDone {
-			// The payload is the source of truth: rebuild cells and check
-			// they still derive to the journaled keys.
-			key, cells, err := buildJob(rj.Kind, rj.Payload)
+			j.cells = make([]cellSpec, len(rj.Cells))
+			_, cells, err := buildJob(rj.Kind, rj.Payload)
+			if err == nil && len(cells) != len(rj.Cells) {
+				err = fmt.Errorf("log says %d cells, payload derives %d", len(rj.Cells), len(cells))
+			}
 			if err != nil {
-				return fmt.Errorf("campaign: job %s payload no longer builds: %w", rj.ID, err)
+				j.err = fmt.Sprintf("payload no longer builds: %v", err)
 			}
-			if key != rj.Key {
-				return fmt.Errorf("campaign: job %s key drift: log says %s, payload derives %s", rj.ID, rj.Key, key)
+			for i, c := range rj.Cells {
+				if err == nil {
+					j.cells[i].label = cells[i].label
+				}
+				j.cells[i].key = c.Key
 			}
-			if len(cells) != len(rj.Cells) {
-				return fmt.Errorf("campaign: job %s cell drift: log says %d cells, payload derives %d",
-					rj.ID, len(rj.Cells), len(cells))
+			close(j.done)
+		default: // queued or running
+			cells, err := rebuildCells(rj)
+			if err != nil {
+				if err := s.log.Append(runstate.EvJobFailed, runstate.JobFailed{ID: rj.ID, Error: err.Error()}); err != nil {
+					return err
+				}
+				j.status, j.err = runstate.StatusFailed, err.Error()
+				close(j.done)
+				break
 			}
 			j.cells = cells
 			j.cellDone = make([]bool, len(cells))
 			j.cellHash = make([]string, len(cells))
 			for i, c := range rj.Cells {
-				if cells[i].key != c.Key {
-					return fmt.Errorf("campaign: job %s cell %d key drift: log says %s, payload derives %s",
-						rj.ID, i, c.Key, cells[i].key)
-				}
 				j.cellDone[i] = c.Done
 				j.cellHash[i] = c.Hash
 			}
 		}
+		if j.status != runstate.StatusFailed && j.status != runstate.StatusCancelled {
+			if owner, dup := s.reg.Claim(rj.Key, rj.ID); dup {
+				return fmt.Errorf("campaign: jobs %s and %s share idempotency key %s", owner, rj.ID, rj.Key)
+			}
+		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		if rj.Status == runstate.StatusQueued || rj.Status == runstate.StatusRunning {
+		if j.status == runstate.StatusQueued || j.status == runstate.StatusRunning {
 			j.status = runstate.StatusQueued
 			s.queue <- j
 		}
 	}
 	return nil
+}
+
+// rebuildCells rebuilds an unfinished job's cells from its journaled
+// payload, the source of truth, and checks they still derive to the
+// journaled keys. An error names why the job is stale.
+func rebuildCells(rj *runstate.Job) ([]cellSpec, error) {
+	key, cells, err := buildJob(rj.Kind, rj.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: job %s payload no longer builds: %w", rj.ID, err)
+	}
+	if key != rj.Key {
+		return nil, fmt.Errorf("campaign: job %s key drift: log says %s, payload derives %s", rj.ID, rj.Key, key)
+	}
+	if len(cells) != len(rj.Cells) {
+		return nil, fmt.Errorf("campaign: job %s cell drift: log says %d cells, payload derives %d",
+			rj.ID, len(rj.Cells), len(cells))
+	}
+	for i, c := range rj.Cells {
+		if cells[i].key != c.Key {
+			return nil, fmt.Errorf("campaign: job %s cell %d key drift: log says %s, payload derives %s",
+				rj.ID, i, c.Key, cells[i].key)
+		}
+	}
+	return cells, nil
 }
 
 // Submit accepts a job. A submission whose idempotency key matches an
@@ -523,13 +563,17 @@ func (s *Server) Result(id string) ([]byte, error) {
 		return nil, fmt.Errorf("campaign: unknown job %s", id)
 	}
 	j.mu.Lock()
-	status, res, want := j.status, j.result, j.resHash
+	status, res, want, stale := j.status, j.result, j.resHash, j.err
 	j.mu.Unlock()
 	if status != runstate.StatusDone {
 		return nil, fmt.Errorf("campaign: job %s is %s, not done", id, status)
 	}
 	if res != nil {
 		return res, nil
+	}
+	if stale != "" {
+		// Recovered done job without cell labels (see resume).
+		return nil, fmt.Errorf("campaign: job %s result cannot be reassembled: %s", id, stale)
 	}
 	// Recovered done job: reassemble from the cache.
 	var out []byte

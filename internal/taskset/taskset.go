@@ -146,10 +146,8 @@ func (s *Set) Validate() error {
 	case "g-fp", "g-edf":
 		return fmt.Errorf("taskset: policy %q is a global SMP policy; set \"cpus\" > 1 to use it", s.Policy)
 	}
-	if s.Policy != "" {
-		if _, err := core.PolicyByName(s.Policy, s.quantum()); err != nil {
-			return fmt.Errorf("taskset: %v", err)
-		}
+	if _, _, err := s.UniPolicy(); err != nil {
+		return fmt.Errorf("taskset: %v", err)
 	}
 	return nil
 }
@@ -239,18 +237,14 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 // form: a periodic task computes its wcet once per cycle, an aperiodic
 // one runs its compute segments after its start offset.
 func (s *Set) workload() (rtc.Workload, error) {
-	name := s.Policy
-	if name == "" {
-		name = "priority"
-	}
-	policy, err := core.PolicyByName(name, s.quantum())
+	policy, quantum, err := s.UniPolicy()
 	if err != nil {
 		return rtc.Workload{}, fmt.Errorf("taskset: %v", err)
 	}
 	w := rtc.Workload{
 		Name:        "PE",
 		Policy:      policy.Name(),
-		Quantum:     s.quantum(),
+		Quantum:     quantum,
 		TimeModel:   s.timeModel(),
 		Personality: s.Personality,
 		Horizon:     s.horizon(),
@@ -284,13 +278,23 @@ func (s *Set) workload() (rtc.Workload, error) {
 	return w, nil
 }
 
-// quantum returns the round-robin time slice (1 ms when quantumUs is
-// unset or rounds to zero; only the "rr" name requires it explicitly).
-func (s *Set) quantum() sim.Time {
-	if q := us(s.QuantumUs); q > 0 {
-		return q
+// UniPolicy resolves the uniprocessor scheduling policy the set runs
+// and its quantum: the policy is core's for the set's name ("priority"
+// when unset; an alias such as "roundrobin" yields the policy whose Name
+// is "rr"), the quantum is quantumUs, or 1 ms when that is unset or
+// rounds to zero. Runs and cache keys (dse.Canonical) both resolve the
+// policy here, so a key always names what runs.
+func (s *Set) UniPolicy() (core.Policy, sim.Time, error) {
+	name := s.Policy
+	if name == "" {
+		name = "priority"
 	}
-	return sim.Millisecond
+	q := us(s.QuantumUs)
+	if q <= 0 {
+		q = sim.Millisecond
+	}
+	p, err := core.PolicyByName(name, q)
+	return p, q, err
 }
 
 // timeModel returns the set's time model (coarse by default).
