@@ -84,10 +84,11 @@ bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 timer-boundary: ## timer queue ordering: differential harness vs sorted-slice reference + RunUntil edges
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestRunUntilBoundary' -count=1 ./internal/sim
 
-engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens)
+engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens, multi-CPU goldens)
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 	go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
+	go test -run 'TestSMPGolden|TestSMPJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 
 checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck

@@ -35,7 +35,6 @@ import (
 	"repro/internal/rtc"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/synth"
 	"repro/internal/taskset"
 	"repro/internal/telemetry"
@@ -441,41 +440,31 @@ func smpDhall() {
 	type spec struct {
 		name         string
 		period, wcet sim.Time
+		rmPrio       int // rate-monotonic rank: priority by period
 	}
 	set := []spec{
-		{"light1", 100, 10},
-		{"light2", 100, 10},
-		{"heavy", 105, 100},
+		{"light1", 100, 10, 0},
+		{"light2", 100, 10, 1},
+		{"heavy", 105, 100, 2},
 	}
 	fmt.Println("2 CPUs; tasks light1/light2 (T=100, C=10) and heavy (T=105, C=100);")
 	fmt.Printf("total utilization %.3f of 2.0 — trivially feasible when partitioned.\n\n", 0.1+0.1+100.0/105)
 
-	runGlobal := func(policy smp.Policy) (missed int, migrations uint64) {
-		k := sim.NewKernel()
-		os := smp.New(k, "SMP", policy, 2, true)
-		var tasks []*smp.Task
+	runGlobal := func(policy string) (missed int, migrations uint64) {
+		w := rtc.Workload{Policy: policy, CPUs: 2, TimeModel: core.TimeModelSegmented, Horizon: sim.Forever}
 		for _, s := range set {
-			s := s
-			task := os.TaskCreate(s.name, core.Periodic, s.period, s.wcet, 0)
-			tasks = append(tasks, task)
-			k.Spawn(s.name, func(p *sim.Proc) {
-				os.TaskActivate(p, task)
-				for c := 0; c < cycles; c++ {
-					os.TimeWait(p, s.wcet)
-					os.TaskEndCycle(p)
-				}
-				os.TaskTerminate(p)
-			})
+			w.Tasks = append(w.Tasks, rtc.TaskDef{Name: s.name, Type: "periodic", Prio: s.rmPrio,
+				Period: s.period, Cycles: cycles, Segments: []sim.Time{s.wcet}})
 		}
-		os.AssignRateMonotonic()
-		check(k.Run())
-		for _, t := range tasks {
-			missed += t.MissedDeadlines()
+		r := rtc.RunGoroutine(w)
+		check(r.Err)
+		for _, t := range r.Tasks {
+			missed += t.Missed
 		}
-		return missed, os.StatsSnapshot().Migrations
+		return missed, r.SMP.Migrations
 	}
-	missRM, migRM := runGlobal(smp.FixedPriority{})
-	missEDF, migEDF := runGlobal(smp.GEDF{})
+	missRM, migRM := runGlobal("g-fp")
+	missEDF, migEDF := runGlobal("g-edf")
 
 	// Partitioned mapping on two uniprocessor RTOS model instances.
 	k := sim.NewKernel()

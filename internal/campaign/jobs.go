@@ -89,11 +89,12 @@ func tasksetCell(s *taskset.Set) cellSpec {
 }
 
 func runTasksetCell(s *taskset.Set) ([]byte, *telemetry.Report, error) {
-	// The live telemetry bus is a goroutine-kernel uniprocessor feature;
-	// rtc and SMP runs still return full results, just no merged metrics.
+	// The live telemetry bus is a goroutine-kernel feature, on one CPU
+	// or several; rtc runs still return full results, just no merged
+	// metrics.
 	var cap *telemetry.Capture
 	var bus []*telemetry.Bus
-	if s.Engine != "rtc" && s.CPUs <= 1 {
+	if s.Engine != "rtc" {
 		cap = telemetry.NewCapture()
 		bus = append(bus, cap.Bus)
 	}

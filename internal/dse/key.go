@@ -16,37 +16,25 @@ const canonVersion = "tsv1"
 
 // Canonical serializes a task set into its semantic normal form: every
 // default is made explicit (policy, time model, personality, engine,
-// CPUs, horizon, task type, the quantum only round-robin consumes),
-// the uniprocessor policy is named as taskset.Set.UniPolicy resolves
-// it ("prio" is "priority", "roundrobin" is "rr"), times are
-// nanosecond integers, and fields appear in a fixed order — so two
-// sets that simulate identically (reordered JSON fields, omitted
-// defaults, aliased names) serialize identically, and any semantically
-// meaningful difference changes the bytes. Cache keys hash these bytes (HashSet); anything
-// simulation-relevant that is missing here would let distinct
+// CPUs, horizon, task type, the quantum only round-robin consumes), the
+// policy, its quantum and the horizon are the ones taskset resolves for
+// the run (Set.RunPolicy, Set.Horizon: "prio" is "priority",
+// "roundrobin" is "rr", "" on several CPUs is "g-fp"), times are
+// nanosecond integers, and fields appear in a fixed order — so two sets
+// that simulate identically (reordered JSON fields, omitted defaults,
+// aliased names) serialize identically, and any semantically meaningful
+// difference changes the bytes. Cache keys hash these bytes (HashSet);
+// anything simulation-relevant that is missing here would let distinct
 // configurations collide in the cache. Strings are quoted with
 // strconv.Quote and integers printed in decimal, the bytes fmt's %q and
 // %d produce.
 func Canonical(s *taskset.Set) []byte {
-	cpus := s.CPUs
-	if cpus < 1 {
-		cpus = 1
-	}
-	policy := s.Policy
-	var quantum sim.Time
-	if cpus > 1 {
-		// The SMP runner treats everything but "g-edf" as fixed priority.
-		if policy != "g-edf" {
-			policy = "g-fp"
-		}
-	} else if p, q, err := s.UniPolicy(); err == nil {
-		// The policy and quantum the run uses; only round-robin consumes
-		// the quantum. An unknown name stays as written (Canonical is
-		// total over invalid sets too).
-		policy = p.Name()
-		if policy == "rr" {
-			quantum = q
-		}
+	cpus := max(s.CPUs, 1)
+	// An unknown policy name stays as written (Canonical is total over
+	// invalid sets too); only round-robin consumes the quantum.
+	policy, quantum, _ := s.RunPolicy()
+	if policy != "rr" {
+		quantum = 0
 	}
 	tmodel := s.TimeModel
 	if tmodel == "" {
@@ -60,10 +48,7 @@ func Canonical(s *taskset.Set) []byte {
 	if engine == "" || cpus > 1 {
 		engine = "goroutine"
 	}
-	horizon := sim.Time(s.HorizonMs * 1e6)
-	if horizon <= 0 {
-		horizon = sim.Second
-	}
+	horizon := s.Horizon()
 
 	n := 160 + len(policy) + len(tmodel) + len(pers) + len(engine)
 	for _, t := range s.Tasks {

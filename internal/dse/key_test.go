@@ -106,6 +106,7 @@ func TestCanonicalPolicyAliases(t *testing.T) {
 		{"ratemonotonic", with("ratemonotonic", 0), with("rm", 0)},
 		{"roundrobin-default-quantum", with("roundrobin", 0), with("rr", 1000)},
 		{"rr-quantum-rounds-to-zero", with("rr", 0.0001), with("rr", 1000)},
+		{"rr-default-quantum", with("rr", 0), with("rr", 1000)},
 	}
 	for _, p := range same {
 		t.Run(p.name, func(t *testing.T) {

@@ -6,23 +6,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/personality"
 	"repro/internal/sim"
+	"repro/internal/smp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // RunGoroutine executes a flat workload on the goroutine-per-process
-// simulation kernel (internal/sim + core.OS, programmed through the
-// workload's personality) and returns the Result Run returns for it:
+// simulation kernel (internal/sim). On one CPU it programs core.OS
+// through the workload's personality and returns the Result Run returns:
 // the same spawn order, task bodies, watchdog and horizon, and a Result
-// filled as Session.Finish fills it. It is the reference the engine-
-// equivalence suites diff rtc against, and the goroutine engine of the
-// front ends that build a Workload (taskset, simcheck). Each bus is
-// attached to the RTOS instance and receives the trace's markers.
-// Hierarchical workloads (Top set) are an error: sdl elaborates those on
-// the goroutine kernel itself.
+// filled as Session.Finish fills it (the reference the engine-equivalence
+// suites diff rtc against). With CPUs > 1 it spawns the same task bodies
+// on the global multiprocessor scheduler (runSMP). It is the goroutine
+// engine of the front ends that build a Workload (taskset, simcheck,
+// experiments). Each bus is attached to the scheduler and receives the
+// trace's markers. Hierarchical workloads (Top set) are an error: sdl
+// elaborates those on the goroutine kernel itself.
 func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	if w.Top != "" {
 		return configError(w, fmt.Errorf("rtc: RunGoroutine runs flat workloads; %q is hierarchical", w.Top))
+	}
+	if w.CPUs > 1 {
+		return runSMP(w, bus)
 	}
 	if !personality.Valid(w.Personality) {
 		return configError(w, fmt.Errorf("rtc: unknown personality %q", w.Personality))
@@ -71,66 +76,9 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 			chans[i].s = rt.NewSemaphore(c.Name, c.Arg)
 		}
 	}
-
-	tasks := make([]*core.Task, len(w.Tasks))
-	resp := make([]Time, len(w.Tasks))
-	for i := range w.Tasks {
-		td := &w.Tasks[i]
-		switch td.Type {
-		case "periodic":
-			var wcet Time
-			for _, seg := range td.Segments {
-				wcet += seg
-			}
-			task := rt.TaskCreate(td.Name, core.Periodic, td.Period, wcet, td.Prio)
-			tasks[i] = task
-			p := k.Spawn(td.Name, func(p *sim.Proc) {
-				rt.Activate(p, task)
-				for c := 0; td.Cycles == 0 || c < td.Cycles; c++ {
-					rel := task.Release()
-					for _, seg := range td.Segments {
-						rt.Compute(p, seg)
-					}
-					if done := task.LastWorkDone(); done > rel && done-rel > resp[i] {
-						resp[i] = done - rel
-					}
-					rt.EndCycle(p)
-				}
-				rt.Terminate(p)
-			})
-			p.SetDaemon(td.Cycles == 0)
-		case "aperiodic":
-			ops := make([]goOp, len(td.Ops))
-			var wcet Time
-			for j, op := range td.Ops {
-				if op.Kind == "delay" {
-					ops[j], wcet = goOp{dur: op.Dur}, wcet+op.Dur
-					continue
-				}
-				cop, ix, err := flatOp(w.Channels, op)
-				if err != nil {
-					return configError(w, err)
-				}
-				ops[j] = goOp{op: cop, c: &chans[ix]}
-			}
-			repeat := max(td.Repeat, 1)
-			task := rt.TaskCreate(td.Name, core.Aperiodic, 0, wcet*Time(repeat), td.Prio)
-			tasks[i] = task
-			k.Spawn(td.Name, func(p *sim.Proc) {
-				if td.Start > 0 {
-					p.WaitFor(td.Start)
-				}
-				rt.Activate(p, task)
-				for r := 0; r < repeat; r++ {
-					for _, op := range ops {
-						op.do(p, rt)
-					}
-				}
-				rt.Terminate(p)
-			})
-		default:
-			return configError(w, fmt.Errorf("rtc: unknown task type %q", td.Type))
-		}
+	tasks, resp, err := spawnTasks(k, &w, rt, chans, response)
+	if err != nil {
+		return configError(w, err)
 	}
 
 	// Interrupt sources: the merged stimulus+ISR process fIRQBody runs.
@@ -174,6 +122,158 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	return res
 }
 
+// runSMP is RunGoroutine on CPUs > 1: the task bodies on the global
+// scheduler (smp.OS, policy "g-fp" or "g-edf"), which has no personality,
+// channels or IRQs. Stats holds the counters the two schedulers share,
+// SMP all of them; the trace holds no records (its formats have no CPU
+// axis), and response times are not tracked.
+func runSMP(w Workload, bus []*telemetry.Bus) *Result {
+	var policy smp.Policy
+	switch {
+	case w.Personality != "":
+		return configError(w, fmt.Errorf("rtc: personality %q models one CPU; the global scheduler has none", w.Personality))
+	case len(w.Channels) > 0 || len(w.IRQs) > 0:
+		return configError(w, fmt.Errorf("rtc: the global scheduler models no channels or IRQs"))
+	case w.Policy == "g-fp":
+		policy = smp.FixedPriority{}
+	case w.Policy == "g-edf":
+		policy = smp.GEDF{}
+	default:
+		return configError(w, fmt.Errorf("rtc: unknown global policy %q on %d CPUs (have \"g-fp\", \"g-edf\")", w.Policy, w.CPUs))
+	}
+	name := w.Name
+	if name == "" {
+		name = "SMP"
+	}
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	os := smp.New(k, name, policy, w.CPUs, w.TimeModel == core.TimeModelSegmented)
+	for _, b := range bus {
+		b.AttachSMP(os)
+	}
+	tasks, _, err := spawnTasks[*smp.Task](k, &w, smpRTOS{os}, nil, nil)
+	if err != nil {
+		return configError(w, err)
+	}
+	os.EnableWatchdog(w.WatchdogWindow)
+
+	res := &Result{Err: k.RunUntil(w.Horizon)}
+	res.End, res.Diag, res.SMP = k.Now(), os.Diagnosis(), os.StatsSnapshot()
+	if w.Trace {
+		res.Trace = trace.New(name)
+	}
+	res.Stats = core.Stats{
+		Dispatches:      res.SMP.Dispatches,
+		ContextSwitches: res.SMP.ContextSwitches,
+		Preemptions:     res.SMP.Preemptions,
+		BusyTime:        res.SMP.BusyTime,
+	}
+	for _, t := range tasks {
+		res.Tasks = append(res.Tasks, taskResult(t, 0))
+	}
+	return res
+}
+
+// goRTOS is the service surface the goroutine-kernel task bodies
+// program, over task handles T: the workload's personality.Runtime on
+// one CPU, smpRTOS on several.
+type goRTOS[T any] interface {
+	TaskCreate(name string, typ core.TaskType, period, wcet Time, prio int) T
+	Activate(p *sim.Proc, t T)
+	Compute(p *sim.Proc, d Time)
+	EndCycle(p *sim.Proc)
+	Terminate(p *sim.Proc)
+}
+
+// smpRTOS gives the global scheduler the personality's service names.
+type smpRTOS struct{ *smp.OS }
+
+func (o smpRTOS) Activate(p *sim.Proc, t *smp.Task) { o.TaskActivate(p, t) }
+func (o smpRTOS) Compute(p *sim.Proc, d Time)       { o.TimeWait(p, d) }
+func (o smpRTOS) EndCycle(p *sim.Proc)              { o.TaskEndCycle(p) }
+func (o smpRTOS) Terminate(p *sim.Proc)             { o.TaskTerminate(p) }
+
+// response is a uniprocessor task's response time in its current cycle.
+func response(t *core.Task) Time {
+	if done, rel := t.LastWorkDone(), t.Release(); done > rel {
+		return done - rel
+	}
+	return 0
+}
+
+// spawnTasks creates the workload's tasks on rt and spawns their bodies
+// in declaration order, Session.init's order. A periodic task runs its
+// segments once per cycle (forever, on a daemon process, when Cycles is
+// 0) and, when resp is given, keeps its worst response time; an
+// aperiodic one waits out Start, activates, and runs its ops Repeat
+// times. It returns the tasks and their worst response times.
+func spawnTasks[T any](k *sim.Kernel, w *Workload, rt goRTOS[T], chans []goChan, resp func(T) Time) ([]T, []Time, error) {
+	tasks := make([]T, len(w.Tasks))
+	worst := make([]Time, len(w.Tasks))
+	for i := range w.Tasks {
+		td := &w.Tasks[i]
+		switch td.Type {
+		case "periodic":
+			var wcet Time
+			for _, seg := range td.Segments {
+				wcet += seg
+			}
+			task := rt.TaskCreate(td.Name, core.Periodic, td.Period, wcet, td.Prio)
+			tasks[i] = task
+			p := k.Spawn(td.Name, func(p *sim.Proc) {
+				rt.Activate(p, task)
+				for c := 0; td.Cycles == 0 || c < td.Cycles; c++ {
+					for _, seg := range td.Segments {
+						rt.Compute(p, seg)
+					}
+					if resp != nil {
+						worst[i] = max(worst[i], resp(task))
+					}
+					rt.EndCycle(p)
+				}
+				rt.Terminate(p)
+			})
+			p.SetDaemon(td.Cycles == 0)
+		case "aperiodic":
+			ops := make([]goOp, len(td.Ops))
+			var wcet Time
+			for j, op := range td.Ops {
+				if op.Kind == "delay" {
+					ops[j], wcet = goOp{dur: op.Dur}, wcet+op.Dur
+					continue
+				}
+				cop, ix, err := flatOp(w.Channels, op)
+				if err != nil {
+					return nil, nil, err
+				}
+				ops[j] = goOp{op: cop, c: &chans[ix]}
+			}
+			repeat := max(td.Repeat, 1)
+			task := rt.TaskCreate(td.Name, core.Aperiodic, 0, wcet*Time(repeat), td.Prio)
+			tasks[i] = task
+			k.Spawn(td.Name, func(p *sim.Proc) {
+				if td.Start > 0 {
+					p.WaitFor(td.Start)
+				}
+				rt.Activate(p, task)
+				for r := 0; r < repeat; r++ {
+					for _, op := range ops {
+						if op.c == nil {
+							rt.Compute(p, op.dur)
+						} else {
+							op.do(p)
+						}
+					}
+				}
+				rt.Terminate(p)
+			})
+		default:
+			return nil, nil, fmt.Errorf("rtc: unknown task type %q", td.Type)
+		}
+	}
+	return tasks, worst, nil
+}
+
 // goChan is one declared channel on the goroutine kernel: the
 // personality's queue or semaphore (neither for a handshake, which flat
 // bodies cannot use).
@@ -190,15 +290,13 @@ type goOp struct {
 	c   *goChan // nil for a delay
 }
 
-func (o *goOp) do(p *sim.Proc, rt personality.Runtime) {
-	switch {
-	case o.c == nil:
-		rt.Compute(p, o.dur)
-	case o.op == core.OpSend:
+func (o *goOp) do(p *sim.Proc) {
+	switch o.op {
+	case core.OpSend:
 		o.c.q.Send(p, 1)
-	case o.op == core.OpRecv:
+	case core.OpRecv:
 		o.c.q.Recv(p)
-	case o.op == core.OpAcquire:
+	case core.OpAcquire:
 		o.c.s.Acquire(p)
 	default:
 		o.c.s.Release(p)

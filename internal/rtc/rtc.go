@@ -8,15 +8,17 @@
 // both engines produce byte-identical traces (pinned by the engine-
 // equivalence suites). Timers run on sim.Timers, the (deadline,
 // sequence) heap the goroutine kernel schedules through too.
-// RunGoroutine executes a flat Workload on the goroutine kernel, so a
-// front end describes its task set once and picks the engine by the
-// runner it calls.
+// RunGoroutine executes a flat Workload on the goroutine kernel, on one
+// CPU or on the global multiprocessor scheduler, so a front end
+// describes its task set once and picks the engine by the runner it
+// calls.
 package rtc
 
 import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/personality"
+	"repro/internal/smp"
 	"repro/internal/trace"
 )
 
@@ -76,25 +78,28 @@ type IRQDef struct {
 	Count int
 }
 
-// Workload is a complete single-PE scenario for the engine. Two shapes
-// are supported:
+// Workload is a complete scenario for the engines. Two shapes are
+// supported:
 //
 //   - flat (Top == ""): Tasks are the task set, each with its own body;
-//     IRQs run a merged stimulus+ISR process. Both Run and RunGoroutine
-//     execute it.
+//     IRQs run a merged stimulus+ISR process. On one CPU both Run and
+//     RunGoroutine execute it. With CPUs > 1 only RunGoroutine does: it
+//     spawns the same task bodies on the global multiprocessor scheduler
+//     (Policy "g-fp" or "g-edf"; no personality, channels or IRQs).
 //   - hierarchical (Top != ""): Behaviors/Top describe an SDL behavior
 //     tree whose root becomes the PE's main task and whose par children
 //     fork tasks at runtime (refine.RunArchitecture's protocol); Tasks
 //     then act as the refinement mapping (TaskDef.Name names a behavior;
 //     unmapped behaviors default to aperiodic priority 100+order), and
 //     IRQs elaborate as split stimulus and ISR machines, the SDL
-//     architecture model's shape.
+//     architecture model's shape. Run executes it, on one CPU.
 type Workload struct {
-	Name           string // PE name; defaults to "PE"
+	Name           string // PE name; defaults to "PE" ("SMP" when CPUs > 1)
 	Policy         string
 	Quantum        Time
 	TimeModel      core.TimeModel
 	Personality    string // "", "generic", "itron", "osek"
+	CPUs           int    // 0/1: one PE; >1: the global scheduler (RunGoroutine only)
 	Tasks          []TaskDef
 	Channels       []ChannelDef
 	IRQs           []IRQDef
@@ -124,6 +129,7 @@ type Result struct {
 	Records      []trace.Record
 	Trace        *trace.Recorder // the recorder behind Records (nil unless Workload.Trace)
 	Stats        core.Stats
+	SMP          smp.Stats // the global scheduler's counters (CPUs > 1 only)
 	Tasks        []TaskResult
 	Diag         *core.DiagnosisError
 	Conservation error

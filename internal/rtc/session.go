@@ -34,7 +34,8 @@ type Session struct {
 
 // NewSession builds the workload's kernel, OS state, channels, tasks and
 // daemon machines without running anything. Configuration errors that Run
-// reports via Result.Err are returned directly.
+// reports via Result.Err are returned directly; one of them is CPUs > 1,
+// since the engine models one CPU.
 func NewSession(w Workload) (*Session, error) {
 	s := &Session{}
 	if err := s.init(w); err != nil {
@@ -47,6 +48,9 @@ func NewSession(w Workload) (*Session, error) {
 // task ids, resource order, and the time-zero activation order, all of
 // which the engine-equivalence suite pins against the goroutine kernel.
 func (s *Session) init(w Workload) error {
+	if w.CPUs > 1 {
+		return fmt.Errorf("rtc: the run-to-completion engine models one CPU, not %d; RunGoroutine runs the global scheduler", w.CPUs)
+	}
 	name := w.Name
 	if name == "" {
 		name = "PE"
@@ -234,8 +238,19 @@ func (s *Session) Finish() *Result {
 	return res
 }
 
+// tcb is the read side of a task control block, the same on the
+// uniprocessor scheduler (core.Task) and the global one (smp.Task).
+type tcb interface {
+	Name() string
+	Priority() int
+	State() core.TaskState
+	Activations() int
+	MissedDeadlines() int
+	CPUTime() Time
+}
+
 // taskResult is a task's outcome; resp is its worst response time.
-func taskResult(t *core.Task, resp Time) TaskResult {
+func taskResult(t tcb, resp Time) TaskResult {
 	return TaskResult{
 		Name:        t.Name(),
 		Prio:        t.Priority(),

@@ -9,6 +9,7 @@ import (
 	"repro/internal/rtc"
 	"repro/internal/sim"
 	"repro/internal/smp"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -157,51 +158,43 @@ func Run(s *Scenario, cfg Config) *RunResult {
 			Err: fmt.Errorf("simcheck: unknown engine %q (want \"goroutine\" or \"rtc\")", cfg.Engine)}
 	}
 	if cfg.CheckpointAt > 0 {
-		if cfg.CPUs > 1 {
-			return &RunResult{Config: cfg,
-				Err: fmt.Errorf("simcheck: CheckpointAt requires CPUs=1 (the SMP model has no checkpoint support)")}
-		}
+		// The rtc engine, the only one that checkpoints, refuses CPUs > 1.
 		if cfg.Engine != "rtc" {
 			return &RunResult{Config: cfg,
 				Err: fmt.Errorf("simcheck: CheckpointAt requires the rtc engine (the goroutine kernel has no checkpoint support)")}
 		}
 		return runRTCCheckpointed(s, cfg)
 	}
-	if cfg.CPUs > 1 {
-		if cfg.Personality != "" {
-			// Personalities are uniprocessor kernel APIs layered over
-			// core.OS services; the global SMP scheduler has its own task
-			// model, so the combination is a configuration error rather
-			// than a silently ignored axis.
-			return &RunResult{Config: cfg,
-				Err: fmt.Errorf("simcheck: personality %q requires CPUs=1", cfg.Personality)}
-		}
-		// The rtc engine is uniprocessor; SMP always runs on the
-		// goroutine kernel regardless of Engine.
-		return runSMP(s, cfg)
-	}
 	w := BuildRTCWorkload(s, cfg)
-	if cfg.Engine == "rtc" {
+	switch {
+	case cfg.CPUs > 1:
+		// The rtc engine models one CPU; the global scheduler runs on the
+		// goroutine kernel whatever the Engine. Its dispatch and slot
+		// release events come off a telemetry bus.
+		var c telemetry.Collector
+		return assemble(cfg, rtc.RunGoroutine(w, telemetry.NewBus(&c)), c.Events...)
+	case cfg.Engine == "rtc":
 		return assemble(cfg, rtc.Run(w))
 	}
 	return assemble(cfg, rtc.RunGoroutine(w))
 }
 
 // BuildRTCWorkload translates the scenario into the engines' workload
-// form under the config's policy/time-model/personality axes: rtc.Run
-// and rtc.RunGoroutine both execute it. Exported so the DSE layer can
-// checkpoint-fork simcheck scenarios.
+// form under the config's policy/time-model/personality/CPU axes: rtc.Run
+// and rtc.RunGoroutine both execute it on one CPU, rtc.RunGoroutine on
+// several. Exported so the DSE layer can checkpoint-fork simcheck
+// scenarios.
 func BuildRTCWorkload(s *Scenario, cfg Config) rtc.Workload {
 	tm := core.TimeModelCoarse
 	if cfg.Segmented() {
 		tm = core.TimeModelSegmented
 	}
 	w := rtc.Workload{
-		Name:           "PE",
 		Policy:         cfg.Policy,
 		Quantum:        cfg.Quantum,
 		TimeModel:      tm,
 		Personality:    cfg.Personality,
+		CPUs:           cfg.CPUs,
 		WatchdogWindow: watchdogWindow(s),
 		Horizon:        s.Horizon(),
 		Trace:          true,
@@ -233,15 +226,14 @@ func BuildRTCWorkload(s *Scenario, cfg Config) rtc.Workload {
 }
 
 // assemble maps an rtc.Result, from either engine, into the RunResult
-// shape every oracle consumes.
-func assemble(cfg Config, r *rtc.Result) *RunResult {
+// shape every oracle consumes. A multiprocessor run's trace is its
+// global-scheduler events: each dispatch of a task onto a CPU, and each
+// slot it vacates (a dispatch to idle naming the previous task).
+func assemble(cfg Config, r *rtc.Result, events ...telemetry.Event) *RunResult {
 	res := &RunResult{Config: cfg}
 	res.Err = r.Err
 	res.End = r.End
 	res.Diag = r.Diag
-	res.Records = r.Records
-	res.Stats = r.Stats
-	res.conservation = r.Conservation
 	for i, t := range r.Tasks {
 		res.Tasks = append(res.Tasks, TaskOutcome{
 			Name:        t.Name,
@@ -253,92 +245,24 @@ func assemble(cfg Config, r *rtc.Result) *RunResult {
 			MaxResp:     t.MaxResp,
 		})
 	}
-	res.Trace = serializeSingle(res)
-	return res
-}
-
-// smpRecorder collects SMPEvents via the smp.Observer hook.
-type smpRecorder struct{ events []SMPEvent }
-
-func (r *smpRecorder) OnDispatch(at sim.Time, cpu int, t *smp.Task) {
-	r.events = append(r.events, SMPEvent{At: at, CPU: cpu, Task: t.Name()})
-}
-
-func (r *smpRecorder) OnRelease(at sim.Time, cpu int, t *smp.Task) {
-	r.events = append(r.events, SMPEvent{At: at, CPU: cpu, Task: t.Name(), Release: true})
-}
-
-// runSMP executes a channel-free scenario on the global SMP scheduler.
-func runSMP(s *Scenario, cfg Config) *RunResult {
-	res := &RunResult{Config: cfg}
-	var policy smp.Policy
-	switch cfg.Policy {
-	case "g-fp":
-		policy = smp.FixedPriority{}
-	case "g-edf":
-		policy = smp.GEDF{}
-	default:
-		res.Err = fmt.Errorf("simcheck: unknown SMP policy %q", cfg.Policy)
+	if cfg.CPUs > 1 {
+		for _, e := range events {
+			switch {
+			case e.Kind != telemetry.KindDispatch:
+			case e.Task != "":
+				res.Events = append(res.Events, SMPEvent{At: e.At, CPU: e.CPU, Task: e.Task})
+			default:
+				res.Events = append(res.Events, SMPEvent{At: e.At, CPU: e.CPU, Task: e.Other, Release: true})
+			}
+		}
+		res.SMP = r.SMP
+		res.Trace = serializeSMP(res)
 		return res
 	}
-	k := sim.NewKernel()
-	os := smp.New(k, "SMP", policy, cfg.CPUs, cfg.Segmented())
-	defer k.Shutdown()
-	rec := &smpRecorder{}
-	os.Observe(rec)
-
-	tasks := make([]*smp.Task, len(s.Tasks))
-	for i := range s.Tasks {
-		spec := &s.Tasks[i]
-		switch spec.Type {
-		case "periodic":
-			task := os.TaskCreate(spec.Name, core.Periodic, spec.Period, spec.Work()/sim.Time(spec.Cycles), spec.Prio)
-			tasks[i] = task
-			k.Spawn(spec.Name, func(p *sim.Proc) {
-				os.TaskActivate(p, task)
-				for c := 0; c < spec.Cycles; c++ {
-					for _, seg := range spec.Segments {
-						os.TimeWait(p, seg)
-					}
-					os.TaskEndCycle(p)
-				}
-				os.TaskTerminate(p)
-			})
-		case "aperiodic":
-			task := os.TaskCreate(spec.Name, core.Aperiodic, 0, spec.Work(), spec.Prio)
-			tasks[i] = task
-			k.Spawn(spec.Name, func(p *sim.Proc) {
-				if spec.Start > 0 {
-					p.WaitFor(spec.Start)
-				}
-				os.TaskActivate(p, task)
-				for _, op := range spec.Ops {
-					if op.Kind == OpDelay {
-						os.TimeWait(p, op.Dur)
-					}
-				}
-				os.TaskTerminate(p)
-			})
-		}
-	}
-
-	os.EnableWatchdog(watchdogWindow(s))
-	res.Err = k.RunUntil(s.Horizon())
-	res.End = k.Now()
-	res.Diag = os.Diagnosis()
-	res.Events = rec.events
-	res.SMP = os.StatsSnapshot()
-	for i, t := range tasks {
-		res.Tasks = append(res.Tasks, TaskOutcome{
-			Name:        t.Name(),
-			Index:       i,
-			Terminated:  t.State() == core.TaskTerminated,
-			Activations: t.Activations(),
-			Missed:      t.MissedDeadlines(),
-			CPUTime:     t.CPUTime(),
-		})
-	}
-	res.Trace = serializeSMP(res)
+	res.Records = r.Records
+	res.Stats = r.Stats
+	res.conservation = r.Conservation
+	res.Trace = serializeSingle(res)
 	return res
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/personality"
 	"repro/internal/rtc"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -114,9 +113,6 @@ func (s *Set) Validate() error {
 	if s.QuantumUs < 0 {
 		return fmt.Errorf("taskset: negative quantumUs %g", s.QuantumUs)
 	}
-	if s.Policy == "rr" && s.QuantumUs <= 0 {
-		return fmt.Errorf("taskset: policy \"rr\" needs quantumUs > 0")
-	}
 	switch s.Engine {
 	case "", "goroutine", "rtc":
 	default:
@@ -177,15 +173,15 @@ type Result struct {
 }
 
 // Run simulates the set and returns per-task and OS-level statistics plus
-// the full trace. An optional telemetry bus is attached to the RTOS
-// instance (goroutine engine only). Both uniprocessor engines run the
-// same rtc.Workload (see workload); only the executor differs.
+// the full trace. Every set is lowered to one rtc.Workload (see
+// workload); the engine only picks the runner. rtc.Run executes it on
+// one CPU; rtc.RunGoroutine on one CPU or, for cpus > 1, on the global
+// SMP scheduler. Optional telemetry buses are attached to the scheduler
+// (goroutine engine only). A multiprocessor run returns an empty trace:
+// the single-PE trace formats have no CPU axis.
 func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if s.CPUs > 1 {
-		return runSMP(s, bus)
 	}
 	w, err := s.workload()
 	if err != nil {
@@ -213,7 +209,7 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 		Policy:      w.Policy,
 		TimeModel:   w.TimeModel,
 		Personality: r.Personality,
-		CPUs:        1,
+		CPUs:        max(w.CPUs, 1),
 		Horizon:     w.Horizon,
 		End:         r.End,
 		Stats:       r.Stats,
@@ -233,21 +229,22 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 	return res, nil
 }
 
-// workload lowers a validated uniprocessor set to the engines' workload
-// form: a periodic task computes its wcet once per cycle, an aperiodic
-// one runs its compute segments after its start offset.
+// workload lowers a validated set to the engines' workload form: a
+// periodic task computes its wcet once per cycle, an aperiodic one runs
+// its compute segments after its start offset, under the policy RunPolicy
+// names, on the set's CPUs.
 func (s *Set) workload() (rtc.Workload, error) {
-	policy, quantum, err := s.UniPolicy()
+	policy, quantum, err := s.RunPolicy()
 	if err != nil {
 		return rtc.Workload{}, fmt.Errorf("taskset: %v", err)
 	}
 	w := rtc.Workload{
-		Name:        "PE",
-		Policy:      policy.Name(),
+		Policy:      policy,
 		Quantum:     quantum,
 		TimeModel:   s.timeModel(),
 		Personality: s.Personality,
-		Horizon:     s.horizon(),
+		CPUs:        s.CPUs,
+		Horizon:     s.Horizon(),
 		Trace:       true,
 	}
 	for _, tj := range s.Tasks {
@@ -278,12 +275,32 @@ func (s *Set) workload() (rtc.Workload, error) {
 	return w, nil
 }
 
+// RunPolicy names the scheduling policy the set runs under and the
+// quantum it runs with. On one CPU both are UniPolicy's. On several
+// the global scheduler runs "g-edf" when the set names it and "g-fp"
+// otherwise (Validate admits only "", "g-fp" and "g-edf" there), with no
+// quantum. Runs and cache keys (dse.Canonical) both resolve the policy
+// here, so a key always names what runs. On error the name is the
+// set's own.
+func (s *Set) RunPolicy() (string, sim.Time, error) {
+	if s.CPUs > 1 {
+		if s.Policy == "g-edf" {
+			return "g-edf", 0, nil
+		}
+		return "g-fp", 0, nil
+	}
+	p, q, err := s.UniPolicy()
+	if err != nil {
+		return s.Policy, 0, err
+	}
+	return p.Name(), q, nil
+}
+
 // UniPolicy resolves the uniprocessor scheduling policy the set runs
 // and its quantum: the policy is core's for the set's name ("priority"
 // when unset; an alias such as "roundrobin" yields the policy whose Name
 // is "rr"), the quantum is quantumUs, or 1 ms when that is unset or
-// rounds to zero. Runs and cache keys (dse.Canonical) both resolve the
-// policy here, so a key always names what runs.
+// rounds to zero, under every round-robin name.
 func (s *Set) UniPolicy() (core.Policy, sim.Time, error) {
 	name := s.Policy
 	if name == "" {
@@ -305,97 +322,12 @@ func (s *Set) timeModel() core.TimeModel {
 	return core.TimeModelCoarse
 }
 
-// horizon returns the simulated span (1 s by default).
-func (s *Set) horizon() sim.Time {
+// Horizon returns the simulated span (1 s by default).
+func (s *Set) Horizon() sim.Time {
 	if h := sim.Time(s.HorizonMs * 1e6); h > 0 {
 		return h
 	}
 	return sim.Second
-}
-
-// runSMP simulates the set on the global multiprocessor scheduler
-// (Validate guarantees no personality is in play). The trace recorder is
-// returned empty: the SMP scheduler has its own observer surface, which
-// the buses attach to, and the single-PE trace formats do not carry a
-// CPU axis.
-func runSMP(s *Set, buses []*telemetry.Bus) (*Result, error) {
-	var policy smp.Policy = smp.FixedPriority{}
-	if s.Policy == "g-edf" {
-		policy = smp.GEDF{}
-	}
-	tm, horizon := s.timeModel(), s.horizon()
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	os := smp.New(k, "SMP", policy, s.CPUs, tm == core.TimeModelSegmented)
-	for _, b := range buses {
-		b.AttachSMP(os)
-	}
-
-	var tasks []*smp.Task
-	for _, tj := range s.Tasks {
-		tj := tj
-		switch tj.Type {
-		case "periodic", "":
-			task := os.TaskCreate(tj.Name, core.Periodic, us(tj.PeriodUs), us(tj.WcetUs), tj.Prio)
-			tasks = append(tasks, task)
-			p := k.Spawn(tj.Name, func(p *sim.Proc) {
-				os.TaskActivate(p, task)
-				for c := 0; tj.Cycles == 0 || c < tj.Cycles; c++ {
-					os.TimeWait(p, us(tj.WcetUs))
-					os.TaskEndCycle(p)
-				}
-				os.TaskTerminate(p)
-			})
-			if tj.Cycles == 0 {
-				p.SetDaemon(true)
-			}
-		case "aperiodic":
-			task := os.TaskCreate(tj.Name, core.Aperiodic, 0, us(tj.WcetUs), tj.Prio)
-			tasks = append(tasks, task)
-			k.Spawn(tj.Name, func(p *sim.Proc) {
-				if tj.StartUs > 0 {
-					p.WaitFor(us(tj.StartUs))
-				}
-				os.TaskActivate(p, task)
-				for _, c := range tj.ComputeUs {
-					os.TimeWait(p, us(float64(c)))
-				}
-				os.TaskTerminate(p)
-			})
-		}
-	}
-
-	if err := k.RunUntil(horizon); err != nil {
-		return nil, err
-	}
-	st := os.StatsSnapshot()
-	res := &Result{
-		Policy:      policy.Name(),
-		TimeModel:   tm,
-		Personality: "",
-		CPUs:        s.CPUs,
-		Horizon:     horizon,
-		End:         k.Now(),
-		Stats: core.Stats{
-			Dispatches:      st.Dispatches,
-			ContextSwitches: st.ContextSwitches,
-			Preemptions:     st.Preemptions,
-			BusyTime:        st.BusyTime,
-		},
-		Trace: trace.New("taskset-smp"),
-	}
-	for i, t := range tasks {
-		res.Tasks = append(res.Tasks, TaskResult{
-			Name:        t.Name(),
-			Prio:        t.Priority(),
-			Period:      us(s.Tasks[i].PeriodUs),
-			WCET:        us(s.Tasks[i].WcetUs),
-			Activations: t.Activations(),
-			Missed:      t.MissedDeadlines(),
-			CPUTime:     t.CPUTime(),
-		})
-	}
-	return res, nil
 }
 
 // us converts microseconds to sim.Time.
