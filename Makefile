@@ -88,7 +88,7 @@ engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence ma
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 	go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
-	go test -run 'TestSMPGolden|TestSMPJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
+	go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 
 checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck

@@ -461,7 +461,7 @@ func smpDhall() {
 		for _, t := range r.Tasks {
 			missed += t.Missed
 		}
-		return missed, r.SMP.Migrations
+		return missed, r.Migrations
 	}
 	missRM, migRM := runGlobal("g-fp")
 	missEDF, migEDF := runGlobal("g-edf")

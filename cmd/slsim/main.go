@@ -30,7 +30,7 @@ func main() {
 	quantumUs := flag.Float64("quantum", 1000, "round-robin quantum in µs")
 	tmFlag := flag.String("timemodel", "coarse", "time model (coarse|segmented)")
 	persFlag := flag.String("personality", "", "override the model's RTOS personality (generic|itron|osek)")
-	engineFlag := flag.String("engine", "", "execution engine for the architecture model (goroutine|rtc); rtc runs single-PE models on the run-to-completion engine")
+	engineFlag := flag.String("engine", "", "execution engine for the architecture model (goroutine|rtc); rtc runs single-PE models on the run-to-completion engine, with the same -trace-out/-metrics-out outputs")
 	gantt := flag.Bool("gantt", true, "print ASCII Gantt charts")
 	events := flag.Bool("events", false, "print event lists")
 	vcdOut := flag.String("vcd", "", "write the architecture trace as VCD")
@@ -46,10 +46,6 @@ func main() {
 	case "", "goroutine", "rtc":
 	default:
 		fmt.Fprintf(os.Stderr, "slsim: unknown engine %q (have \"goroutine\", \"rtc\")\n", *engineFlag)
-		os.Exit(2)
-	}
-	if *engineFlag == "rtc" && (*traceOut != "" || *metricsOut != "") {
-		fmt.Fprintln(os.Stderr, "slsim: telemetry outputs need the goroutine engine")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -114,23 +110,21 @@ func main() {
 				fmt.Printf("RTOS %s: %d dispatches, %d context switches, %d preemptions, idle %v\n",
 					name, st.Dispatches, st.ContextSwitches, st.Preemptions, st.IdleTime)
 			}
-		} else if *engineFlag == "rtc" {
-			res, err := m.RunArchitectureRTC(*policyFlag, sim.Time(*quantumUs*1000), tm, sim.Forever)
-			exitOn(err)
-			rec = trace.New("sdl-arch-rtc")
-			for _, r := range res.Records {
-				rec.Append(r)
-			}
-			show(rec, fmt.Sprintf("architecture model (rtc engine, %s, %s time, %s personality)", policy.Name(), tm, pers))
-			st := res.Stats
-			fmt.Printf("RTOS: %d dispatches, %d context switches, %d preemptions, idle %v\n",
-				st.Dispatches, st.ContextSwitches, st.Preemptions, st.IdleTime)
 		} else {
-			archRec, osm, err := m.RunArchitecture(policy, tm, bus...)
-			exitOn(err)
-			rec = archRec
-			show(rec, fmt.Sprintf("architecture model (%s, %s time, %s personality)", policy.Name(), tm, pers))
-			st := osm.StatsSnapshot()
+			var st core.Stats
+			engine := ""
+			if *engineFlag == "rtc" {
+				res, err := m.RunArchitectureRTC(*policyFlag, sim.Time(*quantumUs*1000), tm, sim.Forever, bus...)
+				exitOn(err)
+				rec, st, engine = res.Trace, res.Stats, "rtc engine, "
+				rec.SetName("sdl-arch-rtc")
+			} else {
+				var osm *core.OS
+				rec, osm, err = m.RunArchitecture(policy, tm, bus...)
+				exitOn(err)
+				st = osm.StatsSnapshot()
+			}
+			show(rec, fmt.Sprintf("architecture model (%s%s, %s time, %s personality)", engine, policy.Name(), tm, pers))
 			fmt.Printf("RTOS: %d dispatches, %d context switches, %d preemptions, idle %v\n",
 				st.Dispatches, st.ContextSwitches, st.Preemptions, st.IdleTime)
 		}

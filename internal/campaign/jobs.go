@@ -88,26 +88,17 @@ func tasksetCell(s *taskset.Set) cellSpec {
 	}
 }
 
+// runTasksetCell runs the set with a telemetry capture on its bus, on
+// either engine and any CPU count, and returns the cell bytes and the
+// metrics report.
 func runTasksetCell(s *taskset.Set) ([]byte, *telemetry.Report, error) {
-	// The live telemetry bus is a goroutine-kernel feature, on one CPU
-	// or several; rtc runs still return full results, just no merged
-	// metrics.
-	var cap *telemetry.Capture
-	var bus []*telemetry.Bus
-	if s.Engine != "rtc" {
-		cap = telemetry.NewCapture()
-		bus = append(bus, cap.Bus)
-	}
-	res, err := taskset.Run(s, bus...)
+	cap := telemetry.NewCapture()
+	res, err := taskset.Run(s, cap.Bus)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rep *telemetry.Report
-	if cap != nil {
-		cap.SetEnd(res.End)
-		rep = cap.Report()
-	}
-	return renderTasksetResult(res), rep, nil
+	cap.SetEnd(res.End)
+	return renderTasksetResult(res), cap.Report(), nil
 }
 
 // renderTasksetResult is the canonical cell byte form of one task-set

@@ -20,7 +20,8 @@ import (
 // on the global multiprocessor scheduler (runSMP). It is the goroutine
 // engine of the front ends that build a Workload (taskset, simcheck,
 // experiments). Each bus is attached to the scheduler and receives the
-// trace's markers. Hierarchical workloads (Top set) are an error: sdl
+// trace's markers, as Run attaches it, so both engines feed a bus the
+// same event stream. Hierarchical workloads (Top set) are an error: sdl
 // elaborates those on the goroutine kernel itself.
 func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	if w.Top != "" {
@@ -47,17 +48,7 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	rtos := core.New(k, name, policy, core.WithTimeModel(w.TimeModel))
-	var rec *trace.Recorder
-	if w.Trace {
-		rec = trace.New(name)
-		rec.Attach(rtos)
-	}
-	for _, b := range bus {
-		b.Attach(rtos)
-		if rec != nil {
-			rec.TeeMarkers(b)
-		}
-	}
+	rec := observe(&rtos.Sched, name, w.Trace, bus)
 	rt, err := personality.New(w.Personality, rtos)
 	if err != nil {
 		return configError(w, err)
@@ -125,8 +116,9 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 // runSMP is RunGoroutine on CPUs > 1: the task bodies on the global
 // scheduler (smp.OS, policy "g-fp" or "g-edf"), which has no personality,
 // channels or IRQs. Stats holds the counters the two schedulers share,
-// SMP all of them; the trace holds no records (its formats have no CPU
-// axis), and response times are not tracked.
+// Migrations the one only the global scheduler keeps; the trace holds no
+// records (its formats have no CPU axis), and response times are not
+// tracked.
 func runSMP(w Workload, bus []*telemetry.Bus) *Result {
 	var policy smp.Policy
 	switch {
@@ -158,16 +150,18 @@ func runSMP(w Workload, bus []*telemetry.Bus) *Result {
 	os.EnableWatchdog(w.WatchdogWindow)
 
 	res := &Result{Err: k.RunUntil(w.Horizon)}
-	res.End, res.Diag, res.SMP = k.Now(), os.Diagnosis(), os.StatsSnapshot()
+	res.End, res.Diag = k.Now(), os.Diagnosis()
 	if w.Trace {
 		res.Trace = trace.New(name)
 	}
+	st := os.StatsSnapshot()
 	res.Stats = core.Stats{
-		Dispatches:      res.SMP.Dispatches,
-		ContextSwitches: res.SMP.ContextSwitches,
-		Preemptions:     res.SMP.Preemptions,
-		BusyTime:        res.SMP.BusyTime,
+		Dispatches:      st.Dispatches,
+		ContextSwitches: st.ContextSwitches,
+		Preemptions:     st.Preemptions,
+		BusyTime:        st.BusyTime,
 	}
+	res.Migrations = st.Migrations
 	for _, t := range tasks {
 		res.Tasks = append(res.Tasks, taskResult(t, 0))
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // irqQueueWorkload feeds a handler task from an interrupt-released
@@ -60,17 +61,45 @@ func deadlockWorkload() Workload {
 	}
 }
 
+// preemptPeerWorkload has an interrupt-released handler preempt task a
+// while a's equal-priority peer b is ready: where a re-enters its level
+// decides who runs next, and OSEK (§4.6.5) puts it at the front. a's
+// work is split into segments so the preemption lands under the coarse
+// time model too.
+func preemptPeerWorkload() Workload {
+	work := []Op{
+		{Kind: "delay", Dur: 30 * sim.Microsecond},
+		{Kind: "delay", Dur: 30 * sim.Microsecond},
+		{Kind: "delay", Dur: 40 * sim.Microsecond},
+	}
+	return Workload{
+		Channels: []ChannelDef{{Name: "irq", Kind: "semaphore", Arg: 0}},
+		Tasks: []TaskDef{
+			{Name: "handler", Type: "aperiodic", Prio: 1, Ops: []Op{
+				{Kind: "acquire", Ch: "irq"},
+				{Kind: "delay", Dur: 20 * sim.Microsecond},
+			}},
+			{Name: "a", Type: "aperiodic", Prio: 2, Ops: work},
+			{Name: "b", Type: "aperiodic", Prio: 2, Ops: work},
+		},
+		IRQs:    []IRQDef{{Name: "tick", Sem: "irq", At: 50 * sim.Microsecond, Count: 1}},
+		Horizon: sim.Millisecond,
+	}
+}
+
 // TestEngineEquivalenceRunGoroutine runs hand-written flat workloads —
 // the shapes taskset and simcheck never send: Repeat > 1, release ops,
-// an interrupt-fed semaphore next to a queue, a deadlock — on both
-// engines under every personality and both time models, and requires
-// the same records, statistics, end time, per-task results, diagnosis
-// and conservation verdict.
+// an interrupt-fed semaphore next to a queue, a deadlock, a preempted
+// task with an equal-priority peer — on both engines under every
+// personality and both time models, and requires the same records,
+// statistics, end time, per-task results, diagnosis, conservation
+// verdict and telemetry stream.
 func TestEngineEquivalenceRunGoroutine(t *testing.T) {
 	cases := map[string]Workload{
-		"ping-pong": pingPong(40),
-		"irq-queue": irqQueueWorkload(),
-		"deadlock":  deadlockWorkload(),
+		"ping-pong":    pingPong(40),
+		"irq-queue":    irqQueueWorkload(),
+		"deadlock":     deadlockWorkload(),
+		"preempt-peer": preemptPeerWorkload(),
 	}
 	for name, base := range cases {
 		for _, pers := range []string{"generic", "itron", "osek"} {
@@ -78,16 +107,34 @@ func TestEngineEquivalenceRunGoroutine(t *testing.T) {
 				w := base
 				w.Personality, w.TimeModel, w.Trace = pers, tm, true
 				tag := fmt.Sprintf("%s/%s/%s", name, pers, tm)
-				want, got := Run(w), RunGoroutine(w)
+				var wantC, gotC telemetry.Collector
+				want, got := Run(w, telemetry.NewBus(&wantC)), RunGoroutine(w, telemetry.NewBus(&gotC))
 				if len(want.Records) == 0 {
 					t.Fatalf("%s: rtc recorded no trace", tag)
 				}
 				if diff := compareResults(got, want); diff != "" {
 					t.Errorf("%s: RunGoroutine diverges from Run: %s", tag, diff)
 				}
+				if diff := compareStreams(gotC.Events, wantC.Events); diff != "" {
+					t.Errorf("%s: RunGoroutine's telemetry stream diverges from Run's: %s", tag, diff)
+				}
 			}
 		}
 	}
+}
+
+// compareStreams describes the first difference between two telemetry
+// streams, or returns "".
+func compareStreams(got, want []telemetry.Event) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("event %d: %s, want %s", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d events, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 // compareResults describes the first difference between two results, or

@@ -3,11 +3,12 @@
 // internal/core) in which delay-annotated behaviors compile to resumable
 // frame lists executed to completion on a single goroutine. A context
 // switch is a method return plus an index increment — zero channel
-// operations. Scheduling decisions, accounting, trace records and
-// diagnosis come from the same core.Sched the goroutine kernel runs, so
-// both engines produce byte-identical traces (pinned by the engine-
-// equivalence suites). Timers run on sim.Timers, the (deadline,
-// sequence) heap the goroutine kernel schedules through too.
+// operations. Scheduling decisions, accounting, trace records, observer
+// hooks and diagnosis come from the same core.Sched the goroutine kernel
+// runs, so both engines produce byte-identical traces and telemetry
+// streams (pinned by the engine-equivalence suites). Timers run on
+// sim.Timers, the (deadline, sequence) heap the goroutine kernel
+// schedules through too.
 // RunGoroutine executes a flat Workload on the goroutine kernel, on one
 // CPU or on the global multiprocessor scheduler, so a front end
 // describes its task set once and picks the engine by the runner it
@@ -18,7 +19,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/personality"
-	"repro/internal/smp"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -129,7 +130,7 @@ type Result struct {
 	Records      []trace.Record
 	Trace        *trace.Recorder // the recorder behind Records (nil unless Workload.Trace)
 	Stats        core.Stats
-	SMP          smp.Stats // the global scheduler's counters (CPUs > 1 only)
+	Migrations   uint64 // the global scheduler's task migrations (CPUs > 1 only)
 	Tasks        []TaskResult
 	Diag         *core.DiagnosisError
 	Conservation error
@@ -138,9 +139,10 @@ type Result struct {
 
 // Run executes the workload to its horizon and returns the outcome.
 // Configuration errors are reported via Result.Err, as RunGoroutine
-// reports them. Run is NewSession + RunUntil + Finish.
-func Run(w Workload) *Result {
-	s, err := NewSession(w)
+// reports them, and each bus is attached as RunGoroutine attaches it.
+// Run is NewSession + RunUntil + Finish.
+func Run(w Workload, bus ...*telemetry.Bus) *Result {
+	s, err := NewSession(w, bus...)
 	if err != nil {
 		return configError(w, err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/personality"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -33,12 +34,14 @@ type Session struct {
 }
 
 // NewSession builds the workload's kernel, OS state, channels, tasks and
-// daemon machines without running anything. Configuration errors that Run
-// reports via Result.Err are returned directly; one of them is CPUs > 1,
-// since the engine models one CPU.
-func NewSession(w Workload) (*Session, error) {
+// daemon machines without running anything. Each bus is attached to the
+// scheduler and, when w.Trace is set, receives the trace's markers, as
+// RunGoroutine attaches its buses. Configuration errors that Run reports
+// via Result.Err are returned directly; one of them is CPUs > 1, since
+// the engine models one CPU.
+func NewSession(w Workload, bus ...*telemetry.Bus) (*Session, error) {
 	s := &Session{}
-	if err := s.init(w); err != nil {
+	if err := s.init(w, bus); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -47,7 +50,7 @@ func NewSession(w Workload) (*Session, error) {
 // init is Run's construction phase. The declaration/spawn order fixes
 // task ids, resource order, and the time-zero activation order, all of
 // which the engine-equivalence suite pins against the goroutine kernel.
-func (s *Session) init(w Workload) error {
+func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 	if w.CPUs > 1 {
 		return fmt.Errorf("rtc: the run-to-completion engine models one CPU, not %d; RunGoroutine runs the global scheduler", w.CPUs)
 	}
@@ -71,10 +74,7 @@ func (s *Session) init(w Workload) error {
 	}
 	os.k, os.tasks = k, k.init(os, nMachines, nTasks)
 	os.Reserve(nTasks)
-	if w.Trace {
-		os.rec = trace.New(name)
-		os.rec.AttachSched(&os.Sched)
-	}
+	os.rec = observe(&os.Sched, name, w.Trace, bus)
 	if pers == "osek" {
 		os.SetPreemptFrontReinsert(true)
 	}
@@ -157,6 +157,24 @@ func (s *Session) init(w Workload) error {
 
 	os.StartAt(k.now, nil)
 	return nil
+}
+
+// observe attaches a recorder named name (when on) and then each bus to
+// the scheduler, and tees the recorder's markers to every bus: both
+// engines' observer set-up. It returns the recorder, or nil.
+func observe(s *core.Sched, name string, on bool, bus []*telemetry.Bus) *trace.Recorder {
+	var rec *trace.Recorder
+	if on {
+		rec = trace.New(name)
+		rec.AttachSched(s)
+	}
+	for _, b := range bus {
+		b.AttachSched(s)
+		if rec != nil {
+			rec.TeeMarkers(b)
+		}
+	}
+	return rec
 }
 
 // channel returns the declared channel of the given kind named name, or

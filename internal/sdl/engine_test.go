@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -47,13 +48,13 @@ func renderArch(recs []trace.Record, stats core.Stats, end sim.Time) []byte {
 }
 
 // runGoroutine runs the goroutine architecture model and renders it.
-func runGoroutine(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.TimeModel) []byte {
+func runGoroutine(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.TimeModel, bus *telemetry.Bus) []byte {
 	t.Helper()
 	pol, err := core.PolicyByName(policy, quantum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, osi, err := m.RunArchitecture(pol, tm)
+	rec, osi, err := m.RunArchitecture(pol, tm, bus)
 	if err != nil {
 		t.Fatalf("goroutine run: %v", err)
 	}
@@ -62,13 +63,36 @@ func runGoroutine(t *testing.T, m *Model, policy string, quantum sim.Time, tm co
 }
 
 // runRTC runs the same model on the run-to-completion engine.
-func runRTC(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.TimeModel) []byte {
+func runRTC(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.TimeModel, bus *telemetry.Bus) []byte {
 	t.Helper()
-	res, err := m.RunArchitectureRTC(policy, quantum, tm, sim.Time(1)*sim.Second)
+	res, err := m.RunArchitectureRTC(policy, quantum, tm, sim.Time(1)*sim.Second, bus)
 	if err != nil {
 		t.Fatalf("rtc run: %v", err)
 	}
 	return renderArch(res.Records, res.Stats, res.End)
+}
+
+// runEngines runs the model on both engines, each with a telemetry bus,
+// fails the test unless the two buses received the same event stream,
+// and returns the goroutine and rtc renderings.
+func runEngines(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.TimeModel) (g, r []byte) {
+	t.Helper()
+	var gc, rc telemetry.Collector
+	g = runGoroutine(t, m, policy, quantum, tm, telemetry.NewBus(&gc))
+	r = runRTC(t, m, policy, quantum, tm, telemetry.NewBus(&rc))
+	ge, re := gc.Events, rc.Events
+	if len(ge) == 0 {
+		t.Fatal("goroutine run fed the bus no events")
+	}
+	for i := range min(len(ge), len(re)) {
+		if ge[i] != re[i] {
+			t.Fatalf("telemetry streams diverge at event %d:\n  goroutine: %s\n  rtc:       %s", i, ge[i], re[i])
+		}
+	}
+	if len(ge) != len(re) {
+		t.Fatalf("telemetry streams: goroutine %d events, rtc %d", len(ge), len(re))
+	}
+	return g, r
 }
 
 func firstDiff(a, b []byte) string {
@@ -88,7 +112,8 @@ func firstDiff(a, b []byte) string {
 
 // TestEngineEquivalenceSDL drives every corpus model through both engines
 // across the scheduling-policy and time-model matrix and requires
-// byte-identical traces, stats and end times.
+// byte-identical traces, stats and end times, and the same telemetry
+// stream.
 func TestEngineEquivalenceSDL(t *testing.T) {
 	configs := []struct {
 		policy  string
@@ -109,8 +134,7 @@ func TestEngineEquivalenceSDL(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g := runGoroutine(t, m, cfg.policy, cfg.quantum, cfg.tm)
-				r := runRTC(t, m, cfg.policy, cfg.quantum, cfg.tm)
+				g, r := runEngines(t, m, cfg.policy, cfg.quantum, cfg.tm)
 				if !bytes.Equal(g, r) {
 					t.Fatalf("engines diverge on %s (%s, %v):\n%s", name, cfg.policy, cfg.tm, firstDiff(g, r))
 				}
@@ -134,8 +158,7 @@ func TestEngineEquivalenceSDLPersonalities(t *testing.T) {
 				if err := m.Validate(); err != nil {
 					t.Fatal(err)
 				}
-				g := runGoroutine(t, m, "priority", 0, core.TimeModelCoarse)
-				r := runRTC(t, m, "priority", 0, core.TimeModelCoarse)
+				g, r := runEngines(t, m, "priority", 0, core.TimeModelCoarse)
 				if !bytes.Equal(g, r) {
 					t.Fatalf("engines diverge on %s/%s:\n%s", name, pers, firstDiff(g, r))
 				}
@@ -156,8 +179,7 @@ func TestGoldenTracesSDL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := runGoroutine(t, m, "priority", 0, core.TimeModelCoarse)
-			r := runRTC(t, m, "priority", 0, core.TimeModelCoarse)
+			g, r := runEngines(t, m, "priority", 0, core.TimeModelCoarse)
 			if !bytes.Equal(g, r) {
 				t.Fatalf("engines diverge on %s:\n%s", name, firstDiff(g, r))
 			}

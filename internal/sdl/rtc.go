@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rtc"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // RTCWorkload lowers the model to a hierarchical workload for the
@@ -98,15 +99,16 @@ func lowerStmts(stmts []Stmt) []rtc.Op {
 }
 
 // RunArchitectureRTC runs the architecture model on the run-to-completion
-// engine — the -engine=rtc counterpart of RunArchitecture. The horizon
-// bounds the run (the goroutine model runs to quiescence; pass a horizon
-// beyond the model's natural end for identical results).
-func (m *Model) RunArchitectureRTC(policy string, quantum sim.Time, tm core.TimeModel, horizon sim.Time) (*rtc.Result, error) {
+// engine — the -engine=rtc counterpart of RunArchitecture, which attaches
+// each bus as RunArchitecture does. The horizon bounds the run (the
+// goroutine model runs to quiescence; pass a horizon beyond the model's
+// natural end for identical results).
+func (m *Model) RunArchitectureRTC(policy string, quantum sim.Time, tm core.TimeModel, horizon sim.Time, bus ...*telemetry.Bus) (*rtc.Result, error) {
 	w, err := m.RTCWorkload(policy, quantum, tm, horizon)
 	if err != nil {
 		return nil, err
 	}
-	res := rtc.Run(w)
+	res := rtc.Run(w, bus...)
 	if res.Err != nil {
 		return res, res.Err
 	}

@@ -11,8 +11,8 @@ import (
 // personality) point of the uniprocessor matrix, a run on internal/rtc
 // produces a trace byte-identical to the goroutine kernel — every state
 // transition, dispatch, IRQ record, statistic, end time and per-task
-// outcome — and the same diagnosis verdict. Any divergence fails with
-// the first differing trace line.
+// outcome — the same telemetry stream and the same diagnosis verdict.
+// Any divergence fails with the first differing trace line or event.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix is slow; skipped with -short")
@@ -41,6 +41,20 @@ func TestEngineEquivalence(t *testing.T) {
 			if !bytes.Equal(rtcRun.Trace, goroutineRun.Trace) {
 				t.Errorf("seed %d %v: rtc engine diverges from goroutine kernel\n%s",
 					seed, cfg, firstTraceDiff(rtcRun.Trace, goroutineRun.Trace))
+			}
+			if len(goroutineRun.Stream) == 0 {
+				t.Errorf("seed %d %v: no telemetry stream", seed, cfg)
+			}
+			for i, e := range goroutineRun.Stream {
+				if i >= len(rtcRun.Stream) || rtcRun.Stream[i] != e {
+					t.Errorf("seed %d %v: rtc telemetry stream diverges from goroutine kernel at event %d of %d",
+						seed, cfg, i, len(goroutineRun.Stream))
+					break
+				}
+			}
+			if len(rtcRun.Stream) > len(goroutineRun.Stream) {
+				t.Errorf("seed %d %v: rtc telemetry stream has %d events, goroutine kernel %d",
+					seed, cfg, len(rtcRun.Stream), len(goroutineRun.Stream))
 			}
 		}
 	}

@@ -190,9 +190,9 @@ func checkSMPEvents(res *RunResult) []Violation {
 	if allDone {
 		if len(slot) != 0 {
 			add("occupancy", prevAt, "%d CPU slots still occupied after all tasks terminated", len(slot))
-		} else if occupancy != res.SMP.BusyTime {
+		} else if occupancy != res.Stats.BusyTime {
 			add("busy-accounting", prevAt, "summed slot occupancy %v != scheduler busy time %v",
-				occupancy, res.SMP.BusyTime)
+				occupancy, res.Stats.BusyTime)
 		}
 	}
 	return vs
@@ -228,11 +228,7 @@ func checkCompletion(s *Scenario, res *RunResult) []Violation {
 		}
 	}
 	if allDone {
-		busy := res.Stats.BusyTime
-		if res.Config.CPUs > 1 {
-			busy = res.SMP.BusyTime
-		}
-		if busy != cpuSum {
+		if busy := res.Stats.BusyTime; busy != cpuSum {
 			vs = append(vs, Violation{Kind: "busy-accounting", At: res.End,
 				Msg: fmt.Sprintf("scheduler busy time %v != summed task CPU time %v", busy, cpuSum)})
 		}

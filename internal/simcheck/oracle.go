@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -68,8 +69,8 @@ func CheckJobs(s *Scenario, jobs int) []Failure {
 		}
 		// Engine-differential oracle: the run-to-completion engine must be
 		// byte-identical to the goroutine kernel on every uniprocessor
-		// config — trace, statistics, end time, per-task outcomes, and the
-		// diagnosis verdict.
+		// config — trace, statistics, end time, per-task outcomes,
+		// telemetry stream, and the diagnosis verdict.
 		if rr := runs[i].Value.rtc; rr != nil {
 			if (rr.Err == nil) != (r1.Err == nil) {
 				vs = append(vs, Violation{Kind: "engine", At: r1.End,
@@ -78,6 +79,10 @@ func CheckJobs(s *Scenario, jobs int) []Failure {
 				vs = append(vs, Violation{Kind: "engine", At: r1.End,
 					Msg: fmt.Sprintf("rtc engine trace diverges from goroutine kernel under %s (%d vs %d bytes)",
 						cfg, len(rr.Trace), len(r1.Trace))})
+			} else if !slices.Equal(rr.Stream, r1.Stream) {
+				vs = append(vs, Violation{Kind: "engine", At: r1.End,
+					Msg: fmt.Sprintf("rtc engine telemetry stream diverges from goroutine kernel under %s (%d vs %d events)",
+						cfg, len(rr.Stream), len(r1.Stream))})
 			}
 			if (rr.Diag == nil) != (r1.Diag == nil) {
 				vs = append(vs, Violation{Kind: "engine", At: r1.End,
@@ -163,9 +168,6 @@ func diffRuns(coarse, segmented *RunResult) []Violation {
 		vs = append(vs, Violation{Kind: "differential", Msg: fmt.Sprintf(format, args...)})
 	}
 	busyC, busyS := coarse.Stats.BusyTime, segmented.Stats.BusyTime
-	if coarse.Config.CPUs > 1 {
-		busyC, busyS = coarse.SMP.BusyTime, segmented.SMP.BusyTime
-	}
 	if busyC != busyS {
 		add("%s busy time %v != %s busy time %v", coarse.Config, busyC, segmented.Config, busyS)
 	}

@@ -31,9 +31,9 @@ type Config struct {
 	// Engine selects the execution engine: "" or "goroutine" for the
 	// process-per-task simulation kernel (internal/sim), "rtc" for the
 	// single-goroutine run-to-completion engine (internal/rtc). Traces
-	// must be byte-identical across engines; the engine-equivalence suite
-	// diffs them. SMP configs (CPUs>1) always use the goroutine kernel —
-	// the rtc engine models one CPU.
+	// and telemetry streams must be identical across engines; the
+	// engine-equivalence suite diffs them. SMP configs (CPUs>1) always use
+	// the goroutine kernel — the rtc engine models one CPU.
 	Engine string
 
 	// CheckpointAt, when non-zero, runs the scenario through a snapshot/
@@ -102,15 +102,16 @@ type TaskOutcome struct {
 
 // RunResult is everything the invariant checker and oracles consume.
 type RunResult struct {
-	Config  Config
-	Err     error // simulation error (deadlock); invariants are skipped
-	End     sim.Time
-	Trace   []byte         // canonical serialization (determinism oracle)
-	Records []trace.Record // single-PE runs
-	Events  []SMPEvent     // SMP runs
-	Stats   core.Stats     // single-PE runs
-	SMP     smp.Stats      // SMP runs
-	Tasks   []TaskOutcome
+	Config     Config
+	Err        error // simulation error (deadlock); invariants are skipped
+	End        sim.Time
+	Trace      []byte            // canonical serialization (determinism oracle)
+	Records    []trace.Record    // single-PE runs
+	Events     []SMPEvent        // SMP runs
+	Stream     []telemetry.Event // the run's telemetry stream (none for checkpointed runs)
+	Stats      core.Stats        // on several CPUs, only those both schedulers keep
+	Migrations uint64            // SMP runs
+	Tasks      []TaskOutcome
 
 	// Diag is the run's runtime diagnosis (core/diagnosis.go). Scenarios
 	// are deadlock-free by construction, so any diagnosis here is a
@@ -165,18 +166,17 @@ func Run(s *Scenario, cfg Config) *RunResult {
 		}
 		return runRTCCheckpointed(s, cfg)
 	}
+	// Every run feeds one collector: the engine oracle compares the
+	// streams, and a multiprocessor run's trace is made from its stream.
+	// The rtc engine models one CPU; the global scheduler runs on the
+	// goroutine kernel whatever the Engine.
 	w := BuildRTCWorkload(s, cfg)
-	switch {
-	case cfg.CPUs > 1:
-		// The rtc engine models one CPU; the global scheduler runs on the
-		// goroutine kernel whatever the Engine. Its dispatch and slot
-		// release events come off a telemetry bus.
-		var c telemetry.Collector
-		return assemble(cfg, rtc.RunGoroutine(w, telemetry.NewBus(&c)), c.Events...)
-	case cfg.Engine == "rtc":
-		return assemble(cfg, rtc.Run(w))
+	var c telemetry.Collector
+	run := rtc.RunGoroutine
+	if cfg.Engine == "rtc" && cfg.CPUs <= 1 {
+		run = rtc.Run
 	}
-	return assemble(cfg, rtc.RunGoroutine(w))
+	return assemble(cfg, run(w, telemetry.NewBus(&c)), c.Events...)
 }
 
 // BuildRTCWorkload translates the scenario into the engines' workload
@@ -225,15 +225,17 @@ func BuildRTCWorkload(s *Scenario, cfg Config) rtc.Workload {
 	return w
 }
 
-// assemble maps an rtc.Result, from either engine, into the RunResult
-// shape every oracle consumes. A multiprocessor run's trace is its
-// global-scheduler events: each dispatch of a task onto a CPU, and each
-// slot it vacates (a dispatch to idle naming the previous task).
-func assemble(cfg Config, r *rtc.Result, events ...telemetry.Event) *RunResult {
-	res := &RunResult{Config: cfg}
+// assemble maps an rtc.Result and the run's telemetry stream, from
+// either engine, into the RunResult shape every oracle consumes. A
+// multiprocessor run's trace is its global-scheduler events: each
+// dispatch of a task onto a CPU, and each slot it vacates (a dispatch to
+// idle naming the previous task).
+func assemble(cfg Config, r *rtc.Result, stream ...telemetry.Event) *RunResult {
+	res := &RunResult{Config: cfg, Stream: stream}
 	res.Err = r.Err
 	res.End = r.End
 	res.Diag = r.Diag
+	res.Stats, res.Migrations = r.Stats, r.Migrations
 	for i, t := range r.Tasks {
 		res.Tasks = append(res.Tasks, TaskOutcome{
 			Name:        t.Name,
@@ -246,7 +248,7 @@ func assemble(cfg Config, r *rtc.Result, events ...telemetry.Event) *RunResult {
 		})
 	}
 	if cfg.CPUs > 1 {
-		for _, e := range events {
+		for _, e := range stream {
 			switch {
 			case e.Kind != telemetry.KindDispatch:
 			case e.Task != "":
@@ -255,12 +257,10 @@ func assemble(cfg Config, r *rtc.Result, events ...telemetry.Event) *RunResult {
 				res.Events = append(res.Events, SMPEvent{At: e.At, CPU: e.CPU, Task: e.Other, Release: true})
 			}
 		}
-		res.SMP = r.SMP
 		res.Trace = serializeSMP(res)
 		return res
 	}
 	res.Records = r.Records
-	res.Stats = r.Stats
 	res.conservation = r.Conservation
 	res.Trace = serializeSingle(res)
 	return res
@@ -280,14 +280,22 @@ func serializeSingle(res *RunResult) []byte {
 	return b.Bytes()
 }
 
-// serializeSMP renders an SMP run to its canonical byte form.
+// serializeSMP renders an SMP run to its canonical byte form, with the
+// counters in the global scheduler's smp.Stats form.
 func serializeSMP(res *RunResult) []byte {
 	var b bytes.Buffer
 	for _, e := range res.Events {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "stats %+v end %v\n", res.SMP, res.End)
+	st := smp.Stats{
+		Dispatches:      res.Stats.Dispatches,
+		ContextSwitches: res.Stats.ContextSwitches,
+		Preemptions:     res.Stats.Preemptions,
+		Migrations:      res.Migrations,
+		BusyTime:        res.Stats.BusyTime,
+	}
+	fmt.Fprintf(&b, "stats %+v end %v\n", st, res.End)
 	writeOutcomes(&b, res.Tasks)
 	return b.Bytes()
 }

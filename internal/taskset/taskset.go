@@ -177,8 +177,8 @@ type Result struct {
 // workload); the engine only picks the runner. rtc.Run executes it on
 // one CPU; rtc.RunGoroutine on one CPU or, for cpus > 1, on the global
 // SMP scheduler. Optional telemetry buses are attached to the scheduler
-// (goroutine engine only). A multiprocessor run returns an empty trace:
-// the single-PE trace formats have no CPU axis.
+// on either engine. A multiprocessor run returns an empty trace: the
+// single-PE trace formats have no CPU axis.
 func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -187,15 +187,11 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r *rtc.Result
+	run := rtc.RunGoroutine
 	if s.Engine == "rtc" {
-		if len(bus) > 0 {
-			return nil, fmt.Errorf("taskset: engine \"rtc\" does not support a live telemetry bus; use the goroutine engine (drop \"engine\" or set it to \"goroutine\")")
-		}
-		r = rtc.Run(w)
-	} else {
-		r = rtc.RunGoroutine(w, bus...)
+		run = rtc.Run
 	}
+	r := run(w, bus...)
 	if r.Err != nil {
 		return nil, r.Err
 	}

@@ -362,16 +362,40 @@ func TestEngineValidation(t *testing.T) {
 			}
 		})
 	}
-	// A live telemetry bus hooks the goroutine RTOS instance; the rtc
-	// engine must reject it loudly rather than silently drop telemetry.
-	s, err := Parse([]byte(goodJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Engine = "rtc"
-	if _, err := Run(s, telemetry.NewBus()); err == nil ||
-		!strings.Contains(err.Error(), "telemetry bus") {
-		t.Errorf("rtc+bus err = %v, want telemetry bus rejection", err)
+}
+
+// TestEngineEquivalenceTelemetry: a bus attached to a set's run receives
+// the same event stream on either engine, under every personality and
+// both time models.
+func TestEngineEquivalenceTelemetry(t *testing.T) {
+	for _, tm := range []string{"coarse", "segmented"} {
+		for _, pers := range []string{"generic", "itron", "osek"} {
+			var streams [2][]telemetry.Event
+			for i, engine := range []string{"goroutine", "rtc"} {
+				s, err := Parse([]byte(goodJSON))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.TimeModel, s.Personality, s.Engine = tm, pers, engine
+				var c telemetry.Collector
+				if _, err := Run(s, telemetry.NewBus(&c)); err != nil {
+					t.Fatalf("%s/%s/%s: %v", tm, pers, engine, err)
+				}
+				streams[i] = c.Events
+			}
+			g, r := streams[0], streams[1]
+			if len(g) == 0 {
+				t.Fatalf("%s/%s: goroutine run fed the bus no events", tm, pers)
+			}
+			for i := range min(len(g), len(r)) {
+				if g[i] != r[i] {
+					t.Fatalf("%s/%s: event %d:\nrtc       %s\ngoroutine %s", tm, pers, i, r[i], g[i])
+				}
+			}
+			if len(g) != len(r) {
+				t.Errorf("%s/%s: rtc fed %d events, goroutine %d", tm, pers, len(r), len(g))
+			}
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/smp"
+	"repro/internal/trace"
 )
 
 // Kind classifies a telemetry event.
@@ -193,8 +194,12 @@ func (b *Bus) Emit(e Event) {
 
 // Attach subscribes the bus to a uniprocessor RTOS model instance; events
 // carry the instance name as their PE.
-func (b *Bus) Attach(os *core.OS) {
-	os.Observe(&coreAdapter{bus: b, pe: os.Name()})
+func (b *Bus) Attach(os *core.OS) { b.AttachSched(&os.Sched) }
+
+// AttachSched is Attach for a bare scheduler state — the form the
+// run-to-completion engine (internal/rtc) runs its RTOS model in.
+func (b *Bus) AttachSched(s *core.Sched) {
+	s.Observe(&coreAdapter{bus: b, pe: s.Name()})
 }
 
 // AttachSMP subscribes the bus to a global multiprocessor scheduler;
@@ -274,13 +279,17 @@ func (a *coreAdapter) OnReadyQueue(at sim.Time, n int) {
 	a.bus.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, Arg: int64(n)})
 }
 
-// OnDiagnosis converts a runtime diagnosis into fault.* events: one
+func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
+	a.bus.diagnosis(at, a.pe, d)
+}
+
+// diagnosis converts a runtime diagnosis into fault.* events: one
 // fault.deadlock event per wait-for cycle edge, or one fault.starve event
 // per blocked/starved task when no cycle exists.
-func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
+func (b *Bus) diagnosis(at sim.Time, pe string, d *core.DiagnosisError) {
 	if len(d.Cycle) > 0 {
 		for _, e := range d.Cycle {
-			a.bus.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: a.pe,
+			b.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: pe,
 				Task: e.Task, Other: e.Resource + " held by " + e.Holder})
 		}
 		return
@@ -290,7 +299,7 @@ func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
 		if e.Holder != "" {
 			other += " held by " + e.Holder
 		}
-		a.bus.Emit(Event{At: at, Kind: KindFaultStarve, PE: a.pe,
+		b.Emit(Event{At: at, Kind: KindFaultStarve, PE: pe,
 			Task: e.Task, Other: other})
 	}
 }
@@ -314,47 +323,20 @@ func (a *smpAdapter) OnPreempt(at sim.Time, cpu int, t *smp.Task) {
 	a.bus.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe, CPU: cpu, Task: t.Name()})
 }
 
-// OnDiagnosis mirrors coreAdapter.OnDiagnosis for the global
-// multiprocessor scheduler.
 func (a *smpAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
-	if len(d.Cycle) > 0 {
-		for _, e := range d.Cycle {
-			a.bus.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: a.pe,
-				Task: e.Task, Other: e.Resource + " held by " + e.Holder})
-		}
-		return
-	}
-	for _, e := range d.Blocked {
-		other := e.Resource
-		if e.Holder != "" {
-			other += " held by " + e.Holder
-		}
-		a.bus.Emit(Event{At: at, Kind: KindFaultStarve, PE: a.pe,
-			Task: e.Task, Other: other})
-	}
+	a.bus.diagnosis(at, a.pe, d)
 }
 
-// MarkerLatencies pairs from/to markers by argument and returns the
-// latencies in to-marker order — the telemetry-side equivalent of
-// trace.Recorder.Latencies, used to reproduce Table 1's transcoding delay
-// directly from the event stream.
+// MarkerLatencies returns the latencies between from- and to-markers of
+// the stream under trace.Recorder.Latencies' pairing rule, which it
+// applies to the stream's markers — the telemetry-side route to Table 1's
+// transcoding delay.
 func MarkerLatencies(events []Event, from, to string) []sim.Time {
-	starts := map[int64]sim.Time{}
-	var out []sim.Time
+	rec := trace.New("")
 	for _, e := range events {
-		if e.Kind != KindMarker {
-			continue
-		}
-		switch e.Other {
-		case from:
-			if _, ok := starts[e.Arg]; !ok {
-				starts[e.Arg] = e.At
-			}
-		case to:
-			if at, ok := starts[e.Arg]; ok {
-				out = append(out, e.At-at)
-			}
+		if e.Kind == KindMarker {
+			rec.Marker(e.At, e.Other, e.Task, e.Arg)
 		}
 	}
-	return out
+	return rec.Latencies(from, to)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -192,21 +193,46 @@ func TestMergeDoublesCounters(t *testing.T) {
 	}
 }
 
+// TestMarkerLatencies pins trace.Recorder.Latencies' pairing rule on the
+// event stream: the first from-marker of an argument opens a latency, its
+// first to-marker at or after it closes it, and the output follows the
+// from-markers.
 func TestMarkerLatencies(t *testing.T) {
-	events := []Event{
-		{At: 10, Kind: KindMarker, Other: "in", Task: "src", Arg: 0},
-		{At: 15, Kind: KindMarker, Other: "in", Task: "src", Arg: 1},
-		{At: 30, Kind: KindMarker, Other: "out", Task: "dst", Arg: 0},
-		{At: 31, Kind: KindDispatch, PE: "PE", Task: "x"}, // ignored
-		{At: 55, Kind: KindMarker, Other: "out", Task: "dst", Arg: 1},
-		{At: 60, Kind: KindMarker, Other: "out", Task: "dst", Arg: 9}, // unmatched
+	marker := func(at sim.Time, label string, arg int64) Event {
+		return Event{At: at, Kind: KindMarker, Other: label, Arg: arg}
 	}
-	lats := MarkerLatencies(events, "in", "out")
-	if len(lats) != 2 || lats[0] != 20 || lats[1] != 40 {
-		t.Errorf("latencies = %v, want [20 40]", lats)
+	cases := []struct {
+		name   string
+		events []Event
+		want   []sim.Time
+	}{
+		{"in-order", []Event{
+			marker(10, "in", 0),
+			marker(15, "in", 1),
+			marker(30, "out", 0),
+			{At: 31, Kind: KindDispatch, PE: "PE", Task: "x"}, // ignored
+			marker(55, "out", 1),
+			marker(60, "out", 9), // unmatched
+		}, []sim.Time{20, 40}},
+		{"second-out-dropped", []Event{
+			marker(10, "in", 0),
+			marker(20, "out", 0),
+			marker(30, "out", 0),
+		}, []sim.Time{10}},
+		{"from-marker-order", []Event{
+			marker(10, "in", 0),
+			marker(15, "in", 1),
+			marker(20, "out", 1),
+			marker(30, "out", 0),
+		}, []sim.Time{20, 5}},
+		{"empty", nil, nil},
 	}
-	if got := MarkerLatencies(nil, "in", "out"); len(got) != 0 {
-		t.Errorf("empty stream latencies = %v", got)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := MarkerLatencies(c.events, "in", "out"); fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("latencies = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 

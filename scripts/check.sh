@@ -101,7 +101,7 @@ step "personality conformance suites (itron, osek) + cross corpus" go test -run 
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
-step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestSMPGolden|TestSMPJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
+step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 
 # Timer-queue ordering: the timer queue both engines share must agree
 # with the sorted-slice reference on every schedule/cancel/advance
