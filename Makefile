@@ -44,8 +44,8 @@ campaign-resume: ## kill-and-restart differential matrix: crash at every log pos
 perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s)
 	cd perfbench && go test ./...
 
-table1-budget: ## allocation budget of the Table-1 pair (RunSpec + RunArch)
-	go test -run 'TestTable1AllocBudget' -count=1 -v .
+table1-budget: ## allocation-count and allocated-byte budgets of the Table-1 pair (RunSpec + RunArch)
+	go test -run 'TestTable1AllocBudget|TestTable1ByteBudget' -count=1 -v .
 
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .

@@ -25,7 +25,7 @@ func forkBase() rtc.Workload {
 
 func serializeRTC(r *rtc.Result) []byte {
 	var b bytes.Buffer
-	for _, rec := range r.Records {
+	for _, rec := range r.Trace.Records() {
 		fmt.Fprintf(&b, "%s\n", rec.String())
 	}
 	fmt.Fprintf(&b, "stats %+v end %v pers %s\n", r.Stats, r.End, r.Personality)

@@ -98,9 +98,7 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	res := &Result{Personality: rt.Kind(), Tasks: make([]TaskResult, 0, len(tasks))}
 	res.Err = k.RunUntil(w.Horizon)
 	res.End = k.Now()
-	if rec != nil {
-		res.Records, res.Trace = rec.Records(), rec
-	}
+	res.Trace = rec
 	res.Stats = rtos.StatsSnapshot()
 	res.Diag = rtos.Diagnosis()
 	if res.Diag == nil {

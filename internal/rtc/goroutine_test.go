@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // irqQueueWorkload feeds a handler task from an interrupt-released
@@ -109,7 +110,7 @@ func TestEngineEquivalenceRunGoroutine(t *testing.T) {
 				tag := fmt.Sprintf("%s/%s/%s", name, pers, tm)
 				var wantC, gotC telemetry.Collector
 				want, got := Run(w, telemetry.NewBus(&wantC)), RunGoroutine(w, telemetry.NewBus(&gotC))
-				if len(want.Records) == 0 {
+				if want.Trace.Len() == 0 {
 					t.Fatalf("%s: rtc recorded no trace", tag)
 				}
 				if diff := compareResults(got, want); diff != "" {
@@ -137,6 +138,14 @@ func compareStreams(got, want []telemetry.Event) string {
 	return ""
 }
 
+// records returns a result's trace records (none for an untraced run).
+func records(r *Result) []trace.Record {
+	if r.Trace == nil {
+		return nil
+	}
+	return r.Trace.Records()
+}
+
 // compareResults describes the first difference between two results, or
 // returns "".
 func compareResults(got, want *Result) string {
@@ -147,12 +156,13 @@ func compareResults(got, want *Result) string {
 		return fmt.Sprintf("end/stats/personality %v %+v %s, want %v %+v %s",
 			got.End, got.Stats, got.Personality, want.End, want.Stats, want.Personality)
 	}
-	if len(got.Records) != len(want.Records) {
-		return fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records))
+	gotRecs, wantRecs := records(got), records(want)
+	if len(gotRecs) != len(wantRecs) {
+		return fmt.Sprintf("%d records, want %d", len(gotRecs), len(wantRecs))
 	}
-	for i := range got.Records {
-		if got.Records[i] != want.Records[i] {
-			return fmt.Sprintf("record %d: %s, want %s", i, got.Records[i], want.Records[i])
+	for i := range gotRecs {
+		if gotRecs[i] != wantRecs[i] {
+			return fmt.Sprintf("record %d: %s, want %s", i, gotRecs[i], wantRecs[i])
 		}
 	}
 	if len(got.Tasks) != len(want.Tasks) {

@@ -127,8 +127,7 @@ type TaskResult struct {
 type Result struct {
 	Err          error
 	End          Time
-	Records      []trace.Record
-	Trace        *trace.Recorder // the recorder behind Records (nil unless Workload.Trace)
+	Trace        *trace.Recorder // the run's trace (nil unless Workload.Trace)
 	Stats        core.Stats
 	Migrations   uint64 // the global scheduler's task migrations (CPUs > 1 only)
 	Tasks        []TaskResult

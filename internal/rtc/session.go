@@ -237,9 +237,7 @@ func (s *Session) Finish() *Result {
 	res := &Result{Personality: s.pers, Tasks: make([]TaskResult, 0, len(tasks))}
 	res.Err = s.err
 	res.End = s.k.now
-	if os.rec != nil {
-		res.Records, res.Trace = os.rec.Records(), os.rec
-	}
+	res.Trace = os.rec
 	res.Stats = os.StatsSnapshot()
 	res.Diag = os.Diagnosis()
 	if res.Diag == nil {

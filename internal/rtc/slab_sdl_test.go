@@ -104,7 +104,7 @@ func TestParForksOutgrowFirstSlab(t *testing.T) {
 				t.Fatalf("rtc run: %v", err)
 			}
 			res := s.Finish()
-			got := render(res.Records, res.Stats, res.End)
+			got := render(res.Trace.Records(), res.Stats, res.End)
 
 			firstTasks, firstMachines := rtc.BuildSize(w)
 			tasks, machines := rtc.Population(s)

@@ -128,13 +128,13 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		e.Line("ti at=%d seq=%d mach=%d", int64(te.At()), te.Seq(), machIx[te.m])
 	}
 
-	var recs []trace.Record
-	if os.rec != nil {
-		recs = os.rec.Records()
-	}
-	e.Line("recs %d", len(recs))
-	for _, r := range recs {
-		e.Line("rec %d %d %d %q %q %q %q", int64(r.At), int(r.Kind), r.Arg, r.Task, r.From, r.To, r.Label)
+	if os.rec == nil {
+		e.Line("recs 0")
+	} else {
+		e.Line("recs %d", os.rec.Len())
+		os.rec.Each(func(r trace.Record) {
+			e.Line("rec %d %d %d %q %q %q %q", int64(r.At), int(r.Kind), r.Arg, r.Task, r.From, r.To, r.Label)
+		})
 	}
 
 	return &Checkpoint{At: k.now, Structure: s.structureHash(), State: e.Bytes()}, nil
@@ -306,6 +306,9 @@ func (s *Session) apply(cp *Checkpoint) error {
 		var task, from, to, label string
 		if err := d.Scan("rec %d %d %d %q %q %q %q", &at, &kind, &arg, &task, &from, &to, &label); err != nil {
 			return err
+		}
+		if kind < 0 || kind > 0xff {
+			return fmt.Errorf("trace record %d has kind %d, outside 0..255", j, kind)
 		}
 		os.rec.Append(trace.Record{At: Time(at), Kind: trace.Kind(kind), Arg: arg,
 			Task: task, From: from, To: to, Label: label})

@@ -103,7 +103,7 @@ func snapWorkloads() map[string]Workload {
 // record, the stats, the end time, the error text, and per-task outcomes.
 func serializeResult(r *Result) []byte {
 	var b bytes.Buffer
-	for _, rec := range r.Records {
+	for _, rec := range records(r) {
 		fmt.Fprintf(&b, "%s\n", rec.String())
 	}
 	fmt.Fprintf(&b, "stats %+v end %v pers %s\n", r.Stats, r.End, r.Personality)
@@ -465,5 +465,41 @@ func TestRestoreRejectsImpossibleTimers(t *testing.T) {
 				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsRecordKind: a trace record line whose kind the
+// recorder cannot hold is refused with an error, not a panic.
+func TestRestoreRejectsRecordKind(t *testing.T) {
+	w := snapWorkloads()["timer-batch"]
+	s, err := NewSession(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(10 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := regexp.MustCompile(`(?m)^rec (-?\d+) \d+ `)
+	if rec.Find(cp.State) == nil {
+		t.Fatalf("checkpoint holds no trace record:\n%s", cp.State)
+	}
+	for _, kind := range []string{"256", "-1"} {
+		done := false
+		bad := *cp
+		bad.State = rec.ReplaceAllFunc(cp.State, func(line []byte) []byte {
+			if done {
+				return line
+			}
+			done = true
+			return rec.ReplaceAll(line, []byte("rec ${1} "+kind+" "))
+		})
+		_, err := Restore(w, &bad)
+		if err == nil || !strings.Contains(err.Error(), "outside 0..255") {
+			t.Errorf("kind %s: Restore error = %v, want one naming the range", kind, err)
+		}
 	}
 }

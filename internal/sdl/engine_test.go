@@ -69,7 +69,7 @@ func runRTC(t *testing.T, m *Model, policy string, quantum sim.Time, tm core.Tim
 	if err != nil {
 		t.Fatalf("rtc run: %v", err)
 	}
-	return renderArch(res.Records, res.Stats, res.End)
+	return renderArch(res.Trace.Records(), res.Stats, res.End)
 }
 
 // runEngines runs the model on both engines, each with a telemetry bus,
@@ -247,7 +247,7 @@ personality itron
 		t.Fatalf("goroutine error %v, rtc error %v; want %q from both", gerr, rerr, want)
 	}
 	g := renderArch(rec.Records(), osi.StatsSnapshot(), osi.Kernel().Now())
-	r := renderArch(res.Records, res.Stats, res.End)
+	r := renderArch(res.Trace.Records(), res.Stats, res.End)
 	if !bytes.Equal(g, r) {
 		t.Fatalf("engines diverge up to the overflow:\n%s", firstDiff(g, r))
 	}

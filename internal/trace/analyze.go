@@ -15,16 +15,18 @@ type Interval struct {
 // Duration returns End-Start.
 func (iv Interval) Duration() sim.Time { return iv.End - iv.Start }
 
-// activeState reports whether an RTOS task state name counts as occupying
-// the CPU.
-func activeState(s string) bool { return s == "running" || s == "delay" }
-
 // ExecIntervals returns the merged execution intervals of a task or
 // behavior: for RTOS tasks, spans in the running/delay states; for
 // unscheduled behaviors, SegBegin/SegEnd pairs. Adjacent intervals that
 // touch are merged. A still-open interval at the end of the trace is
 // closed at the last record's timestamp.
 func (r *Recorder) ExecIntervals(task string) []Interval {
+	k := r.lookup(task)
+	if k == noSym {
+		return nil
+	}
+	// The RTOS task states that count as occupying the CPU.
+	running, delay := r.lookup("running"), r.lookup("delay")
 	var out []Interval
 	var openAt sim.Time
 	open := false
@@ -45,22 +47,23 @@ func (r *Recorder) ExecIntervals(task string) []Interval {
 	}
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Task != task {
+			e := &pg[i]
+			if e.task != k {
 				continue
 			}
-			switch rec.Kind {
+			switch e.kind() {
 			case KindSegBegin:
-				begin(rec.At)
+				begin(e.at)
 			case KindSegEnd:
-				end(rec.At)
+				end(e.at)
 			case KindTaskState:
-				wasActive, isActive := activeState(rec.From), activeState(rec.To)
+				wasActive := e.from == running || e.from == delay
+				isActive := e.to == running || e.to == delay
 				switch {
 				case !wasActive && isActive:
-					begin(rec.At)
+					begin(e.at)
 				case wasActive && !isActive:
-					end(rec.At)
+					end(e.at)
 				}
 			}
 		}
@@ -74,18 +77,15 @@ func (r *Recorder) ExecIntervals(task string) []Interval {
 // Tasks returns the sorted set of task/behavior names appearing in the
 // trace.
 func (r *Recorder) Tasks() []string {
-	set := map[string]bool{}
+	seen := make([]bool, len(r.strs))
+	names := []string{}
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Task != "" {
-				set[rec.Task] = true
+			if k := pg[i].task; k != 0 && !seen[k] {
+				seen[k] = true
+				names = append(names, r.strs[k])
 			}
 		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -95,18 +95,19 @@ func (r *Recorder) Tasks() []string {
 // different from the last task that ran (the Table 1 metric). Idle gaps do
 // not reset the last-ran task.
 func (r *Recorder) ContextSwitches() int {
+	idle := r.lookup("-")
 	n := 0
-	last := ""
+	last := sym(0) // ""
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind != KindDispatch || rec.To == "-" || rec.To == "" {
+			e := &pg[i]
+			if e.kind() != KindDispatch || e.to == idle || e.to == 0 {
 				continue
 			}
-			if last != "" && rec.To != last {
+			if last != 0 && e.to != last {
 				n++
 			}
-			last = rec.To
+			last = e.to
 		}
 	}
 	return n
@@ -121,12 +122,17 @@ func (r *Recorder) Latencies(from, to string) []sim.Time {
 	if from == to {
 		return nil // every such marker counts as a from-marker; none closes
 	}
+	fk, tk := r.lookup(from), r.lookup(to)
+	if fk == noSym || tk == noSym {
+		return nil
+	}
+	isFrom, isTo := kindLabel(KindMarker, fk), kindLabel(KindMarker, tk)
 	// Count the from-markers: an upper bound on the starts, so the tables
 	// below are allocated once.
 	n := 0
 	for _, pg := range r.pages {
 		for i := range pg {
-			if rec := &pg[i]; rec.Kind == KindMarker && rec.Label == from {
+			if pg[i].kl == isFrom {
 				n++
 			}
 		}
@@ -143,13 +149,13 @@ func (r *Recorder) Latencies(from, to string) []sim.Time {
 	first := make(map[int64]int, n) // arg -> index into starts
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind != KindMarker || rec.Label != from {
+			e := &pg[i]
+			if e.kl != isFrom {
 				continue
 			}
-			if _, ok := first[rec.Arg]; !ok {
-				first[rec.Arg] = len(starts)
-				starts = append(starts, start{at: rec.At})
+			if _, ok := first[e.arg]; !ok {
+				first[e.arg] = len(starts)
+				starts = append(starts, start{at: e.at})
 			}
 		}
 	}
@@ -158,15 +164,15 @@ func (r *Recorder) Latencies(from, to string) []sim.Time {
 	matched := 0
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind != KindMarker || rec.Label != to {
+			e := &pg[i]
+			if e.kl != isTo {
 				continue
 			}
-			k, ok := first[rec.Arg]
-			if !ok || starts[k].matched || rec.At < starts[k].at {
+			k, ok := first[e.arg]
+			if !ok || starts[k].matched || e.at < starts[k].at {
 				continue
 			}
-			starts[k].lat, starts[k].matched = rec.At-starts[k].at, true
+			starts[k].lat, starts[k].matched = e.at-starts[k].at, true
 			matched++
 		}
 	}
@@ -184,12 +190,16 @@ func (r *Recorder) Latencies(from, to string) []sim.Time {
 
 // MarkerTimes returns the timestamps of all markers with the given label.
 func (r *Recorder) MarkerTimes(label string) []sim.Time {
+	k := r.lookup(label)
+	if k == noSym {
+		return nil
+	}
+	want := kindLabel(KindMarker, k)
 	var out []sim.Time
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind == KindMarker && rec.Label == label {
-				out = append(out, rec.At)
+			if e := &pg[i]; e.kl == want {
+				out = append(out, e.at)
 			}
 		}
 	}
@@ -200,20 +210,25 @@ func (r *Recorder) MarkerTimes(label string) []sim.Time {
 // state and the next transition to running — the dispatch latencies the
 // paper's response-time discussion concerns.
 func (r *Recorder) ResponseTimes(task string) []sim.Time {
+	k := r.lookup(task)
+	if k == noSym {
+		return nil
+	}
+	readySym, running := r.lookup("ready"), r.lookup("running")
 	var out []sim.Time
 	var readyAt sim.Time
 	ready := false
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind != KindTaskState || rec.Task != task {
+			e := &pg[i]
+			if e.kind() != KindTaskState || e.task != k {
 				continue
 			}
 			switch {
-			case rec.To == "ready" && !ready:
-				readyAt, ready = rec.At, true
-			case rec.To == "running" && ready:
-				out = append(out, rec.At-readyAt)
+			case e.to == readySym && !ready:
+				readyAt, ready = e.at, true
+			case e.to == running && ready:
+				out = append(out, e.at-readyAt)
 				ready = false
 			}
 		}

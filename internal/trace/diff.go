@@ -26,17 +26,16 @@ type MarkerDiff struct {
 // repeated (label, arg) pairs, occurrences are matched positionally.
 func DiffMarkers(a, b *Recorder) []MarkerDiff {
 	type key struct {
-		label string
+		label sym // in the collected recorder's string table
 		arg   int64
 	}
 	collect := func(r *Recorder) map[key][]sim.Time {
 		m := map[key][]sim.Time{}
 		for _, pg := range r.pages {
 			for i := range pg {
-				rec := &pg[i]
-				if rec.Kind == KindMarker {
-					k := key{rec.Label, rec.Arg}
-					m[k] = append(m[k], rec.At)
+				if e := &pg[i]; e.kind() == KindMarker {
+					k := key{e.label(), e.arg}
+					m[k] = append(m[k], e.at)
 				}
 			}
 		}
@@ -45,7 +44,8 @@ func DiffMarkers(a, b *Recorder) []MarkerDiff {
 	ma, mb := collect(a), collect(b)
 	var out []MarkerDiff
 	for k, atimes := range ma {
-		btimes, ok := mb[k]
+		label := a.str(k.label)
+		btimes, ok := mb[key{b.lookup(label), k.arg}]
 		if !ok {
 			continue
 		}
@@ -55,7 +55,7 @@ func DiffMarkers(a, b *Recorder) []MarkerDiff {
 		}
 		for i := 0; i < n; i++ {
 			out = append(out, MarkerDiff{
-				Label: k.label, Arg: k.arg,
+				Label: label, Arg: k.arg,
 				A: atimes[i], B: btimes[i], Delta: btimes[i] - atimes[i],
 			})
 		}

@@ -79,8 +79,7 @@ func (r *Recorder) Gantt(w io.Writer, opts GanttOptions) error {
 func (r *Recorder) EventList(w io.Writer) error {
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if _, err := fmt.Fprintln(w, rec.String()); err != nil {
+			if _, err := fmt.Fprintln(w, r.record(&pg[i]).String()); err != nil {
 				return err
 			}
 		}
@@ -96,9 +95,9 @@ func (r *Recorder) CSV(w io.Writer) error {
 	}
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%s,%d\n",
-				int64(rec.At), rec.Kind, rec.Task, rec.From, rec.To, rec.Label, rec.Arg); err != nil {
+			e := &pg[i]
+			if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%s,%d\n", int64(e.at), e.kind(),
+				r.str(e.task), r.str(e.from), r.str(e.to), r.str(e.label()), e.arg); err != nil {
 				return err
 			}
 		}

@@ -76,8 +76,10 @@ type TaskSummary struct {
 // Summarize computes per-task summaries over the whole trace.
 func (r *Recorder) Summarize() []TaskSummary {
 	span := r.End()
+	running, ready := r.lookup("running"), r.lookup("ready")
 	var out []TaskSummary
 	for _, task := range r.Tasks() {
+		k := r.lookup(task)
 		ivs := r.ExecIntervals(task)
 		var busy sim.Time
 		for _, iv := range ivs {
@@ -97,13 +99,16 @@ func (r *Recorder) Summarize() []TaskSummary {
 		}
 		for _, pg := range r.pages {
 			for i := range pg {
-				rec := &pg[i]
-				switch {
-				case rec.Kind == KindDispatch && rec.To == task:
-					s.Dispatches++
-				case rec.Kind == KindTaskState && rec.Task == task &&
-					rec.From == "running" && rec.To == "ready":
-					s.Preemptions++
+				e := &pg[i]
+				switch e.kind() {
+				case KindDispatch:
+					if e.to == k {
+						s.Dispatches++
+					}
+				case KindTaskState:
+					if e.task == k && e.from == running && e.to == ready {
+						s.Preemptions++
+					}
 				}
 			}
 		}

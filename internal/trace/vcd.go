@@ -60,14 +60,14 @@ func (r *Recorder) VCD(w io.Writer) error {
 	for i, irq := range irqs {
 		c := code(len(tasks) + i)
 		add(0, c, '0')
+		want := kindLabel(KindIRQ, r.lookup(irq))
 		for _, pg := range r.pages {
 			for j := range pg {
-				rec := &pg[j]
-				if rec.Kind == KindIRQ && rec.Label == irq {
-					if rec.Arg == 1 {
-						add(rec.At, c, '1')
+				if e := &pg[j]; e.kl == want {
+					if e.arg == 1 {
+						add(e.at, c, '1')
 					} else {
-						add(rec.At, c, '0')
+						add(e.at, c, '0')
 					}
 				}
 			}
@@ -97,18 +97,15 @@ func (r *Recorder) VCD(w io.Writer) error {
 
 // irqNames returns the sorted interrupt-line names in the trace.
 func (r *Recorder) irqNames() []string {
-	set := map[string]bool{}
+	seen := make([]bool, len(r.strs))
+	names := []string{}
 	for _, pg := range r.pages {
 		for i := range pg {
-			rec := &pg[i]
-			if rec.Kind == KindIRQ && rec.Label != "" {
-				set[rec.Label] = true
+			if e := &pg[i]; e.kind() == KindIRQ && e.label() != 0 && !seen[e.label()] {
+				seen[e.label()] = true
+				names = append(names, r.strs[e.label()])
 			}
 		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names

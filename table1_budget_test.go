@@ -1,10 +1,14 @@
-// Table 1 allocation budget: one specification run plus one architecture
-// run of the full-size vocoder (the pair Table 1 compares) must stay
-// within a fixed allocation count, so trace storage and channel
-// bookkeeping cannot creep back onto the hot path unnoticed.
+// Table 1 allocation budgets: one specification run plus one
+// architecture run of the full-size vocoder (the pair Table 1 compares)
+// must stay within a fixed allocation count and a fixed number of
+// allocated bytes, so trace storage and channel bookkeeping cannot creep
+// back onto the hot path unnoticed. The pair stores 7,680 trace records
+// as pointer-free 32-byte entries (2,934 from the spec run, 4,746 from
+// the arch run), which make up about 90 % of its bytes.
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -17,9 +21,16 @@ import (
 // queue FIFO cost about 1770.
 const table1AllocCeiling = 313
 
-func TestTable1AllocBudget(t *testing.T) {
+// table1ByteCeiling is 1.5× the 288.5 kB the pair allocated with
+// pointer-free trace entries and a string table (go1.24, GOMAXPROCS 1
+// and 2, 100-pair average; about the same under -race). Records holding
+// four string headers each cost 754.5 kB.
+const table1ByteCeiling = 433_000
+
+// table1Pair returns one RunSpec+RunArch pair of the full-size vocoder.
+func table1Pair(t *testing.T) func() {
 	par := vocoder.Default()
-	pair := func() {
+	return func() {
 		if _, _, err := vocoder.RunSpec(par); err != nil {
 			t.Fatal(err)
 		}
@@ -27,9 +38,29 @@ func TestTable1AllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(5, pair)
+}
+
+func TestTable1AllocBudget(t *testing.T) {
+	avg := testing.AllocsPerRun(5, table1Pair(t))
 	t.Logf("%.0f allocs per RunSpec+RunArch pair (ceiling %d)", avg, table1AllocCeiling)
 	if avg > table1AllocCeiling {
 		t.Errorf("RunSpec+RunArch allocates %.0f times, over the budget of %d", avg, table1AllocCeiling)
+	}
+}
+
+func TestTable1ByteBudget(t *testing.T) {
+	pair := table1Pair(t)
+	pair() // warm up, as testing.AllocsPerRun does
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	avg := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per RunSpec+RunArch pair (ceiling %d)", avg, table1ByteCeiling)
+	if avg > table1ByteCeiling {
+		t.Errorf("RunSpec+RunArch allocates %d bytes, over the budget of %d", avg, table1ByteCeiling)
 	}
 }
