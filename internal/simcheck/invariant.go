@@ -68,7 +68,7 @@ func checkSingleTrace(s *Scenario, res *RunResult) []Violation {
 		return ""
 	}
 
-	for _, rec := range res.Records {
+	step := func(rec trace.Record) {
 		if rec.At < prevAt {
 			add("monotone-time", rec.At, "record at %v after %v: %s", rec.At, prevAt, rec)
 		}
@@ -126,6 +126,9 @@ func checkSingleTrace(s *Scenario, res *RunResult) []Violation {
 				}
 			}
 		}
+	}
+	if res.Recorder != nil {
+		res.Recorder.Each(step)
 	}
 	for name, d := range irqDepth {
 		if d != 0 {

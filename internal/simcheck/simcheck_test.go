@@ -154,7 +154,11 @@ func TestCheckerFlagsDoctoredTraces(t *testing.T) {
 		}, "monotone-time"},
 	}
 	for _, tc := range cases {
-		res := &RunResult{Config: tc.cfg, Records: tc.records}
+		rec := trace.New("doctored")
+		for _, r := range tc.records {
+			rec.Append(r)
+		}
+		res := &RunResult{Config: tc.cfg, Recorder: rec}
 		vs := checkSingleTrace(s, res)
 		if tc.want == "" {
 			if len(vs) != 0 {
