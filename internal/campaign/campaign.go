@@ -334,19 +334,8 @@ func (s *Server) process(j *Job) {
 	j.reports = make([]*telemetry.Report, len(j.cells))
 	j.mu.Unlock()
 
-	type cellOut struct {
-		bytes []byte
-		hash  string
-	}
 	results := runner.Map(len(j.cells), runner.Options{Jobs: s.opts.Jobs, Retry: 1},
-		func(i int) (cellOut, error) {
-			b, err := s.runCell(j, i)
-			if err != nil {
-				return cellOut{}, err
-			}
-			sum := sha256.Sum256(b)
-			return cellOut{bytes: b, hash: hex.EncodeToString(sum[:])}, nil
-		})
+		func(i int) ([]byte, error) { return s.runCell(j, i) })
 
 	if s.dead.Load() {
 		return // mid-crash: the resumed server finishes this job
@@ -372,7 +361,7 @@ func (s *Server) process(j *Job) {
 	out = append(out, fmt.Sprintf("simd-result/1 job=%s kind=%s cells=%d\n", j.ID, j.Kind, len(j.cells))...)
 	for i, r := range results {
 		out = append(out, fmt.Sprintf("-- cell %d %s\n", i, j.cells[i].label)...)
-		out = append(out, r.Value.bytes...)
+		out = append(out, r.Value...)
 	}
 	sum := sha256.Sum256(out)
 	resHash := hex.EncodeToString(sum[:])

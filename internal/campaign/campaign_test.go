@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -413,6 +414,18 @@ func TestSubmitRejectsMalformedPayloads(t *testing.T) {
 		{"dse no axes", KindDSE, fmt.Sprintf(`{"base": %s}`, tinySet), "axis"},
 		{"dse unknown axis", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"magic","values":["on"]}]}`, tinySet), "magic"},
 		{"dse invalid variant", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"policy","values":["psychic"]}]}`, tinySet), "psychic"},
+		// A repeated axis or value names one configuration twice: dse.Grid
+		// lets the later axis win, so two cells would share key and label.
+		{"dse axis twice", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"policy","values":["rr","edf"]},{"name":"policy","values":["rm"]}]}`, tinySet),
+			`campaign: dse axis "policy" given twice`},
+		{"dse axis twice apart", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"engine","values":["rtc"]},{"name":"horizonMs","values":["5"]},{"name":"engine","values":["rtc"]}]}`, tinySet),
+			`campaign: dse axis "engine" given twice`},
+		{"dse value twice", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"policy","values":["rr","rr"]}]}`, tinySet),
+			`campaign: dse axis policy repeats value "rr"`},
+		{"dse number twice", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"policy","values":["rm"]},{"name":"quantumUs","values":["500","250","500"]}]}`, tinySet),
+			`campaign: dse axis quantumUs repeats value "500"`},
+		{"dse grid too large", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"quantumUs","values":[%s]},{"name":"horizonMs","values":[%s]}]}`,
+			tinySet, numberList(65), numberList(64)), "campaign: dse grid has more than 4096 configurations"},
 	}
 	for _, tc := range cases {
 		_, _, err := s.Submit(tc.kind, []byte(tc.payload))
@@ -430,6 +443,15 @@ func TestSubmitRejectsMalformedPayloads(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("%d events journaled from malformed payloads", len(recs))
 	}
+}
+
+// numberList renders n distinct axis values "1", "2", … as JSON strings.
+func numberList(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Quote(strconv.Itoa(i + 1))
+	}
+	return strings.Join(vals, ",")
 }
 
 // TestDSEAxisNumbersMustBePlainFinite: a quantumUs or horizonMs axis

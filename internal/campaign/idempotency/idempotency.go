@@ -18,7 +18,8 @@ import (
 // canonical bytes are the same job.
 func Key(kind string, canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return kind + ":" + hex.EncodeToString(sum[:])
+	var buf [96]byte // every kind in use fits: one allocation, the string
+	return string(hex.AppendEncode(append(append(buf[:0], kind...), ':'), sum[:]))
 }
 
 // Registry maps idempotency keys to the job IDs that own them. Claims

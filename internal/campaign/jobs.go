@@ -74,16 +74,17 @@ func buildTasksetJob(payload []byte) (string, []cellSpec, error) {
 		return "", nil, err
 	}
 	canon := dse.Canonical(s)
-	return idempotency.Key("taskset", canon), []cellSpec{tasksetCell(s)}, nil
+	return idempotency.Key("taskset", canon), []cellSpec{tasksetCell(s, canon, "set")}, nil
 }
 
-// tasksetCell builds the shared taskset cell: DSE sweeps over the same
-// configuration produce the same cell key, so results are shared across
-// job kinds through the cache.
-func tasksetCell(s *taskset.Set) cellSpec {
+// tasksetCell builds the shared taskset cell of s, whose canonical form
+// (dse.Canonical) is canon: DSE sweeps over the same configuration
+// produce the same cell key, so results are shared across job kinds
+// through the cache.
+func tasksetCell(s *taskset.Set, canon []byte, label string) cellSpec {
 	return cellSpec{
-		key:   idempotency.Key("cell:taskset", dse.Canonical(s)),
-		label: "set",
+		key:   idempotency.Key("cell:taskset", canon),
+		label: label,
 		run:   func() ([]byte, *telemetry.Report, error) { return runTasksetCell(s) },
 	}
 }
@@ -315,25 +316,50 @@ func buildDSEJob(payload []byte) (string, []cellSpec, error) {
 		return "", nil, fmt.Errorf("campaign: dse job needs at least one axis")
 	}
 	axes := make([]dse.Axis, 0, len(j.Axes))
-	for _, a := range j.Axes {
+	n := 1
+	values := make(map[string]bool, 8)
+	for i, a := range j.Axes {
 		if a.Name == "" || len(a.Values) == 0 {
 			return "", nil, fmt.Errorf("campaign: dse axis needs a name and values")
 		}
 		if !dseAxes[a.Name] {
 			names := make([]string, 0, len(dseAxes))
-			for n := range dseAxes {
-				names = append(names, n)
+			for name := range dseAxes {
+				names = append(names, name)
 			}
 			sort.Strings(names)
 			return "", nil, fmt.Errorf("campaign: dse axis %q unknown (have %v)", a.Name, names)
 		}
+		// A repeated axis or value would name one configuration twice:
+		// dse.Grid lets the later axis win, so two cells would share a key
+		// and a label.
+		for _, prev := range j.Axes[:i] {
+			if prev.Name == a.Name {
+				return "", nil, fmt.Errorf("campaign: dse axis %q given twice", a.Name)
+			}
+		}
+		clear(values)
+		for _, v := range a.Values {
+			if values[v] {
+				return "", nil, fmt.Errorf("campaign: dse axis %s repeats value %q", a.Name, v)
+			}
+			values[v] = true
+		}
+		// Checked per axis, so a huge product is refused before Grid
+		// builds it.
+		if n *= len(a.Values); n > maxCells {
+			return "", nil, fmt.Errorf("campaign: dse grid has more than %d configurations; split the sweep", maxCells)
+		}
 		axes = append(axes, dse.Axis{Name: a.Name, Values: a.Values})
 	}
+
+	// Variants differ from the base only in their run fields, so their
+	// canonical forms share the base's task lines: render those once and
+	// put each variant's header in front of them.
+	tasks := dse.AppendCanonicalTasks(nil, base.Tasks)
 	grid := dse.Grid(axes)
-	if len(grid) > maxCells {
-		return "", nil, fmt.Errorf("campaign: dse grid has %d configurations (max %d); split the sweep", len(grid), maxCells)
-	}
-	var cells []cellSpec
+	cells := make([]cellSpec, 0, len(grid))
+	var canon []byte
 	for _, cfg := range grid {
 		variant, err := applyConfig(base, cfg)
 		if err != nil {
@@ -342,13 +368,23 @@ func buildDSEJob(payload []byte) (string, []cellSpec, error) {
 		// Cell key and bytes are those of the variant's plain taskset cell:
 		// a DSE sweep and a direct taskset job over the same configuration
 		// share one cache entry.
-		cell := tasksetCell(variant)
-		cell.label = cfg.Key()
-		cells = append(cells, cell)
+		canon = append(dse.CanonicalHeader(canon[:0], variant), tasks...)
+		cells = append(cells, tasksetCell(variant, canon, cfg.Key()))
 	}
-	canon := append([]byte("base="), dse.Canonical(base)...)
+	// The job key hashes "base=", the base's canonical form and one line
+	// per axis in the bytes fmt's "axis name=%q values=%q\n" writes for a
+	// name and its []string values, as journaled job keys were made.
+	canon = append(dse.CanonicalHeader(append(canon[:0], "base="...), base), tasks...)
 	for _, a := range axes {
-		canon = append(canon, fmt.Sprintf("axis name=%q values=%q\n", a.Name, a.Values)...)
+		canon = strconv.AppendQuote(append(canon, "axis name="...), a.Name)
+		canon = append(canon, " values=["...)
+		for i, v := range a.Values {
+			if i > 0 {
+				canon = append(canon, ' ')
+			}
+			canon = strconv.AppendQuote(canon, v)
+		}
+		canon = append(canon, "]\n"...)
 	}
 	return idempotency.Key("dse", canon), cells, nil
 }
@@ -365,7 +401,9 @@ func axisNumber(name, val string) (float64, error) {
 }
 
 // applyConfig returns a copy of base with the configuration's axis
-// values applied, validated like any submitted task set.
+// values applied. Axes set only run fields, so of a validated base
+// (taskset.Parse) only those are checked again: the variant is then as
+// valid as any submitted task set.
 func applyConfig(base *taskset.Set, cfg dse.Config) (*taskset.Set, error) {
 	v := *base
 	var err error
@@ -389,7 +427,7 @@ func applyConfig(base *taskset.Set, cfg dse.Config) (*taskset.Set, error) {
 			}
 		}
 	}
-	if err = v.Validate(); err != nil {
+	if err = v.ValidateRun(); err != nil {
 		return nil, fmt.Errorf("configuration %s: %w", cfg.Key(), err)
 	}
 	return &v, nil

@@ -28,7 +28,23 @@ const canonVersion = "tsv1"
 // configurations collide in the cache. Strings are quoted with
 // strconv.Quote and integers printed in decimal, the bytes fmt's %q and
 // %d produce.
+//
+// The form is the header line (CanonicalHeader) followed by one line
+// per task (AppendCanonicalTasks). Sets that differ only in their run
+// fields share the task lines, so a sweep renders them once and appends
+// each variant's header in front.
 func Canonical(s *taskset.Set) []byte {
+	n := 160 + len(s.Policy) + len(s.TimeModel) + len(s.Personality) + len(s.Engine)
+	for _, t := range s.Tasks {
+		n += 160 + len(t.Name) + 12*len(t.ComputeUs)
+	}
+	return AppendCanonicalTasks(CanonicalHeader(make([]byte, 0, n), s), s.Tasks)
+}
+
+// CanonicalHeader appends the first line of Canonical(s): the version
+// and the run fields the set resolves to, ending in the task count and
+// a newline.
+func CanonicalHeader(b []byte, s *taskset.Set) []byte {
 	cpus := max(s.CPUs, 1)
 	// An unknown policy name stays as written (Canonical is total over
 	// invalid sets too); only round-robin consumes the quantum.
@@ -48,23 +64,21 @@ func Canonical(s *taskset.Set) []byte {
 	if engine == "" || cpus > 1 {
 		engine = "goroutine"
 	}
-	horizon := s.Horizon()
-
-	n := 160 + len(policy) + len(tmodel) + len(pers) + len(engine)
-	for _, t := range s.Tasks {
-		n += 160 + len(t.Name) + 12*len(t.ComputeUs)
-	}
-	b := make([]byte, 0, n)
 	b = appendQuoted(b, canonVersion+" policy=", policy)
 	b = appendInt(b, " quantum=", int64(quantum))
 	b = appendQuoted(b, " tmodel=", tmodel)
 	b = appendQuoted(b, " pers=", pers)
 	b = appendInt(b, " cpus=", int64(cpus))
 	b = appendQuoted(b, " engine=", engine)
-	b = appendInt(b, " horizon=", int64(horizon))
+	b = appendInt(b, " horizon=", int64(s.Horizon()))
 	b = appendInt(b, " tasks=", int64(len(s.Tasks)))
-	b = append(b, '\n')
-	for _, t := range s.Tasks {
+	return append(b, '\n')
+}
+
+// AppendCanonicalTasks appends the task lines of Canonical for a set
+// with these tasks, one line per task in order.
+func AppendCanonicalTasks(b []byte, tasks []taskset.Task) []byte {
+	for _, t := range tasks {
 		typ := t.Type
 		if typ == "" {
 			typ = "periodic"

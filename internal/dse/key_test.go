@@ -54,19 +54,24 @@ func baseSet() *taskset.Set {
 // omitted and the same set with every default explicit are the same
 // configuration and must hash equal.
 func TestCanonicalNormalizesDefaults(t *testing.T) {
-	implicit := baseSet()
-	explicit := baseSet()
-	explicit.Policy = "priority"
-	explicit.TimeModel = "coarse"
-	explicit.Personality = "generic"
-	explicit.Engine = "goroutine"
-	explicit.CPUs = 1
-	explicit.HorizonMs = 1000
-	explicit.Tasks[0].Type = "periodic"
+	implicit, explicit := baseSet(), explicitSet()
 	if HashSet(implicit) != HashSet(explicit) {
 		t.Errorf("explicit defaults hash differently from omitted defaults:\n%s\nvs\n%s",
 			Canonical(implicit), Canonical(explicit))
 	}
+}
+
+// explicitSet is baseSet with every default written out.
+func explicitSet() *taskset.Set {
+	s := baseSet()
+	s.Policy = "priority"
+	s.TimeModel = "coarse"
+	s.Personality = "generic"
+	s.Engine = "goroutine"
+	s.CPUs = 1
+	s.HorizonMs = 1000
+	s.Tasks[0].Type = "periodic"
+	return s
 }
 
 // TestCanonicalIgnoresInertQuantum: the quantum only matters under "rr";
@@ -91,24 +96,7 @@ func TestCanonicalIgnoresInertQuantum(t *testing.T) {
 // key them that way — an alias that dropped its quantum served one
 // round-robin result for another.
 func TestCanonicalPolicyAliases(t *testing.T) {
-	with := func(policy string, quantumUs float64) *taskset.Set {
-		s := baseSet()
-		s.Policy, s.QuantumUs = policy, quantumUs
-		return s
-	}
-	same := []struct {
-		name string
-		a, b *taskset.Set
-	}{
-		{"prio", with("prio", 0), with("priority", 0)},
-		{"fifo", with("fifo", 0), with("fcfs", 0)},
-		{"roundrobin", with("roundrobin", 500), with("rr", 500)},
-		{"ratemonotonic", with("ratemonotonic", 0), with("rm", 0)},
-		{"roundrobin-default-quantum", with("roundrobin", 0), with("rr", 1000)},
-		{"rr-quantum-rounds-to-zero", with("rr", 0.0001), with("rr", 1000)},
-		{"rr-default-quantum", with("rr", 0), with("rr", 1000)},
-	}
-	for _, p := range same {
+	for _, p := range aliasPairs() {
 		t.Run(p.name, func(t *testing.T) {
 			if HashSet(p.a) != HashSet(p.b) {
 				t.Errorf("alias hashes differently:\n%s\nvs\n%s", Canonical(p.a), Canonical(p.b))
@@ -116,41 +104,43 @@ func TestCanonicalPolicyAliases(t *testing.T) {
 		})
 	}
 	t.Run("roundrobin-quantum", func(t *testing.T) {
-		if a, b := with("roundrobin", 1000), with("roundrobin", 5000); HashSet(a) == HashSet(b) {
+		if a, b := withPolicy("roundrobin", 1000), withPolicy("roundrobin", 5000); HashSet(a) == HashSet(b) {
 			t.Errorf("roundrobin quanta 1000 and 5000 us collide:\n%s", Canonical(a))
 		}
 	})
+}
+
+// withPolicy is baseSet under the given policy name and quantum.
+func withPolicy(policy string, quantumUs float64) *taskset.Set {
+	s := baseSet()
+	s.Policy, s.QuantumUs = policy, quantumUs
+	return s
+}
+
+// setPair is two sets under a name.
+type setPair struct {
+	name string
+	a, b *taskset.Set
+}
+
+// aliasPairs lists pairs of sets that name one policy and quantum in
+// two ways.
+func aliasPairs() []setPair {
+	return []setPair{
+		{"prio", withPolicy("prio", 0), withPolicy("priority", 0)},
+		{"fifo", withPolicy("fifo", 0), withPolicy("fcfs", 0)},
+		{"roundrobin", withPolicy("roundrobin", 500), withPolicy("rr", 500)},
+		{"ratemonotonic", withPolicy("ratemonotonic", 0), withPolicy("rm", 0)},
+		{"roundrobin-default-quantum", withPolicy("roundrobin", 0), withPolicy("rr", 1000)},
+		{"rr-quantum-rounds-to-zero", withPolicy("rr", 0.0001), withPolicy("rr", 1000)},
+		{"rr-default-quantum", withPolicy("rr", 0), withPolicy("rr", 1000)},
+	}
 }
 
 // TestCanonicalPerturbations: every semantically meaningful change to
 // the set must change the hash — a miss here is a cache collision
 // between configurations that simulate differently.
 func TestCanonicalPerturbations(t *testing.T) {
-	perturbations := []struct {
-		name   string
-		mutate func(*taskset.Set)
-	}{
-		{"policy", func(s *taskset.Set) { s.Policy = "edf" }},
-		{"rr-quantum", func(s *taskset.Set) { s.Policy = "rr"; s.QuantumUs = 500 }},
-		{"time-model", func(s *taskset.Set) { s.TimeModel = "segmented" }},
-		{"personality", func(s *taskset.Set) { s.Personality = "itron" }},
-		{"cpus", func(s *taskset.Set) { s.CPUs = 2 }},
-		{"engine", func(s *taskset.Set) { s.Engine = "rtc" }},
-		{"horizon", func(s *taskset.Set) { s.HorizonMs = 500 }},
-		{"task-added", func(s *taskset.Set) {
-			s.Tasks = append(s.Tasks, taskset.Task{Name: "bg", Prio: 9, PeriodUs: 50000, WcetUs: 10})
-		}},
-		{"task-dropped", func(s *taskset.Set) { s.Tasks = s.Tasks[:2] }},
-		{"task-renamed", func(s *taskset.Set) { s.Tasks[0].Name = "ctrl2" }},
-		{"task-type", func(s *taskset.Set) { s.Tasks[0].Type = "aperiodic" }},
-		{"task-prio", func(s *taskset.Set) { s.Tasks[0].Prio = 7 }},
-		{"task-period", func(s *taskset.Set) { s.Tasks[0].PeriodUs = 6000 }},
-		{"task-wcet", func(s *taskset.Set) { s.Tasks[0].WcetUs = 1300 }},
-		{"task-start", func(s *taskset.Set) { s.Tasks[2].StartUs = 3000 }},
-		{"task-cycles", func(s *taskset.Set) { s.Tasks[2].Cycles = 5 }},
-		{"task-segment-value", func(s *taskset.Set) { s.Tasks[1].ComputeUs[1] = 500 }},
-		{"task-segment-split", func(s *taskset.Set) { s.Tasks[1].ComputeUs = []int64{600, 600} }},
-	}
 	base := HashSet(baseSet())
 	seen := map[string]string{base: "base"}
 	for _, p := range perturbations {
@@ -164,6 +154,33 @@ func TestCanonicalPerturbations(t *testing.T) {
 			seen[h] = p.name
 		})
 	}
+}
+
+// perturbations each change baseSet in one semantically meaningful way.
+var perturbations = []struct {
+	name   string
+	mutate func(*taskset.Set)
+}{
+	{"policy", func(s *taskset.Set) { s.Policy = "edf" }},
+	{"rr-quantum", func(s *taskset.Set) { s.Policy = "rr"; s.QuantumUs = 500 }},
+	{"time-model", func(s *taskset.Set) { s.TimeModel = "segmented" }},
+	{"personality", func(s *taskset.Set) { s.Personality = "itron" }},
+	{"cpus", func(s *taskset.Set) { s.CPUs = 2 }},
+	{"engine", func(s *taskset.Set) { s.Engine = "rtc" }},
+	{"horizon", func(s *taskset.Set) { s.HorizonMs = 500 }},
+	{"task-added", func(s *taskset.Set) {
+		s.Tasks = append(s.Tasks, taskset.Task{Name: "bg", Prio: 9, PeriodUs: 50000, WcetUs: 10})
+	}},
+	{"task-dropped", func(s *taskset.Set) { s.Tasks = s.Tasks[:2] }},
+	{"task-renamed", func(s *taskset.Set) { s.Tasks[0].Name = "ctrl2" }},
+	{"task-type", func(s *taskset.Set) { s.Tasks[0].Type = "aperiodic" }},
+	{"task-prio", func(s *taskset.Set) { s.Tasks[0].Prio = 7 }},
+	{"task-period", func(s *taskset.Set) { s.Tasks[0].PeriodUs = 6000 }},
+	{"task-wcet", func(s *taskset.Set) { s.Tasks[0].WcetUs = 1300 }},
+	{"task-start", func(s *taskset.Set) { s.Tasks[2].StartUs = 3000 }},
+	{"task-cycles", func(s *taskset.Set) { s.Tasks[2].Cycles = 5 }},
+	{"task-segment-value", func(s *taskset.Set) { s.Tasks[1].ComputeUs[1] = 500 }},
+	{"task-segment-split", func(s *taskset.Set) { s.Tasks[1].ComputeUs = []int64{600, 600} }},
 }
 
 // TestHashSetGolden pins the canonical serialization format: if this
@@ -314,5 +331,35 @@ func TestCanonicalMatchesFmtReference(t *testing.T) {
 	}
 	if got, want := Canonical(baseSet()), canonicalFmt(baseSet()); !bytes.Equal(got, want) {
 		t.Fatalf("base set: encoders differ\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCanonicalIsHeaderPlusTasks: Canonical is its header line followed
+// by its task lines, for every set the tests above key, so a sweep that
+// renders the shared task lines once and puts each variant's header in
+// front writes the bytes Canonical writes.
+func TestCanonicalIsHeaderPlusTasks(t *testing.T) {
+	sets := []*taskset.Set{baseSet(), explicitSet(), withPolicy("roundrobin", 1000), withPolicy("roundrobin", 5000)}
+	for _, p := range aliasPairs() {
+		sets = append(sets, p.a, p.b)
+	}
+	for _, p := range perturbations {
+		s := baseSet()
+		p.mutate(s)
+		sets = append(sets, s)
+	}
+	rng := rand.New(rand.NewSource(1)) // TestCanonicalMatchesFmtReference's sets
+	for i := 0; i < 600; i++ {
+		s := randomSet(rng)
+		sets = append(sets, s, aliasFree(s))
+	}
+	for i, s := range sets {
+		got := AppendCanonicalTasks(CanonicalHeader(nil, s), s.Tasks)
+		if want := Canonical(s); !bytes.Equal(got, want) {
+			t.Fatalf("set %d: header plus tasks differs from Canonical\n got %q\nwant %q", i, got, want)
+		}
+		if head, _, _ := bytes.Cut(Canonical(s), []byte("\n")); !bytes.Equal(CanonicalHeader(nil, s), append(head, '\n')) {
+			t.Fatalf("set %d: CanonicalHeader is not Canonical's first line", i)
+		}
 	}
 }

@@ -53,8 +53,17 @@ func Parse(data []byte) (*Set, error) {
 	return &s, nil
 }
 
-// Validate checks the set for structural errors.
+// Validate checks the set for structural errors: the task list, then
+// the run fields (ValidateRun).
 func (s *Set) Validate() error {
+	if err := s.validateTasks(); err != nil {
+		return err
+	}
+	return s.ValidateRun()
+}
+
+// validateTasks checks the task list.
+func (s *Set) validateTasks() error {
 	if len(s.Tasks) == 0 {
 		return fmt.Errorf("taskset: no tasks")
 	}
@@ -98,6 +107,13 @@ func (s *Set) Validate() error {
 			return fmt.Errorf("taskset: task %q has unknown type %q", t.Name, t.Type)
 		}
 	}
+	return nil
+}
+
+// ValidateRun checks the fields that say how the set runs: policy,
+// quantum, time model, personality, CPUs, engine and horizon. A copy of
+// a validated set that changes only these fields needs only this check.
+func (s *Set) ValidateRun() error {
 	if s.TimeModel != "" && s.TimeModel != "coarse" && s.TimeModel != "segmented" {
 		return fmt.Errorf("taskset: unknown time model %q", s.TimeModel)
 	}

@@ -16,7 +16,8 @@
 #   - the committed performance baselines (BENCH_kernel.json,
 #     BENCH_dse.json): allocation counts exactly, ns/op within 100 %;
 #   - campaign crash-resume at jobs 1 and 8 under the race detector,
-#     and the campaign journal golden;
+#     the campaign journal golden, dse key equivalence and the dse
+#     submit allocation budget;
 #   - a bounded simfuzz soak and the fault-injection smoke.
 #
 #   ./scripts/check.sh                       # full gate (a few minutes)
@@ -159,10 +160,13 @@ step "simbench DSE baseline check (BENCH_dse.json)" go run ./cmd/simbench -suite
 # (cache-hit accounting), at worker counts 1 and 8 under the race
 # detector. The journal golden pins the bytes of a one-worker campaign's
 # event log, results and receipts, so cell keys, idempotency keys and
-# journal lines cannot drift from what persisted directories hold. (go
-# test -race ./... above already ran these; the explicit pass keeps the
-# crash-resume contract visible in the gate.)
-step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestJournalGolden' -count=1 ./internal/campaign
+# journal lines cannot drift from what persisted directories hold. The
+# dse key-equivalence test checks that a sweep's keys, built from one
+# rendering of the base's task lines, equal the keys of each variant
+# rendered whole, and the submit allocation budget keeps that rendering
+# once per job. (go test -race ./... above already ran these; the
+# explicit pass keeps the crash-resume contract visible in the gate.)
+step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestJournalGolden|TestDSEKeyEquivalence|TestDSESubmitAllocBudget' -count=1 ./internal/campaign
 
 # Soak the scheduler with fresh seeds (offset so they do not just repeat
 # the seeds go test already covered); 4 seeds in flight exercises the
