@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget
+.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget session-allocs
 
 check: ## full tier-1 gate (scripts/check.sh: static checks, race tests, contract passes, baselines, crash-resume, soak, fault smoke)
 	./scripts/check.sh
@@ -47,6 +47,9 @@ perfbench-test: ## the end-to-end benchmark's own tests (a separate module that 
 table1-budget: ## allocation-count and allocated-byte budgets of the Table-1 pair (RunSpec + RunArch)
 	go test -run 'TestTable1AllocBudget|TestTable1ByteBudget' -count=1 -v .
 
+session-allocs: ## exact allocation pins of an rtc session: build, whole run, steady state
+	go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs' -count=1 -v ./internal/rtc
+
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .
 
@@ -81,8 +84,8 @@ bench-dse-check: ## gate the DSE scenarios against the committed BENCH_dse.json
 bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 	go run ./cmd/simbench -suite dse -out BENCH_dse.json
 
-timer-boundary: ## timer queue ordering: differential harness vs sorted-slice reference + RunUntil edges
-	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestRunUntilBoundary' -count=1 ./internal/sim
+timer-boundary: ## timer queue ordering: differential harness vs sorted-slice reference, id reuse, pointer-free cells + RunUntil edges
+	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestPushQueuedIDPanics|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestTimersPointerFree|TestTimerCancelCompaction|TestRunUntilBoundary' -count=1 ./internal/sim
 
 engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens, multi-CPU goldens)
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset

@@ -232,8 +232,13 @@ func (s *Sched) SetPreemptFrontReinsert(on bool) { s.frontReinsert = on }
 
 // Reserve makes room for n more tasks: the task table, one chunk of
 // control blocks and the ready list, so creating and scheduling them
-// allocates nothing further.
+// allocates nothing further. While both are empty, the task table and
+// the ready list share one allocation.
 func (s *Sched) Reserve(n int) {
+	if len(s.tasks) == 0 && len(s.rq) == 0 && cap(s.tasks) < n && cap(s.rq) < n {
+		both := make([]*Task, 2*n)
+		s.tasks, s.rq = both[:0:n], both[n:n]
+	}
 	if cap(s.tasks)-len(s.tasks) < n {
 		s.tasks = append(make([]*Task, 0, len(s.tasks)+n), s.tasks...)
 	}

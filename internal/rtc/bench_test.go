@@ -2,10 +2,13 @@ package rtc
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // pingPong is the context-switch workload of internal/perf's
@@ -75,6 +78,69 @@ func BenchmarkScheduler(b *testing.B) {
 		}
 		if r := Run(w); r.Err != nil {
 			b.Fatal(r.Err)
+		}
+	}
+}
+
+// sweepSessions returns the 60 configurations of a design-space sweep
+// over one seeded 8-task periodic set (U = 0.85, periods 5–50 ms,
+// rate-monotonic priorities, 50 ms horizon): 5 policies × 3
+// personalities × 2 time models × 2 quanta.
+func sweepSessions(seed uint64) []Workload {
+	rng := workload.NewRNG(seed)
+	periods := []float64{5, 5, 10, 10, 20, 25, 25, 50} // ms
+	for i := len(periods) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		periods[i], periods[j] = periods[j], periods[i]
+	}
+	utils := workload.UUniFast(rng, len(periods), 0.85)
+	var tasks []TaskDef
+	for i, p := range periods {
+		period := sim.Time(p) * sim.Millisecond
+		wcet := min(max(sim.Time(math.Round(float64(period)*utils[i])), sim.Microsecond), period)
+		tasks = append(tasks, TaskDef{Name: fmt.Sprintf("t%d", i), Type: "periodic",
+			Period: period, Segments: []sim.Time{wcet}})
+	}
+	byPeriod := make([]int, len(tasks))
+	for i := range byPeriod {
+		byPeriod[i] = i
+	}
+	sort.SliceStable(byPeriod, func(a, b int) bool { return tasks[byPeriod[a]].Period < tasks[byPeriod[b]].Period })
+	for rank, i := range byPeriod {
+		tasks[i].Prio = rank + 1
+	}
+	var ws []Workload
+	for _, policy := range []string{"fcfs", "rr", "priority", "rm", "edf"} {
+		for _, pers := range []string{"generic", "itron", "osek"} {
+			for _, tm := range []core.TimeModel{core.TimeModelCoarse, core.TimeModelSegmented} {
+				for _, q := range []sim.Time{sim.Millisecond, 5 * sim.Millisecond} {
+					ws = append(ws, Workload{Name: "PE", Policy: policy, Personality: pers,
+						TimeModel: tm, Quantum: q, Tasks: tasks, Horizon: 50 * sim.Millisecond})
+				}
+			}
+		}
+	}
+	return ws
+}
+
+// BenchmarkSweepSessions runs the 60 sessions of sweepSessions per op,
+// each as NewSession -> RunUntil -> Finish: the engine's share of an
+// in-process design-space sweep, with no exploration, caching or oracle
+// around it, so the sweep path can be profiled on its own.
+func BenchmarkSweepSessions(b *testing.B) {
+	ws := sweepSessions(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			s, err := NewSession(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.RunUntil(w.Horizon); err != nil {
+				b.Fatal(err)
+			}
+			s.Finish()
 		}
 	}
 }

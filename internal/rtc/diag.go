@@ -17,7 +17,7 @@ type fWatchdogBody struct {
 func (f *fWatchdogBody) step(m *machine) status {
 	os := f.os
 	diagnose := func() *core.DiagnosisError {
-		return os.WatchdogDiagnose(os.k.now, f.window, os.k.pendingTimers(), os.daemon)
+		return os.WatchdogDiagnose(os.k.now, f.window, os.k.timers.Len(), os.daemon)
 	}
 	for {
 		switch f.pc {

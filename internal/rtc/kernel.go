@@ -66,12 +66,6 @@ func (e *event) removeWaiter(m *machine) {
 	}
 }
 
-// timerEntry is one pending machine timeout.
-type timerEntry struct {
-	sim.Timer
-	m *machine
-}
-
 // kernel is the run-to-completion simulation core: the same delta-cycle
 // and timer microstructure as sim.Kernel, but machines resume by a plain
 // method call on one goroutine instead of a channel rendezvous per
@@ -84,9 +78,10 @@ type kernel struct {
 	readyAt int        // consumption index into ready
 	next    []*machine // runnable in the next delta cycle, FIFO
 
-	timers    sim.Timers[*timerEntry]
-	timerSeq  int
-	timerFree []*timerEntry
+	// timers holds each machine's pending timeout under the machine's
+	// index in machines; a machine has at most one.
+	timers   sim.Timers
+	timerSeq int
 
 	machines []*machine
 	active   int
@@ -98,29 +93,27 @@ type kernel struct {
 	// a diagnosis before reporting a plain deadlock.
 	os *osState
 
-	machSlab  slab[machine]
-	timerSlab slab[timerEntry]
+	machSlab slab[machine]
 }
 
 // init prepares an empty kernel for a build that spawns machines
-// machines and creates tasks tasks: the machine and timer-entry slabs and
-// the scheduling queues are sized for them up front (each machine holds
-// at most one pending timer), so the build and the run's steady state
-// allocate nothing per machine. It returns the OS state's empty
-// task-to-machine binding table, which shares an allocation with the
-// machine table. Runtime forks beyond those counts still work; they grow
-// the slabs and queues on demand.
+// machines and creates tasks tasks: the machine slab, the timer queue
+// and the scheduling queues are sized for them up front, so the build
+// and the run's steady state allocate nothing per machine. The machine
+// table, the ready and next FIFOs and the OS state's task-to-machine
+// binding table, which init returns empty, share one allocation.
+// Runtime forks beyond those counts still work; they grow the slab and
+// the tables on demand.
 func (k *kernel) init(os *osState, machines, tasks int) []*machine {
 	k.os = os
 	k.timers.Reserve(machines)
 	k.machSlab.reserve(machines)
-	k.timerSlab.reserve(machines)
-	tables := make([]*machine, machines+tasks)
-	k.machines = tables[:0:machines]
-	k.ready = make([]*machine, 0, machines)
-	k.next = make([]*machine, 0, machines)
-	k.timerFree = make([]*timerEntry, 0, machines)
-	return tables[machines:machines]
+	tables := make([]*machine, 3*machines+tasks)
+	m := machines
+	k.machines = tables[:0:m]
+	k.ready = tables[m : m : 2*m]
+	k.next = tables[2*m : 2*m : 3*m]
+	return tables[3*m : 3*m]
 }
 
 // slab hands out zeroed values of T from shared chunks. A build reserves
@@ -153,6 +146,7 @@ func (s *slab[T]) take() *T {
 // sequentially, so each frame type is on its stack at most once.
 type machine struct {
 	k      *kernel
+	id     int // index in k.machines, and the id of the machine's timer
 	name   string
 	state  mState
 	daemon bool
@@ -168,7 +162,6 @@ type machine struct {
 
 	stack      []frame
 	waitEvents []*event // at most one: wait and waitTimeout block on a single event
-	timer      *timerEntry
 	timedOut   bool
 
 	// par fork/join bookkeeping (sim.Proc.parent/pendingKids): a child
@@ -202,7 +195,7 @@ type machine struct {
 // stack and registers it as live.
 func (k *kernel) newMachine(name string, body frame) *machine {
 	m := k.machSlab.take()
-	m.k, m.name, m.state = k, name, mCreated
+	m.k, m.id, m.name, m.state = k, len(k.machines), name, mCreated
 	m.stack = append(m.stackBuf[:0], body)
 	m.waitEvents = m.waitBuf[:0]
 	m.preempt.waiters = m.preemptBuf[:0]
@@ -277,47 +270,19 @@ func (k *kernel) nextRunnable() *machine {
 // (at, seq) order — the order sim.Kernel fires its own queue in.
 func (k *kernel) fireTimers(t Time) {
 	for {
-		e, ok := k.timers.PopDue(t)
+		id, ok := k.timers.PopDue(t)
 		if !ok {
 			return
 		}
-		e.m.wakeFromTimer()
-		k.recycleTimer(e)
+		k.machines[id].wakeFromTimer()
 	}
 }
 
-func (k *kernel) addTimer(at Time, m *machine) *timerEntry {
+// addTimer queues m's timeout, due at at.
+func (k *kernel) addTimer(at Time, m *machine) {
 	k.timerSeq++
-	entry := k.newTimer()
-	entry.m = m
-	k.timers.Push(entry, at, k.timerSeq)
-	return entry
+	k.timers.Push(m.id, at, k.timerSeq)
 }
-
-// newTimer returns an unqueued timer entry: a recycled one if any, else
-// a fresh one from the slab.
-func (k *kernel) newTimer() *timerEntry {
-	if n := len(k.timerFree); n > 0 {
-		e := k.timerFree[n-1]
-		k.timerFree = k.timerFree[:n-1]
-		return e
-	}
-	return k.timerSlab.take()
-}
-
-func (k *kernel) recycleTimer(e *timerEntry) {
-	e.m = nil
-	k.timerFree = append(k.timerFree, e)
-}
-
-func (k *kernel) cancelTimer(e *timerEntry) {
-	if k.timers.Cancel(e) {
-		k.recycleTimer(e)
-	}
-}
-
-// pendingTimers counts live timers (the watchdog's hidden-stall check).
-func (k *kernel) pendingTimers() int { return k.timers.Len() }
 
 // flush wakes every current waiter of e into the next delta cycle
 // (sim.Event.flush, including its state guard and reslice idiom).
@@ -437,7 +402,7 @@ func (m *machine) sleep(d Time) {
 		m.yieldDelta()
 		return
 	}
-	m.timer = m.k.addTimer(m.k.now+d, m)
+	m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTime
 }
 
@@ -463,7 +428,7 @@ func (m *machine) waitTimeout(e *event, d Time) {
 	}
 	m.waitEvents = append(m.waitEvents[:0], e)
 	e.waiters = append(e.waiters, m)
-	m.timer = m.k.addTimer(m.k.now+d, m)
+	m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTimeout
 }
 
@@ -479,7 +444,6 @@ func (m *machine) wakeFromTimer() {
 	for _, e := range m.waitEvents {
 		e.removeWaiter(m)
 	}
-	m.timer = nil
 	m.timedOut = true
 	m.state = mReady
 	m.k.enqueueReady(m)
@@ -493,10 +457,7 @@ func (m *machine) wakeFromEvent(e *event) {
 			other.removeWaiter(m)
 		}
 	}
-	if m.timer != nil {
-		m.k.cancelTimer(m.timer)
-		m.timer = nil
-	}
+	m.k.timers.Cancel(m.id)
 	m.timedOut = false
 	m.state = mReady
 	m.k.enqueueNext(m)

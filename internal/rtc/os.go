@@ -105,7 +105,11 @@ func (m *machine) callDecide(os *osState) status {
 
 // tail variants: replace the caller instead of pushing (see tailcall).
 
+// tailWaitDispatched skips fWaitDispatched when the task is current.
 func (m *machine) tailWaitDispatched(os *osState) status {
+	if os.Current() == m.task {
+		return statDone
+	}
 	m.fWD = fWaitDispatched{os: os}
 	return m.tailcall(&m.fWD)
 }
@@ -191,30 +195,40 @@ func (f *fYieldCPU) step(m *machine) status {
 	return m.tailWaitDispatched(f.os)
 }
 
-// fDecideFrom is core's decideFrom: re-evaluate scheduling after a
-// wakeup, preempting the running task if the policy demands it.
-type fDecideFrom struct {
-	os *osState
-}
-
-func (f *fDecideFrom) step(m *machine) status {
-	os := f.os
+// decide is core's decideFrom: re-evaluate scheduling after a wakeup,
+// preempting the running task if the policy demands it. It reports
+// whether m's own task must yield the CPU (core.Yield), which the
+// caller does through fYieldCPU.
+func (os *osState) decide(m *machine) bool {
 	cur := os.Current()
 	t, d := os.Decide(os.k.now, cur != nil && cur == m.task)
 	switch d {
 	case core.Wake:
 		os.wake(m, t)
 	case core.Yield: // t is m.task
-		return m.tailYield(os)
+		return true
 	case core.Interrupt:
 		os.k.flush(&os.tasks[t.ID()].preempt)
+	}
+	return false
+}
+
+// fDecideFrom is decide as a frame.
+type fDecideFrom struct {
+	os *osState
+}
+
+func (f *fDecideFrom) step(m *machine) status {
+	if f.os.decide(m) {
+		return m.tailYield(f.os)
 	}
 	return statDone
 }
 
 // fActivate is core's TaskActivate for the self-activation path the
 // workloads use: stamp the first release, enter the ready queue, let the
-// delta cycle settle, then contend for the CPU.
+// delta cycle settle, then contend for the CPU. The decision runs
+// inline (as in fEndCycle); only a yield pushes a frame.
 type fActivate struct {
 	os *osState
 	pc int
@@ -229,7 +243,10 @@ func (f *fActivate) step(m *machine) status {
 		return statBlocked
 	case 1:
 		f.pc = 2
-		return m.callDecide(f.os)
+		if f.os.decide(m) {
+			return m.callYield(f.os)
+		}
+		fallthrough
 	default:
 		return m.tailWaitDispatched(f.os)
 	}
@@ -264,7 +281,10 @@ func (f *fEndCycle) step(m *machine) status {
 		return statBlocked
 	case 2:
 		f.pc = 3
-		return m.callDecide(os)
+		if os.decide(m) {
+			return m.callYield(os)
+		}
+		fallthrough
 	default:
 		return m.tailWaitDispatched(os)
 	}

@@ -7,8 +7,8 @@
 // hooks and diagnosis come from the same core.Sched the goroutine kernel
 // runs, so both engines produce byte-identical traces and telemetry
 // streams (pinned by the engine-equivalence suites). Timers run on
-// sim.Timers, the (deadline, sequence) heap the goroutine kernel
-// schedules through too.
+// sim.Timers, the pointer-free (deadline, sequence) heap the goroutine
+// kernel schedules through too; a machine's index is its timer id.
 // RunGoroutine executes a flat Workload on the goroutine kernel, on one
 // CPU or on the global multiprocessor scheduler, so a front end
 // describes its task set once and picks the engine by the runner it

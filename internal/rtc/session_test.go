@@ -28,14 +28,15 @@ func periodicWorkload(n int, pers string) Workload {
 }
 
 // TestNewSessionAllocs pins a build's allocations to one per object
-// class — the session (kernel and OS state included), the task, machine
-// and timer slabs, the periodic-body array, the body table, and the
-// task, machine, ready and timer lists (the timer queue's heap among
-// them) — whatever the
-// task count or personality. A run of the scheduler-only workload then
-// allocates just the Result and its task table.
+// class — the session (kernel and OS state included), the task and
+// machine slabs, the periodic-body array, the body table, the
+// scheduler's task table and ready list (one allocation), the machine,
+// ready, next and task-binding tables (one allocation), and the timer
+// queue's heap and position table — whatever the task count or
+// personality. A run of the scheduler-only workload then allocates just
+// the Result and its task table.
 func TestNewSessionAllocs(t *testing.T) {
-	const wantBuild, wantRun = 13, 15
+	const wantBuild, wantRun = 9, 11
 	for _, pers := range []string{"generic", "itron", "osek"} {
 		for _, n := range []int{8, 32} {
 			w := periodicWorkload(n, pers)
@@ -96,9 +97,9 @@ func channelWorkload(n int, pers string) Workload {
 // every personality.
 func TestNewSessionChannelAllocs(t *testing.T) {
 	want := map[string][2]float64{ // personality → build, run
-		"generic": {40, 49},
-		"itron":   {33, 44},
-		"osek":    {32, 41},
+		"generic": {36, 45},
+		"itron":   {29, 40},
+		"osek":    {28, 37},
 	}
 	for _, pers := range []string{"generic", "itron", "osek"} {
 		for _, n := range []int{8, 32} {

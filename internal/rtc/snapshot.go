@@ -53,10 +53,6 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 	if k.readyAt < len(k.ready) || len(k.next) > 0 {
 		return nil, fmt.Errorf("rtc: cannot snapshot mid-delta-cycle; pause at a RunUntil horizon first")
 	}
-	machIx := make(map[*machine]int, len(k.machines))
-	for i, m := range k.machines {
-		machIx[m] = i
-	}
 	var e core.StateWriter
 	e.Line("%s", snapVersion)
 	e.Line("struct %s", s.structureHash())
@@ -115,17 +111,22 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		}
 	}
 
-	var timers []*timerEntry
-	k.timers.Each(func(te *timerEntry) { timers = append(timers, te) })
+	// A timer's id is its machine's index.
+	type timer struct {
+		at      Time
+		seq, ix int
+	}
+	timers := make([]timer, 0, k.timers.Len())
+	k.timers.Each(func(id int, at Time, seq int) { timers = append(timers, timer{at, seq, id}) })
 	sort.Slice(timers, func(i, j int) bool {
-		if timers[i].At() != timers[j].At() {
-			return timers[i].At() < timers[j].At()
+		if timers[i].at != timers[j].at {
+			return timers[i].at < timers[j].at
 		}
-		return timers[i].Seq() < timers[j].Seq()
+		return timers[i].seq < timers[j].seq
 	})
 	e.Line("timers %d", len(timers))
-	for _, te := range timers {
-		e.Line("ti at=%d seq=%d mach=%d", int64(te.At()), te.Seq(), machIx[te.m])
+	for _, ti := range timers {
+		e.Line("ti at=%d seq=%d mach=%d", int64(ti.at), ti.seq, ti.ix)
 	}
 
 	if os.rec == nil {
@@ -277,19 +278,16 @@ func (s *Session) apply(cp *Checkpoint) error {
 		if mach < 0 || mach >= len(k.machines) {
 			return fmt.Errorf("timer machine %d out of range (%d machines)", mach, len(k.machines))
 		}
-		m := k.machines[mach]
+		_, _, queued := k.timers.Queued(mach)
 		switch {
 		case Time(at) < k.now:
 			return fmt.Errorf("timer of machine %d due at %d, before now %d", mach, at, int64(k.now))
 		case tsq > k.timerSeq:
 			return fmt.Errorf("timer of machine %d has seq %d above timerseq %d", mach, tsq, k.timerSeq)
-		case m.timer != nil:
+		case queued:
 			return fmt.Errorf("machine %d named by two timers", mach)
 		}
-		entry := k.newTimer()
-		entry.m = m
-		k.timers.Push(entry, Time(at), tsq)
-		m.timer = entry
+		k.timers.Push(mach, Time(at), tsq)
 	}
 
 	var nRecs int

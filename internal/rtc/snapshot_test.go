@@ -190,7 +190,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err := s.RunUntil(at); err != nil {
 					t.Fatalf("RunUntil(%v): %v", at, err)
 				}
-				if got := s.k.pendingTimers(); got != tc.timers {
+				if got := s.k.timers.Len(); got != tc.timers {
 					t.Fatalf("at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				cp, err := s.Snapshot()
@@ -201,7 +201,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Restore at %v: %v", at, err)
 				}
-				if got := r.k.pendingTimers(); got != tc.timers {
+				if got := r.k.timers.Len(); got != tc.timers {
 					t.Fatalf("restored at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				r.RunUntil(w.Horizon)

@@ -20,9 +20,10 @@ type Kernel struct {
 	readyAt int     // consumption index into ready (avoids slice creep)
 	next    []*Proc // runnable in the next delta cycle, FIFO
 
-	timers    Timers[*timerEntry]
+	timers    Timers
 	timerSeq  int
-	timerFree []*timerEntry // recycled entries (zero-alloc steady state)
+	timerTab  []timerSlot // timer id → what the timer wakes
+	timerFree int         // id + 1 of the first free timerTab slot; 0 if none
 
 	yield   chan struct{} // process -> kernel handoff
 	killAck chan struct{} // killed process -> killer handoff
@@ -46,12 +47,20 @@ type Kernel struct {
 	Steps uint64
 }
 
+// timerSlots is how many timers a new kernel's tables hold before they
+// grow, so a small model's first timers do not reallocate them one
+// doubling at a time (the vocoder's models keep at most three pending).
+const timerSlots = 8
+
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yield:   make(chan struct{}),
-		killAck: make(chan struct{}),
+	k := &Kernel{
+		yield:    make(chan struct{}),
+		killAck:  make(chan struct{}),
+		timerTab: make([]timerSlot, 0, timerSlots),
 	}
+	k.timers.Reserve(timerSlots)
+	return k
 }
 
 // Now returns the current simulation time.
@@ -116,7 +125,7 @@ func releaseProc(p *Proc) {
 		p.waitEvents[i] = nil
 	}
 	p.waitEvents = p.waitEvents[:0]
-	p.timer = nil
+	p.timer = 0
 	p.wokenBy = nil
 	procPool.Put(p)
 }
@@ -367,61 +376,65 @@ func (k *Kernel) Shutdown() {
 	k.procs = k.procs[:0]
 }
 
-// timerEntry is a pending timeout (p != nil) or timed notification
-// (e != nil).
-type timerEntry struct {
-	Timer
-	p *Proc
-	e *Event
+// timerSlot is what a queued timer wakes: a process timeout (p != nil)
+// or a timed notification (e != nil). It is stored by value in the
+// kernel's id-indexed timer table.
+type timerSlot struct {
+	p    *Proc
+	e    *Event
+	next int // while free: the next free slot's id + 1 (0 ends the list)
 }
 
-// fireTimers pops every timer entry scheduled at exactly time t, waking
+// fireTimers pops every timer scheduled at exactly time t, waking
 // timed-out processes into the (fresh) current delta cycle and flushing
 // timed notifications.
 func (k *Kernel) fireTimers(t Time) {
 	for {
-		e, ok := k.timers.PopDue(t)
+		id, ok := k.timers.PopDue(t)
 		if !ok {
 			return
 		}
+		slot := k.timerTab[id]
+		k.releaseTimer(id)
 		switch {
-		case e.p != nil:
-			e.p.wakeFromTimer()
-		case e.e != nil:
-			e.e.flush()
+		case slot.p != nil:
+			slot.p.wakeFromTimer()
+		case slot.e != nil:
+			slot.e.flush()
 		}
-		k.recycleTimer(e)
 	}
 }
 
-// addTimer registers a timer entry: either a process timeout (p != nil) or
-// a timed event notification (e != nil). Entries are drawn from the
-// kernel's free list, so steady-state timer scheduling does not allocate.
-func (k *Kernel) addTimer(at Time, p *Proc, e *Event) *timerEntry {
-	k.timerSeq++
-	var entry *timerEntry
-	if n := len(k.timerFree); n > 0 {
-		entry = k.timerFree[n-1]
-		k.timerFree[n-1] = nil
-		k.timerFree = k.timerFree[:n-1]
+// addTimer queues a timer, either a process timeout (p != nil) or a
+// timed event notification (e != nil), and returns its id. Ids are
+// recycled through a free list threaded through the table, so
+// steady-state timer scheduling does not allocate.
+func (k *Kernel) addTimer(at Time, p *Proc, e *Event) int {
+	id := k.timerFree - 1
+	if id >= 0 {
+		k.timerFree = k.timerTab[id].next
 	} else {
-		entry = new(timerEntry)
+		id = len(k.timerTab)
+		k.timerTab = append(k.timerTab, timerSlot{})
 	}
-	entry.p, entry.e = p, e
-	k.timers.Push(entry, at, k.timerSeq)
-	return entry
+	k.timerTab[id] = timerSlot{p: p, e: e}
+	k.timerSeq++
+	k.timers.Push(id, at, k.timerSeq)
+	return id
 }
 
-// recycleTimer returns a popped or canceled entry to the free list.
-func (k *Kernel) recycleTimer(e *timerEntry) {
-	e.p, e.e = nil, nil
-	k.timerFree = append(k.timerFree, e)
+// releaseTimer frees the slot of a popped or canceled timer.
+func (k *Kernel) releaseTimer(id int) {
+	k.timerTab[id] = timerSlot{next: k.timerFree}
+	k.timerFree = id + 1
 }
 
-// cancelTimer removes a pending entry from the queue and recycles it.
-func (k *Kernel) cancelTimer(e *timerEntry) {
-	if k.timers.Cancel(e) {
-		k.recycleTimer(e)
+// cancelTimer removes process p's pending timeout, if it has one.
+func (k *Kernel) cancelTimer(p *Proc) {
+	if id := p.timer - 1; id >= 0 {
+		k.timers.Cancel(id)
+		k.releaseTimer(id)
+		p.timer = 0
 	}
 }
 
@@ -446,10 +459,7 @@ func (k *Kernel) kill(target, killer *Proc) {
 		e.removeWaiter(target)
 	}
 	target.waitEvents = target.waitEvents[:0]
-	if target.timer != nil {
-		k.cancelTimer(target.timer)
-		target.timer = nil
-	}
+	k.cancelTimer(target)
 	k.removeFromQueues(target)
 	// Resume the parked goroutine in kill mode and wait for it to ack.
 	target.killSync = true

@@ -89,9 +89,10 @@ type Proc struct {
 	children    []*Proc
 
 	// Blocking bookkeeping: events the process is registered on, the
-	// active timer entry (nil if none), and wake-up results.
+	// pending timeout's timer id plus one (0 if none), and wake-up
+	// results.
 	waitEvents []*Event
-	timer      *timerEntry
+	timer      int
 	wokenBy    *Event
 	timedOut   bool
 
@@ -197,7 +198,7 @@ func (p *Proc) WaitFor(d Time) {
 		p.YieldDelta()
 		return
 	}
-	p.timer = p.k.addTimer(p.k.now+d, p, nil)
+	p.timer = p.k.addTimer(p.k.now+d, p, nil) + 1
 	p.state = StateWaitTime
 	p.yieldToKernel()
 }
@@ -243,7 +244,7 @@ func (p *Proc) WaitAny(events ...*Event) *Event {
 func (p *Proc) WaitTimeout(e *Event, d Time) bool {
 	p.waitEvents = append(p.waitEvents[:0], e)
 	e.addWaiter(p)
-	p.timer = p.k.addTimer(p.k.now+max(d, 0), p, nil)
+	p.timer = p.k.addTimer(p.k.now+max(d, 0), p, nil) + 1
 	p.state = StateWaitTimeout
 	p.yieldToKernel()
 	p.waitEvents = p.waitEvents[:0]
@@ -330,10 +331,7 @@ func (p *Proc) wakeFromEvent(e *Event) {
 			other.removeWaiter(p)
 		}
 	}
-	if p.timer != nil {
-		p.k.cancelTimer(p.timer)
-		p.timer = nil
-	}
+	p.k.cancelTimer(p)
 	p.wokenBy = e
 	p.timedOut = false
 	p.state = StateReady
@@ -346,7 +344,7 @@ func (p *Proc) wakeFromTimer() {
 	for _, e := range p.waitEvents {
 		e.removeWaiter(p)
 	}
-	p.timer = nil
+	p.timer = 0
 	p.wokenBy = nil
 	p.timedOut = true
 	p.state = StateReady

@@ -1,101 +1,122 @@
 package sim
 
-// Timer is the queue state a timer entry embeds to sit in a Timers
-// queue: its due time, its FIFO tie-break and its heap position. The
-// zero value is an unqueued timer.
-type Timer struct {
+// Timers is the timer queue both execution engines schedule through: a
+// binary min-heap ordered by (at, seq), so timers due at one instant
+// fire in ascending seq order — the order the engines' byte-identical
+// traces rest on. A timer is named by a small non-negative id the
+// caller chooses (the rtc engine uses a machine's index, the goroutine
+// kernel a slot of its timer table); an id names at most one queued
+// timer at a time. The heap cells and the id → heap position table
+// beside them hold no pointers, so a sift step is plain stores the
+// garbage collector never sees, and Cancel still removes a timer in
+// place: the heap holds exactly the live timers. The zero value is an
+// empty queue.
+type Timers struct {
+	h   []timerCell
+	pos []int // id → heap index + 1; 0 while the id is not queued
+}
+
+// timerCell is one queued timer.
+type timerCell struct {
 	at  Time
 	seq int
-	pos int // heap index + 1; 0 while not queued
+	id  int
 }
 
-// At returns the due time the entry was last pushed with.
-func (t *Timer) At() Time { return t.at }
+func (a *timerCell) before(b *timerCell) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
 
-// Seq returns the tie-break the entry was last pushed with.
-func (t *Timer) Seq() int { return t.seq }
+// Len returns the number of queued timers.
+func (q *Timers) Len() int { return len(q.h) }
 
-func (t *Timer) timer() *Timer { return t }
+// Reserve makes room for ids 0..n-1, all queued at once, without
+// reallocating.
+func (q *Timers) Reserve(n int) {
+	if cap(q.h) < n {
+		q.h = append(make([]timerCell, 0, n), q.h...)
+	}
+	q.growPos(n)
+}
 
-// timed is implemented by every pointer to a struct that embeds Timer.
-type timed interface{ timer() *Timer }
-
-// Timers is the timer queue both execution engines schedule through: a
-// binary min-heap ordered by (at, seq), so entries due at one instant
-// fire in ascending seq order — the order the engines' byte-identical
-// traces rest on. Each entry embeds a Timer holding its heap position,
-// so Cancel removes it in place and the heap holds exactly the live
-// timers. The zero value is an empty queue.
-type Timers[E timed] struct{ h []E }
-
-// Len returns the number of queued entries.
-func (q *Timers[E]) Len() int { return len(q.h) }
-
-// Reserve makes room for n more entries without reallocating.
-func (q *Timers[E]) Reserve(n int) {
-	if cap(q.h)-len(q.h) < n {
-		q.h = append(make([]E, 0, len(q.h)+n), q.h...)
+// growPos extends the position table to cover ids 0..n-1, at least
+// doubling it.
+func (q *Timers) growPos(n int) {
+	if len(q.pos) < n {
+		pos := make([]int, max(n, 2*len(q.pos)))
+		copy(pos, q.pos)
+		q.pos = pos
 	}
 }
 
-// Push queues e, due at at with tie-break seq. e must not be queued.
-func (q *Timers[E]) Push(e E, at Time, seq int) {
-	t := e.timer()
-	if t.pos != 0 {
-		panic("sim: Push of a queued timer")
+// Push queues timer id, due at at with tie-break seq. id must not be
+// queued.
+func (q *Timers) Push(id int, at Time, seq int) {
+	q.growPos(id + 1)
+	if q.pos[id] != 0 {
+		panic("sim: Push of a queued timer id")
 	}
-	t.at, t.seq = at, seq
-	q.h = append(q.h, e)
+	q.h = append(q.h, timerCell{at: at, seq: seq, id: id})
 	q.up(len(q.h) - 1)
 }
 
-// Next returns the earliest due time among queued entries.
-func (q *Timers[E]) Next() (Time, bool) {
+// Next returns the earliest due time among queued timers.
+func (q *Timers) Next() (Time, bool) {
 	if len(q.h) == 0 {
 		return 0, false
 	}
-	return q.h[0].timer().at, true
+	return q.h[0].at, true
 }
 
-// PopDue removes and returns the earliest entry if it is due at exactly
-// t. Popping until it reports false fires one instant in seq order.
-func (q *Timers[E]) PopDue(t Time) (E, bool) {
-	if len(q.h) == 0 || q.h[0].timer().at != t {
-		var zero E
-		return zero, false
+// PopDue removes the earliest timer and returns its id if it is due at
+// exactly t. Popping until it reports false fires one instant in seq
+// order.
+func (q *Timers) PopDue(t Time) (int, bool) {
+	if len(q.h) == 0 || q.h[0].at != t {
+		return 0, false
 	}
-	e := q.h[0]
+	id := q.h[0].id
 	q.remove(0)
-	return e, true
+	return id, true
 }
 
-// Cancel removes e if it is queued, reporting whether it was.
-func (q *Timers[E]) Cancel(e E) bool {
-	t := e.timer()
-	if t.pos == 0 {
+// Cancel removes timer id if it is queued, reporting whether it was.
+func (q *Timers) Cancel(id int) bool {
+	if id >= len(q.pos) || q.pos[id] == 0 {
 		return false
 	}
-	q.remove(t.pos - 1)
+	q.remove(q.pos[id] - 1)
 	return true
 }
 
-// Each calls fn for every queued entry in heap order, not firing order;
-// callers needing a deterministic order sort by (At, Seq). fn must not
-// modify the queue.
-func (q *Timers[E]) Each(fn func(E)) {
-	for _, e := range q.h {
-		fn(e)
+// Queued reports whether timer id is queued and, if so, the due time
+// and tie-break it was pushed with.
+func (q *Timers) Queued(id int) (at Time, seq int, ok bool) {
+	if id >= len(q.pos) || q.pos[id] == 0 {
+		return 0, 0, false
+	}
+	c := &q.h[q.pos[id]-1]
+	return c.at, c.seq, true
+}
+
+// Each calls fn for every queued timer in heap order, not firing
+// order; callers needing a deterministic order sort by (at, seq). fn
+// must not modify the queue.
+func (q *Timers) Each(fn func(id int, at Time, seq int)) {
+	for _, c := range q.h {
+		fn(c.id, c.at, c.seq)
 	}
 }
 
-// remove deletes the entry at heap index i, moving the last entry into
+// remove deletes the timer at heap index i, moving the last cell into
 // its place and restoring the heap property.
-func (q *Timers[E]) remove(i int) {
-	q.h[i].timer().pos = 0
+func (q *Timers) remove(i int) {
+	q.pos[q.h[i].id] = 0
 	last := len(q.h) - 1
 	moved := q.h[last]
-	var zero E
-	q.h[last] = zero
 	q.h = q.h[:last]
 	if i == last {
 		return
@@ -106,56 +127,45 @@ func (q *Timers[E]) remove(i int) {
 	}
 }
 
-func before(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// up moves the entry at i towards the root until its parent is earlier.
-func (q *Timers[E]) up(i int) {
-	e := q.h[i]
-	t := e.timer()
+// up moves the cell at i towards the root until its parent is earlier.
+func (q *Timers) up(i int) {
+	h := q.h
+	c := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		pt := q.h[p].timer()
-		if !before(t, pt) {
+		if !c.before(&h[p]) {
 			break
 		}
-		q.h[i] = q.h[p]
-		pt.pos = i + 1
+		h[i] = h[p]
+		q.pos[h[i].id] = i + 1
 		i = p
 	}
-	q.h[i] = e
-	t.pos = i + 1
+	h[i] = c
+	q.pos[c.id] = i + 1
 }
 
-// down moves the entry at i towards the leaves until both children are
+// down moves the cell at i towards the leaves until both children are
 // later, reporting whether it moved.
-func (q *Timers[E]) down(i int) bool {
-	e := q.h[i]
-	t := e.timer()
-	start, n := i, len(q.h)
+func (q *Timers) down(i int) bool {
+	h := q.h
+	c := h[i]
+	start, n := i, len(h)
 	for {
-		c := 2*i + 1
-		if c >= n {
+		l := 2*i + 1
+		if l >= n {
 			break
 		}
-		ct := q.h[c].timer()
-		if r := c + 1; r < n {
-			if rt := q.h[r].timer(); before(rt, ct) {
-				c, ct = r, rt
-			}
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			l = r
 		}
-		if !before(ct, t) {
+		if !h[l].before(&c) {
 			break
 		}
-		q.h[i] = q.h[c]
-		ct.pos = i + 1
-		i = c
+		h[i] = h[l]
+		q.pos[h[i].id] = i + 1
+		i = l
 	}
-	q.h[i] = e
-	t.pos = i + 1
+	h[i] = c
+	q.pos[c.id] = i + 1
 	return i != start
 }

@@ -6,7 +6,7 @@
 #   - the full test suite under the race detector, and the batch engine
 #     and simcheck again at -count=2;
 #   - named contract passes: golden traces, the Table-1 allocation
-#     and byte budgets, the telemetry overhead guard, the itron/osek conformance
+#     and byte budgets, the rtc session allocation pins, the telemetry overhead guard, the itron/osek conformance
 #     suites and cross-personality corpus, goroutine-vs-rtc engine
 #     equivalence (simcheck, taskset, rtc.RunGoroutine, sdl),
 #     timer queue ordering, checkpoint/restore equivalence and
@@ -71,6 +71,12 @@ step "golden-trace diff (testdata/golden)" go test -run 'TestGoldenTrace' -count
 # them; the explicit pass keeps the budgets visible in the gate.)
 step "Table-1 allocation budget" go test -run 'TestTable1AllocBudget|TestTable1ByteBudget' -count=1 .
 
+# rtc session allocation pins: building a session, running it and its
+# steady state allocate exactly the pinned counts (one allocation per
+# object class, none per machine, timer or switch), so per-session
+# set-up cannot creep back onto the sweep path.
+step "rtc session allocation pins" go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs' -count=1 ./internal/rtc
+
 # Telemetry overhead guard: an always-on ring sink must stay within a
 # generous multiple of the uninstrumented baseline (catches accidental
 # per-event allocation/formatting on the observer hot path).
@@ -106,11 +112,12 @@ step "execution-engine equivalence (goroutine vs run-to-completion)" go test -ru
 
 # Timer-queue ordering: the timer queue both engines share must agree
 # with the sorted-slice reference on every schedule/cancel/advance
-# interleaving the randomized differential harness produces, fire
-# same-instant entries in FIFO (seq) order whatever order they were
-# pushed in, and stay allocation-free in its steady state; RunUntil must
-# honour its inclusive horizon.
-step "timer queue ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestRunUntilBoundary' -count=1 ./internal/sim
+# interleaving the randomized differential harness produces, reused ids
+# included, fire same-instant timers in FIFO (seq) order whatever order
+# they were pushed in, stay allocation-free in its steady state and hold
+# no pointers; cancelation must free heap cells and timer ids at once;
+# RunUntil must honour its inclusive horizon.
+step "timer queue ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestPushQueuedIDPanics|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestTimersPointerFree|TestTimerCancelCompaction|TestRunUntilBoundary' -count=1 ./internal/sim
 
 # Checkpoint equivalence: an rtc session snapshotted at a randomized
 # instant and restored into a fresh session must finish with
