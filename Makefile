@@ -47,8 +47,8 @@ perfbench-test: ## the end-to-end benchmark's own tests (a separate module that 
 table1-budget: ## allocation-count and allocated-byte budgets of the Table-1 pair (RunSpec + RunArch)
 	go test -run 'TestTable1AllocBudget|TestTable1ByteBudget' -count=1 -v .
 
-session-allocs: ## exact allocation pins of an rtc session: build, whole run, steady state
-	go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs' -count=1 -v ./internal/rtc
+session-allocs: ## exact allocation pins of an rtc session (build, whole run, steady state) and the machine size guard
+	go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs|TestFrameFields' -count=1 -v ./internal/rtc
 
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .

@@ -59,6 +59,17 @@ func flatOp(defs []ChannelDef, op Op) (core.ChanOp, int, error) {
 	return b.op, i, nil
 }
 
+// opOnKind reports whether op is one of chanOps' operations on a
+// channel of the given kind.
+func opOnKind(op core.ChanOp, kind string) bool {
+	for _, b := range chanOps {
+		if b.op == op && b.kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
 // newChannel builds a checked channel declaration of the personality's
 // native kind through the constructors both engines share.
 func newChannel(os *osState, pers string, c ChannelDef) (r chanRef, err error) {
@@ -93,7 +104,7 @@ func newChannel(os *osState, pers string, c ChannelDef) (r chanRef, err error) {
 
 // opFrame is the single reusable channel-operation frame per machine. It
 // steps the bound channel's shared state object and turns the verdict
-// into engine glue: wait on the channel's OS event, suspend at the
+// into a service: wait on the channel's OS event, suspend at the
 // object's site, resume the task it handed a grant to, or notify the
 // event. pc 0 is the first attempt, pc 1 each attempt after a wait.
 type opFrame struct {
@@ -112,13 +123,13 @@ func (f *opFrame) step(m *machine) status {
 	case v.Err != nil:
 		os.k.fail(v.Err)
 	case v.Wait:
-		return m.callEventWait(f.c.ev, os)
+		return m.eventWait(f.c.ev, statCall)
 	case v.Suspend != "":
-		return m.callSuspend(core.TaskWaitingEvent, v.Suspend, os)
+		return m.suspend(core.TaskWaitingEvent, v.Suspend, statCall)
 	case v.Wake != nil:
-		return m.tailResume(v.Wake, os)
+		return m.resume(v.Wake, statDone)
 	case v.Notify:
-		return m.tailEventNotify(f.c.ev, os)
+		return m.eventNotify(f.c.ev, statDone)
 	}
 	return statDone
 }

@@ -8,14 +8,13 @@ import "repro/internal/core"
 // goroutine watchdog — which is what makes End times match. The verdict
 // is core.Watchdog's.
 type fWatchdogBody struct {
-	os     *osState
 	window Time
 	wd     core.Watchdog
 	pc     int
 }
 
 func (f *fWatchdogBody) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	diagnose := func() *core.DiagnosisError {
 		return os.WatchdogDiagnose(os.k.now, f.window, os.k.timers.Len(), os.daemon)
 	}

@@ -142,8 +142,9 @@ func (s *slab[T]) take() *T {
 // simulation process goroutine. Its stack of frames encodes the exact
 // call structure the goroutine kernel's task bodies and OS services
 // have, so the two engines take identical scheduling decisions. The
-// embedded service frames are reused across calls — a machine executes
-// sequentially, so each frame type is on its stack at most once.
+// embedded frames of the blocking services are reused across calls — a
+// machine executes sequentially, so each frame type is on its stack at
+// most once.
 type machine struct {
 	k      *kernel
 	id     int // index in k.machines, and the id of the machine's timer
@@ -170,17 +171,12 @@ type machine struct {
 	parent      *machine
 	pendingKids int
 
-	// Preallocated service frames (zero-alloc steady state).
+	// Preallocated frames of the services that block (zero-alloc steady
+	// state).
 	fAct fActivate
 	fEnd fEndCycle
 	fTW  fTimeWait
 	fWD  fWaitDispatched
-	fY   fYieldCPU
-	fDec fDecideFrom
-	fEW  fEventWait
-	fEN  fEventNotify
-	fSus fSuspend
-	fRes fResume
 	fOp  opFrame
 
 	// Inline backing for stack and waitEvents. A flat task body nests at
@@ -361,7 +357,8 @@ func (m *machine) exec() {
 			// so a stale slot past len retains nothing extra.
 			m.stack = m.stack[:n-1]
 		case statCall:
-			// child frame pushed (or tail-called); step it next
+			// child frame pushed or tail-called, or the frame asked to be
+			// re-stepped; step the top frame next
 		case statBlocked:
 			return
 		}

@@ -16,9 +16,10 @@ import (
 type osState struct {
 	core.Sched
 	k     *kernel
-	tasks []*machine      // task id → the machine running it
-	rec   *trace.Recorder // nil unless the workload traces
-	itron *itron.Kernel   // the ITRON objects' tcb half; nil until one is built
+	tasks []*machine         // task id → the machine running it
+	rec   *trace.Recorder    // nil unless the workload traces
+	itron *itron.Kernel      // the ITRON objects' tcb half; nil until one is built
+	specs map[string]TaskDef // hierarchical workloads: behavior → refinement mapping
 }
 
 // itronKernel returns the ITRON object kernel, creating it on first use.
@@ -89,93 +90,36 @@ func (os *osState) taskTerminate(m *machine) {
 	os.wake(m, os.Terminate(os.k.now, os.mustCurrent(m)))
 }
 
-// --- service frames ---
+// --- services ---
 
-// call helpers: reset the machine's preallocated frame and push it.
+// The services below act for the machine's own task, m.task; only
+// resume addresses another task. Only the services that block are
+// frames: fActivate, fEndCycle, fTimeWait and fWaitDispatched. The
+// others are methods that return then, the caller's own verdict, or end
+// in waitDispatched: statCall keeps the calling frame, which steps again
+// once its task holds the CPU (the dispatch wait is pushed above it),
+// and statDone drops it (the dispatch wait replaces it).
 
-func (m *machine) callYield(os *osState) status {
-	m.fY = fYieldCPU{os: os}
-	return m.push(&m.fY)
-}
-
-func (m *machine) callDecide(os *osState) status {
-	m.fDec = fDecideFrom{os: os}
-	return m.push(&m.fDec)
-}
-
-// tail variants: replace the caller instead of pushing (see tailcall).
-
-// tailWaitDispatched skips fWaitDispatched when the task is current.
-func (m *machine) tailWaitDispatched(os *osState) status {
-	if os.Current() == m.task {
-		return statDone
+// waitDispatched parks m in fWaitDispatched unless its task is current.
+func (m *machine) waitDispatched(then status) status {
+	if m.k.os.Current() == m.task {
+		return then
 	}
-	m.fWD = fWaitDispatched{os: os}
-	return m.tailcall(&m.fWD)
+	m.fWD = fWaitDispatched{}
+	if then == statDone {
+		return m.tailcall(&m.fWD)
+	}
+	return m.push(&m.fWD)
 }
-
-func (m *machine) tailYield(os *osState) status {
-	m.fY = fYieldCPU{os: os}
-	return m.tailcall(&m.fY)
-}
-
-func (m *machine) tailDecide(os *osState) status {
-	m.fDec = fDecideFrom{os: os}
-	return m.tailcall(&m.fDec)
-}
-
-func (m *machine) tailEventNotify(e *core.OSEvent, os *osState) status {
-	m.fEN = fEventNotify{os: os, e: e}
-	return m.tailcall(&m.fEN)
-}
-
-func (m *machine) tailResume(t *core.Task, os *osState) status {
-	m.fRes = fResume{os: os, t: t}
-	return m.tailcall(&m.fRes)
-}
-
-func (m *machine) callActivate(os *osState) status {
-	m.fAct = fActivate{os: os}
-	return m.push(&m.fAct)
-}
-
-func (m *machine) callEndCycle(os *osState) status {
-	m.fEnd = fEndCycle{os: os}
-	return m.push(&m.fEnd)
-}
-
-func (m *machine) callTimeWait(d Time, os *osState) status {
-	m.fTW = fTimeWait{os: os, d: d}
-	return m.push(&m.fTW)
-}
-
-func (m *machine) callEventWait(e *core.OSEvent, os *osState) status {
-	m.fEW = fEventWait{os: os, e: e}
-	return m.push(&m.fEW)
-}
-
-func (m *machine) callEventNotify(e *core.OSEvent, os *osState) status {
-	m.fEN = fEventNotify{os: os, e: e}
-	return m.push(&m.fEN)
-}
-
-func (m *machine) callSuspend(ws core.TaskState, site string, os *osState) status {
-	m.fSus = fSuspend{os: os, ws: ws, site: site}
-	return m.push(&m.fSus)
-}
-
-// The service frames below act for the machine's own task, m.task; only
-// fResume addresses another task.
 
 // fWaitDispatched is core's waitUntilDispatched predicate loop: park the
 // machine until the scheduler selects its task (see osState.wake).
 type fWaitDispatched struct {
-	os *osState
 	pc int
 }
 
 func (f *fWaitDispatched) step(m *machine) status {
-	if f.os.Current() != m.task {
+	if m.k.os.Current() != m.task {
 		f.pc = 1
 		m.parked = true
 		m.state = mWaitEvent
@@ -184,84 +128,117 @@ func (f *fWaitDispatched) step(m *machine) status {
 	return statDone
 }
 
-// fYieldCPU is core's yieldCPU: hand the CPU to a better task and wait
-// to be re-dispatched.
-type fYieldCPU struct {
-	os *osState
+// yield is core's yieldCPU: hand the CPU to a better task and wait to
+// be re-dispatched.
+func (m *machine) yield(then status) status {
+	os := m.k.os
+	os.wake(m, os.Preempt(os.k.now, m.task))
+	return m.waitDispatched(then)
 }
 
-func (f *fYieldCPU) step(m *machine) status {
-	f.os.wake(m, f.os.Preempt(f.os.k.now, m.task))
-	return m.tailWaitDispatched(f.os)
-}
-
-// decide is core's decideFrom: re-evaluate scheduling after a wakeup,
-// preempting the running task if the policy demands it. It reports
-// whether m's own task must yield the CPU (core.Yield), which the
-// caller does through fYieldCPU.
-func (os *osState) decide(m *machine) bool {
+// decideFrom is core's decideFrom: re-evaluate scheduling after a
+// wakeup, preempting the running task if the policy demands it, and
+// yield if m's own task must give up the CPU.
+func (m *machine) decideFrom(then status) status {
+	os := m.k.os
 	cur := os.Current()
 	t, d := os.Decide(os.k.now, cur != nil && cur == m.task)
 	switch d {
 	case core.Wake:
 		os.wake(m, t)
 	case core.Yield: // t is m.task
-		return true
+		return m.yield(then)
 	case core.Interrupt:
 		os.k.flush(&os.tasks[t.ID()].preempt)
 	}
-	return false
+	return then
 }
 
-// fDecideFrom is decide as a frame.
-type fDecideFrom struct {
-	os *osState
+// eventWait is core's EventWait on an OS event object.
+func (m *machine) eventWait(e *core.OSEvent, then status) status {
+	os := m.k.os
+	os.wake(m, os.WaitEvent(os.k.now, os.mustCurrent(m), e))
+	return m.waitDispatched(then)
 }
 
-func (f *fDecideFrom) step(m *machine) status {
-	if f.os.decide(m) {
-		return m.tailYield(f.os)
+// eventNotify is core's EventNotify: wake every queued waiter (a
+// notification with no waiters is lost) and re-evaluate scheduling.
+func (m *machine) eventNotify(e *core.OSEvent, then status) status {
+	os := m.k.os
+	if os.NotifyEvent(os.k.now, e) {
+		return m.decideFrom(then)
 	}
-	return statDone
+	return then
+}
+
+// suspend is core's Suspend: park the current task in a waiting state
+// until something resumes it.
+func (m *machine) suspend(ws core.TaskState, site string, then status) status {
+	os := m.k.os
+	os.wake(m, os.BlockAt(os.k.now, os.mustCurrent(m), ws, site))
+	return m.waitDispatched(then)
+}
+
+// resume is core's Resume: make a suspended task ready again and
+// re-evaluate scheduling. Safe from ISR machines.
+func (m *machine) resume(t *core.Task, then status) status {
+	os := m.k.os
+	if os.Wake(os.k.now, t) {
+		return m.decideFrom(then)
+	}
+	return then
+}
+
+// callActivate, callEndCycle and callTimeWait reset the machine's
+// preallocated frame of a blocking service and push it.
+
+func (m *machine) callActivate() status {
+	m.fAct = fActivate{}
+	return m.push(&m.fAct)
+}
+
+func (m *machine) callEndCycle() status {
+	m.fEnd = fEndCycle{}
+	return m.push(&m.fEnd)
+}
+
+func (m *machine) callTimeWait(d Time) status {
+	m.fTW = fTimeWait{d: d}
+	return m.push(&m.fTW)
 }
 
 // fActivate is core's TaskActivate for the self-activation path the
 // workloads use: stamp the first release, enter the ready queue, let the
-// delta cycle settle, then contend for the CPU. The decision runs
-// inline (as in fEndCycle); only a yield pushes a frame.
+// delta cycle settle, then contend for the CPU.
 type fActivate struct {
-	os *osState
 	pc int
 }
 
 func (f *fActivate) step(m *machine) status {
+	os := m.k.os
 	switch f.pc {
 	case 0:
-		f.os.Activate(f.os.k.now, m.task)
+		os.Activate(os.k.now, m.task)
 		f.pc = 1
 		m.yieldDelta()
 		return statBlocked
 	case 1:
 		f.pc = 2
-		if f.os.decide(m) {
-			return m.callYield(f.os)
-		}
-		fallthrough
+		return m.decideFrom(statCall)
 	default:
-		return m.tailWaitDispatched(f.os)
+		return m.waitDispatched(statDone)
 	}
 }
 
 // fEndCycle is core's TaskEndCycle: close the cycle's accounting,
 // sleep until the next release, and contend for the CPU again.
 type fEndCycle struct {
-	os   *osState
 	next Time
 	pc   int
 }
 
 func (f *fEndCycle) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	switch f.pc {
 	case 0:
 		now := os.k.now
@@ -281,12 +258,9 @@ func (f *fEndCycle) step(m *machine) status {
 		return statBlocked
 	case 2:
 		f.pc = 3
-		if os.decide(m) {
-			return m.callYield(os)
-		}
-		fallthrough
+		return m.decideFrom(statCall)
 	default:
-		return m.tailWaitDispatched(os)
+		return m.waitDispatched(statDone)
 	}
 }
 
@@ -294,7 +268,6 @@ func (f *fEndCycle) step(m *machine) status {
 // or segmented time model, with the round-robin slice check on entry and
 // the preemption check on exit.
 type fTimeWait struct {
-	os        *osState
 	d         Time
 	remaining Time
 	start     Time
@@ -302,14 +275,14 @@ type fTimeWait struct {
 }
 
 func (f *fTimeWait) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	t := os.mustCurrent(m)
 	for {
 		switch f.pc {
 		case 0: // round-robin slice expiry check
 			f.pc = 1
 			if os.SliceExpired(t) {
-				return m.callYield(os)
+				return m.yield(statCall)
 			}
 		case 1:
 			if os.TimeModelUsed() == core.TimeModelSegmented {
@@ -336,7 +309,7 @@ func (f *fTimeWait) step(m *machine) status {
 			f.remaining -= elapsed
 			f.pc = 10
 			if preempted && f.remaining > 0 {
-				return m.callYield(os)
+				return m.yield(statCall)
 			}
 		case 20: // coarse: one non-preemptible delay
 			os.BeginDelay(os.k.now, t)
@@ -348,67 +321,11 @@ func (f *fTimeWait) step(m *machine) status {
 			f.pc = 30
 		case 30: // maybePreempt
 			if os.ShouldPreempt(t) {
-				return m.tailYield(os)
+				return m.yield(statDone)
 			}
 			return statDone
 		default:
 			return statDone
 		}
 	}
-}
-
-// fEventWait is core's EventWait on an OS event object.
-type fEventWait struct {
-	os *osState
-	e  *core.OSEvent
-}
-
-func (f *fEventWait) step(m *machine) status {
-	os := f.os
-	t := os.mustCurrent(m)
-	os.wake(m, os.WaitEvent(os.k.now, t, f.e))
-	return m.tailWaitDispatched(os)
-}
-
-// fEventNotify is core's EventNotify: wake every queued waiter (a
-// notification with no waiters is lost) and re-evaluate scheduling.
-type fEventNotify struct {
-	os *osState
-	e  *core.OSEvent
-}
-
-func (f *fEventNotify) step(m *machine) status {
-	if f.os.NotifyEvent(f.os.k.now, f.e) {
-		return m.tailDecide(f.os)
-	}
-	return statDone
-}
-
-// fSuspend is core's Suspend: park the current task in a waiting state
-// until something resumes it.
-type fSuspend struct {
-	os   *osState
-	ws   core.TaskState
-	site string
-}
-
-func (f *fSuspend) step(m *machine) status {
-	os := f.os
-	t := os.mustCurrent(m)
-	os.wake(m, os.BlockAt(os.k.now, t, f.ws, f.site))
-	return m.tailWaitDispatched(os)
-}
-
-// fResume is core's Resume: make a suspended task ready again and
-// re-evaluate scheduling. Safe from ISR machines.
-type fResume struct {
-	os *osState
-	t  *core.Task
-}
-
-func (f *fResume) step(m *machine) status {
-	if f.os.Wake(f.os.k.now, f.t) {
-		return m.tailDecide(f.os)
-	}
-	return statDone
 }

@@ -214,8 +214,6 @@ func (s *Session) bindOps(ops []Op) ([]bodyOp, error) {
 // per cycle run the compute segments, track the worst response time, and
 // end the cycle — the same loop RunGoroutine runs.
 type fPeriodicBody struct {
-	os       *osState
-	t        *core.Task
 	segments []Time
 	cycles   int // 0 = forever
 	c        int
@@ -226,32 +224,31 @@ type fPeriodicBody struct {
 }
 
 func (f *fPeriodicBody) step(m *machine) status {
-	os := f.os
 	for {
 		switch f.pc {
 		case 0:
 			f.pc = 1
-			return m.callActivate(os)
+			return m.callActivate()
 		case 1: // cycle head
 			if f.cycles > 0 && f.c >= f.cycles {
-				os.taskTerminate(m)
+				m.k.os.taskTerminate(m)
 				return statDone
 			}
-			f.rel = f.t.Release()
+			f.rel = m.task.Release()
 			f.segIx = 0
 			f.pc = 2
 		case 2: // segments
 			if f.segIx < len(f.segments) {
 				d := f.segments[f.segIx]
 				f.segIx++
-				return m.callTimeWait(d, os)
+				return m.callTimeWait(d)
 			}
-			if done := f.t.LastWorkDone(); done > f.rel && done-f.rel > f.resp {
+			if done := m.task.LastWorkDone(); done > f.rel && done-f.rel > f.resp {
 				f.resp = done - f.rel
 			}
 			f.c++
 			f.pc = 1
-			return m.callEndCycle(os)
+			return m.callEndCycle()
 		}
 	}
 }
@@ -259,8 +256,6 @@ func (f *fPeriodicBody) step(m *machine) status {
 // fAperiodicBody is the harness body for an aperiodic task: optional
 // start delay, activate, run the op list (Repeat times), terminate.
 type fAperiodicBody struct {
-	os     *osState
-	t      *core.Task
 	start  Time
 	ops    []bodyOp
 	repeat int
@@ -270,7 +265,6 @@ type fAperiodicBody struct {
 }
 
 func (f *fAperiodicBody) step(m *machine) status {
-	os := f.os
 	for {
 		switch f.pc {
 		case 0:
@@ -281,25 +275,25 @@ func (f *fAperiodicBody) step(m *machine) status {
 			}
 		case 1:
 			f.pc = 2
-			return m.callActivate(os)
+			return m.callActivate()
 		case 2:
 			if f.opIx < len(f.ops) {
 				op := &f.ops[f.opIx]
 				f.opIx++
 				if op.del {
-					return m.callTimeWait(op.dur, os)
+					return m.callTimeWait(op.dur)
 				}
 				switch {
 				case op.gs != nil && op.op == core.OpRelease:
 					op.gs.Release(m.task)
-					return m.callEventNotify(op.c.ev, os)
+					return m.eventNotify(op.c.ev, statCall)
 				case op.gs != nil && op.gs.TryAcquire(m.task):
 					continue
 				case op.gq != nil && op.op == core.OpSend && op.gq.Put(1):
-					return m.callEventNotify(op.c.ev, os)
+					return m.eventNotify(op.c.ev, statCall)
 				case op.gq != nil && op.op == core.OpRecv:
 					if _, ok := op.gq.Take(); ok {
-						return m.callEventNotify(op.c.ev, os)
+						return m.eventNotify(op.c.ev, statCall)
 					}
 				}
 				return m.callOp(op.op, op.c, 1)
@@ -309,7 +303,7 @@ func (f *fAperiodicBody) step(m *machine) status {
 				f.opIx = 0
 				continue
 			}
-			os.taskTerminate(m)
+			m.k.os.taskTerminate(m)
 			return statDone
 		}
 	}
@@ -319,7 +313,6 @@ func (f *fAperiodicBody) step(m *machine) status {
 // At (and then every Every), enter the ISR, release the semaphore,
 // return.
 type fIRQBody struct {
-	os    *osState
 	name  string
 	sem   *chanRef
 	at    Time
@@ -330,7 +323,7 @@ type fIRQBody struct {
 }
 
 func (f *fIRQBody) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	for {
 		switch f.pc {
 		case 0:
@@ -353,7 +346,7 @@ func (f *fIRQBody) step(m *machine) status {
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4
-			return m.callDecide(os)
+			return m.decideFrom(statCall)
 		case 4:
 			f.i++
 			f.pc = 1

@@ -32,7 +32,6 @@ type specHS struct {
 // builder generates for every declared interrupt: wait for the latched
 // request, bracket the handler with InterruptEnter/InterruptReturn.
 type fISRBody struct {
-	os   *osState
 	name string // interrupt line name (trace label)
 	h    *specHS
 	sem  *chanRef
@@ -40,7 +39,7 @@ type fISRBody struct {
 }
 
 func (f *fISRBody) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	for {
 		switch f.pc {
 		case 0, 1: // WaitSig on the spec handshake (no task); pc 1 re-checks after a wake
@@ -60,7 +59,7 @@ func (f *fISRBody) step(m *machine) status {
 		case 3: // InterruptReturn
 			os.IRQ(os.k.now, f.name, false)
 			f.pc = 4
-			return m.callDecide(os)
+			return m.decideFrom(statCall)
 		case 4:
 			f.pc = 0
 		}
@@ -71,7 +70,6 @@ func (f *fISRBody) step(m *machine) status {
 // At, then raise the line Count times, Every apart. A raise latches the
 // pending handshake and notifies the ISR (IRQ.Raise).
 type fStimBody struct {
-	k     *kernel
 	h     *specHS
 	at    Time
 	every Time
@@ -97,8 +95,8 @@ func (f *fStimBody) step(m *machine) status {
 				return statBlocked
 			}
 		case 2: // Raise: latch and notify
-			f.h.Step(f.k.now, nil, core.OpSignal, 0, false)
-			f.k.flush(f.h.cond)
+			f.h.Step(m.k.now, nil, core.OpSignal, 0, false)
+			m.k.flush(f.h.cond)
 			f.i++
 			f.pc = 1
 		}
@@ -148,20 +146,10 @@ type cStmt struct {
 
 // --- execution frames ---
 
-// hier is the hierarchical-elaboration state the behavior frames share:
-// the refinement mapping for par-forked child tasks.
-type hier struct {
-	os    *osState
-	specs map[string]TaskDef // behavior → mapping
-}
-
-// fTaskBody runs one task over a behavior subtree: activate, execute the
-// subtree, terminate — the body RunArchitecture gives the main process
-// and every par child.
+// fTaskBody runs the machine's task over a behavior subtree: activate,
+// execute the subtree, terminate — the body RunArchitecture gives the
+// main process and every par child.
 type fTaskBody struct {
-	h  *hier
-	os *osState
-	t  *core.Task
 	n  *bNode
 	pc int
 }
@@ -170,39 +158,36 @@ func (f *fTaskBody) step(m *machine) status {
 	switch f.pc {
 	case 0:
 		f.pc = 1
-		return m.callActivate(f.os)
+		return m.callActivate()
 	case 1:
 		f.pc = 2
-		return m.push(&fNode{h: f.h, os: f.os, t: f.t, n: f.n})
+		return m.push(&fNode{n: f.n})
 	default:
-		f.os.taskTerminate(m)
+		m.k.os.taskTerminate(m)
 		return statDone
 	}
 }
 
-// fNode executes one behavior node under the task t: leaves run their
-// statement list, seq nodes their children in order, and par nodes fork
-// one task+machine per child and join (refine.runRTOS's kindPar bracket:
-// TaskCreate children, ParStart, fork, join, ParEnd).
+// fNode executes one behavior node under the machine's task: leaves run
+// their statement list, seq nodes their children in order, and par nodes
+// fork one task+machine per child and join (refine.runRTOS's kindPar
+// bracket: TaskCreate children, ParStart, fork, join, ParEnd).
 type fNode struct {
-	h   *hier
-	os  *osState
-	t   *core.Task
 	n   *bNode
 	idx int
 	pc  int
 }
 
 func (f *fNode) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	switch f.n.kind {
 	case nLeaf:
-		return m.tailcall(&fStmts{os: os, name: f.n.name, list: f.n.stmts})
+		return m.tailcall(&fStmts{name: f.n.name, list: f.n.stmts})
 	case nSeq:
 		if f.idx < len(f.n.children) {
 			c := f.n.children[f.idx]
 			f.idx++
-			return m.push(&fNode{h: f.h, os: os, t: f.t, n: c})
+			return m.push(&fNode{n: c})
 		}
 		return statDone
 	default: // nPar
@@ -217,7 +202,7 @@ func (f *fNode) step(m *machine) status {
 			// depends on the task count at its own creation moment.
 			kids := make([]*core.Task, len(f.n.children))
 			for i, c := range f.n.children {
-				kids[i] = f.h.newMappedTask(c.name, len(os.tasks))
+				kids[i] = os.newMappedTask(c.name, len(os.tasks))
 			}
 			// ParStart: park the parent task and hand the CPU on.
 			os.wake(m, os.Block(os.k.now, t, core.TaskWaitingChildren))
@@ -225,36 +210,35 @@ func (f *fNode) step(m *machine) status {
 			// declaration order, then block until the last one finishes.
 			m.pendingKids = len(f.n.children)
 			for i, c := range f.n.children {
-				cm := os.k.spawnNext(c.name, &fTaskBody{h: f.h, os: os, t: kids[i], n: c}, m)
+				cm := os.k.spawnNext(c.name, &fTaskBody{n: c}, m)
 				os.bind(kids[i], cm)
 			}
 			f.pc = 1
 			m.state = mWaitChildren
 			return statBlocked
 		case 1: // joined: ParEnd
-			t := f.t
+			t := m.task
 			if t.State() != core.TaskWaitingChildren {
 				panic(fmt.Sprintf("rtc: ParEnd on task %q in state %s", t.Name(), t.State()))
 			}
 			os.Ready(os.k.now, t)
 			f.pc = 2
-			return m.callDecide(os)
+			return m.decideFrom(statCall)
 		default:
-			return m.tailWaitDispatched(os)
+			return m.waitDispatched(statDone)
 		}
 	}
 }
 
 // fStmts interprets a compiled statement list (sdl.instance.exec).
 type fStmts struct {
-	os   *osState
 	name string // behavior name (marker task field)
 	list []cStmt
 	idx  int
 }
 
 func (f *fStmts) step(m *machine) status {
-	os := f.os
+	os := m.k.os
 	for {
 		if f.idx >= len(f.list) {
 			return statDone
@@ -263,7 +247,7 @@ func (f *fStmts) step(m *machine) status {
 		f.idx++
 		switch st.kind {
 		case cDelay:
-			return m.callTimeWait(st.dur, os)
+			return m.callTimeWait(st.dur)
 		case cChan:
 			return m.callOp(st.op, st.c, st.val)
 		case cMarker:
@@ -272,7 +256,7 @@ func (f *fStmts) step(m *machine) status {
 			}
 		case cRepeat:
 			if st.count > 0 {
-				return m.push(&fRepeat{os: os, name: f.name, body: st.body, n: st.count})
+				return m.push(&fRepeat{name: f.name, body: st.body, n: st.count})
 			}
 		}
 	}
@@ -280,7 +264,6 @@ func (f *fStmts) step(m *machine) status {
 
 // fRepeat runs a repeat body n times, one fStmts round per iteration.
 type fRepeat struct {
-	os   *osState
 	name string
 	body []cStmt
 	n, i int
@@ -294,7 +277,7 @@ func (f *fRepeat) step(m *machine) status {
 	f.i++
 	// The sub-frame is reused across iterations: it has left the stack
 	// before this frame steps again.
-	f.sub = fStmts{os: f.os, name: f.name, list: f.body}
+	f.sub = fStmts{name: f.name, list: f.body}
 	return m.push(&f.sub)
 }
 
@@ -303,17 +286,17 @@ func (f *fRepeat) step(m *machine) status {
 // newMappedTask creates the task control block for a behavior under the
 // workload's refinement mapping; order is the task count at creation time
 // (refine.Mapping.spec's default: aperiodic, priority 100+order).
-func (h *hier) newMappedTask(behavior string, order int) *core.Task {
-	if td, ok := h.specs[behavior]; ok {
+func (os *osState) newMappedTask(behavior string, order int) *core.Task {
+	if td, ok := os.specs[behavior]; ok {
 		typ := core.Aperiodic
 		var period Time
 		if td.Type == "periodic" {
 			typ = core.Periodic
 			period = td.Period
 		}
-		return h.os.newTask(behavior, typ, period, td.Prio)
+		return os.newTask(behavior, typ, period, td.Prio)
 	}
-	return h.os.newTask(behavior, core.Aperiodic, 0, 100+order)
+	return os.newTask(behavior, core.Aperiodic, 0, 100+order)
 }
 
 // compileTree expands the behavior declarations into the elaborated node
@@ -392,9 +375,9 @@ func (s *Session) compileStmts(ops []Op) ([]cStmt, error) {
 func (s *Session) initHier(w Workload) error {
 	os, k := s.os, s.k
 
-	h := &hier{os: os, specs: make(map[string]TaskDef, len(w.Tasks))}
+	os.specs = make(map[string]TaskDef, len(w.Tasks))
 	for _, td := range w.Tasks {
-		h.specs[td.Name] = td
+		os.specs[td.Name] = td
 	}
 
 	// Interrupts: per line, the ISR daemon first, then its stimulus —
@@ -405,8 +388,8 @@ func (s *Session) initHier(w Workload) error {
 			return fmt.Errorf("rtc: irq %q releases unknown semaphore %q", irq.Name, irq.Sem)
 		}
 		h := &specHS{cond: new(event)}
-		k.spawn(s.name+"."+irq.Name+".isr", &fISRBody{os: os, name: irq.Name, h: h, sem: sem}, true)
-		k.spawn(irq.Name+".stim", &fStimBody{k: k, h: h, at: irq.At, every: irq.Every, count: irq.Count}, true)
+		k.spawn(s.name+"."+irq.Name+".isr", &fISRBody{name: irq.Name, h: h, sem: sem}, true)
+		k.spawn(irq.Name+".stim", &fStimBody{h: h, at: irq.At, every: irq.Every, count: irq.Count}, true)
 	}
 
 	defs := make(map[string]*BehaviorDef, len(w.Behaviors))
@@ -423,7 +406,7 @@ func (s *Session) initHier(w Workload) error {
 	}
 
 	// The root becomes the PE's main task (mapping order 0: no tasks yet).
-	t := h.newMappedTask(w.Top, 0)
-	os.bind(t, k.spawn(w.Top, &fTaskBody{h: h, os: os, t: t, n: root}, false))
+	t := os.newMappedTask(w.Top, 0)
+	os.bind(t, k.spawn(w.Top, &fTaskBody{n: root}, false))
 	return nil
 }

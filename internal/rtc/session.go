@@ -117,12 +117,12 @@ func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 	for i, td := range w.Tasks {
 		switch td.Type {
 		case "periodic":
-			t := os.newTask(td.Name, core.Periodic, td.Period, td.Prio)
+			os.newTask(td.Name, core.Periodic, td.Period, td.Prio)
 			pb := pbs.take()
-			*pb = fPeriodicBody{os: os, t: t, segments: td.Segments, cycles: td.Cycles}
+			*pb = fPeriodicBody{segments: td.Segments, cycles: td.Cycles}
 			bodies[i] = pb
 		case "aperiodic":
-			t := os.newTask(td.Name, core.Aperiodic, 0, td.Prio)
+			os.newTask(td.Name, core.Aperiodic, 0, td.Prio)
 			ops, err := s.bindOps(td.Ops)
 			if err != nil {
 				return err
@@ -132,7 +132,7 @@ func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 				repeat = 1
 			}
 			ab := abs.take()
-			*ab = fAperiodicBody{os: os, t: t, start: td.Start, ops: ops, repeat: repeat}
+			*ab = fAperiodicBody{start: td.Start, ops: ops, repeat: repeat}
 			bodies[i] = ab
 		default:
 			return fmt.Errorf("rtc: unknown task type %q", td.Type)
@@ -148,7 +148,7 @@ func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 		if sem == nil {
 			return fmt.Errorf("rtc: irq %q releases unknown semaphore %q", irq.Name, irq.Sem)
 		}
-		body := &fIRQBody{os: os, name: irq.Name, sem: sem,
+		body := &fIRQBody{name: irq.Name, sem: sem,
 			at: irq.At, every: irq.Every, count: irq.Count}
 		k.spawn("irq:"+irq.Name, body, true)
 	}
@@ -189,7 +189,7 @@ func (s *Session) channel(name, kind string) *chanRef {
 // spawnWatchdog starts the workload's watchdog machine, if it has one.
 func (s *Session) spawnWatchdog() {
 	if w := s.w.WatchdogWindow; w > 0 {
-		body := &fWatchdogBody{os: s.os, window: w, wd: core.NewWatchdog()}
+		body := &fWatchdogBody{window: w, wd: core.NewWatchdog()}
 		s.k.spawn("watchdog:"+s.name, body, true)
 	}
 }

@@ -2,8 +2,10 @@ package rtc
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -60,6 +62,53 @@ func TestNewSessionAllocs(t *testing.T) {
 					pers, n, build, run, wantBuild, wantRun)
 			}
 		}
+	}
+}
+
+// TestFrameFields keeps a machine small and its frames free of copies
+// of what the machine already knows: machine stays within 312 B, and no
+// field of its embedded frames or of a body frame (nested structs
+// included) holds the machine's OS state, kernel or task — a frame reads
+// those through m.k.os and m.task.
+func TestFrameFields(t *testing.T) {
+	if n := unsafe.Sizeof(machine{}); n > 312 {
+		t.Errorf("machine is %d B, want at most 312", n)
+	}
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf((*osState)(nil)):   true,
+		reflect.TypeOf((*kernel)(nil)):    true,
+		reflect.TypeOf((*core.Task)(nil)): true,
+	}
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case banned[f.Type]:
+				t.Errorf("%s.%s has type %v", path, f.Name, f.Type)
+			case f.Type.Kind() == reflect.Struct:
+				check(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	frameType := reflect.TypeOf((*frame)(nil)).Elem()
+	mt := reflect.TypeOf(machine{})
+	embedded := 0
+	for i := 0; i < mt.NumField(); i++ {
+		if f := mt.Field(i); reflect.PointerTo(f.Type).Implements(frameType) {
+			embedded++
+			check("machine."+f.Name, f.Type)
+		}
+	}
+	if embedded == 0 {
+		t.Error("machine embeds no frame")
+	}
+	for _, body := range []frame{
+		&fPeriodicBody{}, &fAperiodicBody{}, &fIRQBody{}, &fWatchdogBody{},
+		&fISRBody{}, &fStimBody{}, &fTaskBody{}, &fNode{}, &fStmts{}, &fRepeat{},
+	} {
+		typ := reflect.TypeOf(body).Elem()
+		check(typ.Name(), typ)
 	}
 }
 

@@ -365,15 +365,6 @@ func (s *Session) osEventList() []*core.OSEvent {
 	return out
 }
 
-func (s *Session) osEventIndex(oe *core.OSEvent) (int, error) {
-	for i, x := range s.osEventList() {
-		if x == oe {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("os event %q not found in channel declaration order", oe.Name())
-}
-
 // --- frame codec ---
 
 // encodeFrame writes one stack frame: its type tag plus every mutable
@@ -396,26 +387,6 @@ func (s *Session) encodeFrame(e *core.StateWriter, f frame) error {
 		e.Line("f tw %d %d %d %d", int64(fr.d), int64(fr.remaining), int64(fr.start), fr.pc)
 	case *fWaitDispatched:
 		e.Line("f wdis %d", fr.pc)
-	case *fYieldCPU:
-		e.Line("f yld")
-	case *fDecideFrom:
-		e.Line("f dec")
-	case *fEventWait:
-		ix, err := s.osEventIndex(fr.e)
-		if err != nil {
-			return err
-		}
-		e.Line("f ew %d", ix)
-	case *fEventNotify:
-		ix, err := s.osEventIndex(fr.e)
-		if err != nil {
-			return err
-		}
-		e.Line("f en %d", ix)
-	case *fSuspend:
-		e.Line("f sus %d %q", int(fr.ws), fr.site)
-	case *fResume:
-		e.Line("f res %d", fr.t.ID())
 	case *opFrame:
 		ix := 0 // the channel's declaration index
 		for &s.chans[ix] != fr.c {
@@ -431,7 +402,9 @@ func (s *Session) encodeFrame(e *core.StateWriter, f frame) error {
 // decodeFrame reads one frame line back onto machine m. Frame 0 of a
 // stack must be the machine's spawn body (taken from the fresh build);
 // service frames land in the machine's preallocated slots, exactly as
-// the call helpers place them.
+// the call helpers place them. A task service frame needs a machine that
+// runs a task, an op frame an op its channel's kind has, and an op frame
+// on a machine without a task (an interrupt handler's) a release.
 func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBody bool) (frame, error) {
 	ln, err := d.Next()
 	if err != nil {
@@ -453,7 +426,9 @@ func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBod
 		}
 		return f, nil
 	}
-	os := s.os
+	if m.task == nil && (tag == "act" || tag == "end" || tag == "tw" || tag == "wdis") {
+		return nil, fmt.Errorf("%s frame on machine %s, which runs no task", tag, m.name)
+	}
 	switch tag {
 	case "body": // restored from the bodies section
 		switch body.(type) {
@@ -469,54 +444,17 @@ func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBod
 			return scan(fr, &fr.wd.Last, &fr.wd.Starving, &fr.pc)
 		}
 	case "act":
-		m.fAct = fActivate{os: os}
+		m.fAct = fActivate{}
 		return scan(&m.fAct, &m.fAct.pc)
 	case "end":
-		m.fEnd = fEndCycle{os: os}
+		m.fEnd = fEndCycle{}
 		return scan(&m.fEnd, &m.fEnd.next, &m.fEnd.pc)
 	case "tw":
-		m.fTW = fTimeWait{os: os}
+		m.fTW = fTimeWait{}
 		return scan(&m.fTW, &m.fTW.d, &m.fTW.remaining, &m.fTW.start, &m.fTW.pc)
 	case "wdis":
-		m.fWD = fWaitDispatched{os: os}
+		m.fWD = fWaitDispatched{}
 		return scan(&m.fWD, &m.fWD.pc)
-	case "yld":
-		m.fY = fYieldCPU{os: os}
-		return &m.fY, nil
-	case "dec":
-		m.fDec = fDecideFrom{os: os}
-		return &m.fDec, nil
-	case "ew", "en":
-		var ix int
-		if _, err := scan(nil, &ix); err != nil {
-			return nil, err
-		}
-		evs := s.osEventList()
-		if ix < 0 || ix >= len(evs) {
-			return nil, fmt.Errorf("os event index %d out of range (%d)", ix, len(evs))
-		}
-		if tag == "ew" {
-			m.fEW = fEventWait{os: os, e: evs[ix]}
-			return &m.fEW, nil
-		}
-		m.fEN = fEventNotify{os: os, e: evs[ix]}
-		return &m.fEN, nil
-	case "sus":
-		m.fSus = fSuspend{os: os}
-		if _, err := fmt.Sscanf(ln, "f sus %d %q", &m.fSus.ws, &m.fSus.site); err != nil {
-			return nil, fmt.Errorf("bad sus frame %q: %v", ln, err)
-		}
-		return &m.fSus, nil
-	case "res":
-		var tid int
-		if _, err := scan(nil, &tid); err != nil {
-			return nil, err
-		}
-		m.fRes = fResume{os: os}
-		if m.fRes.t, err = os.TaskByID(tid); err != nil || m.fRes.t == nil {
-			return nil, fmt.Errorf("bad res frame %q", ln)
-		}
-		return &m.fRes, nil
 	case "op":
 		var cix int
 		m.fOp = opFrame{}
@@ -525,6 +463,12 @@ func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBod
 		}
 		if cix < 0 || cix >= len(s.chans) {
 			return nil, fmt.Errorf("op channel index %d out of range (%d channels)", cix, len(s.chans))
+		}
+		if def := s.w.Channels[cix]; !opOnKind(m.fOp.op, def.Kind) {
+			return nil, fmt.Errorf("op %d on %s %q, which has no such op", int(m.fOp.op), def.Kind, def.Name)
+		}
+		if m.task == nil && m.fOp.op != core.OpRelease {
+			return nil, fmt.Errorf("op %d on machine %s, which runs no task and only releases", int(m.fOp.op), m.name)
 		}
 		m.fOp.c = &s.chans[cix]
 		return &m.fOp, nil
