@@ -12,17 +12,23 @@ import (
 type Time = sim.Time
 
 // mState is the coroutine-level machine state (distinct from the RTOS
-// task state). It mirrors sim.State just closely enough for the event
-// flush guard and liveness accounting.
+// task state). A blocked machine's state alone says what it waits for:
+// each wait the engine models has one waiter, so it keeps no waiter
+// lists.
 type mState uint8
 
 const (
 	mCreated mState = iota
 	mReady
 	mRunning
-	mWaitEvent   // blocked on events (Wait)
-	mWaitTime    // blocked on a timer (WaitFor)
-	mWaitTimeout // blocked on events with a timeout timer (WaitTimeout)
+	// mWaitEvent: a task's machine parked in fWaitDispatched until the
+	// scheduler dispatches its task (osState.wake), or an SDL ISR
+	// machine waiting on its pending latch (fStimBody's raise).
+	mWaitEvent
+	mWaitTime // blocked on a timer (sim.Proc.WaitFor)
+	// mWaitTimeout: a segmented delay (fTimeWait at pc 11) that ends at
+	// its timer or when decideFrom interrupts it for a preferred task.
+	mWaitTimeout
 	mDone
 	// mWaitChildren (blocked in a par fork until every child machine
 	// finishes, sim's StateWaitChildren) is appended after mDone so the
@@ -48,22 +54,6 @@ const (
 // past the blocking point.
 type frame interface {
 	step(m *machine) status
-}
-
-// event is the engine's notification primitive, a port of sim.Event:
-// flush wakes every registered waiter into the next delta cycle. A
-// machine's preempt event lives inside the machine.
-type event struct {
-	waiters []*machine
-}
-
-func (e *event) removeWaiter(m *machine) {
-	for i, w := range e.waiters {
-		if w == m {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-			return
-		}
-	}
 }
 
 // kernel is the run-to-completion simulation core: the same delta-cycle
@@ -146,24 +136,12 @@ func (s *slab[T]) take() *T {
 // machine executes sequentially, so each frame type is on its stack at
 // most once.
 type machine struct {
-	k      *kernel
-	id     int // index in k.machines, and the id of the machine's timer
-	name   string
-	state  mState
-	daemon bool
-	task   *core.Task // nil for ISR and watchdog machines
+	k    *kernel
+	id   int // index in k.machines, and the id of the machine's timer
+	name string
+	task *core.Task // nil for ISR and watchdog machines
 
-	// parked: blocked in fWaitDispatched until the scheduler dispatches
-	// the bound task (the goroutine kernel's per-task dispatch event).
-	parked bool
-	// preempt interrupts a segmented delay of the bound task; only this
-	// machine ever waits on it, so preemptBuf backs its waiter list.
-	preempt    event
-	preemptBuf [1]*machine
-
-	stack      []frame
-	waitEvents []*event // at most one: wait and waitTimeout block on a single event
-	timedOut   bool
+	stack []frame
 
 	// par fork/join bookkeeping (sim.Proc.parent/pendingKids): a child
 	// machine's finish decrements its parent's count and wakes the parent
@@ -179,12 +157,17 @@ type machine struct {
 	fWD  fWaitDispatched
 	fOp  opFrame
 
-	// Inline backing for stack and waitEvents. A flat task body nests at
-	// most three frames (body, service frame, one nested service call),
-	// so its stack never reallocates; SDL behavior trees nest deeper and
-	// grow theirs by append.
+	// Inline backing for stack. A flat task body nests at most three
+	// frames (body, service frame, one nested service call), so its stack
+	// never reallocates; SDL behavior trees nest deeper and grow theirs by
+	// append.
 	stackBuf [3]frame
-	waitBuf  [1]*event
+
+	state  mState
+	daemon bool
+	// timedOut: the last wake from mWaitTimeout was the timer's, not an
+	// interrupt's.
+	timedOut bool
 }
 
 // newMachine takes a machine from the slab with body as its initial
@@ -193,8 +176,6 @@ func (k *kernel) newMachine(name string, body frame) *machine {
 	m := k.machSlab.take()
 	m.k, m.id, m.name, m.state = k, len(k.machines), name, mCreated
 	m.stack = append(m.stackBuf[:0], body)
-	m.waitEvents = m.waitBuf[:0]
-	m.preempt.waiters = m.preemptBuf[:0]
 	k.machines = append(k.machines, m)
 	k.active++
 	return m
@@ -278,21 +259,6 @@ func (k *kernel) fireTimers(t Time) {
 func (k *kernel) addTimer(at Time, m *machine) {
 	k.timerSeq++
 	k.timers.Push(m.id, at, k.timerSeq)
-}
-
-// flush wakes every current waiter of e into the next delta cycle
-// (sim.Event.flush, including its state guard and reslice idiom).
-func (k *kernel) flush(e *event) {
-	if len(e.waiters) == 0 {
-		return
-	}
-	woken := e.waiters
-	e.waiters = e.waiters[:0]
-	for _, m := range woken {
-		if m.state == mWaitEvent || m.state == mWaitTimeout {
-			m.wakeFromEvent(e)
-		}
-	}
 }
 
 // fail stops the run with err; the first failure wins (sim.Kernel.Fail).
@@ -410,50 +376,28 @@ func (m *machine) yieldDelta() {
 	m.k.enqueueNext(m)
 }
 
-// wait blocks the machine on e (sim.Proc.Wait).
-func (m *machine) wait(e *event) {
-	m.waitEvents = append(m.waitEvents[:0], e)
-	e.waiters = append(e.waiters, m)
-	m.state = mWaitEvent
-}
-
-// waitTimeout blocks on e with timeout d (sim.Proc.WaitTimeout); after
-// resumption !m.timedOut reports whether the event fired first.
-func (m *machine) waitTimeout(e *event, d Time) {
+// waitTimeout blocks the machine for at most d (sim.Proc.WaitTimeout on
+// the task's preempt event): the timer or an interrupt, whichever comes
+// first, ends the wait, and !m.timedOut then reports an interrupt.
+func (m *machine) waitTimeout(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	m.waitEvents = append(m.waitEvents[:0], e)
-	e.waiters = append(e.waiters, m)
 	m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTimeout
-}
-
-// afterWait clears the event registrations once a blocked frame resumes
-// (the tail of sim.Proc.Wait/WaitTimeout).
-func (m *machine) afterWait() {
-	m.waitEvents = m.waitEvents[:0]
 }
 
 // wakeFromTimer mirrors sim.Proc.wakeFromTimer: the machine re-enters
 // the *current* delta cycle.
 func (m *machine) wakeFromTimer() {
-	for _, e := range m.waitEvents {
-		e.removeWaiter(m)
-	}
 	m.timedOut = true
 	m.state = mReady
 	m.k.enqueueReady(m)
 }
 
 // wakeFromEvent mirrors sim.Proc.wakeFromEvent: the machine re-enters
-// the *next* delta cycle, cancelling its other registrations.
-func (m *machine) wakeFromEvent(e *event) {
-	for _, other := range m.waitEvents {
-		if other != e {
-			other.removeWaiter(m)
-		}
-	}
+// the *next* delta cycle, cancelling its timer if it has one.
+func (m *machine) wakeFromEvent() {
 	m.k.timers.Cancel(m.id)
 	m.timedOut = false
 	m.state = mReady

@@ -49,24 +49,16 @@ func (os *osState) daemon(t *core.Task) bool {
 	return m != nil && m.daemon
 }
 
-// wake resumes the machine of a task the scheduler dispatched, unless it
-// is the caller itself or not parked in fWaitDispatched — the goroutine
-// kernel's notify of the task's dispatch event. A parked machine holds
-// no timer and no other registrations, so it just re-enters the next
-// delta cycle.
-func (os *osState) wake(m *machine, next *core.Task) {
+// wake resumes the machine of a task the scheduler dispatched if it is
+// parked in fWaitDispatched (state mWaitEvent) — the goroutine kernel's
+// notify of the task's dispatch event. The calling machine is running,
+// so it is never the one woken.
+func (os *osState) wake(next *core.Task) {
 	if next == nil {
 		return
 	}
-	w := os.tasks[next.ID()]
-	if w == m || !w.parked {
-		return
-	}
-	w.parked = false
-	if w.state == mWaitEvent {
-		w.timedOut = false
-		w.state = mReady
-		os.k.enqueueNext(w)
+	if w := os.tasks[next.ID()]; w.state == mWaitEvent {
+		w.wakeFromEvent()
 	}
 }
 
@@ -87,7 +79,7 @@ func (os *osState) badCurrent(m *machine) {
 // taskTerminate is core.OS.TaskTerminate — non-blocking, so a plain
 // method rather than a frame; the caller's body frame returns after it.
 func (os *osState) taskTerminate(m *machine) {
-	os.wake(m, os.Terminate(os.k.now, os.mustCurrent(m)))
+	os.wake(os.Terminate(os.k.now, os.mustCurrent(m)))
 }
 
 // --- services ---
@@ -121,7 +113,6 @@ type fWaitDispatched struct {
 func (f *fWaitDispatched) step(m *machine) status {
 	if m.k.os.Current() != m.task {
 		f.pc = 1
-		m.parked = true
 		m.state = mWaitEvent
 		return statBlocked
 	}
@@ -132,7 +123,7 @@ func (f *fWaitDispatched) step(m *machine) status {
 // be re-dispatched.
 func (m *machine) yield(then status) status {
 	os := m.k.os
-	os.wake(m, os.Preempt(os.k.now, m.task))
+	os.wake(os.Preempt(os.k.now, m.task))
 	return m.waitDispatched(then)
 }
 
@@ -145,11 +136,13 @@ func (m *machine) decideFrom(then status) status {
 	t, d := os.Decide(os.k.now, cur != nil && cur == m.task)
 	switch d {
 	case core.Wake:
-		os.wake(m, t)
+		os.wake(t)
 	case core.Yield: // t is m.task
 		return m.yield(then)
-	case core.Interrupt:
-		os.k.flush(&os.tasks[t.ID()].preempt)
+	case core.Interrupt: // cut t's segmented delay short, if it is in one
+		if w := os.tasks[t.ID()]; w.state == mWaitTimeout {
+			w.wakeFromEvent()
+		}
 	}
 	return then
 }
@@ -157,7 +150,7 @@ func (m *machine) decideFrom(then status) status {
 // eventWait is core's EventWait on an OS event object.
 func (m *machine) eventWait(e *core.OSEvent, then status) status {
 	os := m.k.os
-	os.wake(m, os.WaitEvent(os.k.now, os.mustCurrent(m), e))
+	os.wake(os.WaitEvent(os.k.now, os.mustCurrent(m), e))
 	return m.waitDispatched(then)
 }
 
@@ -175,7 +168,7 @@ func (m *machine) eventNotify(e *core.OSEvent, then status) status {
 // until something resumes it.
 func (m *machine) suspend(ws core.TaskState, site string, then status) status {
 	os := m.k.os
-	os.wake(m, os.BlockAt(os.k.now, os.mustCurrent(m), ws, site))
+	os.wake(os.BlockAt(os.k.now, os.mustCurrent(m), ws, site))
 	return m.waitDispatched(then)
 }
 
@@ -243,7 +236,7 @@ func (f *fEndCycle) step(m *machine) status {
 	case 0:
 		now := os.k.now
 		next, woken := os.EndCycle(now, os.mustCurrent(m))
-		os.wake(m, woken)
+		os.wake(woken)
 		f.next = next
 		f.pc = 1
 		if next > now {
@@ -299,10 +292,9 @@ func (f *fTimeWait) step(m *machine) status {
 			f.start = os.k.now
 			os.BeginDelay(f.start, t)
 			f.pc = 11
-			m.waitTimeout(&m.preempt, f.remaining)
+			m.waitTimeout(f.remaining)
 			return statBlocked
-		case 11: // segment ended (timer) or interrupted (preempt event)
-			m.afterWait()
+		case 11: // segment ended (timer) or interrupted (decideFrom)
 			preempted := !m.timedOut
 			elapsed := os.k.now - f.start
 			os.EndDelay(os.k.now, t, elapsed)

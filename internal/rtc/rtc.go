@@ -8,7 +8,11 @@
 // runs, so both engines produce byte-identical traces and telemetry
 // streams (pinned by the engine-equivalence suites). Timers run on
 // sim.Timers, the pointer-free (deadline, sequence) heap the goroutine
-// kernel schedules through too; a machine's index is its timer id.
+// kernel schedules through too; a machine's index is its timer id. A
+// blocked machine's state word alone says what it waits for (dispatch,
+// a timer, a segmented delay an interrupt can cut short, an SDL ISR's
+// latch): each wait has one machine that can end it, so the engine
+// keeps no event objects or waiter lists.
 // RunGoroutine executes a flat Workload on the goroutine kernel, on one
 // CPU or on the global multiprocessor scheduler, so a front end
 // describes its task set once and picks the engine by the runner it

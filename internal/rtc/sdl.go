@@ -20,11 +20,12 @@ import (
 // --- spec-level handshake (the ISR pending latch) ---
 
 // specHS is channel.Handshake built on the SpecFactory: the pending latch
-// between an interrupt stimulus and its ISR process, carried by a raw
-// kernel event with no monitor resource (arch.PE.AttachISR's shape).
+// between an interrupt stimulus and its ISR process, with no monitor
+// resource (arch.PE.AttachISR's shape). The ISR machine is the latch's
+// only waiter: it waits in state mWaitEvent, and a raise wakes it.
 type specHS struct {
 	channel.HandshakeState
-	cond *event
+	isr *machine
 }
 
 // fISRBody is arch.PE.AttachISR's service process on a software PE with
@@ -43,12 +44,9 @@ func (f *fISRBody) step(m *machine) status {
 	for {
 		switch f.pc {
 		case 0, 1: // WaitSig on the spec handshake (no task); pc 1 re-checks after a wake
-			if f.pc == 1 {
-				m.afterWait()
-			}
 			if _, v := f.h.Step(os.k.now, nil, core.OpWait, 0, f.pc == 1); v.Wait {
 				f.pc = 1
-				m.wait(f.h.cond)
+				m.state = mWaitEvent
 				return statBlocked
 			}
 			f.pc = 2
@@ -68,7 +66,7 @@ func (f *fISRBody) step(m *machine) status {
 
 // fStimBody is the SDL builder's interrupt stimulus daemon: wait until
 // At, then raise the line Count times, Every apart. A raise latches the
-// pending handshake and notifies the ISR (IRQ.Raise).
+// pending handshake and wakes the ISR if it waits on it (IRQ.Raise).
 type fStimBody struct {
 	h     *specHS
 	at    Time
@@ -96,7 +94,9 @@ func (f *fStimBody) step(m *machine) status {
 			}
 		case 2: // Raise: latch and notify
 			f.h.Step(m.k.now, nil, core.OpSignal, 0, false)
-			m.k.flush(f.h.cond)
+			if isr := f.h.isr; isr.state == mWaitEvent {
+				isr.wakeFromEvent()
+			}
 			f.i++
 			f.pc = 1
 		}
@@ -132,7 +132,10 @@ const (
 	cRepeat
 )
 
-// cStmt is a compiled leaf statement with its channel bound.
+// cStmt is a compiled leaf statement with its channel bound. A repeat
+// keeps the frame that runs its body: the tree gives each node its own
+// statements and a node runs under one machine at a time, so the frame
+// is never on two stacks at once.
 type cStmt struct {
 	kind  stmtKind
 	dur   Time
@@ -142,6 +145,7 @@ type cStmt struct {
 	c     *chanRef
 	body  []cStmt
 	count int
+	run   fStmts
 }
 
 // --- execution frames ---
@@ -182,7 +186,7 @@ func (f *fNode) step(m *machine) status {
 	os := m.k.os
 	switch f.n.kind {
 	case nLeaf:
-		return m.tailcall(&fStmts{name: f.n.name, list: f.n.stmts})
+		return m.tailcall(&fStmts{name: f.n.name, list: f.n.stmts, rounds: 1})
 	case nSeq:
 		if f.idx < len(f.n.children) {
 			c := f.n.children[f.idx]
@@ -205,7 +209,7 @@ func (f *fNode) step(m *machine) status {
 				kids[i] = os.newMappedTask(c.name, len(os.tasks))
 			}
 			// ParStart: park the parent task and hand the CPU on.
-			os.wake(m, os.Block(os.k.now, t, core.TaskWaitingChildren))
+			os.wake(os.Block(os.k.now, t, core.TaskWaitingChildren))
 			// The SLDL par: fork child machines into the next delta cycle in
 			// declaration order, then block until the last one finishes.
 			m.pendingKids = len(f.n.children)
@@ -230,18 +234,24 @@ func (f *fNode) step(m *machine) status {
 	}
 }
 
-// fStmts interprets a compiled statement list (sdl.instance.exec).
+// fStmts interprets a compiled statement list (sdl.instance.exec)
+// rounds times: once for a leaf, count times for a repeat body.
 type fStmts struct {
-	name string // behavior name (marker task field)
-	list []cStmt
-	idx  int
+	name   string // behavior name (marker task field)
+	list   []cStmt
+	idx    int
+	rounds int
 }
 
 func (f *fStmts) step(m *machine) status {
 	os := m.k.os
 	for {
 		if f.idx >= len(f.list) {
-			return statDone
+			if f.rounds--; f.rounds <= 0 {
+				return statDone
+			}
+			f.idx = 0
+			continue
 		}
 		st := &f.list[f.idx]
 		f.idx++
@@ -256,29 +266,11 @@ func (f *fStmts) step(m *machine) status {
 			}
 		case cRepeat:
 			if st.count > 0 {
-				return m.push(&fRepeat{name: f.name, body: st.body, n: st.count})
+				st.run = fStmts{name: f.name, list: st.body, rounds: st.count}
+				return m.push(&st.run)
 			}
 		}
 	}
-}
-
-// fRepeat runs a repeat body n times, one fStmts round per iteration.
-type fRepeat struct {
-	name string
-	body []cStmt
-	n, i int
-	sub  fStmts
-}
-
-func (f *fRepeat) step(m *machine) status {
-	if f.i >= f.n {
-		return statDone
-	}
-	f.i++
-	// The sub-frame is reused across iterations: it has left the stack
-	// before this frame steps again.
-	f.sub = fStmts{name: f.name, list: f.body}
-	return m.push(&f.sub)
 }
 
 // --- elaboration (Session.init's hierarchical branch) ---
@@ -387,8 +379,8 @@ func (s *Session) initHier(w Workload) error {
 		if sem == nil {
 			return fmt.Errorf("rtc: irq %q releases unknown semaphore %q", irq.Name, irq.Sem)
 		}
-		h := &specHS{cond: new(event)}
-		k.spawn(s.name+"."+irq.Name+".isr", &fISRBody{name: irq.Name, h: h, sem: sem}, true)
+		h := &specHS{}
+		h.isr = k.spawn(s.name+"."+irq.Name+".isr", &fISRBody{name: irq.Name, h: h, sem: sem}, true)
 		k.spawn(irq.Name+".stim", &fStimBody{h: h, at: irq.At, every: irq.Every, count: irq.Count}, true)
 	}
 

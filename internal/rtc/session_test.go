@@ -66,13 +66,14 @@ func TestNewSessionAllocs(t *testing.T) {
 }
 
 // TestFrameFields keeps a machine small and its frames free of copies
-// of what the machine already knows: machine stays within 312 B, and no
-// field of its embedded frames or of a body frame (nested structs
-// included) holds the machine's OS state, kernel or task — a frame reads
-// those through m.k.os and m.task.
+// of what the machine already knows: machine stays within 232 B, its
+// only slice is its frame stack (a wait is the machine's state, not a
+// waiter list), and no field of its embedded frames or of a body frame
+// (nested structs included) holds the machine's OS state, kernel or
+// task — a frame reads those through m.k.os and m.task.
 func TestFrameFields(t *testing.T) {
-	if n := unsafe.Sizeof(machine{}); n > 312 {
-		t.Errorf("machine is %d B, want at most 312", n)
+	if n := unsafe.Sizeof(machine{}); n > 232 {
+		t.Errorf("machine is %d B, want at most 232", n)
 	}
 	banned := map[reflect.Type]bool{
 		reflect.TypeOf((*osState)(nil)):   true,
@@ -95,7 +96,11 @@ func TestFrameFields(t *testing.T) {
 	mt := reflect.TypeOf(machine{})
 	embedded := 0
 	for i := 0; i < mt.NumField(); i++ {
-		if f := mt.Field(i); reflect.PointerTo(f.Type).Implements(frameType) {
+		f := mt.Field(i)
+		if f.Type.Kind() == reflect.Slice && f.Name != "stack" {
+			t.Errorf("machine.%s is a slice (%v); only stack may be", f.Name, f.Type)
+		}
+		if reflect.PointerTo(f.Type).Implements(frameType) {
 			embedded++
 			check("machine."+f.Name, f.Type)
 		}
@@ -105,7 +110,7 @@ func TestFrameFields(t *testing.T) {
 	}
 	for _, body := range []frame{
 		&fPeriodicBody{}, &fAperiodicBody{}, &fIRQBody{}, &fWatchdogBody{},
-		&fISRBody{}, &fStimBody{}, &fTaskBody{}, &fNode{}, &fStmts{}, &fRepeat{},
+		&fISRBody{}, &fStimBody{}, &fTaskBody{}, &fNode{}, &fStmts{},
 	} {
 		typ := reflect.TypeOf(body).Elem()
 		check(typ.Name(), typ)

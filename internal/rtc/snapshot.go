@@ -43,7 +43,7 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 	k := s.k
 	if s.w.Top != "" {
 		// Hierarchical (SDL) sessions fork tasks and machines at runtime
-		// and park ISRs on spec-level events outside the task event table;
+		// and park ISRs on spec-level handshake latches outside the task set;
 		// their state is not yet part of the rtcsnap encoding.
 		return nil, fmt.Errorf("rtc: snapshot does not support hierarchical (SDL) workloads")
 	}
@@ -96,13 +96,11 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 
 	e.Line("machines %d", len(k.machines))
 	for i, m := range k.machines {
-		// The only event a flat workload's machine waits on is its own
-		// preempt event (a segmented delay).
-		preempt := len(m.waitEvents) > 0
-		if preempt && (len(m.waitEvents) != 1 || m.waitEvents[0] != &m.preempt) {
-			return nil, fmt.Errorf("rtc: machine %s waits on an event outside the checkpoint", m.name)
-		}
-		e.Line("m %d state=%d timedout=%t parked=%t preempt=%t", i, int(m.state), m.timedOut, m.parked, preempt)
+		// parked and preempt restate the wait the state names: parked in
+		// fWaitDispatched, or in a segmented delay that an interrupt can
+		// cut short.
+		e.Line("m %d state=%d timedout=%t parked=%t preempt=%t", i, int(m.state), m.timedOut,
+			m.state == mWaitEvent, m.state == mWaitTimeout)
 		e.Line("stk %d", len(m.stack))
 		for _, f := range m.stack {
 			if err := s.encodeFrame(&e, f); err != nil {
@@ -232,20 +230,18 @@ func (s *Session) apply(cp *Checkpoint) error {
 	if err := d.Count("machines", len(k.machines)); err != nil {
 		return err
 	}
+	var ix int
+	var parked, preempt bool
 	for i, m := range k.machines {
-		var ix int
-		var preempt bool
 		if err := d.Scan("m %d state=%d timedout=%t parked=%t preempt=%t",
-			&ix, &m.state, &m.timedOut, &m.parked, &preempt); err != nil {
+			&ix, &m.state, &m.timedOut, &parked, &preempt); err != nil {
 			return err
 		}
 		if ix != i {
 			return fmt.Errorf("machine record %d out of order (got %d)", i, ix)
 		}
-		m.waitEvents = m.waitEvents[:0]
-		if preempt {
-			m.waitEvents = append(m.waitEvents, &m.preempt)
-			m.preempt.waiters = append(m.preempt.waiters, m)
+		if parked != (m.state == mWaitEvent) || preempt != (m.state == mWaitTimeout) {
+			return fmt.Errorf("machine %d: parked=%t preempt=%t contradict state=%d", i, parked, preempt, int(m.state))
 		}
 		var depth int
 		if err := d.Scan("stk %d", &depth); err != nil {
@@ -289,6 +285,11 @@ func (s *Session) apply(cp *Checkpoint) error {
 		}
 		k.timers.Push(mach, Time(at), tsq)
 	}
+	for i, m := range k.machines {
+		if err := s.checkWait(i, m); err != nil {
+			return err
+		}
+	}
 
 	var nRecs int
 	if err := d.Scan("recs %d", &nRecs); err != nil {
@@ -317,6 +318,55 @@ func (s *Session) apply(cp *Checkpoint) error {
 		if m.state != mDone {
 			k.active++
 		}
+	}
+	return nil
+}
+
+// checkWait refuses machine i unless its state is one a quiescent flat
+// session can hold and its stack and timer agree with the wait that
+// state names.
+func (s *Session) checkWait(i int, m *machine) error {
+	_, _, timer := s.k.timers.Queued(i)
+	var top frame
+	if n := len(m.stack); n > 0 {
+		top = m.stack[n-1]
+	}
+	var bad string
+	switch m.state {
+	case mWaitEvent: // parked in fWaitDispatched
+		wd, ok := top.(*fWaitDispatched)
+		switch {
+		case m.task == nil:
+			bad = "waits to be dispatched but runs no task"
+		case timer:
+			bad = "waits to be dispatched but has a timer"
+		case !ok || wd.pc != 1:
+			bad = "waits to be dispatched but its top frame is not f wdis 1"
+		}
+	case mWaitTime:
+		if !timer {
+			bad = "sleeps but has no timer"
+		}
+	case mWaitTimeout: // in a segmented delay
+		tw, ok := top.(*fTimeWait)
+		switch {
+		case !timer:
+			bad = "is in a segmented delay but has no timer"
+		case !ok || tw.pc != 11:
+			bad = "is in a segmented delay but its top frame is not f tw at pc 11"
+		}
+	case mDone:
+		switch {
+		case len(m.stack) > 0:
+			bad = "is done but has frames"
+		case timer:
+			bad = "is done but has a timer"
+		}
+	default:
+		bad = "is in a state no quiescent session holds"
+	}
+	if bad != "" {
+		return fmt.Errorf("machine %d (state=%d) %s", i, int(m.state), bad)
 	}
 	return nil
 }

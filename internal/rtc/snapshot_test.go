@@ -658,3 +658,105 @@ func TestRestoreRejectsImpossibleFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsImpossibleWaits edits machine records and timers of
+// two checkpoints into waits no run can reach: a channels-generic one at
+// 5 ms (tasks parked at f wdis 1, a task sleeping in a time wait, the
+// IRQ machine sleeping in its body) and an rm-segmented one at 12.1 ms
+// (a task in a segmented delay at f tw pc 11, one parked, one sleeping in
+// a cycle end). A machine's state names its wait, so Restore must refuse
+// a record whose parked/preempt flags, stack top or timer disagree with
+// it, and any state a quiescent session cannot hold.
+func TestRestoreRejectsImpossibleWaits(t *testing.T) {
+	checkpoint := func(name string, at Time) (Workload, *Checkpoint) {
+		w := snapWorkloads()[name]
+		s, err := NewSession(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, cp
+	}
+	chW, chCP := checkpoint("channels-generic", 5*sim.Millisecond)
+	segW, segCP := checkpoint("rm-segmented", 12100*sim.Microsecond)
+	type edit struct{ old, new string }
+	cases := []struct {
+		name  string
+		seg   bool // edit the rm-segmented checkpoint
+		edits []edit
+		want  string
+	}{
+		{"parked=false above f wdis 1", false,
+			[]edit{{"m 0 state=3 timedout=true parked=true", "m 0 state=3 timedout=true parked=false"}},
+			"parked=false preempt=false contradict state=3"},
+		{"done with a time-wait frame and a timer", false,
+			[]edit{{"m 1 state=4 ", "m 1 state=6 "}},
+			"is done but has frames"},
+		{"preempt=false in a segmented delay", true,
+			[]edit{{"m 0 state=5 timedout=true parked=false preempt=true", "m 0 state=5 timedout=true parked=false preempt=false"}},
+			"parked=false preempt=false contradict state=5"},
+		{"preempt=true on a sleeping task", true,
+			[]edit{{"m 2 state=4 timedout=true parked=false preempt=false", "m 2 state=4 timedout=true parked=false preempt=true"}},
+			"parked=false preempt=true contradict state=4"},
+		{"IRQ machine parked", false,
+			[]edit{{"m 3 state=4 timedout=true parked=false", "m 3 state=3 timedout=true parked=true"}},
+			"waits to be dispatched but runs no task"},
+		{"parked task with a timer", false,
+			[]edit{{"timers 2\n", "timers 3\nti at=6000000 seq=1 mach=0\n"}},
+			"waits to be dispatched but has a timer"},
+		{"parked task at f wdis 0", false,
+			[]edit{{"f wdis 1\nm 1 ", "f wdis 0\nm 1 "}},
+			"its top frame is not f wdis 1"},
+		{"segmented delay without a timer", true,
+			[]edit{{"timers 2\nti at=12600000 seq=18 mach=0\n", "timers 1\n"}},
+			"is in a segmented delay but has no timer"},
+		{"segmented delay at f tw pc 10", true,
+			[]edit{{"f tw 600000 600000 12000000 11", "f tw 600000 600000 12000000 10"}},
+			"its top frame is not f tw at pc 11"},
+		{"segmented delay in a cycle end", true,
+			[]edit{{"m 2 state=4 timedout=true parked=false preempt=false", "m 2 state=5 timedout=true parked=false preempt=true"}},
+			"its top frame is not f tw at pc 11"},
+		{"sleeping IRQ machine without a timer", false,
+			[]edit{{"timers 2\n", "timers 1\n"}, {"ti at=10000000 seq=7 mach=3\n", ""}},
+			"sleeps but has no timer"},
+		{"done IRQ machine with a timer", false,
+			[]edit{{"m 3 state=4 timedout=true parked=false preempt=false\nstk 1\nf irq 1 2\n", "m 3 state=6 timedout=true parked=false preempt=false\nstk 0\n"}},
+			"is done but has a timer"},
+		{"timer on a ready machine", false,
+			[]edit{{"m 3 state=4 ", "m 3 state=1 "}},
+			"(state=1) is in a state no quiescent session holds"},
+		{"timer on a machine waiting for par children", false,
+			[]edit{{"m 3 state=4 ", "m 3 state=7 "}},
+			"(state=7) is in a state no quiescent session holds"},
+		{"running task without a timer", false,
+			[]edit{{"m 0 state=3 timedout=true parked=true", "m 0 state=2 timedout=true parked=false"}},
+			"(state=2) is in a state no quiescent session holds"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, cp := chW, chCP
+			if tc.seg {
+				w, cp = segW, segCP
+			}
+			state := string(cp.State)
+			for _, e := range tc.edits {
+				if !strings.Contains(state, e.old) {
+					t.Fatalf("checkpoint holds no %q:\n%s", e.old, cp.State)
+				}
+				state = strings.Replace(state, e.old, e.new, 1)
+			}
+			bad := *cp
+			bad.State = []byte(state)
+			_, err := Restore(w, &bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -3,11 +3,10 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Aggregator is a Sink that folds the event stream into per-PE and
@@ -331,27 +330,8 @@ func (tr *TaskReport) fillRespStats() {
 		}
 	}
 	tr.RespMean = sum / sim.Time(len(xs))
-	tr.RespP99 = percentile(xs, 0.99)
+	tr.RespP99 = trace.Percentile(xs, 0.99)
 	tr.Jitter = tr.RespMax - tr.RespMin
-}
-
-// percentile returns the p-quantile using the nearest-rank method: the
-// smallest sample with at least a p fraction of the population at or
-// below it, rank ceil(p·n) (1-based). Degenerate populations behave
-// sanely: any percentile of a single sample is that sample, and p99 of
-// two samples is the larger one. The epsilon guards against ceil lifting
-// an exact product represented as 198.00000000000003 to 199.
-func percentile(xs []sim.Time, p float64) sim.Time {
-	sorted := append([]sim.Time(nil), xs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p*float64(len(sorted)) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // Merge folds many reports (e.g. one per job of a batch sweep) into a

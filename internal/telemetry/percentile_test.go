@@ -1,13 +1,15 @@
 package telemetry
 
-// Regression tests for the nearest-rank percentile: degenerate 1- and
-// 2-sample populations, exact-rank products that round badly in floating
-// point, and the textbook n=100 case.
+// Regression tests for the nearest-rank percentile telemetry reports
+// (trace.Percentile): degenerate 1- and 2-sample populations, exact-rank
+// products that round badly in floating point, and the textbook n=100
+// case.
 
 import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestPercentileNearestRank(t *testing.T) {
@@ -55,8 +57,8 @@ func TestPercentileNearestRank(t *testing.T) {
 		{"n7-p30", seq(7), 0.3, 3},
 	}
 	for _, c := range cases {
-		if got := percentile(c.xs, c.p); got != c.want {
-			t.Errorf("%s: percentile(%v, %v) = %v, want %v", c.name, c.xs, c.p, got, c.want)
+		if got := trace.Percentile(c.xs, c.p); got != c.want {
+			t.Errorf("%s: trace.Percentile(%v, %v) = %v, want %v", c.name, c.xs, c.p, got, c.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -37,28 +38,27 @@ func MinMax(xs []sim.Time) (min, max sim.Time) {
 	return min, max
 }
 
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the samples using the
-// nearest-rank method on a sorted copy.
+// Percentile returns the p-quantile (0 ≤ p ≤ 1, clamped) of the samples
+// by the nearest-rank method on a sorted copy: the smallest sample with
+// at least a p fraction of the population at or below it, rank ceil(p·n)
+// (1-based), and 0 for no samples. Any percentile of a single sample is
+// that sample, and p99 of two samples is the larger one. The epsilon
+// keeps ceil from lifting an exact product represented as
+// 198.00000000000003 to 199.
 func Percentile(xs []sim.Time, p float64) sim.Time {
 	if len(xs) == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
 	sorted := append([]sim.Time(nil), xs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
+	rank := int(math.Ceil(p*float64(len(sorted)) - 1e-9))
+	if rank < 1 {
+		rank = 1
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if rank > len(sorted) {
+		rank = len(sorted)
 	}
-	return sorted[idx]
+	return sorted[rank-1]
 }
 
 // TaskSummary aggregates one task's trace activity.

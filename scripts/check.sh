@@ -75,8 +75,9 @@ step "Table-1 allocation budget" go test -run 'TestTable1AllocBudget|TestTable1B
 # steady state allocate exactly the pinned counts (one allocation per
 # object class, none per machine, timer or switch), so per-session
 # set-up cannot creep back onto the sweep path. TestFrameFields keeps a
-# machine within 312 B and its frames free of copies of the machine's OS
-# state, kernel and task.
+# machine within 232 B with its frame stack as its only slice (no waiter
+# lists), and its frames free of copies of the machine's OS state,
+# kernel and task.
 step "rtc session allocation pins" go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs|TestFrameFields' -count=1 ./internal/rtc
 
 # Telemetry overhead guard: an always-on ring sink must stay within a
