@@ -93,9 +93,10 @@ engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence ma
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 	go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 
-checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
+checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite + core.StateCodec tests
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
 	go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
+	go test -run 'TestStateCodec' -count=1 ./internal/core
 
 dse-check: ## design-space-exploration gates: memoization, Pareto, cache keys, fork sweeps + BENCH_dse.json baseline
 	go test -race -count=1 ./internal/dse

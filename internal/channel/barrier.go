@@ -31,9 +31,6 @@ func NewBarrier(f Factory, name string, parties int) *Barrier {
 // Name returns the barrier's name.
 func (b *Barrier) Name() string { return b.name }
 
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Await blocks until all parties have arrived. It returns the arrival
 // index within the round (0 = first, parties-1 = last, who trips the
 // barrier).
@@ -92,12 +89,12 @@ func (h *HandshakeState) Step(now sim.Time, t *core.Task, op core.ChanOp, val in
 	return val, core.Verdict{}
 }
 
-// EncodeState writes the latch for a checkpoint.
-func (h *HandshakeState) EncodeState(e *core.StateWriter) { e.Line("ch %d", h.pending) }
-
-// DecodeState restores what EncodeState wrote.
-func (h *HandshakeState) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	return d.Scan("ch %d", &h.pending)
+// State writes or reads the latch for a checkpoint.
+func (h *HandshakeState) State(c *core.StateCodec) {
+	c.Line("ch %d", &h.pending)
+	if h.pending < 0 {
+		c.Failf("handshake has %d pending signals", h.pending)
+	}
 }
 
 // Handshake is a one-slot signal with memory: unlike a raw SLDL event, a

@@ -76,13 +76,8 @@ func (q *QueueState[T]) Step(now sim.Time, t *core.Task, op core.ChanOp, val T, 
 	return val, core.Verdict{Wait: !ok, Notify: ok}
 }
 
-// EncodeState writes the buffered elements for a checkpoint.
-func (q *QueueState[T]) EncodeState(e *core.StateWriter) { q.Ring.EncodeState(e, "cq") }
-
-// DecodeState restores what EncodeState wrote.
-func (q *QueueState[T]) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	return q.Ring.DecodeState(d, "cq")
-}
+// State writes or reads the buffered elements for a checkpoint.
+func (q *QueueState[T]) State(c *core.StateCodec) { q.Ring.State(c, "cq") }
 
 // Queue is a bounded FIFO message channel — the paper's c_queue example
 // (Figure 7). Send blocks while the queue is full; Recv blocks while it is

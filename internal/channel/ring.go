@@ -53,30 +53,25 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
-// EncodeState writes the buffered elements, oldest first, as one tagged
-// checkpoint list.
-func (r *Ring[T]) EncodeState(e *core.StateWriter, tag string) {
+// State writes or reads the buffered elements, oldest first, as one
+// tagged checkpoint list; reading replaces them.
+func (r *Ring[T]) State(c *core.StateCodec, tag string) {
 	vals := make([]T, r.n)
 	for i := range vals {
 		vals[i] = r.ring[(r.head+i)%len(r.ring)]
 	}
-	core.WriteList(e, tag, vals)
-}
-
-// DecodeState replaces the buffered elements with the list EncodeState
-// wrote under tag.
-func (r *Ring[T]) DecodeState(d *core.StateReader, tag string) error {
-	vals, err := core.ReadList[T](d, tag)
-	if err != nil {
-		return err
+	core.List(c, tag, &vals)
+	if r.max > 0 && len(vals) > r.max {
+		c.Failf("%s list of %d values overflows the capacity %d", tag, len(vals), r.max)
 	}
-	for r.n > 0 {
-		r.Pop()
+	if c.Restoring() {
+		for r.n > 0 {
+			r.Pop()
+		}
+		for _, v := range vals {
+			r.Push(v)
+		}
 	}
-	for _, v := range vals {
-		r.Push(v)
-	}
-	return nil
 }
 
 // grow doubles the full ring, up to the bound, unwrapping its elements

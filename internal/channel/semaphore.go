@@ -68,12 +68,12 @@ func (s *SemaphoreState) Step(now sim.Time, t *core.Task, op core.ChanOp, val in
 	return val, core.Verdict{Wait: true}
 }
 
-// EncodeState writes the count for a checkpoint.
-func (s *SemaphoreState) EncodeState(e *core.StateWriter) { e.Line("cs %d", s.count) }
-
-// DecodeState restores what EncodeState wrote.
-func (s *SemaphoreState) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	return d.Scan("cs %d", &s.count)
+// State writes or reads the count for a checkpoint.
+func (s *SemaphoreState) State(c *core.StateCodec) {
+	c.Line("cs %d", &s.count)
+	if s.count < 0 {
+		c.Failf("semaphore count %d < 0", s.count)
+	}
 }
 
 // Semaphore is a counting semaphore — the channel the paper's bus-driver

@@ -20,15 +20,14 @@ const (
 // Channel is one channel primitive's state and transitions — a queue,
 // semaphore, mailbox or handshake of some personality — shared by both
 // execution engines, which only block, wake and notify as told. The
-// object also writes its own checkpoint state.
+// object also states its own checkpoint encoding.
 type Channel interface {
 	// Step performs op for task t (nil: an interrupt handler) at now and
 	// never blocks. again marks the attempt after a wait the previous
 	// verdict asked for. val is the message OpSend sends; Step returns it,
 	// or the message OpRecv received.
 	Step(now sim.Time, t *Task, op ChanOp, val int64, again bool) (int64, Verdict)
-	EncodeState(e *StateWriter)
-	DecodeState(s *Sched, d *StateReader) error
+	State(c *StateCodec)
 }
 
 // Verdict is what a transition leaves the engine to do; the zero Verdict

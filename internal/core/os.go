@@ -487,11 +487,6 @@ func (os *OS) wake(p *sim.Proc, next *Task) {
 	}
 }
 
-// releaseCPU detaches the running task from the CPU (its state must
-// already be set to the blocking state) and dispatches the next ready
-// task, if any.
-func (os *OS) releaseCPU(p *sim.Proc) { os.wake(p, os.Release(os.k.Now())) }
-
 // yieldCPU moves the running task back to the ready queue (involuntary
 // preemption or slice expiry), dispatches the best ready task and blocks
 // until the caller is re-dispatched.

@@ -177,9 +177,6 @@ func (t *Task) SetDeadline(d sim.Time) { t.deadline = d }
 // policy. Tasks default to preemptable.
 func (t *Task) SetPreemptable(on bool) { t.nonpreempt = !on }
 
-// Preemptable reports whether involuntary preemption is allowed.
-func (t *Task) Preemptable() bool { return !t.nonpreempt }
-
 // Period returns the task's period (0 for aperiodic tasks).
 func (t *Task) Period() sim.Time { return t.period }
 

@@ -48,12 +48,9 @@ type Report struct {
 // context-switch throughput into the Result.
 const switchesMetric = "switches/s"
 
-// Collect runs every scenario and returns the report. Each scenario is
-// measured by testing.Benchmark (standard auto-scaling of b.N).
-func Collect() Report { return CollectOnly(nil) }
-
 // CollectOnly runs the scenarios whose name keep accepts (nil keeps all)
-// and returns the report. Filtering happens before measurement, so a
+// and returns the report. Each scenario is measured by testing.Benchmark
+// (standard auto-scaling of b.N). Filtering happens before measurement, so a
 // restricted run costs only the scenarios it reports.
 func CollectOnly(keep func(name string) bool) Report {
 	return collect(Schema, Scenarios(), keep)

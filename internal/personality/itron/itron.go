@@ -150,51 +150,39 @@ func (k *Kernel) tcbOf(t *core.Task) *tcb {
 	return tc
 }
 
-// EncodeState writes the mailbox hand-offs resumed receivers have not
+// State writes or reads the mailbox hand-offs resumed receivers have not
 // collected yet, as (task id, value, priority) triples, for a checkpoint.
-func (k *Kernel) EncodeState(e *core.StateWriter) {
+func (k *Kernel) State(c *core.StateCodec) {
 	var pending []int64
 	for _, tc := range k.tcbs {
 		if tc != nil && tc.msg != (Msg{}) {
 			pending = append(pending, int64(tc.task.ID()), tc.msg.Val, int64(tc.msg.Pri))
 		}
 	}
-	core.WriteList(e, "itcb", pending)
-}
-
-// DecodeState restores what EncodeState wrote.
-func (k *Kernel) DecodeState(d *core.StateReader) error {
-	pending, err := core.ReadList[int64](d, "itcb")
-	if err != nil {
-		return err
-	}
+	core.List(c, "itcb", &pending)
 	if len(pending)%3 != 0 {
-		return fmt.Errorf("itcb list of %d values is not a list of triples", len(pending))
+		c.Failf("itcb list of %d values is not a list of triples", len(pending))
 	}
-	for i := 0; i < len(pending); i += 3 {
-		t, err := k.s.TaskByID(int(pending[i]))
-		if err != nil || t == nil {
-			return fmt.Errorf("bad task id %d in itcb list", pending[i])
+	for i := 0; i < len(pending) && c.Restoring(); i += 3 {
+		if t := c.Task(int(pending[i])); t != nil {
+			k.tcbOf(t).msg = Msg{Val: pending[i+1], Pri: int(pending[i+2])}
 		}
-		k.tcbOf(t).msg = Msg{Val: pending[i+1], Pri: int(pending[i+2])}
 	}
-	return nil
 }
 
-// decodeWaiters restores a wait queue from a task list written under tag,
-// in its written order.
-func (k *Kernel) decodeWaiters(d *core.StateReader, tag string, w *waitQueue) error {
-	var ts []*core.Task
-	if err := k.s.DecodeTasks(d, tag, &ts); err != nil {
-		return err
+// waiters writes or reads a wait queue as a task list under tag, in its
+// queue order.
+func (k *Kernel) waiters(c *core.StateCodec, tag string, w *waitQueue) {
+	ts := w.tasks()
+	c.Tasks(tag, &ts)
+	if c.Restoring() {
+		w.q = w.q[:0]
+		for _, t := range ts {
+			tc := k.tcbOf(t)
+			tc.wait = w
+			w.q = append(w.q, tc)
+		}
 	}
-	w.q = w.q[:0]
-	for _, t := range ts {
-		tc := k.tcbOf(t)
-		tc.wait = w
-		w.q = append(w.q, tc)
-	}
-	return nil
 }
 
 // self resolves the calling process to the running task, or E_CTX when

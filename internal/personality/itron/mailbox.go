@@ -105,28 +105,24 @@ func (m *Mailbox) received(t *core.Task) Msg {
 	return msg
 }
 
-// EncodeState writes the queued messages as (value, priority) pairs and
-// the wait queue for a checkpoint.
-func (m *Mailbox) EncodeState(e *core.StateWriter) {
-	var msgs []int64
+// State writes or reads the queued messages as (value, priority) pairs
+// and the wait queue for a checkpoint.
+func (m *Mailbox) State(c *core.StateCodec) {
+	msgs := make([]int64, 0, 2*len(m.msgs))
 	for _, msg := range m.msgs {
 		msgs = append(msgs, msg.Val, int64(msg.Pri))
 	}
-	core.WriteList(e, "imm", msgs)
-	e.Tasks("imw", m.wq.tasks())
-}
-
-// DecodeState restores what EncodeState wrote.
-func (m *Mailbox) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	msgs, err := core.ReadList[int64](d, "imm")
-	if err != nil {
-		return err
+	core.List(c, "imm", &msgs)
+	if len(msgs)%2 != 0 {
+		c.Failf("imm list of %d values is not a list of pairs", len(msgs))
 	}
-	m.msgs = m.msgs[:0]
-	for i := 0; i+1 < len(msgs); i += 2 {
-		m.msgs = append(m.msgs, Msg{Val: msgs[i], Pri: int(msgs[i+1])})
+	if c.Restoring() {
+		m.msgs = m.msgs[:0]
+		for i := 0; i < len(msgs); i += 2 {
+			m.msgs = append(m.msgs, Msg{Val: msgs[i], Pri: int(msgs[i+1])})
+		}
 	}
-	return m.k.decodeWaiters(d, "imw", &m.wq)
+	m.k.waiters(c, "imw", &m.wq)
 }
 
 // Snd sends a message (snd_mbx). Never blocks: with a waiter present the

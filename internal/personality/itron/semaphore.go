@@ -73,18 +73,18 @@ func (s *Semaphore) take(t *core.Task) bool {
 	return true
 }
 
-// EncodeState writes the count and the wait queue for a checkpoint.
-func (s *Semaphore) EncodeState(e *core.StateWriter) {
-	e.Line("is %d", s.count)
-	e.Tasks("isw", s.wq.tasks())
-}
-
-// DecodeState restores what EncodeState wrote.
-func (s *Semaphore) DecodeState(_ *core.Sched, d *core.StateReader) error {
-	if err := d.Scan("is %d", &s.count); err != nil {
-		return err
+// State writes or reads the count and the wait queue for a checkpoint. A
+// release hands a unit to the head waiter directly, so units and waiters
+// never coexist.
+func (s *Semaphore) State(c *core.StateCodec) {
+	c.Line("is %d", &s.count)
+	if s.count < 0 || s.count > s.max {
+		c.Failf("semaphore %s count %d outside 0..%d", s.name, s.count, s.max)
 	}
-	return s.k.decodeWaiters(d, "isw", &s.wq)
+	s.k.waiters(c, "isw", &s.wq)
+	if s.count > 0 && !s.wq.empty() {
+		c.Failf("semaphore %s count %d with %d waiters", s.name, s.count, len(s.wq.q))
+	}
 }
 
 // Wai acquires one resource, waiting forever (wai_sem).

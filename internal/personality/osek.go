@@ -110,18 +110,15 @@ func (s *OSEKSem) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, ag
 	return val, core.Verdict{}
 }
 
-// EncodeState writes the count and the wait queue for a checkpoint.
-func (s *OSEKSem) EncodeState(e *core.StateWriter) {
-	e.Line("os %d", s.count)
-	e.Tasks("osw", s.wq)
-}
-
-// DecodeState restores what EncodeState wrote over the tasks of sc.
-func (s *OSEKSem) DecodeState(sc *core.Sched, d *core.StateReader) error {
-	if err := d.Scan("os %d", &s.count); err != nil {
-		return err
+// State writes or reads the count and the wait queue for a checkpoint. A
+// release hands a unit to the head waiter directly, so units and waiters
+// never coexist.
+func (s *OSEKSem) State(c *core.StateCodec) {
+	c.Line("os %d", &s.count)
+	c.Tasks("osw", &s.wq)
+	if s.count < 0 || s.count > 0 && len(s.wq) > 0 {
+		c.Failf("%s count %d with %d waiters", s.site, s.count, len(s.wq))
 	}
-	return sc.DecodeTasks(d, "osw", &s.wq)
 }
 
 // OSEKQueue is a FIFO queued message object (OSEK COM queued messages):
@@ -171,22 +168,11 @@ func (q *OSEKQueue) Step(now sim.Time, t *core.Task, op core.ChanOp, val int64, 
 	return val, core.Verdict{Wake: popTask(peers)}
 }
 
-// EncodeState writes the buffer and both wait lists for a checkpoint.
-func (q *OSEKQueue) EncodeState(e *core.StateWriter) {
-	q.buf.EncodeState(e, "oq")
-	e.Tasks("oqs", q.sendQ)
-	e.Tasks("oqr", q.recvQ)
-}
-
-// DecodeState restores what EncodeState wrote over the tasks of sc.
-func (q *OSEKQueue) DecodeState(sc *core.Sched, d *core.StateReader) error {
-	if err := q.buf.DecodeState(d, "oq"); err != nil {
-		return err
-	}
-	if err := sc.DecodeTasks(d, "oqs", &q.sendQ); err != nil {
-		return err
-	}
-	return sc.DecodeTasks(d, "oqr", &q.recvQ)
+// State writes or reads the buffer and both wait lists for a checkpoint.
+func (q *OSEKQueue) State(c *core.StateCodec) {
+	q.buf.State(c, "oq")
+	c.Tasks("oqs", &q.sendQ)
+	c.Tasks("oqr", &q.recvQ)
 }
 
 // popTask removes and returns the head of a FIFO wait list (nil when

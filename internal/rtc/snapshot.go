@@ -1,12 +1,10 @@
 package rtc
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -53,58 +51,120 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 	if k.readyAt < len(k.ready) || len(k.next) > 0 {
 		return nil, fmt.Errorf("rtc: cannot snapshot mid-delta-cycle; pause at a RunUntil horizon first")
 	}
-	var e core.StateWriter
-	e.Line("%s", snapVersion)
-	e.Line("struct %s", s.structureHash())
-	e.Line("k now=%d delta=%d timerseq=%d", int64(k.now), k.delta, k.timerSeq)
+	structure := s.structureHash()
+	c := core.NewStateEncoder(&s.os.Sched)
+	s.state(c, structure)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("rtc: snapshot: %w", err)
+	}
+	return &Checkpoint{At: k.now, Structure: structure, State: c.Bytes()}, nil
+}
 
-	os := s.os
-	os.EncodeState(&e)
+// Restore builds a fresh session for w and applies the checkpoint onto
+// it, resuming at cp.At. The workload must be structurally identical to
+// the one snapshotted; Policy, Quantum and Horizon may differ (the
+// checkpoint-fork knobs). The restored session continues with RunUntil.
+func Restore(w Workload, cp *Checkpoint) (*Session, error) {
+	s, err := NewSession(w)
+	if err != nil {
+		return nil, err
+	}
+	h := s.structureHash()
+	if h != cp.Structure {
+		return nil, fmt.Errorf("rtc: checkpoint structure mismatch (snapshot %.12s..., workload %.12s...): only Policy, Quantum and Horizon may change across a fork", cp.Structure, h)
+	}
+	// Discard the build's time-zero spawn enqueues: the checkpoint's
+	// machines already ran their activation prefix.
+	k := s.k
+	clear(k.ready)
+	k.ready, k.readyAt = k.ready[:0], 0
+	k.next = k.next[:0]
+
+	c := core.NewStateDecoder(&s.os.Sched, cp.State)
+	s.state(c, h)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("rtc: restore: %w", err)
+	}
+	return s, nil
+}
+
+// state writes the session's state through c, or reads it back into the
+// freshly built session. Every record is stated once, for both ways;
+// what reading must check or rebuild runs while c.Restoring holds.
+func (s *Session) state(c *core.StateCodec, structure string) {
+	k, os := s.k, s.os
+	c.Line(snapVersion)
+	c.Line("struct " + structure)
+	c.Line("k now=%d delta=%d timerseq=%d", &k.now, &k.delta, &k.timerSeq)
+	os.Sched.State(c)
 
 	// OS events exist one per generic-personality channel, in channel
 	// declaration order; their FIFO queues are task ids.
 	osEvents := s.osEventList()
-	e.Line("osevents %d", len(osEvents))
+	c.Count("osevents", len(osEvents))
 	for _, oe := range osEvents {
-		oe.EncodeState(&e)
+		oe.State(c)
 	}
 
 	// Task body state is carried even when a machine has finished (empty
 	// stack) — Finish still reads per-task outcomes such as MaxResp off
 	// the body frame after the machine is done.
-	e.Line("bodies %d", len(s.bodies))
+	c.Count("bodies", len(s.bodies))
 	for _, f := range s.bodies {
 		switch fr := f.(type) {
 		case *fPeriodicBody:
-			e.Line("b pb %d %d %d %d %d", fr.c, fr.segIx, int64(fr.rel), int64(fr.resp), fr.pc)
+			c.Line("b pb %d %d %d %d %d", &fr.c, &fr.segIx, &fr.rel, &fr.resp, &fr.pc)
 		case *fAperiodicBody:
-			e.Line("b ab %d %d %d", fr.rep, fr.opIx, fr.pc)
+			c.Line("b ab %d %d %d", &fr.rep, &fr.opIx, &fr.pc)
 		default:
-			return nil, fmt.Errorf("rtc: unknown body frame %T", f)
+			c.Failf("unknown body frame %T", f)
 		}
 	}
 
-	// Every channel object writes its own state; ITRON objects keep part
-	// of theirs in the tasks' tcbs.
-	e.Line("chans %d", len(s.chans))
-	for _, c := range s.chans {
-		c.obj.EncodeState(&e)
+	// Every channel object states its own encoding; ITRON objects keep
+	// part of theirs in the tasks' tcbs.
+	c.Count("chans", len(s.chans))
+	for _, ch := range s.chans {
+		ch.obj.State(c)
 	}
 	if os.itron != nil {
-		os.itron.EncodeState(&e)
+		os.itron.State(c)
 	}
 
-	e.Line("machines %d", len(k.machines))
+	c.Count("machines", len(k.machines))
 	for i, m := range k.machines {
 		// parked and preempt restate the wait the state names: parked in
 		// fWaitDispatched, or in a segmented delay that an interrupt can
 		// cut short.
-		e.Line("m %d state=%d timedout=%t parked=%t preempt=%t", i, int(m.state), m.timedOut,
-			m.state == mWaitEvent, m.state == mWaitTimeout)
-		e.Line("stk %d", len(m.stack))
-		for _, f := range m.stack {
-			if err := s.encodeFrame(&e, f); err != nil {
-				return nil, err
+		ix, parked, preempt := i, m.state == mWaitEvent, m.state == mWaitTimeout
+		c.Line("m %d state=%d timedout=%t parked=%t preempt=%t", &ix, &m.state, &m.timedOut, &parked, &preempt)
+		switch {
+		case ix != i:
+			c.Failf("machine record %d out of order (got %d)", i, ix)
+		case parked != (m.state == mWaitEvent) || preempt != (m.state == mWaitTimeout):
+			c.Failf("machine %d: parked=%t preempt=%t contradict state=%d", i, parked, preempt, int(m.state))
+		}
+		depth := len(m.stack)
+		c.Line("stk %d", &depth)
+		if depth < 0 {
+			c.Failf("machine %d has stack depth %d", i, depth)
+		}
+		var body frame
+		if len(m.stack) > 0 {
+			body = m.stack[0] // the spawn body; frame 0 of any live stack
+		}
+		stack := m.stack
+		if c.Restoring() {
+			clear(m.stack)
+			m.stack, stack = m.stack[:0], nil
+		}
+		for j := 0; j < depth && c.Err() == nil; j++ {
+			var f frame
+			if j < len(stack) {
+				f = stack[j]
+			}
+			if f = s.frame(c, m, f, body, j == 0); c.Restoring() {
+				m.stack = append(m.stack, f)
 			}
 		}
 	}
@@ -122,204 +182,79 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		}
 		return timers[i].seq < timers[j].seq
 	})
-	e.Line("timers %d", len(timers))
-	for _, ti := range timers {
-		e.Line("ti at=%d seq=%d mach=%d", int64(ti.at), ti.seq, ti.ix)
+	nTimers := len(timers)
+	c.Line("timers %d", &nTimers)
+	if nTimers < 0 {
+		c.Failf("snapshot has %d timers", nTimers)
 	}
-
-	if os.rec == nil {
-		e.Line("recs 0")
-	} else {
-		e.Line("recs %d", os.rec.Len())
-		os.rec.Each(func(r trace.Record) {
-			e.Line("rec %d %d %d %q %q %q %q", int64(r.At), int(r.Kind), r.Arg, r.Task, r.From, r.To, r.Label)
-		})
-	}
-
-	return &Checkpoint{At: k.now, Structure: s.structureHash(), State: e.Bytes()}, nil
-}
-
-// Restore builds a fresh session for w and applies the checkpoint onto
-// it, resuming at cp.At. The workload must be structurally identical to
-// the one snapshotted; Policy, Quantum and Horizon may differ (the
-// checkpoint-fork knobs). The restored session continues with RunUntil.
-func Restore(w Workload, cp *Checkpoint) (*Session, error) {
-	s, err := NewSession(w)
-	if err != nil {
-		return nil, err
-	}
-	if h := s.structureHash(); h != cp.Structure {
-		return nil, fmt.Errorf("rtc: checkpoint structure mismatch (snapshot %.12s..., workload %.12s...): only Policy, Quantum and Horizon may change across a fork", cp.Structure, h)
-	}
-	if err := s.apply(cp); err != nil {
-		return nil, fmt.Errorf("rtc: restore: %w", err)
-	}
-	return s, nil
-}
-
-// apply decodes cp.State into the freshly built session.
-func (s *Session) apply(cp *Checkpoint) error {
-	d := core.NewStateReader(cp.State)
-	if err := d.Expect(snapVersion); err != nil {
-		return err
-	}
-	var structHash string
-	if err := d.Scan("struct %s", &structHash); err != nil {
-		return err
-	}
-	k, os := s.k, s.os
-
-	// Discard the build's time-zero spawn enqueues: the checkpoint's
-	// machines already ran their activation prefix.
-	for i := range k.ready {
-		k.ready[i] = nil
-	}
-	k.ready, k.readyAt = k.ready[:0], 0
-	k.next = k.next[:0]
-
-	if err := d.Scan("k now=%d delta=%d timerseq=%d", &k.now, &k.delta, &k.timerSeq); err != nil {
-		return err
-	}
-
-	if err := os.DecodeState(d); err != nil {
-		return err
-	}
-
-	osEvents := s.osEventList()
-	if err := d.Count("osevents", len(osEvents)); err != nil {
-		return err
-	}
-	for _, oe := range osEvents {
-		if err := oe.DecodeState(&os.Sched, d); err != nil {
-			return err
+	for j := 0; j < nTimers && c.Err() == nil; j++ {
+		var ti timer
+		if !c.Reading() {
+			ti = timers[j]
 		}
-	}
-
-	if err := d.Count("bodies", len(s.bodies)); err != nil {
-		return err
-	}
-	for _, f := range s.bodies {
-		var err error
-		switch fr := f.(type) {
-		case *fPeriodicBody:
-			err = d.Scan("b pb %d %d %d %d %d", &fr.c, &fr.segIx, &fr.rel, &fr.resp, &fr.pc)
-		case *fAperiodicBody:
-			err = d.Scan("b ab %d %d %d", &fr.rep, &fr.opIx, &fr.pc)
-		default:
-			err = fmt.Errorf("unknown body frame %T", f)
+		c.Line("ti at=%d seq=%d mach=%d", &ti.at, &ti.seq, &ti.ix)
+		if !c.Restoring() {
+			continue
 		}
-		if err != nil {
-			return err
-		}
-	}
-
-	if err := d.Count("chans", len(s.chans)); err != nil {
-		return err
-	}
-	for _, c := range s.chans {
-		if err := c.obj.DecodeState(&os.Sched, d); err != nil {
-			return err
-		}
-	}
-	if os.itron != nil {
-		if err := os.itron.DecodeState(d); err != nil {
-			return err
-		}
-	}
-
-	if err := d.Count("machines", len(k.machines)); err != nil {
-		return err
-	}
-	var ix int
-	var parked, preempt bool
-	for i, m := range k.machines {
-		if err := d.Scan("m %d state=%d timedout=%t parked=%t preempt=%t",
-			&ix, &m.state, &m.timedOut, &parked, &preempt); err != nil {
-			return err
-		}
-		if ix != i {
-			return fmt.Errorf("machine record %d out of order (got %d)", i, ix)
-		}
-		if parked != (m.state == mWaitEvent) || preempt != (m.state == mWaitTimeout) {
-			return fmt.Errorf("machine %d: parked=%t preempt=%t contradict state=%d", i, parked, preempt, int(m.state))
-		}
-		var depth int
-		if err := d.Scan("stk %d", &depth); err != nil {
-			return err
-		}
-		body := m.stack[0] // the spawn body; frame 0 of any live stack
-		for j := range m.stack {
-			m.stack[j] = nil
-		}
-		m.stack = m.stack[:0]
-		for j := 0; j < depth; j++ {
-			f, err := s.decodeFrame(d, m, body, j == 0)
-			if err != nil {
-				return err
-			}
-			m.stack = append(m.stack, f)
-		}
-	}
-
-	var nTimers int
-	if err := d.Scan("timers %d", &nTimers); err != nil {
-		return err
-	}
-	for j := 0; j < nTimers; j++ {
-		var at int64
-		var tsq, mach int
-		if err := d.Scan("ti at=%d seq=%d mach=%d", &at, &tsq, &mach); err != nil {
-			return err
-		}
+		mach := ti.ix
 		if mach < 0 || mach >= len(k.machines) {
-			return fmt.Errorf("timer machine %d out of range (%d machines)", mach, len(k.machines))
+			c.Failf("timer machine %d out of range (%d machines)", mach, len(k.machines))
+			break
 		}
 		_, _, queued := k.timers.Queued(mach)
 		switch {
-		case Time(at) < k.now:
-			return fmt.Errorf("timer of machine %d due at %d, before now %d", mach, at, int64(k.now))
-		case tsq > k.timerSeq:
-			return fmt.Errorf("timer of machine %d has seq %d above timerseq %d", mach, tsq, k.timerSeq)
+		case ti.at < k.now:
+			c.Failf("timer of machine %d due at %d, before now %d", mach, int64(ti.at), int64(k.now))
+		case ti.seq > k.timerSeq:
+			c.Failf("timer of machine %d has seq %d above timerseq %d", mach, ti.seq, k.timerSeq)
 		case queued:
-			return fmt.Errorf("machine %d named by two timers", mach)
+			c.Failf("machine %d named by two timers", mach)
+		default:
+			k.timers.Push(mach, ti.at, ti.seq)
 		}
-		k.timers.Push(mach, Time(at), tsq)
 	}
-	for i, m := range k.machines {
-		if err := s.checkWait(i, m); err != nil {
-			return err
+	for i := 0; c.Restoring() && i < len(k.machines); i++ {
+		if err := s.checkWait(i, k.machines[i]); err != nil {
+			c.Failf("%w", err)
 		}
 	}
 
-	var nRecs int
-	if err := d.Scan("recs %d", &nRecs); err != nil {
-		return err
+	nRecs := 0
+	if os.rec != nil {
+		nRecs = os.rec.Len()
 	}
-	if nRecs > 0 && os.rec == nil {
-		return fmt.Errorf("snapshot has %d trace records, workload does not trace", nRecs)
+	c.Line("recs %d", &nRecs)
+	if nRecs < 0 {
+		c.Failf("snapshot has %d trace records", nRecs)
+	} else if nRecs > 0 && os.rec == nil {
+		c.Failf("snapshot has %d trace records, workload does not trace", nRecs)
 	}
-	for j := 0; j < nRecs; j++ {
-		var at int64
-		var kind int
-		var arg int64
-		var task, from, to, label string
-		if err := d.Scan("rec %d %d %d %q %q %q %q", &at, &kind, &arg, &task, &from, &to, &label); err != nil {
-			return err
+	// rec writes or reads one trace record.
+	rec := func(r *trace.Record) {
+		c.Line("rec %d %d %d %q %q %q %q", &r.At, &r.Kind, &r.Arg, &r.Task, &r.From, &r.To, &r.Label)
+		if r.Kind < 0 || r.Kind > 0xff {
+			c.Failf("trace record has kind %d, outside 0..255", int(r.Kind))
 		}
-		if kind < 0 || kind > 0xff {
-			return fmt.Errorf("trace record %d has kind %d, outside 0..255", j, kind)
-		}
-		os.rec.Append(trace.Record{At: Time(at), Kind: trace.Kind(kind), Arg: arg,
-			Task: task, From: from, To: to, Label: label})
 	}
+	if !c.Reading() && os.rec != nil {
+		os.rec.Each(func(r trace.Record) { rec(&r) })
+	}
+	for j := 0; c.Restoring() && j < nRecs; j++ {
+		var r trace.Record
+		if rec(&r); c.Restoring() {
+			os.rec.Append(r)
+		}
+	}
+	c.End()
 
-	k.active = 0
-	for _, m := range k.machines {
-		if m.state != mDone {
-			k.active++
+	if c.Restoring() {
+		k.active = 0
+		for _, m := range k.machines {
+			if m.state != mDone {
+				k.active++
+			}
 		}
 	}
-	return nil
 }
 
 // checkWait refuses machine i unless its state is one a quiescent flat
@@ -375,28 +310,33 @@ func (s *Session) checkWait(i int, m *machine) error {
 // the fork knobs (Policy, Quantum, Horizon): name, personality, time
 // model, tracing, watchdog, and the full task/channel/IRQ declarations.
 func (s *Session) structureHash() string {
-	var b bytes.Buffer
 	w := s.w
-	fmt.Fprintf(&b, "rtcstruct/1 name=%q pers=%q tmodel=%d trace=%t wd=%d\n",
-		s.name, s.pers, int(w.TimeModel), w.Trace, int64(w.WatchdogWindow))
-	for _, td := range w.Tasks {
-		fmt.Fprintf(&b, "task %q %q prio=%d period=%d cycles=%d start=%d repeat=%d segs=%d",
-			td.Name, td.Type, td.Prio, int64(td.Period), td.Cycles, int64(td.Start), td.Repeat, len(td.Segments))
-		for _, seg := range td.Segments {
-			fmt.Fprintf(&b, " %d", int64(seg))
+	c := core.NewStateEncoder(nil)
+	c.Line("rtcstruct/1 name=%q pers=%q tmodel=%d trace=%t wd=%d",
+		&s.name, &s.pers, &w.TimeModel, &w.Trace, &w.WatchdogWindow)
+	for i := range w.Tasks {
+		td := &w.Tasks[i]
+		segs := len(td.Segments)
+		c.Part("task %q %q prio=%d period=%d cycles=%d start=%d repeat=%d segs=%d",
+			&td.Name, &td.Type, &td.Prio, &td.Period, &td.Cycles, &td.Start, &td.Repeat, &segs)
+		for j := range td.Segments {
+			c.Part(" %d", &td.Segments[j])
 		}
-		b.WriteByte('\n')
-		for _, op := range td.Ops {
-			fmt.Fprintf(&b, "op %q %d %q\n", op.Kind, int64(op.Dur), op.Ch)
+		c.Line("")
+		for j := range td.Ops {
+			op := &td.Ops[j]
+			c.Line("op %q %d %q", &op.Kind, &op.Dur, &op.Ch)
 		}
 	}
-	for _, c := range w.Channels {
-		fmt.Fprintf(&b, "chan %q %q %d\n", c.Name, c.Kind, c.Arg)
+	for i := range w.Channels {
+		ch := &w.Channels[i]
+		c.Line("chan %q %q %d", &ch.Name, &ch.Kind, &ch.Arg)
 	}
-	for _, irq := range w.IRQs {
-		fmt.Fprintf(&b, "irq %q %q at=%d every=%d count=%d\n", irq.Name, irq.Sem, int64(irq.At), int64(irq.Every), irq.Count)
+	for i := range w.IRQs {
+		irq := &w.IRQs[i]
+		c.Line("irq %q %q at=%d every=%d count=%d", &irq.Name, &irq.Sem, &irq.At, &irq.Every, &irq.Count)
 	}
-	sum := sha256.Sum256(b.Bytes())
+	sum := sha256.Sum256(c.Bytes())
 	return hex.EncodeToString(sum[:])
 }
 
@@ -417,113 +357,107 @@ func (s *Session) osEventList() []*core.OSEvent {
 
 // --- frame codec ---
 
-// encodeFrame writes one stack frame: its type tag plus every mutable
-// field. Structural fields (bound tasks of body frames, segment lists,
-// op lists) are rebuilt by the session constructor and omitted; a task
-// body's state is in the checkpoint's bodies section.
-func (s *Session) encodeFrame(e *core.StateWriter, f frame) error {
-	switch fr := f.(type) {
-	case *fPeriodicBody, *fAperiodicBody:
-		e.Line("f body")
-	case *fIRQBody:
-		e.Line("f irq %d %d", fr.i, fr.pc)
-	case *fWatchdogBody:
-		e.Line("f wd %d %t %d", fr.wd.Last, fr.wd.Starving, fr.pc)
-	case *fActivate:
-		e.Line("f act %d", fr.pc)
-	case *fEndCycle:
-		e.Line("f end %d %d", int64(fr.next), fr.pc)
-	case *fTimeWait:
-		e.Line("f tw %d %d %d %d", int64(fr.d), int64(fr.remaining), int64(fr.start), fr.pc)
-	case *fWaitDispatched:
-		e.Line("f wdis %d", fr.pc)
-	case *opFrame:
-		ix := 0 // the channel's declaration index
-		for &s.chans[ix] != fr.c {
-			ix++
-		}
-		e.Line("f op %d %d %d %d", int(fr.op), ix, fr.val, fr.pc)
-	default:
-		return fmt.Errorf("rtc: unknown frame type %T", f)
+// frame writes stack frame f of machine m, or reads the next frame line
+// onto m and returns the frame it names. A frame line is the frame's tag
+// plus every mutable field; structural fields (bound tasks of body
+// frames, segment and op lists) are rebuilt by the session constructor,
+// and a task body's state is in the checkpoint's bodies section. Frame 0
+// of a stack is the machine's spawn body; service frames live in the
+// machine's preallocated slots, where the call helpers place them. A
+// task service frame needs a machine that runs a task, an op frame an op
+// its channel's kind has, and an op frame on a machine without a task
+// (an interrupt handler's) a release.
+func (s *Session) frame(c *core.StateCodec, m *machine, f, body frame, isBody bool) frame {
+	tag := frameTag(f)
+	c.Part("f %s", &tag)
+	if c.Err() != nil {
+		return nil
 	}
-	return nil
-}
-
-// decodeFrame reads one frame line back onto machine m. Frame 0 of a
-// stack must be the machine's spawn body (taken from the fresh build);
-// service frames land in the machine's preallocated slots, exactly as
-// the call helpers place them. A task service frame needs a machine that
-// runs a task, an op frame an op its channel's kind has, and an op frame
-// on a machine without a task (an interrupt handler's) a release.
-func (s *Session) decodeFrame(d *core.StateReader, m *machine, body frame, isBody bool) (frame, error) {
-	ln, err := d.Next()
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(ln)
-	if len(fields) < 2 || fields[0] != "f" {
-		return nil, fmt.Errorf("bad frame line %q", ln)
-	}
-	tag := fields[1]
-	bodyTag := map[string]bool{"body": true, "irq": true, "wd": true}[tag]
-	if bodyTag != isBody {
-		return nil, fmt.Errorf("frame %q at stack position mismatch (body=%t)", tag, isBody)
-	}
-	// scan reads the line's fields after the tag into args.
-	scan := func(f frame, args ...any) (frame, error) {
-		if _, err := fmt.Sscan(strings.Join(fields[2:], " "), args...); err != nil {
-			return nil, fmt.Errorf("bad %s frame %q: %v", tag, ln, err)
-		}
-		return f, nil
-	}
-	if m.task == nil && (tag == "act" || tag == "end" || tag == "tw" || tag == "wdis") {
-		return nil, fmt.Errorf("%s frame on machine %s, which runs no task", tag, m.name)
+	bodyTag := tag == "body" || tag == "irq" || tag == "wd"
+	switch {
+	case bodyTag != isBody:
+		c.Failf("frame %q at stack position mismatch (body=%t)", tag, isBody)
+	case m.task == nil && (tag == "act" || tag == "end" || tag == "tw" || tag == "wdis"):
+		c.Failf("%s frame on machine %s, which runs no task", tag, m.name)
 	}
 	switch tag {
-	case "body": // restored from the bodies section
+	case "body":
 		switch body.(type) {
 		case *fPeriodicBody, *fAperiodicBody:
-			return body, nil
+			c.Line("")
+			return body
 		}
 	case "irq":
 		if fr, ok := body.(*fIRQBody); ok {
-			return scan(fr, &fr.i, &fr.pc)
+			c.Line(" %d %d", &fr.i, &fr.pc)
+			return fr
 		}
 	case "wd":
 		if fr, ok := body.(*fWatchdogBody); ok {
-			return scan(fr, &fr.wd.Last, &fr.wd.Starving, &fr.pc)
+			c.Line(" %d %t %d", &fr.wd.Last, &fr.wd.Starving, &fr.pc)
+			return fr
 		}
 	case "act":
-		m.fAct = fActivate{}
-		return scan(&m.fAct, &m.fAct.pc)
+		c.Line(" %d", &m.fAct.pc)
+		return &m.fAct
 	case "end":
-		m.fEnd = fEndCycle{}
-		return scan(&m.fEnd, &m.fEnd.next, &m.fEnd.pc)
+		c.Line(" %d %d", &m.fEnd.next, &m.fEnd.pc)
+		return &m.fEnd
 	case "tw":
-		m.fTW = fTimeWait{}
-		return scan(&m.fTW, &m.fTW.d, &m.fTW.remaining, &m.fTW.start, &m.fTW.pc)
+		c.Line(" %d %d %d %d", &m.fTW.d, &m.fTW.remaining, &m.fTW.start, &m.fTW.pc)
+		return &m.fTW
 	case "wdis":
-		m.fWD = fWaitDispatched{}
-		return scan(&m.fWD, &m.fWD.pc)
+		c.Line(" %d", &m.fWD.pc)
+		return &m.fWD
 	case "op":
-		var cix int
-		m.fOp = opFrame{}
-		if _, err := scan(nil, &m.fOp.op, &cix, &m.fOp.val, &m.fOp.pc); err != nil {
-			return nil, err
+		fr, ix := &m.fOp, -1
+		for i := range s.chans {
+			if &s.chans[i] == fr.c {
+				ix = i // the channel's declaration index
+			}
 		}
-		if cix < 0 || cix >= len(s.chans) {
-			return nil, fmt.Errorf("op channel index %d out of range (%d channels)", cix, len(s.chans))
+		c.Line(" %d %d %d %d", &fr.op, &ix, &fr.val, &fr.pc)
+		if ix < 0 || ix >= len(s.chans) {
+			c.Failf("op channel index %d out of range (%d channels)", ix, len(s.chans))
+			return nil
 		}
-		if def := s.w.Channels[cix]; !opOnKind(m.fOp.op, def.Kind) {
-			return nil, fmt.Errorf("op %d on %s %q, which has no such op", int(m.fOp.op), def.Kind, def.Name)
+		if def := s.w.Channels[ix]; !opOnKind(fr.op, def.Kind) {
+			c.Failf("op %d on %s %q, which has no such op", int(fr.op), def.Kind, def.Name)
 		}
-		if m.task == nil && m.fOp.op != core.OpRelease {
-			return nil, fmt.Errorf("op %d on machine %s, which runs no task and only releases", int(m.fOp.op), m.name)
+		if m.task == nil && fr.op != core.OpRelease {
+			c.Failf("op %d on machine %s, which runs no task and only releases", int(fr.op), m.name)
 		}
-		m.fOp.c = &s.chans[cix]
-		return &m.fOp, nil
+		fr.c = &s.chans[ix]
+		return fr
 	default:
-		return nil, fmt.Errorf("unknown frame tag %q", tag)
+		c.Failf("unknown frame tag %q", tag)
+		return nil
 	}
-	return nil, fmt.Errorf("snapshot frame %s but machine body is %T", tag, body)
+	c.Failf("snapshot frame %s but machine body is %T", tag, body)
+	return nil
+}
+
+// frameTag names a frame in its checkpoint line ("" for none).
+func frameTag(f frame) string {
+	switch f.(type) {
+	case nil:
+		return ""
+	case *fPeriodicBody, *fAperiodicBody:
+		return "body"
+	case *fIRQBody:
+		return "irq"
+	case *fWatchdogBody:
+		return "wd"
+	case *fActivate:
+		return "act"
+	case *fEndCycle:
+		return "end"
+	case *fTimeWait:
+		return "tw"
+	case *fWaitDispatched:
+		return "wdis"
+	case *opFrame:
+		return "op"
+	}
+	return fmt.Sprintf("%T", f)
 }

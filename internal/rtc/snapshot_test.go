@@ -760,3 +760,153 @@ func TestRestoreRejectsImpossibleWaits(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsImpossibleChannels edits the channel records of the
+// channels-* checkpoints taken at 5 ms into states no run can reach, and
+// adds text no writer produces. Restore must refuse each with an error:
+// a queue holding more than its capacity (which used to panic in the
+// ring), a negative count, an ITRON count above its semaphore's maximum,
+// an odd mailbox list, a line with a field its format lacks, and input
+// after the last record.
+func TestRestoreRejectsImpossibleChannels(t *testing.T) {
+	checkpoints := map[string]*Checkpoint{}
+	for _, name := range []string{"channels-generic", "channels-itron", "channels-osek"} {
+		s, err := NewSession(snapWorkloads()[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(5 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoints[name], err = s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name, pers string // pers: the checkpoint's channels-* suffix
+		old, new   string
+		want       string
+	}{
+		{"queue above capacity", "generic", "\ncq 0\n", "\ncq 3 1 2 3\n", "cq list of 3 values overflows the capacity 2"},
+		{"OSEK queue above capacity", "osek", "\noq 0\n", "\noq 3 1 2 3\n", "oq list of 3 values overflows the capacity 2"},
+		{"negative semaphore count", "generic", "\ncs 0\n", "\ncs -1\n", "semaphore count -1 < 0"},
+		{"negative ITRON semaphore count", "itron", "\nis 0\n", "\nis -1\n", "count -1 outside 0..1073741824"},
+		{"negative OSEK semaphore count", "osek", "\nos 0\n", "\nos -2\n", "semaphore:s count -2 with 1 waiters"},
+		{"ITRON count above its maximum", "itron", "\nis 0\n", "\nis 1073741825\n", "count 1073741825 outside 0..1073741824"},
+		{"ITRON units beside a waiter", "itron", "\nis 0\n", "\nis 99999\n", "semaphore s count 99999 with 1 waiters"},
+		{"OSEK units beside a waiter", "osek", "\nos 0\n", "\nos 3\n", "semaphore:s count 3 with 1 waiters"},
+		{"odd mailbox list", "itron", "\nimm 0\n", "\nimm 3 5 0 7\n", "imm list of 3 values is not a list of pairs"},
+		{"extra field on a count", "generic", "\ncs 0\n", "\ncs 0 7\n", `"cs 0 7" does not match "cs %d"`},
+		{"extra field on a section head", "generic", "\nchans 2\n", "\nchans 2 junk\n", `"chans 2 junk" does not match "chans"`},
+		{"line after the last record", "generic", "", "rec 0 0 0 \"cons\" \"ready\" \"running\" \"\"\n", "input after line"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			name := "channels-" + tc.pers
+			cp := checkpoints[name]
+			state := string(cp.State) + tc.new
+			if tc.old != "" {
+				if !strings.Contains(string(cp.State), tc.old) {
+					t.Fatalf("checkpoint holds no %q:\n%s", tc.old, cp.State)
+				}
+				state = strings.Replace(string(cp.State), tc.old, tc.new, 1)
+			}
+			bad := *cp
+			bad.State = []byte(state)
+			_, err := Restore(snapWorkloads()[name], &bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsOutOfRange edits a task id, resource index or count of
+// a channels-generic checkpoint to a value no writer produces: at 5 ms,
+// with tasks ready, waiting and holding; at 18 ms, with every machine done
+// and no timer, where a negative count would skip its loop unnoticed.
+// Restore must refuse each with an error, not panic or resume.
+func TestRestoreRejectsOutOfRange(t *testing.T) {
+	w := snapWorkloads()["channels-generic"]
+	checkpoints := map[sim.Time]*Checkpoint{}
+	for _, at := range []sim.Time{5 * sim.Millisecond, 18 * sim.Millisecond} {
+		s, err := NewSession(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoints[at], err = s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name     string
+		at       sim.Time // the checkpoint's instant, in ms
+		old, new string   // old is a regexp; every match becomes new
+		want     string
+	}{
+		{"ready task id above range", 5, `\nready 2 0 13\n`, "\nready 2 99 0\n", "bad task id 99 in ready list"},
+		{"negative ready task id", 5, `\nready 2 0 13\n`, "\nready 2 -1 13\n", "bad task id -1 in ready list"},
+		{"holder task id above range", 5, `\nr 2 2 1\n`, "\nr 2 99 1\n", "bad task id 99 in r list"},
+		{"resource index below -1", 5, ` wres=1 `, " wres=-2 ", "waits on resource -2 of 2"},
+		{"negative stack depth", 18, `\nstk 0\n`, "\nstk -1\n", "machine 0 has stack depth -1"},
+		{"negative timer count", 18, `\ntimers 0\n`, "\ntimers -1\n", "snapshot has -1 timers"},
+		{"negative record count", 18, `(?s)\nrecs .*`, "\nrecs -1\n", "snapshot has -1 trace records"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := checkpoints[tc.at*sim.Millisecond]
+			state := regexp.MustCompile(tc.old).ReplaceAllLiteral(cp.State, []byte(tc.new))
+			if bytes.Equal(state, cp.State) {
+				t.Fatalf("checkpoint holds no %s:\n%s", tc.old, cp.State)
+			}
+			bad := *cp
+			bad.State = state
+			_, err := Restore(w, &bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// raceEnabled reports a build with the race detector (see race_test.go).
+var raceEnabled bool
+
+// TestSnapshotRestoreAllocs pins the allocations of one Snapshot and one
+// Restore of a channels-generic session at 5 ms (62 trace records), so
+// the codec's per-line cost cannot creep back: writing appends to one
+// buffer, and reading parses each line straight into the fields it
+// names. The race detector moves allocations to the heap, so the test
+// does not run under it.
+func TestSnapshotRestoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const wantSnapshot, wantRestore = 29, 53
+	w := snapWorkloads()["channels-generic"]
+	s, err := NewSession(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(5 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	snapshot := testing.AllocsPerRun(20, func() {
+		if cp, err = s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	restore := testing.AllocsPerRun(20, func() {
+		if _, err := Restore(w, cp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if snapshot != float64(wantSnapshot) || restore != float64(wantRestore) {
+		t.Errorf("Snapshot allocates %.0f times and Restore %.0f, want %d and %d",
+			snapshot, restore, wantSnapshot, wantRestore)
+	}
+}

@@ -145,9 +145,6 @@ func (k *Kernel) enqueueReady(p *Proc) { k.ready = append(k.ready, p) }
 // enqueueNext schedules p into the next delta cycle.
 func (k *Kernel) enqueueNext(p *Proc) { k.next = append(k.next, p) }
 
-// hasReady reports whether the current delta cycle has runnable processes.
-func (k *Kernel) hasReady() bool { return k.readyAt < len(k.ready) }
-
 // popReady dequeues the next runnable process of the current delta cycle.
 func (k *Kernel) popReady() *Proc {
 	if k.readyAt >= len(k.ready) {

@@ -182,9 +182,6 @@ func NewBus(sinks ...Sink) *Bus {
 	return &Bus{sinks: sinks}
 }
 
-// AddSink registers another sink.
-func (b *Bus) AddSink(s Sink) { b.sinks = append(b.sinks, s) }
-
 // Emit forwards one event to every sink.
 func (b *Bus) Emit(e Event) {
 	for _, s := range b.sinks {

@@ -126,10 +126,14 @@ step "timer queue ordering + differential harness" go test -run 'TestDifferentia
 # instant and restored into a fresh session must finish with
 # byte-identical traces and statistics across the simcheck matrix — plus
 # the rtc snapshot suite (determinism, forking, structure-hash
-# rejection). (go test ./... above already ran these; the explicit pass
-# keeps the checkpoint contract visible in the gate.)
+# rejection, impossible-state rejection, the snapshot/restore alloc pin)
+# and the core.StateCodec unit tests (the one codec both directions use:
+# round trips, exact-spelling refusals, sticky errors). (go test ./...
+# above already ran these; the explicit pass keeps the checkpoint
+# contract visible in the gate.)
 step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run 'TestCheckpoint' -count=1 ./internal/simcheck
 step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run 'TestSnapshot|TestRestore' -count=1 ./internal/rtc
+step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run 'TestStateCodec' -count=1 ./internal/core
 
 # Design-space-exploration gates: memoization accounting (a repeated
 # sweep must be answered 100% from the content-hash cache, byte-identical
