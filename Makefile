@@ -38,8 +38,9 @@ fuzz-eventlog: ## native Go fuzzing of the campaign event-log recovery path and 
 simd: ## build the campaign server daemon
 	go build ./cmd/simd
 
-campaign-resume: ## kill-and-restart differential matrix: crash at every log position, resume, diff against golden (jobs 1 and 8, race detector)
-	go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 -v ./internal/campaign | tail -5
+campaign-resume: ## kill-and-restart differential matrix: crash at every log position of cold and warm jobs, resume, diff against golden (jobs 1 and 8, race detector); one execution per distinct dse cell key; the event log's group-commit tests
+	go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestDSEDistinctKeysRunOnce' -count=1 -v ./internal/campaign | tail -5
+	go test -race -count=1 ./internal/campaign/eventlog
 
 perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s)
 	cd perfbench && go test ./...

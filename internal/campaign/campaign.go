@@ -7,6 +7,18 @@
 // from the content-addressed result cache (never re-executed), lost
 // leases are requeued, and the finished campaign's results, receipts
 // and canonical run state are byte-identical to an uninterrupted run.
+//
+// The journal is group-committed (see eventlog): records are buffered
+// and written only where durability is owed. Submit commits
+// job.accepted before it returns the ID; Open commits the job.failed of
+// every stale job before it returns; a cell that misses the cache
+// commits cell.started before it executes and cell.done after its bytes
+// are in the cache; and a job's terminal record is committed before
+// Done's channel closes. A cache-served cell's two records ride along
+// with the next commit, so a warm job writes its journal twice. A kill
+// loses at most the records appended since the last commit: cells whose
+// bytes the cache already holds, which the resumed server serves from
+// the cache without executing them again. Nothing is fsynced.
 package campaign
 
 import (
@@ -227,7 +239,7 @@ func (s *Server) resume(st *runstate.State) error {
 			s.queue <- j
 		}
 	}
-	return nil
+	return s.log.Commit() // the stale jobs' job.failed records
 }
 
 // rebuildCells rebuilds an unfinished job's cells from its journaled
@@ -285,10 +297,9 @@ func (s *Server) Submit(kind string, payload []byte) (id string, dup bool, err e
 		status:   runstate.StatusQueued,
 		done:     make(chan struct{}),
 	}
-	if err := s.log.Append(runstate.EvJobAccepted, runstate.JobAccepted{
+	if err := s.journal(runstate.EvJobAccepted, runstate.JobAccepted{
 		ID: id, Kind: kind, Key: key, Cells: cellKeys, Payload: payload,
-	}); err != nil {
-		s.noteLogErr(err)
+	}, true); err != nil {
 		s.reg.Forget(key)
 		s.nextID--
 		s.mu.Unlock()
@@ -334,8 +345,9 @@ func (s *Server) process(j *Job) {
 	j.reports = make([]*telemetry.Report, len(j.cells))
 	j.mu.Unlock()
 
+	fl := &flights{}
 	results := runner.Map(len(j.cells), runner.Options{Jobs: s.opts.Jobs, Retry: 1},
-		func(i int) ([]byte, error) { return s.runCell(j, i) })
+		func(i int) ([]byte, error) { return s.runCell(j, i, fl) })
 
 	if s.dead.Load() {
 		return // mid-crash: the resumed server finishes this job
@@ -370,10 +382,9 @@ func (s *Server) process(j *Job) {
 		Job: j.ID, Kind: j.Kind, Key: j.Key, Cells: len(j.cells),
 		ResultHash: resHash, Requeued: requeued,
 	}, s.key)
-	if err := s.log.Append(runstate.EvJobDone, runstate.JobDone{
+	if err := s.journal(runstate.EvJobDone, runstate.JobDone{
 		ID: j.ID, ResultHash: resHash, Receipt: rcpt,
-	}); err != nil {
-		s.noteLogErr(err)
+	}, true); err != nil {
 		return
 	}
 	j.mu.Lock()
@@ -390,13 +401,16 @@ func (s *Server) process(j *Job) {
 // protocol that makes completed work crash-proof:
 //
 //	recovered-done cell: fetch from cache, verify hash, journal nothing
-//	otherwise: journal cell.started → cache probe → on miss execute and
-//	           PutBytes BEFORE journaling cell.done
+//	otherwise: journal cell.started → cache probe → on miss commit,
+//	           execute and PutBytes BEFORE journaling and committing
+//	           cell.done
 //
 // Because the bytes hit the cache before the completion record hits the
 // log, a crash between the two costs only the journal entry: the resumed
-// lease finds the bytes in the cache and never re-executes.
-func (s *Server) runCell(j *Job, i int) ([]byte, error) {
+// lease finds the bytes in the cache and never re-executes. For the same
+// reason a cache-served cell commits nothing: its records ride along
+// with the next commit, and a kill that loses them costs a cache read.
+func (s *Server) runCell(j *Job, i int, fl *flights) ([]byte, error) {
 	if j.cancelled.Load() {
 		return nil, errCancelled
 	}
@@ -414,44 +428,81 @@ func (s *Server) runCell(j *Job, i int) ([]byte, error) {
 		}
 		return b, nil
 	}
-	if err := s.log.Append(runstate.EvCellStarted, runstate.CellStarted{Job: j.ID, Idx: i}); err != nil {
-		s.noteLogErr(err)
+	if err := s.journal(runstate.EvCellStarted, runstate.CellStarted{Job: j.ID, Idx: i}, false); err != nil {
 		return nil, err
 	}
 	b, cached := s.cache.GetBytes(c.key)
 	if !cached {
-		var rep *telemetry.Report
 		var err error
-		b, rep, err = c.run()
-		if err != nil {
+		if b, cached, err = s.execute(j, i, fl); err != nil {
 			return nil, err
-		}
-		s.execs.Add(1)
-		if err := s.cache.PutBytes(c.key, b); err != nil {
-			// Journaling cell.done now would claim bytes that never
-			// reached disk; the next server life would fail the job.
-			return nil, err
-		}
-		if rep != nil {
-			j.mu.Lock()
-			j.reports[i] = rep
-			j.mu.Unlock()
 		}
 	}
 	sum := sha256.Sum256(b)
-	if err := s.log.Append(runstate.EvCellDone, runstate.CellDone{
+	if err := s.journal(runstate.EvCellDone, runstate.CellDone{
 		Job: j.ID, Idx: i, Hash: hex.EncodeToString(sum[:]), Cached: cached,
-	}); err != nil {
-		s.noteLogErr(err)
+	}, !cached); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
+// flights holds, for each cell key a job's workers have begun to
+// execute, a channel closed when that execution ends.
+type flights struct {
+	mu sync.Mutex
+	m  map[string]chan struct{}
+}
+
+// execute runs cell i after it missed the cache, so that a job runs
+// each distinct key once: a worker that finds another executing the
+// same key waits for that execution and then takes the cache hit,
+// returning cached true. If that execution failed, the waiter runs the
+// cell itself. An executing worker commits its cell.started first.
+func (s *Server) execute(j *Job, i int, fl *flights) ([]byte, bool, error) {
+	c := &j.cells[i]
+	own := make(chan struct{})
+	defer close(own)
+	fl.mu.Lock()
+	wait := fl.m[c.key]
+	if wait == nil {
+		if fl.m == nil {
+			fl.m = map[string]chan struct{}{}
+		}
+		fl.m[c.key] = own
+	}
+	fl.mu.Unlock()
+	if wait != nil {
+		<-wait
+		if b, ok := s.cache.GetBytes(c.key); ok {
+			return b, true, nil
+		}
+	}
+	if err := s.log.Commit(); err != nil {
+		s.noteLogErr(err)
+		return nil, false, err
+	}
+	b, rep, err := c.run()
+	if err != nil {
+		return nil, false, err
+	}
+	s.execs.Add(1)
+	if err := s.cache.PutBytes(c.key, b); err != nil {
+		// Journaling cell.done now would claim bytes that never
+		// reached disk; the next server life would fail the job.
+		return nil, false, err
+	}
+	if rep != nil {
+		j.mu.Lock()
+		j.reports[i] = rep
+		j.mu.Unlock()
+	}
+	return b, false, nil
+}
+
 func (s *Server) finishFailed(j *Job, cause error) {
 	msg := stableErr(cause)
-	if err := s.log.Append(runstate.EvJobFailed, runstate.JobFailed{ID: j.ID, Error: msg}); err != nil {
-		s.noteLogErr(err)
+	if err := s.journal(runstate.EvJobFailed, runstate.JobFailed{ID: j.ID, Error: msg}, true); err != nil {
 		return
 	}
 	j.mu.Lock()
@@ -463,8 +514,7 @@ func (s *Server) finishFailed(j *Job, cause error) {
 }
 
 func (s *Server) finishCancelled(j *Job) {
-	if err := s.log.Append(runstate.EvJobCancelled, runstate.JobCancelled{ID: j.ID}); err != nil {
-		s.noteLogErr(err)
+	if err := s.journal(runstate.EvJobCancelled, runstate.JobCancelled{ID: j.ID}, true); err != nil {
 		return
 	}
 	j.mu.Lock()
@@ -482,6 +532,17 @@ func stableErr(err error) string {
 		return fmt.Sprintf("panic: %v", pe.Value)
 	}
 	return err.Error()
+}
+
+// journal appends one record and, when commit is set, writes it with
+// every record buffered before it. A failure latches the server dead.
+func (s *Server) journal(typ string, data any, commit bool) error {
+	err := s.log.Append(typ, data)
+	if err == nil && commit {
+		err = s.log.Commit()
+	}
+	s.noteLogErr(err)
+	return err
 }
 
 // noteLogErr latches the server dead when the event log fails — after a
@@ -653,8 +714,9 @@ func (s *Server) CacheStats() dse.CacheStats { return s.cache.Stats() }
 func (s *Server) Executions() int64 { return s.execs.Load() }
 
 // SetCrashAfter arms the event log's crash drill: the nth Append from
-// now writes only a torn prefix and the server latches dead. Test
-// instrumentation for the kill-and-restart harness.
+// now loses every uncommitted record, bar a torn prefix of torn bytes,
+// and the server latches dead. Test instrumentation for the
+// kill-and-restart harness.
 func (s *Server) SetCrashAfter(n int, torn int) { s.log.SetCrashAfter(n, torn) }
 
 // LogRecords re-reads and decodes the event log from disk (longest

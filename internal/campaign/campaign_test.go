@@ -212,6 +212,47 @@ func TestDSESweepSharesCellsWithTaskset(t *testing.T) {
 	}
 }
 
+// TestDSEDistinctKeysRunOnce: a sweep whose cells share one key — an
+// axis value inert under the other axes, or two names for one policy —
+// executes that key once however many workers run it, and its result
+// and receipt are the one-worker run's.
+func TestDSEDistinctKeysRunOnce(t *testing.T) {
+	for name, axes := range map[string]string{
+		"inert quantum":  `[{"name": "policy", "values": ["edf"]}, {"name": "quantumUs", "values": ["250", "500", "750", "1000"]}]`,
+		"aliased policy": `[{"name": "policy", "values": ["prio", "priority"]}]`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sweep := fmt.Sprintf(`{"base": %s, "axes": %s}`, tinySet, axes)
+			var want []byte
+			for _, jobs := range []int{1, 2, 8} {
+				s := openTestServer(t, t.TempDir(), jobs)
+				id, _, err := s.Submit(KindDSE, []byte(sweep))
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitDone(t, s, id)
+				if n := s.Executions(); n != 1 {
+					t.Errorf("jobs=%d: %d executions, want 1", jobs, n)
+				}
+				res, err := s.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rcpt, err := s.Receipt(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append(append(res, rcpt.Payload()...), rcpt.Sig...)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("jobs=%d: result and receipt differ from the one-worker run's:\n%s\nvs\n%s", jobs, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestCancelQueuedJob: a job cancelled while queued behind a running one
 // never executes, and its idempotency key is released for resubmission.
 func TestCancelQueuedJob(t *testing.T) {

@@ -12,6 +12,17 @@
 // valid record, never fails open — truncates the file there and appends
 // from that point on.
 //
+// Writes are group-committed. Append encodes a record, assigns its
+// sequence number and buffers it in memory; Commit writes every
+// buffered record with one write(2), and Close commits. The caller
+// commits where it owes durability, so a kill loses at most the records
+// appended since the last commit (and the file then ends at that
+// commit, or inside the lost tail, which replay drops). Seq counts
+// appended records, committed or not. Nothing is fsynced: a commit
+// survives a killed process, not a power loss. A failed or short write
+// latches the log: every later Append and Commit returns the first
+// error, so no record ever lands behind a gap or a torn one.
+//
 // Records deliberately carry no wall-clock time: the log of an
 // uninterrupted campaign and the log of the same campaign killed and
 // resumed materialize to identical run states (see campaign/runstate),
@@ -25,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -42,9 +54,9 @@ type Record struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// ErrCrash is returned by Append after the crash hook has fired (see
-// SetCrashAfter): the log has simulated a process kill — possibly
-// leaving a torn record on disk — and accepts no further writes.
+// ErrCrash is returned by Append and Commit after the crash hook has
+// fired (see SetCrashAfter): the log has simulated a process kill —
+// possibly leaving a torn tail on disk — and accepts no further writes.
 var ErrCrash = errors.New("eventlog: simulated crash (log closed to writes)")
 
 // Decode replays a log image and returns the records of its longest
@@ -101,22 +113,27 @@ func decodeLine(line []byte, wantSeq uint64) (Record, bool) {
 // HTML-escaped JSON as json.Marshal produces it (Append's is), and is
 // copied as is. Identical records encode to identical bytes.
 func Encode(rec Record) []byte {
-	out := make([]byte, len(magic)+9, len(magic)+9+len(`{"seq":,"type":"","data":}`)+20+len(rec.Type)+len(rec.Data)+1)
-	copy(out, magic)
-	out[len(magic)+8] = ' '
-	payload := len(out)
-	out = strconv.AppendUint(append(out, `{"seq":`...), rec.Seq, 10)
-	out = appendJSONString(append(out, `,"type":`...), rec.Type)
+	return appendRecord(make([]byte, 0, len(magic)+9+len(`{"seq":,"type":"","data":}`)+20+len(rec.Type)+len(rec.Data)+1), rec)
+}
+
+// appendRecord appends rec's framed line to b.
+func appendRecord(b []byte, rec Record) []byte {
+	start := len(b)
+	b = append(b, magic...)
+	b = append(b, "00000000 "...)
+	payload := len(b)
+	b = strconv.AppendUint(append(b, `{"seq":`...), rec.Seq, 10)
+	b = appendJSONString(append(b, `,"type":`...), rec.Type)
 	if len(rec.Data) > 0 {
-		out = append(append(out, `,"data":`...), rec.Data...)
+		b = append(append(b, `,"data":`...), rec.Data...)
 	}
-	out = append(out, '}')
-	crc := crc32.ChecksumIEEE(out[payload:])
-	for i := len(magic) + 7; i >= len(magic); i-- {
-		out[i] = hexDigits[crc&0xf]
+	b = append(b, '}')
+	crc := crc32.ChecksumIEEE(b[payload:])
+	for i := start + len(magic) + 7; i >= start+len(magic); i-- {
+		b[i] = hexDigits[crc&0xf]
 		crc >>= 4
 	}
-	return append(out, '\n')
+	return append(b, '\n')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -137,19 +154,31 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// pendingLimit bounds the bytes Append buffers: an Append that leaves
+// more than this uncommitted commits them itself, so a caller that
+// rarely commits (a long run of cache-served cells) still writes in
+// bounded chunks.
+const pendingLimit = 64 << 10
+
+// file is what a Log needs of its open journal file.
+type file interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // Log is an open journal positioned for appending. Safe for concurrent
-// Append from the campaign's cell workers.
+// Append and Commit from the campaign's cell workers.
 type Log struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	seq  uint64 // last written sequence number
+	mu      sync.Mutex
+	f       file
+	seq     uint64 // last appended sequence number
+	pending []byte // records appended since the last commit
+	err     error  // first write failure or ErrCrash; latched
 
 	// crash drill (SetCrashAfter)
-	crashArmed bool
-	crashIn    int // appends until the crash fires
-	torn       int // bytes of the crashing record that still reach disk
-	crashed    bool
+	crashIn int // appends until the crash fires; 0 = disarmed
+	torn    int // bytes of the uncommitted tail that still reach disk
 }
 
 // Open replays (and, if the tail is damaged, repairs) the journal at
@@ -176,14 +205,14 @@ func Open(path string) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("eventlog: %w", err)
 	}
-	l := &Log{f: f, path: path, seq: uint64(len(recs))}
-	return l, recs, nil
+	return &Log{f: f, seq: uint64(len(recs))}, recs, nil
 }
 
 // Append journals one record of the given type with data marshaled to
-// JSON, assigning the next sequence number. On a simulated crash the
-// record may reach disk only partially (torn) and ErrCrash is returned;
-// every subsequent Append also fails with ErrCrash without writing.
+// JSON: it assigns the next sequence number and buffers the record for
+// the next Commit. It writes only when the buffer passes pendingLimit.
+// After a write failure or a simulated crash it returns that error and
+// buffers nothing.
 func (l *Log) Append(typ string, data any) error {
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -191,32 +220,57 @@ func (l *Log) Append(typ string, data any) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCrash
+	if l.err != nil {
+		return l.err
 	}
-	rec := Encode(Record{Seq: l.seq + 1, Type: typ, Data: raw})
-	if l.crashArmed {
-		l.crashIn--
-		if l.crashIn <= 0 {
-			l.crashed = true
-			torn := l.torn
-			if torn > len(rec) {
-				torn = len(rec)
-			}
-			if torn > 0 {
-				l.f.Write(rec[:torn]) // best effort: the crash is the point
+	l.pending = appendRecord(l.pending, Record{Seq: l.seq + 1, Type: typ, Data: raw})
+	if l.crashIn > 0 {
+		if l.crashIn--; l.crashIn == 0 {
+			l.err = ErrCrash
+			if torn := min(l.torn, len(l.pending)); torn > 0 {
+				l.f.Write(l.pending[:torn]) // best effort: the crash is the point
 			}
 			return ErrCrash
 		}
 	}
-	if _, err := l.f.Write(rec); err != nil {
-		return fmt.Errorf("eventlog: append: %w", err)
-	}
 	l.seq++
+	if len(l.pending) > pendingLimit {
+		return l.commit()
+	}
 	return nil
 }
 
-// Seq returns the sequence number of the last durably appended record.
+// Commit writes every record appended since the last commit with one
+// write. After a failed or short write the log is latched: Commit and
+// Append return that first error from then on.
+func (l *Log) Commit() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commit()
+}
+
+func (l *Log) commit() error {
+	if l.err != nil || len(l.pending) == 0 {
+		return l.err
+	}
+	n, err := l.f.Write(l.pending)
+	if err == nil && n < len(l.pending) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		l.err = fmt.Errorf("eventlog: commit: %w", err)
+		return l.err
+	}
+	if cap(l.pending) > 2*pendingLimit {
+		l.pending = nil // one huge record: do not keep its buffer
+	} else {
+		l.pending = l.pending[:0]
+	}
+	return nil
+}
+
+// Seq returns the sequence number of the last appended record, whether
+// or not it has been committed.
 func (l *Log) Seq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -224,29 +278,37 @@ func (l *Log) Seq() uint64 {
 }
 
 // SetCrashAfter arms the crash drill: counting from now, the n-th Append
-// writes only the first torn bytes of its record (0 = nothing) and fails
-// with ErrCrash, as does every Append after it. The kill-and-restart
-// harness uses this to kill the server at randomized log positions with
-// a randomized torn tail; operators can use it for recovery drills on a
-// staging store.
+// simulates a kill. The file then holds the last commit plus the first
+// torn bytes (0 = none) of the uncommitted tail — the buffered records
+// and the crashing one — and that Append, like every Append and Commit
+// after it, fails with ErrCrash. The kill-and-restart harness uses this
+// to kill the server at randomized log positions with a randomized torn
+// tail; operators can use it for recovery drills on a staging store.
 func (l *Log) SetCrashAfter(n, torn int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.crashArmed = n > 0
-	l.crashIn = n
+	l.crashIn = max(n, 0)
 	l.torn = torn
 }
 
-// Sync flushes the journal to stable storage.
+// Sync commits and flushes the journal to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.commit(); err != nil {
+		return err
+	}
 	return l.f.Sync()
 }
 
-// Close closes the underlying file.
+// Close commits and closes the underlying file. A latched log is closed
+// as it stands, and Close returns the latched error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	err := l.commit()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

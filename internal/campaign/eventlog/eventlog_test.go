@@ -133,7 +133,8 @@ func TestRecoverDuplicateSequence(t *testing.T) {
 }
 
 // TestCrashDrill: the n-th append tears mid-record and latches the log
-// shut; reopening recovers exactly the pre-crash records.
+// shut; reopening recovers exactly the records committed before the
+// crash.
 func TestCrashDrill(t *testing.T) {
 	for torn := 0; torn < 20; torn += 7 {
 		path := filepath.Join(t.TempDir(), "events.log")
@@ -146,6 +147,9 @@ func TestCrashDrill(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := l.Append("b", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Append("c", nil); !errors.Is(err, ErrCrash) {

@@ -3,9 +3,14 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign/eventlog"
 	"repro/internal/campaign/receipt"
 	"repro/internal/campaign/runstate"
 )
@@ -84,14 +89,20 @@ type crashSpec struct {
 
 const harnessKey = "differential-harness-key"
 
-// runCampaign drives the workload over one campaign directory through
-// as many server lives as it takes: each life opens the directory
-// (resuming journaled state), idempotently resubmits every payload, and
-// either completes the campaign or dies at the armed crash position and
-// is restarted. Every life's recovered log must rebuild cleanly.
+// runCampaign drives the harness workload over one campaign directory
+// (see runWork).
 func runCampaign(t *testing.T, dir string, jobs int, crashes []crashSpec) artifacts {
 	t.Helper()
-	work := harnessWorkload()
+	return runWork(t, dir, jobs, harnessWorkload(), crashes)
+}
+
+// runWork drives a workload over one campaign directory through as many
+// server lives as it takes: each life opens the directory (resuming
+// journaled state), idempotently resubmits every payload, and either
+// completes the campaign or dies at the armed crash position and is
+// restarted. Every life's recovered log must rebuild cleanly.
+func runWork(t *testing.T, dir string, jobs int, work []submission, crashes []crashSpec) artifacts {
+	t.Helper()
 	ids := make([]string, len(work))
 	var execs int64
 	maxLives := len(crashes) + 60
@@ -291,6 +302,109 @@ func TestCrashResumeRepeatedKills(t *testing.T) {
 	diffArtifacts(t, "repeated kills", golden, got)
 	if want := int64(uniqueCellCount(t, harnessWorkload())); got.executions != want {
 		t.Errorf("%d cells executed across lives, want %d", got.executions, want)
+	}
+}
+
+// warmSweep fans tinySet out to 12 cells; axes lists its axes in the
+// order given.
+func warmSweep(axes ...string) submission {
+	all := map[string]string{
+		"policy":    `{"name": "policy", "values": ["priority", "edf", "rm"]}`,
+		"timeModel": `{"name": "timeModel", "values": ["coarse", "segmented"]}`,
+		"engine":    `{"name": "engine", "values": ["goroutine", "rtc"]}`,
+	}
+	var list []string
+	for _, a := range axes {
+		list = append(list, all[a])
+	}
+	return submission{KindDSE, fmt.Sprintf(`{"base": %s, "axes": [%s]}`, tinySet, strings.Join(list, ", "))}
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashResumeWarmMatrix kills a warm dse job — one whose every cell
+// the directory's cache already holds, as in a sweep re-run with its
+// axes reordered — once at every event-log position, at worker counts 1
+// and 8. A warm job commits only job.accepted and its terminal record,
+// so a kill in the cell phase loses every cell record: the log on disk
+// must end at job.accepted. The resumed job serves the lost cells from
+// the cache again, executes nothing, and finishes byte-identical to an
+// uninterrupted warm run.
+func TestCrashResumeWarmMatrix(t *testing.T) {
+	primed := t.TempDir()
+	runWork(t, primed, 1, []submission{warmSweep("policy", "timeModel", "engine")}, nil)
+	data, err := os.ReadFile(filepath.Join(primed, "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	primedRecs, _ := eventlog.Decode(data)
+	work := []submission{warmSweep("engine", "timeModel", "policy")}
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, primed, dir)
+			golden := runWork(t, dir, jobs, work, nil)
+			if golden.executions != 0 {
+				t.Fatalf("warm run executed %d cells, want 0", golden.executions)
+			}
+			for k := 1; k <= golden.events-len(primedRecs); k++ {
+				t.Run(fmt.Sprintf("kill@%d", k), func(t *testing.T) {
+					dir := t.TempDir()
+					copyTree(t, primed, dir)
+					s, err := Open(Options{Dir: dir, Jobs: jobs, Key: []byte(harnessKey)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.SetCrashAfter(k, (k%3)*7)
+					id, _, err := s.Submit(work[0].kind, []byte(work[0].payload))
+					if err == nil && waitAllOrHalt(t, s, []string{id}) {
+						t.Fatalf("kill@%d: the job finished", k)
+					}
+					s.Close()
+					recs, err := s.LogRecords()
+					if err != nil {
+						t.Fatal(err)
+					}
+					// A kill at job.accepted leaves the primed log, which ends
+					// at the primed job's job.done; any later kill leaves it
+					// plus the committed job.accepted.
+					want, last := len(primedRecs), runstate.EvJobDone
+					if k > 1 {
+						want, last = want+1, runstate.EvJobAccepted
+					}
+					if len(recs) != want || recs[want-1].Type != last {
+						t.Fatalf("kill@%d: log holds %d records ending at %s, want %d ending at %s",
+							k, len(recs), recs[len(recs)-1].Type, want, last)
+					}
+					got := runWork(t, dir, jobs, work, nil)
+					got.executions += s.Executions()
+					diffArtifacts(t, fmt.Sprintf("kill@%d", k), golden, got)
+					if got.executions != 0 {
+						t.Errorf("kill@%d: %d cells executed across lives, want 0", k, got.executions)
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -15,9 +15,10 @@
 #     dispatch overhead guard;
 #   - the committed performance baselines (BENCH_kernel.json,
 #     BENCH_dse.json): allocation counts exactly, ns/op within 100 %;
-#   - campaign crash-resume at jobs 1 and 8 under the race detector,
-#     the campaign journal golden, dse key equivalence and the dse
-#     submit allocation budget;
+#   - campaign crash-resume at jobs 1 and 8 under the race detector
+#     (cold and warm jobs), the campaign journal golden, dse key
+#     equivalence, the dse submit allocation budget, one execution per
+#     distinct dse cell key, and the event log's group-commit tests;
 #   - a bounded simfuzz soak and the fault-injection smoke.
 #
 #   ./scripts/check.sh                       # full gate (a few minutes)
@@ -172,15 +173,23 @@ step "simbench DSE baseline check (BENCH_dse.json)" go run ./cmd/simbench -suite
 # byte-identical to the uninterrupted golden run — results, signed
 # receipts, canonical run state — with zero completed cells re-executed
 # (cache-hit accounting), at worker counts 1 and 8 under the race
-# detector. The journal golden pins the bytes of a one-worker campaign's
-# event log, results and receipts, so cell keys, idempotency keys and
-# journal lines cannot drift from what persisted directories hold. The
-# dse key-equivalence test checks that a sweep's keys, built from one
-# rendering of the base's task lines, equal the keys of each variant
-# rendered whole, and the submit allocation budget keeps that rendering
-# once per job. (go test -race ./... above already ran these; the
+# detector. The warm matrix kills a job whose cells are all cached at
+# every log position, inside the window where its group-committed cell
+# records are still buffered, and checks they are lost and re-served
+# without executing. The journal golden pins the bytes of a one-worker
+# campaign's event log, results and receipts, so cell keys, idempotency
+# keys and journal lines cannot drift from what persisted directories
+# hold. The dse key-equivalence test checks that a sweep's keys, built
+# from one rendering of the base's task lines, equal the keys of each
+# variant rendered whole, and the submit allocation budget keeps that
+# rendering once per job. The distinct-keys test checks that a sweep
+# whose cells share a key executes it once at any worker count. The
+# event log's own tests pin the group commit: Append buffers, Commit
+# writes once, a kill loses only uncommitted records, and a failed write
+# latches the log. (go test -race ./... above already ran these; the
 # explicit pass keeps the crash-resume contract visible in the gate.)
-step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestJournalGolden|TestDSEKeyEquivalence|TestDSESubmitAllocBudget' -count=1 ./internal/campaign
+step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestJournalGolden|TestDSEKeyEquivalence|TestDSESubmitAllocBudget|TestDSEDistinctKeysRunOnce' -count=1 ./internal/campaign
+step "campaign crash-resume differential matrix (jobs 1 and 8)" go test -race -count=1 ./internal/campaign/eventlog
 
 # Soak the scheduler with fresh seeds (offset so they do not just repeat
 # the seeds go test already covered); 4 seeds in flight exercises the
