@@ -18,7 +18,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/synth"
 	"repro/internal/taskset"
 	"repro/internal/ukernel"
@@ -329,12 +328,12 @@ func BenchmarkSMPDhall(b *testing.B) {
 	var missed int
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		os := smp.New(k, "SMP", smp.FixedPriority{}, 2, true)
+		os := core.New(k, "SMP", core.RMPolicy{}, core.WithCPUs(2), core.WithTimeModel(core.TimeModelSegmented))
 		specs := []struct {
 			name         string
 			period, wcet sim.Time
 		}{{"light1", 100, 10}, {"light2", 100, 10}, {"heavy", 105, 100}}
-		var tasks []*smp.Task
+		var tasks []*core.Task
 		for _, s := range specs {
 			s := s
 			task := os.TaskCreate(s.name, core.Periodic, s.period, s.wcet, 0)
@@ -348,7 +347,7 @@ func BenchmarkSMPDhall(b *testing.B) {
 				os.TaskTerminate(p)
 			})
 		}
-		os.AssignRateMonotonic()
+		os.Start(nil) // global RM: priorities by period
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

@@ -451,7 +451,11 @@ func TestSubmitRejectsMalformedPayloads(t *testing.T) {
 		{"sdl empty", KindSDL, `{}`, "source"},
 		{"sdl bad model", KindSDL, `{"source": "behavior B {"}`, "sdl"},
 		{"fault no seeds", KindFault, `{}`, "seed"},
-		{"dse no base", KindDSE, `{"axes":[{"name":"policy","values":["rr"]}]}`, "base"},
+		{"dse no base", KindDSE, `{"axes":[{"name":"policy","values":["rr"]}]}`, `campaign: dse job needs a "base" task set`},
+		{"dse null base", KindDSE, `{"base": null, "axes":[{"name":"policy","values":["rr"]}]}`, `campaign: dse job needs a "base" task set`},
+		{"dse base field mistyped", KindDSE, `{"base": {"policy": 7, "tasks": [{"name":"a","periodUs":100,"wcetUs":10}]}, "axes":[{"name":"policy","values":["rr"]}]}`,
+			"campaign: dse job: json: cannot unmarshal number into Go struct field Set.base.policy of type string"},
+		{"dse invalid base", KindDSE, `{"base": {"tasks": []}, "axes":[{"name":"policy","values":["rr"]}]}`, "taskset: no tasks"},
 		{"dse no axes", KindDSE, fmt.Sprintf(`{"base": %s}`, tinySet), "axis"},
 		{"dse unknown axis", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"magic","values":["on"]}]}`, tinySet), "magic"},
 		{"dse invalid variant", KindDSE, fmt.Sprintf(`{"base": %s, "axes":[{"name":"policy","values":["psychic"]}]}`, tinySet), "psychic"},

@@ -289,8 +289,8 @@ type dseAxis struct {
 }
 
 type dseJob struct {
-	Base json.RawMessage `json:"base"`
-	Axes []dseAxis       `json:"axes"`
+	Base *taskset.Set `json:"base"`
+	Axes []dseAxis    `json:"axes"`
 }
 
 // dseAxes are the task-set knobs a sweep may vary — the same fork knobs
@@ -301,15 +301,16 @@ var dseAxes = map[string]bool{
 }
 
 func buildDSEJob(payload []byte) (string, []cellSpec, error) {
+	// The base decodes in place, in the one pass over the payload.
 	var j dseJob
 	if err := json.Unmarshal(payload, &j); err != nil {
 		return "", nil, fmt.Errorf("campaign: dse job: %v", err)
 	}
-	if len(j.Base) == 0 {
+	base := j.Base
+	if base == nil {
 		return "", nil, fmt.Errorf("campaign: dse job needs a \"base\" task set")
 	}
-	base, err := taskset.Parse(j.Base)
-	if err != nil {
+	if err := base.Validate(); err != nil {
 		return "", nil, err
 	}
 	if len(j.Axes) == 0 {
@@ -402,7 +403,7 @@ func axisNumber(name, val string) (float64, error) {
 
 // applyConfig returns a copy of base with the configuration's axis
 // values applied. Axes set only run fields, so of a validated base
-// (taskset.Parse) only those are checked again: the variant is then as
+// (Set.Validate) only those are checked again: the variant is then as
 // valid as any submitted task set.
 func applyConfig(base *taskset.Set, cfg dse.Config) (*taskset.Set, error) {
 	v := *base

@@ -671,7 +671,7 @@ type observerLog struct {
 func (o *observerLog) OnTaskState(at sim.Time, t *Task, old, new TaskState) {
 	o.states = append(o.states, fmt.Sprintf("%v:%s:%s->%s", at, t.Name(), old, new))
 }
-func (o *observerLog) OnDispatch(at sim.Time, prev, next *Task) {
+func (o *observerLog) OnDispatch(at sim.Time, cpu int, prev, next *Task) {
 	name := func(t *Task) string {
 		if t == nil {
 			return "-"

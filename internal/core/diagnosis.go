@@ -432,38 +432,30 @@ func (s *Sched) Diagnosis() *DiagnosisError { return s.diagnosis }
 
 // RecordDiagnosis stores the first diagnosis and fans it out to
 // DiagnosisObserver implementations.
-func (s *Sched) RecordDiagnosis(d *DiagnosisError) { RecordDiagnosis(&s.diagnosis, d, s.observers) }
-
-// RecordDiagnosis keeps the first diagnosis of a run in *first and hands
-// d to every observer that implements DiagnosisObserver; the uniprocessor
-// and SMP schedulers share it.
-func RecordDiagnosis[O any](first **DiagnosisError, d *DiagnosisError, observers []O) {
-	if *first == nil {
-		*first = d
+func (s *Sched) RecordDiagnosis(d *DiagnosisError) {
+	if s.diagnosis == nil {
+		s.diagnosis = d
 	}
-	for _, o := range observers {
-		if do, ok := any(o).(DiagnosisObserver); ok {
+	for _, o := range s.observers {
+		if do, ok := o.(DiagnosisObserver); ok {
 			do.OnDiagnosis(d.At, d)
 		}
 	}
 }
 
-// AllDone reports whether tasks is non-empty and every task in it has
+// AllTasksDone reports whether tasks were created and every one has
 // terminated.
-func AllDone[T interface{ State() TaskState }](tasks []T) bool {
-	if len(tasks) == 0 {
+func (s *Sched) AllTasksDone() bool {
+	if len(s.tasks) == 0 {
 		return false
 	}
-	for _, t := range tasks {
-		if t.State().Alive() {
+	for _, t := range s.tasks {
+		if t.state.Alive() {
 			return false
 		}
 	}
 	return true
 }
-
-// AllTasksDone reports whether every created task has terminated.
-func (s *Sched) AllTasksDone() bool { return AllDone(s.tasks) }
 
 // DiagnoseStall builds the structural diagnosis of the current blockage
 // at now: nil when no alive task is blocked on a peer; otherwise a
@@ -519,15 +511,15 @@ func (s *Sched) WatchdogDiagnose(now, window sim.Time, pendingTimers int, daemon
 	// Hidden stall: nothing runnable and no timer other than the
 	// watchdog's own (just fired, not yet re-armed) — without the watchdog
 	// the kernel itself would have reported the stall.
-	if len(s.rq) == 0 && s.current == nil && pendingTimers == 0 {
+	if len(s.rq) == 0 && s.running() == 0 && pendingTimers == 0 {
 		return s.DiagnoseStall(now, daemon)
 	}
 	// Starvation: runnable work exists but nothing was dispatched for a
-	// full window.
+	// full window. The CPU's holder is named on one CPU only.
 	if len(s.rq) > 0 {
 		d := &DiagnosisError{PE: s.name, Kind: DiagStarvation, At: now, Window: window}
 		holder := ""
-		if s.current != nil {
+		if s.current != nil && s.cpus == nil {
 			holder = s.current.name
 		}
 		for _, t := range s.tasks {
@@ -542,7 +534,7 @@ func (s *Sched) WatchdogDiagnose(now, window sim.Time, pendingTimers int, daemon
 }
 
 // Watchdog is the verdict rule every watchdog loop shares (this package's
-// OS, internal/smp and the run-to-completion engine): the dispatch stamp
+// OS and the run-to-completion engine): the dispatch stamp
 // seen at the previous check and whether that check already saw
 // starvation. Each loop keeps only its own sleep.
 type Watchdog struct {

@@ -205,6 +205,16 @@ func TestAccessors(t *testing.T) {
 	if task.Deadline() != sim.Forever {
 		t.Errorf("initial deadline = %v", task.Deadline())
 	}
+	if task.State() != TaskCreated || task.cpu != -1 || task.CPUTime() != 0 ||
+		task.Activations() != 0 || task.MissedDeadlines() != 0 || task.Migrations() != 0 {
+		t.Error("fresh task has nonzero counters or a CPU")
+	}
+	if os.ncpu() != 1 {
+		t.Errorf("ncpu = %d", os.ncpu())
+	}
+	if n := New(k, "SMP", EDFPolicy{}, WithCPUs(3)).ncpu(); n != 3 {
+		t.Errorf("ncpu with WithCPUs(3) = %d", n)
+	}
 	if s := task.String(); s == "" {
 		t.Error("empty task String()")
 	}

@@ -33,7 +33,7 @@ func (o *statObserver) OnTaskState(at sim.Time, t *Task, old, new TaskState) {
 	o.states[t] = new
 }
 
-func (o *statObserver) OnDispatch(at sim.Time, prev, next *Task) {
+func (o *statObserver) OnDispatch(at sim.Time, cpu int, prev, next *Task) {
 	if next == nil {
 		return
 	}
@@ -53,7 +53,7 @@ func (o *statObserver) OnIRQ(at sim.Time, name string, enter bool) {
 }
 
 func (o *statObserver) OnRelease(at sim.Time, t *Task)              { o.releases++ }
-func (o *statObserver) OnPreempt(at sim.Time, t *Task, by *Task)    { o.preemptions++ }
+func (o *statObserver) OnPreempt(at sim.Time, cpu int, t, by *Task) { o.preemptions++ }
 func (o *statObserver) OnBlock(at sim.Time, t *Task, r BlockReason) { o.blocks++ }
 func (o *statObserver) OnUnblock(at sim.Time, t *Task, r BlockReason) {
 	o.unblocks++
@@ -228,10 +228,10 @@ type funcObserverExt struct {
 }
 
 func (f *funcObserverExt) OnTaskState(sim.Time, *Task, TaskState, TaskState) {}
-func (f *funcObserverExt) OnDispatch(sim.Time, *Task, *Task)                 {}
+func (f *funcObserverExt) OnDispatch(sim.Time, int, *Task, *Task)            {}
 func (f *funcObserverExt) OnIRQ(sim.Time, string, bool)                      {}
 func (f *funcObserverExt) OnRelease(sim.Time, *Task)                         {}
-func (f *funcObserverExt) OnPreempt(sim.Time, *Task, *Task)                  {}
+func (f *funcObserverExt) OnPreempt(sim.Time, int, *Task, *Task)             {}
 func (f *funcObserverExt) OnBlock(at sim.Time, t *Task, r BlockReason) {
 	if f.onBlock != nil {
 		f.onBlock(at, t, r)

@@ -40,9 +40,10 @@ func (m TimeModel) String() string {
 type Observer interface {
 	// OnTaskState fires on every task state transition.
 	OnTaskState(at sim.Time, t *Task, old, new TaskState)
-	// OnDispatch fires when the CPU is handed over; prev and/or next may
-	// be nil (idle).
-	OnDispatch(at sim.Time, prev, next *Task)
+	// OnDispatch fires when CPU slot cpu (always 0 on one CPU) is handed
+	// over; prev and/or next may be nil (idle). On several CPUs a slot
+	// is vacated (next nil) and filled (prev nil) in separate calls.
+	OnDispatch(at sim.Time, cpu int, prev, next *Task)
 	// OnIRQ fires on InterruptEnter (enter=true) and InterruptReturn.
 	OnIRQ(at sim.Time, name string, enter bool)
 }
@@ -115,10 +116,10 @@ type ObserverExt interface {
 	// periodic task's next release, or re-activation after TaskSleep. The
 	// callback instant is the job's release time.
 	OnRelease(at sim.Time, t *Task)
-	// OnPreempt fires when t involuntarily loses the CPU (a preferred
-	// task became ready, or its round-robin slice expired). by is the
-	// best ready task at that instant and may be nil.
-	OnPreempt(at sim.Time, t *Task, by *Task)
+	// OnPreempt fires when t involuntarily loses CPU slot cpu (a
+	// preferred task became ready, or its round-robin slice expired). by
+	// is the best ready task at that instant and may be nil.
+	OnPreempt(at sim.Time, cpu int, t *Task, by *Task)
 	// OnBlock fires when t leaves the CPU for a waiting state.
 	OnBlock(at sim.Time, t *Task, reason BlockReason)
 	// OnUnblock fires when t re-enters the ready queue from a waiting
@@ -177,6 +178,10 @@ func WithTimeModel(m TimeModel) Option { return func(o *OS) { o.tmodel = m } }
 
 // WithContextSwitchCost models a fixed kernel overhead per context switch.
 func WithContextSwitchCost(d sim.Time) Option { return func(o *OS) { o.ctxCost = d } }
+
+// WithCPUs gives the instance n identical CPUs under one global
+// scheduler (default 1). It panics unless 1 <= n <= 32767.
+func WithCPUs(n int) Option { return func(o *OS) { o.setCPUs(n) } }
 
 // New creates an RTOS model instance named name (typically the PE name) on
 // kernel k with the given scheduling policy.
@@ -276,7 +281,7 @@ func (os *OS) TaskKill(p *sim.Proc, t *Task) {
 		return
 	}
 	now := os.k.Now()
-	if t == os.current {
+	if t.cpu >= 0 {
 		os.wake(p, os.Block(now, t, TaskKilled))
 		p.Kill(t.proc) // unwinds the caller
 		return
@@ -364,6 +369,8 @@ func (os *OS) TimeWait(p *sim.Proc, d sim.Time) {
 	}
 	if os.ShouldPreempt(t) {
 		os.yieldCPU(p, t)
+	} else if os.cpus != nil {
+		os.decideFrom(p) // an idle CPU takes waiting work
 	}
 }
 
@@ -465,23 +472,34 @@ func (s *Sched) NotifyEvent(now sim.Time, e *OSEvent) bool {
 // ---------------------------------------------------------------------------
 // Goroutine-engine glue: the Sched transitions plus process parking.
 
-// mustCurrent asserts the calling process is the running task.
+// mustCurrent asserts the calling process is a running task and returns
+// it.
 func (os *OS) mustCurrent(p *sim.Proc, op string) *Task {
-	t := os.current
-	if t == nil || t.proc != p {
-		cur := "idle"
-		if t != nil {
-			cur = t.name
-		}
-		panic(fmt.Sprintf("core[%s]: %s called by process %q but running task is %s",
-			os.name, op, p.Name(), cur))
+	if t := os.current; t != nil && t.proc == p {
+		return t
 	}
-	return t
+	for _, c := range os.cpus {
+		if c.run != nil && c.run.proc == p {
+			return c.run
+		}
+	}
+	cur := "idle"
+	if t := os.current; t != nil {
+		cur = t.name
+	}
+	panic(fmt.Sprintf("core[%s]: %s called by process %q but running task is %s",
+		os.name, op, p.Name(), cur))
 }
 
 // wake hands the CPU to a task the scheduler dispatched: its process is
-// parked in waitUntilDispatched unless it is the caller itself.
+// parked in waitUntilDispatched unless it is the caller itself. On
+// several CPUs a transition that frees a slot dispatches nothing (next
+// is nil); a global decision refills the slots instead.
 func (os *OS) wake(p *sim.Proc, next *Task) {
+	if next == nil && os.cpus != nil {
+		os.decideFrom(p)
+		return
+	}
 	if next != nil && next.proc != p {
 		p.Notify(next.dispatch)
 	}
@@ -497,25 +515,31 @@ func (os *OS) yieldCPU(p *sim.Proc, t *Task) {
 
 // decideFrom performs a scheduling decision from an arbitrary context:
 // the running task (which may lose the CPU), an ISR, or an unbound task
-// process releasing itself.
+// process releasing itself. On several CPUs it repeats the decision
+// while it dispatches.
 func (os *OS) decideFrom(p *sim.Proc) {
-	cur := os.current
-	t, d := os.Decide(os.k.Now(), cur != nil && cur.proc == p)
-	switch d {
-	case Wake:
-		os.wake(p, t)
-	case Yield:
-		os.yieldCPU(p, t)
-	case Interrupt:
-		p.Notify(t.preempt)
+	for {
+		cur := os.current
+		t, d := os.Decide(os.k.Now(), cur != nil && cur.proc == p)
+		switch d {
+		case Wake:
+			os.wake(p, t)
+		case Yield:
+			os.yieldCPU(p, t)
+		case Interrupt:
+			p.Notify(t.preempt)
+		}
+		if d != Wake || t == nil || os.cpus == nil {
+			return
+		}
 	}
 }
 
-// waitUntilDispatched parks the calling task until the dispatcher makes it
-// current. The predicate loop makes the handshake robust against lost or
+// waitUntilDispatched parks the calling task until the dispatcher gives
+// it a CPU. The predicate loop makes the handshake robust against lost or
 // spurious notifications of the per-task dispatch event.
 func (os *OS) waitUntilDispatched(p *sim.Proc, t *Task) {
-	for os.current != t {
+	for t.cpu < 0 {
 		p.Wait(t.dispatch)
 	}
 	if os.ctxCost > 0 && t.chargeSwitch {

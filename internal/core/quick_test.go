@@ -110,7 +110,7 @@ func (o *invariantObserver) OnTaskState(at sim.Time, task *Task, old, new TaskSt
 	}
 }
 
-func (o *invariantObserver) OnDispatch(at sim.Time, prev, next *Task) {
+func (o *invariantObserver) OnDispatch(at sim.Time, cpu int, prev, next *Task) {
 	if next == nil {
 		return
 	}

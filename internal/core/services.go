@@ -46,7 +46,7 @@ func (os *OS) SuspendTimeout(p *sim.Proc, ws TaskState, site string, tmo sim.Tim
 	checkWaitState(ws)
 	os.wake(p, os.BlockAt(os.k.Now(), t, ws, site))
 	deadline := os.k.Now() + tmo
-	for os.current != t && t.state == ws {
+	for t.cpu < 0 && t.state == ws {
 		remaining := deadline - os.k.Now()
 		if remaining > 0 && p.WaitTimeout(t.dispatch, remaining) {
 			continue // dispatch notification: loop re-checks

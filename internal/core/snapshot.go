@@ -320,7 +320,7 @@ func taskID(t *Task) int {
 // dispatch order and the resource holders of the wait-for graph. Reading
 // needs a Sched set up with the same tasks and resources. The policy may
 // differ: ready tasks are ranked under the current one, keeping their
-// FIFO order.
+// FIFO order. It states one CPU, all the run-to-completion engine drives.
 func (s *Sched) State(c *StateCodec) {
 	cur, last := taskID(s.current), taskID(s.lastRun)
 	c.Line("os cur=%d last=%d seq=%d fseq=%d started=%t startedAt=%d idleSince=%d idleValid=%t delayStart=%d delayValid=%t progress=%d",
@@ -345,7 +345,10 @@ func (s *Sched) State(c *StateCodec) {
 			c.Failf("task %s waits on resource %d of %d", t.name, wres, len(res))
 		}
 		if c.Restoring() {
-			t.waitingRes = nil
+			t.cpu, t.waitingRes = -1, nil
+			if t == s.current {
+				t.cpu = 0
+			}
 			if wres >= 0 {
 				t.waitingRes = res[wres]
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -13,6 +14,11 @@ import (
 // ranking and the dispatch and preemption decisions, the Stats counters
 // with their busy/idle/overhead conservation check, end-of-cycle deadline
 // accounting, the observer fan-out and the wait-for-graph monitor.
+//
+// A Sched schedules one CPU or M identical ones (WithCPUs). On M CPUs the
+// pick is global: the best ready task fills the lowest free CPU slot,
+// and a preferred ready task interrupts the worst running one (see
+// Decide).
 //
 // Both execution substrates drive one Sched: OS parks a goroutine per
 // task (internal/sim), the run-to-completion engine (internal/rtc)
@@ -26,9 +32,10 @@ type Sched struct {
 	tmodel TimeModel
 
 	tasks   []*Task
-	spare   []Task // reserved, not yet created task control blocks
-	current *Task
-	lastRun *Task
+	spare   []Task    // reserved, not yet created task control blocks
+	current *Task     // the task on CPU slot 0 (nil: idle)
+	lastRun *Task     // the task CPU slot 0 ran last
+	cpus    []cpuSlot // CPU slots 1..M-1 of an M-CPU instance; none on one CPU
 
 	rq readyList
 
@@ -66,6 +73,10 @@ type Sched struct {
 	diagnosis *DiagnosisError
 	progress  uint64 // dispatch stamp consumed by the watchdog
 }
+
+// cpuSlot is one CPU past slot 0: the task it runs and the task it ran
+// last.
+type cpuSlot struct{ run, last *Task }
 
 // Decision is what an engine must do after a scheduling decision.
 type Decision uint8
@@ -139,6 +150,7 @@ func (s *Sched) reset() {
 	s.rq.clear()
 	s.current = nil
 	s.lastRun = nil
+	clear(s.cpus)
 	s.seq = 0
 	s.frontSeq = 0
 	s.stats = Stats{}
@@ -183,6 +195,21 @@ func (r *rule) Less(a, b *Task) bool {
 	return r.custom.Less(a, b)
 }
 
+// setCPUs gives the instance n identical CPUs, all idle; it runs before
+// any task does. It panics unless 1 <= n <= 32767.
+func (s *Sched) setCPUs(n int) {
+	if n < 1 || n > math.MaxInt16 {
+		panic(fmt.Sprintf("core[%s]: %d CPUs, want 1 to %d", s.name, n, math.MaxInt16))
+	}
+	s.cpus = nil
+	if n > 1 {
+		s.cpus = make([]cpuSlot, n-1)
+	}
+}
+
+// ncpu returns the number of CPUs.
+func (s *Sched) ncpu() int { return len(s.cpus) + 1 }
+
 // Name returns the instance name.
 func (s *Sched) Name() string { return s.name }
 
@@ -197,8 +224,29 @@ func (s *Sched) Policy() Policy {
 // TimeModelUsed returns the active time model.
 func (s *Sched) TimeModelUsed() TimeModel { return s.tmodel }
 
-// Current returns the task currently holding the CPU (nil if idle).
+// Current returns the task currently holding CPU slot 0 (nil if idle).
 func (s *Sched) Current() *Task { return s.current }
+
+// running returns how many CPUs run a task.
+func (s *Sched) running() int {
+	n := 0
+	for i := range s.ncpu() {
+		if run, _ := s.slot(i); *run != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// slot returns the fields holding the task CPU slot i runs and the task
+// it ran last.
+func (s *Sched) slot(i int) (run, last **Task) {
+	if i == 0 {
+		return &s.current, &s.lastRun
+	}
+	c := &s.cpus[i-1]
+	return &c.run, &c.last
+}
 
 // Tasks returns all tasks ever created on this instance.
 func (s *Sched) Tasks() []*Task { return s.tasks }
@@ -262,7 +310,8 @@ func (s *Sched) NewTask(name string, typ TaskType, period, wcet sim.Time, prio i
 	t := &s.spare[0]
 	s.spare = s.spare[1:]
 	*t = Task{id: len(s.tasks), name: name, typ: typ, period: period,
-		wcet: wcet, prio: prio, state: TaskCreated, deadline: sim.Forever, rqIx: -1}
+		wcet: wcet, prio: prio, state: TaskCreated, deadline: sim.Forever, rqIx: -1,
+		cpu: -1, lastCPU: -1}
 	s.tasks = append(s.tasks, t)
 	return t
 }
@@ -322,9 +371,9 @@ func (s *Sched) Activate(now sim.Time, t *Task) {
 	s.Ready(now, t)
 }
 
-// Dispatch hands the CPU to the best ready task and returns it (nil when
-// the queue is empty and the CPU goes idle). prev is the task that last
-// held the CPU, for context-switch accounting and observers.
+// Dispatch hands the CPU of a one-CPU instance to the best ready task
+// and returns it (nil when the queue is empty and the CPU goes idle).
+// prev is the task that last held the CPU, for observers.
 func (s *Sched) Dispatch(now sim.Time, prev *Task) *Task {
 	next := s.best()
 	if next == nil {
@@ -333,7 +382,7 @@ func (s *Sched) Dispatch(now sim.Time, prev *Task) *Task {
 			s.idleValid = true
 		}
 		if prev != nil {
-			s.emitDispatch(now, prev, nil)
+			s.emitDispatch(now, 0, prev, nil)
 		}
 		return nil
 	}
@@ -342,50 +391,69 @@ func (s *Sched) Dispatch(now sim.Time, prev *Task) *Task {
 		s.stats.IdleTime += now - s.idleSince
 		s.idleValid = false
 	}
-	s.current = next
+	s.occupy(now, 0, next)
+	s.emitDispatch(now, 0, prev, next)
+	return next
+}
+
+// occupy puts next, just taken off the ready queue, on CPU slot cpu.
+func (s *Sched) occupy(now sim.Time, cpu int, next *Task) {
+	run, last := s.slot(cpu)
+	*run = next
+	next.cpu = int16(cpu)
 	next.sliceUsed = 0 // a dispatch grants a fresh round-robin quantum
 	s.setState(now, next, TaskRunning)
 	s.stats.Dispatches++
 	s.progress++
-	next.chargeSwitch = s.lastRun != nil && s.lastRun != next
+	next.chargeSwitch = *last != nil && *last != next
 	if next.chargeSwitch {
 		s.stats.ContextSwitches++
 	}
-	s.lastRun = next
-	s.emitDispatch(now, prev, next)
-	return next
+	*last = next
+	if next.lastCPU >= 0 && int(next.lastCPU) != cpu {
+		next.migrations++
+	}
+	next.lastCPU = int16(cpu)
 }
 
-// Release detaches the running task from the CPU (its state must
-// already be the one it leaves for) and dispatches the next ready task.
-func (s *Sched) Release(now sim.Time) *Task {
-	prev := s.current
-	s.current = nil
-	return s.Dispatch(now, prev)
+// release takes the running task t off its CPU (its state must already
+// be the one it leaves for). On one CPU it dispatches the best ready
+// task and returns it; on several the slot stays free, release returns
+// nil, and the engine's next Decide refills it.
+func (s *Sched) release(now sim.Time, t *Task) *Task {
+	if s.cpus == nil {
+		s.current = nil
+		t.cpu = -1
+		return s.Dispatch(now, t)
+	}
+	cpu := int(t.cpu)
+	run, _ := s.slot(cpu)
+	*run = nil
+	t.cpu = -1
+	s.emitDispatch(now, cpu, t, nil)
+	return nil
 }
 
 // Preempt moves the running task t back to the ready queue (involuntary
-// preemption or slice expiry) and dispatches the best ready task; the
-// engine then parks t until it is dispatched again.
+// preemption or slice expiry) and releases its CPU; the engine then
+// parks t until it is dispatched again.
 func (s *Sched) Preempt(now sim.Time, t *Task) *Task {
 	s.stats.Preemptions++
 	if len(s.extObs) > 0 {
 		by := s.best() // t is not in the queue yet
 		for _, o := range s.extObs {
-			o.OnPreempt(now, t, by)
+			o.OnPreempt(now, int(t.cpu), t, by)
 		}
 	}
 	s.makeReadyPreempted(now, t)
-	s.current = nil
-	return s.Dispatch(now, t)
+	return s.release(now, t)
 }
 
-// requeue puts the running task t at the back of its rank and dispatches
-// the best ready task (OSEK multiple activation).
+// requeue puts the running task t at the back of its rank and releases
+// its CPU (OSEK multiple activation).
 func (s *Sched) requeue(now sim.Time, t *Task) *Task {
 	s.Ready(now, t)
-	s.current = nil
-	return s.Dispatch(now, t)
+	return s.release(now, t)
 }
 
 // Decide is the scheduling decision after tasks became ready. self
@@ -394,7 +462,16 @@ func (s *Sched) requeue(now sim.Time, t *Task) *Task {
 // (Wake), asks a preempted running caller to Yield, or — in the
 // segmented time model — asks for the running task's delay to be
 // Interrupted when a foreign caller readied a preferred task.
+//
+// On several CPUs the decision is global and takes one step per call,
+// so the engine calls Decide until it returns no Wake: the best ready
+// task fills the lowest free CPU slot (Wake), and once no slot is free,
+// in the segmented time model, a ready task that orders strictly before
+// the worst running one Interrupts it. self plays no part there.
 func (s *Sched) Decide(now sim.Time, self bool) (*Task, Decision) {
+	if s.cpus != nil {
+		return s.decideGlobal(now)
+	}
 	cur := s.current
 	if cur == nil {
 		return s.Dispatch(now, nil), Wake
@@ -413,6 +490,42 @@ func (s *Sched) Decide(now sim.Time, self bool) (*Task, Decision) {
 		return cur, Interrupt
 	}
 	return nil, Continue
+}
+
+// decideGlobal is Decide on several CPUs.
+func (s *Sched) decideGlobal(now sim.Time) (*Task, Decision) {
+	best := s.best()
+	if best == nil {
+		return nil, Continue
+	}
+	for cpu := range s.ncpu() {
+		if run, _ := s.slot(cpu); *run == nil {
+			s.removeReady(now, best)
+			s.occupy(now, cpu, best)
+			s.emitDispatch(now, cpu, nil, best)
+			return best, Wake
+		}
+	}
+	if s.tmodel != TimeModelSegmented || !s.policy.preemptive {
+		return nil, Continue // coarse: preemption waits for the victims' delays to end
+	}
+	if victim := s.worstRunning(); s.policy.Less(best, victim) {
+		return victim, Interrupt
+	}
+	return nil, Continue
+}
+
+// worstRunning returns the running task the policy orders last, the
+// latest readied among equals; every CPU must be busy.
+func (s *Sched) worstRunning() *Task {
+	worst := s.current
+	for _, c := range s.cpus {
+		t := c.run
+		if s.policy.Less(worst, t) || !s.policy.Less(t, worst) && t.readySeq > worst.readySeq {
+			worst = t
+		}
+	}
+	return worst
 }
 
 // preferred reports whether a ready task strictly orders before t.
@@ -487,7 +600,7 @@ func (s *Sched) EndCycle(now sim.Time, t *Task) (next sim.Time, woken *Task) {
 		t.missed++
 	}
 	s.setState(now, t, TaskWaitingPeriod)
-	return next, s.Release(now)
+	return next, s.release(now, t)
 }
 
 // NextCycle releases t's job at next (the instant EndCycle returned) and
@@ -505,14 +618,14 @@ func (s *Sched) Terminate(now sim.Time, t *Task) *Task {
 		t.activations++
 	}
 	s.setState(now, t, TaskTerminated)
-	return s.Release(now)
+	return s.release(now, t)
 }
 
 // Block parks the running task t in waiting state ws and hands the CPU
 // on.
 func (s *Sched) Block(now sim.Time, t *Task, ws TaskState) *Task {
 	s.setState(now, t, ws)
-	return s.Release(now)
+	return s.release(now, t)
 }
 
 // BlockAt is Block with a blocking site label for diagnosis reports.
@@ -526,7 +639,7 @@ func (s *Sched) BlockAt(now sim.Time, t *Task, ws TaskState, site string) *Task 
 // task that is not blocked — it already timed out, or was never
 // suspended — is a no-op, so grant/timeout races are harmless.
 func (s *Sched) Wake(now sim.Time, t *Task) bool {
-	if t == s.current || !t.state.Alive() {
+	if t.cpu >= 0 || !t.state.Alive() {
 		return false
 	}
 	switch t.state {
@@ -557,9 +670,10 @@ func (s *Sched) IRQ(now sim.Time, name string, enter bool) {
 // modeled task execution (BusyTime), an empty ready queue (IdleTime) or
 // context-switch overhead (OverheadTime), counting a delay still in
 // flight up to now. A non-nil error indicates a scheduler accounting bug,
-// never an application error. Before the start it returns nil.
+// never an application error. Before the start, and on several CPUs,
+// whose idle time is not kept, it returns nil.
 func (s *Sched) Conservation(now sim.Time) error {
-	if !s.started {
+	if !s.started || s.cpus != nil {
 		return nil
 	}
 	span := now - s.startedAt
@@ -669,9 +783,9 @@ func (s *Sched) notifyState(now sim.Time, t *Task, st TaskState) {
 	}
 }
 
-func (s *Sched) emitDispatch(now sim.Time, prev, next *Task) {
+func (s *Sched) emitDispatch(now sim.Time, cpu int, prev, next *Task) {
 	for _, o := range s.observers {
-		o.OnDispatch(now, prev, next)
+		o.OnDispatch(now, cpu, prev, next)
 	}
 }
 

@@ -12,7 +12,9 @@
 // waitfor) and synchronization (EventWait/EventNotify instead of
 // wait/notify) through the OS object; the OS serializes them so that at
 // any simulated instant at most one task of a processing element executes,
-// selected by a pluggable scheduling policy.
+// selected by a pluggable scheduling policy. The paper names
+// multiprocessor RTOS models as future work; an OS built WithCPUs(m)
+// runs at most m tasks at once under one global scheduler.
 package core
 
 import (
@@ -140,6 +142,9 @@ type Task struct {
 
 	blockSite    string    // last blocking site, for runtime diagnosis reports
 	waitingRes   *Resource // resource the task is blocked on (wait-for graph)
+	migrations   uint32    // dispatches onto another CPU than the last one
+	cpu          int16     // CPU slot the task runs on; -1 when it runs on none
+	lastCPU      int16     // CPU slot the task last ran on; -1 before its first dispatch
 	nonpreempt   bool      // involuntary preemption suppressed (OSEK non-preemptable)
 	chargeSwitch bool      // this dispatch was a context switch: charge overhead
 }
@@ -203,6 +208,10 @@ func (t *Task) Activations() int { return t.activations }
 
 // MissedDeadlines returns how many cycles completed after their deadline.
 func (t *Task) MissedDeadlines() int { return t.missed }
+
+// Migrations returns how often the task was dispatched onto another CPU
+// than the one it last ran on (always 0 on one CPU).
+func (t *Task) Migrations() int { return int(t.migrations) }
 
 // NoteActivation records a completed activation of the task. Personality
 // layers whose tasks park (suspend) at end-of-job instead of terminating

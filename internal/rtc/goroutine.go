@@ -6,49 +6,66 @@ import (
 	"repro/internal/core"
 	"repro/internal/personality"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // RunGoroutine executes a flat workload on the goroutine-per-process
-// simulation kernel (internal/sim). On one CPU it programs core.OS
-// through the workload's personality and returns the Result Run returns:
-// the same spawn order, task bodies, watchdog and horizon, and a Result
-// filled as Session.Finish fills it (the reference the engine-equivalence
-// suites diff rtc against). With CPUs > 1 it spawns the same task bodies
-// on the global multiprocessor scheduler (runSMP). It is the goroutine
-// engine of the front ends that build a Workload (taskset, simcheck,
-// experiments). Each bus is attached to the scheduler and receives the
-// trace's markers, as Run attaches it, so both engines feed a bus the
-// same event stream. Hierarchical workloads (Top set) are an error: sdl
-// elaborates those on the goroutine kernel itself.
+// simulation kernel (internal/sim). It programs core.OS through the
+// workload's personality and returns the Result Run returns: the same
+// spawn order, task bodies, watchdog and horizon, and a Result filled as
+// Session.Finish fills it (the reference the engine-equivalence suites
+// diff rtc against). With CPUs > 1 the same task bodies run on one OS
+// with that many CPUs under a global policy ("g-fp" is core's priority
+// policy, "g-edf" its EDF policy), with no personality, channels or
+// IRQs; Migrations counts the tasks' migrations, the trace holds no
+// records (its formats have no CPU axis), and response times are not
+// tracked. It is the goroutine engine of the front ends that build a
+// Workload (taskset, simcheck, experiments). Each bus is attached to the
+// scheduler and receives the trace's markers, as Run attaches it, so
+// both engines feed a bus the same event stream. Hierarchical workloads
+// (Top set) are an error: sdl elaborates those on the goroutine kernel
+// itself.
 func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	if w.Top != "" {
 		return configError(w, fmt.Errorf("rtc: RunGoroutine runs flat workloads; %q is hierarchical", w.Top))
 	}
-	if w.CPUs > 1 {
-		return runSMP(w, bus)
+	multi := w.CPUs > 1
+	name, pol := w.Name, w.Policy
+	var policy core.Policy
+	var err error
+	switch {
+	case !multi && !personality.Valid(w.Personality):
+		err = fmt.Errorf("rtc: unknown personality %q", w.Personality)
+	case !multi:
+		if name == "" {
+			name = "PE"
+		}
+		if pol == "" {
+			pol = "priority"
+		}
+		policy, err = core.PolicyByName(pol, w.Quantum)
+	case w.Personality != "":
+		err = fmt.Errorf("rtc: personality %q models one CPU; the global scheduler has none", w.Personality)
+	case len(w.Channels) > 0 || len(w.IRQs) > 0:
+		err = fmt.Errorf("rtc: the global scheduler models no channels or IRQs")
+	case pol == "g-fp":
+		policy = core.PriorityPolicy{}
+	case pol == "g-edf":
+		policy = core.EDFPolicy{}
+	default:
+		err = fmt.Errorf("rtc: unknown global policy %q on %d CPUs (have \"g-fp\", \"g-edf\")", pol, w.CPUs)
 	}
-	if !personality.Valid(w.Personality) {
-		return configError(w, fmt.Errorf("rtc: unknown personality %q", w.Personality))
-	}
-	name := w.Name
-	if name == "" {
-		name = "PE"
-	}
-	pol := w.Policy
-	if pol == "" {
-		pol = "priority"
-	}
-	policy, err := core.PolicyByName(pol, w.Quantum)
 	if err != nil {
 		return configError(w, err)
 	}
+	if multi && name == "" {
+		name = "SMP"
+	}
 	k := sim.NewKernel()
 	defer k.Shutdown()
-	rtos := core.New(k, name, policy, core.WithTimeModel(w.TimeModel))
-	rec := observe(&rtos.Sched, name, w.Trace, bus)
+	rtos := core.New(k, name, policy, core.WithTimeModel(w.TimeModel), core.WithCPUs(max(w.CPUs, 1)))
+	rec := observe(&rtos.Sched, name, w.Trace && !multi, bus)
 	rt, err := personality.New(w.Personality, rtos)
 	if err != nil {
 		return configError(w, err)
@@ -67,7 +84,11 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 			chans[i].s = rt.NewSemaphore(c.Name, c.Arg)
 		}
 	}
-	tasks, resp, err := spawnTasks(k, &w, rt, chans, response)
+	resp := response
+	if multi {
+		resp = nil
+	}
+	tasks, worst, err := spawnTasks(k, &w, rt, chans, resp)
 	if err != nil {
 		return configError(w, err)
 	}
@@ -95,10 +116,16 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	rtos.EnableWatchdog(w.WatchdogWindow)
 	rtos.Start(nil)
 
-	res := &Result{Personality: rt.Kind(), Tasks: make([]TaskResult, 0, len(tasks))}
+	res := &Result{Tasks: make([]TaskResult, 0, len(tasks))}
+	if !multi {
+		res.Personality = rt.Kind()
+	}
 	res.Err = k.RunUntil(w.Horizon)
 	res.End = k.Now()
 	res.Trace = rec
+	if multi && w.Trace {
+		res.Trace = trace.New(name)
+	}
 	res.Stats = rtos.StatsSnapshot()
 	res.Diag = rtos.Diagnosis()
 	if res.Diag == nil {
@@ -106,84 +133,11 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	}
 	res.Conservation = rtos.CheckConservation()
 	for i, t := range tasks {
-		res.Tasks = append(res.Tasks, taskResult(t, resp[i]))
+		res.Tasks = append(res.Tasks, taskResult(t, worst[i]))
+		res.Migrations += uint64(t.Migrations())
 	}
 	return res
 }
-
-// runSMP is RunGoroutine on CPUs > 1: the task bodies on the global
-// scheduler (smp.OS, policy "g-fp" or "g-edf"), which has no personality,
-// channels or IRQs. Stats holds the counters the two schedulers share,
-// Migrations the one only the global scheduler keeps; the trace holds no
-// records (its formats have no CPU axis), and response times are not
-// tracked.
-func runSMP(w Workload, bus []*telemetry.Bus) *Result {
-	var policy smp.Policy
-	switch {
-	case w.Personality != "":
-		return configError(w, fmt.Errorf("rtc: personality %q models one CPU; the global scheduler has none", w.Personality))
-	case len(w.Channels) > 0 || len(w.IRQs) > 0:
-		return configError(w, fmt.Errorf("rtc: the global scheduler models no channels or IRQs"))
-	case w.Policy == "g-fp":
-		policy = smp.FixedPriority{}
-	case w.Policy == "g-edf":
-		policy = smp.GEDF{}
-	default:
-		return configError(w, fmt.Errorf("rtc: unknown global policy %q on %d CPUs (have \"g-fp\", \"g-edf\")", w.Policy, w.CPUs))
-	}
-	name := w.Name
-	if name == "" {
-		name = "SMP"
-	}
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	os := smp.New(k, name, policy, w.CPUs, w.TimeModel == core.TimeModelSegmented)
-	for _, b := range bus {
-		b.AttachSMP(os)
-	}
-	tasks, _, err := spawnTasks[*smp.Task](k, &w, smpRTOS{os}, nil, nil)
-	if err != nil {
-		return configError(w, err)
-	}
-	os.EnableWatchdog(w.WatchdogWindow)
-
-	res := &Result{Err: k.RunUntil(w.Horizon)}
-	res.End, res.Diag = k.Now(), os.Diagnosis()
-	if w.Trace {
-		res.Trace = trace.New(name)
-	}
-	st := os.StatsSnapshot()
-	res.Stats = core.Stats{
-		Dispatches:      st.Dispatches,
-		ContextSwitches: st.ContextSwitches,
-		Preemptions:     st.Preemptions,
-		BusyTime:        st.BusyTime,
-	}
-	res.Migrations = st.Migrations
-	for _, t := range tasks {
-		res.Tasks = append(res.Tasks, taskResult(t, 0))
-	}
-	return res
-}
-
-// goRTOS is the service surface the goroutine-kernel task bodies
-// program, over task handles T: the workload's personality.Runtime on
-// one CPU, smpRTOS on several.
-type goRTOS[T any] interface {
-	TaskCreate(name string, typ core.TaskType, period, wcet Time, prio int) T
-	Activate(p *sim.Proc, t T)
-	Compute(p *sim.Proc, d Time)
-	EndCycle(p *sim.Proc)
-	Terminate(p *sim.Proc)
-}
-
-// smpRTOS gives the global scheduler the personality's service names.
-type smpRTOS struct{ *smp.OS }
-
-func (o smpRTOS) Activate(p *sim.Proc, t *smp.Task) { o.TaskActivate(p, t) }
-func (o smpRTOS) Compute(p *sim.Proc, d Time)       { o.TimeWait(p, d) }
-func (o smpRTOS) EndCycle(p *sim.Proc)              { o.TaskEndCycle(p) }
-func (o smpRTOS) Terminate(p *sim.Proc)             { o.TaskTerminate(p) }
 
 // response is a uniprocessor task's response time in its current cycle.
 func response(t *core.Task) Time {
@@ -199,8 +153,8 @@ func response(t *core.Task) Time {
 // 0) and, when resp is given, keeps its worst response time; an
 // aperiodic one waits out Start, activates, and runs its ops Repeat
 // times. It returns the tasks and their worst response times.
-func spawnTasks[T any](k *sim.Kernel, w *Workload, rt goRTOS[T], chans []goChan, resp func(T) Time) ([]T, []Time, error) {
-	tasks := make([]T, len(w.Tasks))
+func spawnTasks(k *sim.Kernel, w *Workload, rt personality.Runtime, chans []goChan, resp func(*core.Task) Time) ([]*core.Task, []Time, error) {
+	tasks := make([]*core.Task, len(w.Tasks))
 	worst := make([]Time, len(w.Tasks))
 	for i := range w.Tasks {
 		td := &w.Tasks[i]

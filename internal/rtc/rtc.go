@@ -13,8 +13,8 @@
 // a timer, a segmented delay an interrupt can cut short, an SDL ISR's
 // latch): each wait has one machine that can end it, so the engine
 // keeps no event objects or waiter lists.
-// RunGoroutine executes a flat Workload on the goroutine kernel, on one
-// CPU or on the global multiprocessor scheduler, so a front end
+// RunGoroutine executes a flat Workload on the goroutine kernel's
+// core.OS, with one CPU or several under a global policy, so a front end
 // describes its task set once and picks the engine by the runner it
 // calls.
 package rtc
@@ -89,8 +89,9 @@ type IRQDef struct {
 //   - flat (Top == ""): Tasks are the task set, each with its own body;
 //     IRQs run a merged stimulus+ISR process. On one CPU both Run and
 //     RunGoroutine execute it. With CPUs > 1 only RunGoroutine does: it
-//     spawns the same task bodies on the global multiprocessor scheduler
-//     (Policy "g-fp" or "g-edf"; no personality, channels or IRQs).
+//     spawns the same task bodies on a core.OS with CPUs CPUs under a
+//     global policy (Policy "g-fp" or "g-edf"; no personality, channels
+//     or IRQs).
 //   - hierarchical (Top != ""): Behaviors/Top describe an SDL behavior
 //     tree whose root becomes the PE's main task and whose par children
 //     fork tasks at runtime (refine.RunArchitecture's protocol); Tasks
@@ -133,7 +134,7 @@ type Result struct {
 	End          Time
 	Trace        *trace.Recorder // the run's trace (nil unless Workload.Trace)
 	Stats        core.Stats
-	Migrations   uint64 // the global scheduler's task migrations (CPUs > 1 only)
+	Migrations   uint64 // the tasks' migrations between CPUs (0 on one CPU)
 	Tasks        []TaskResult
 	Diag         *core.DiagnosisError
 	Conservation error

@@ -254,19 +254,8 @@ func (s *Session) Finish() *Result {
 	return res
 }
 
-// tcb is the read side of a task control block, the same on the
-// uniprocessor scheduler (core.Task) and the global one (smp.Task).
-type tcb interface {
-	Name() string
-	Priority() int
-	State() core.TaskState
-	Activations() int
-	MissedDeadlines() int
-	CPUTime() Time
-}
-
 // taskResult is a task's outcome; resp is its worst response time.
-func taskResult(t tcb, resp Time) TaskResult {
+func taskResult(t *core.Task, resp Time) TaskResult {
 	return TaskResult{
 		Name:        t.Name(),
 		Prio:        t.Priority(),

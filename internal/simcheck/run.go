@@ -8,7 +8,6 @@ import (
 	"repro/internal/personality"
 	"repro/internal/rtc"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -17,15 +16,16 @@ import (
 type Config struct {
 	Policy    string   // "priority","fcfs","rr","edf","rm" (CPUs=1); "g-fp","g-edf" (CPUs>1)
 	TimeModel string   // "coarse" or "segmented"
-	CPUs      int      // 1: core.OS single PE; >1: smp.OS global scheduler
+	CPUs      int      // 1: one PE; >1: one core.OS with CPUs CPUs under a global policy
 	Quantum   sim.Time // round-robin slice ("rr" only)
 
 	// Personality selects the RTOS service surface the scenario's tasks
 	// program against ("" or "generic", "itron", "osek"; CPUs=1 only — the
-	// SMP model has its own service surface). The generic personality is a
-	// 1:1 passthrough, so its traces are byte-identical to the pre-
-	// personality runner; itron/osek change channel grant order and wakeup
-	// bookkeeping, which the cross-personality differential oracle bounds.
+	// SMP model offers the generic task services alone). The generic
+	// personality is a 1:1 passthrough, so its traces are byte-identical
+	// to the pre-personality runner; itron/osek change channel grant order
+	// and wakeup bookkeeping, which the cross-personality differential
+	// oracle bounds.
 	Personality string
 
 	// Engine selects the execution engine: "" or "goroutine" for the
@@ -33,7 +33,8 @@ type Config struct {
 	// single-goroutine run-to-completion engine (internal/rtc). Traces
 	// and telemetry streams must be identical across engines; the
 	// engine-equivalence suite diffs them. SMP configs (CPUs>1) always use
-	// the goroutine kernel — the rtc engine models one CPU.
+	// the goroutine kernel: core.Sched schedules several CPUs, but the rtc
+	// engine drives one.
 	Engine string
 
 	// CheckpointAt, when non-zero, runs the scenario through a snapshot/
@@ -42,8 +43,8 @@ type Config struct {
 	// checkpoint bytes alone, and it runs to the horizon. The result must
 	// be byte-identical to the uninterrupted run — the checkpoint-
 	// equivalence oracle diffs them. Engine must be "rtc" and CPUs 1: the
-	// goroutine kernel's process stacks cannot be serialized, and the SMP
-	// model has no checkpoint support.
+	// goroutine kernel's process stacks cannot be serialized, and a
+	// checkpoint holds one CPU.
 	CheckpointAt sim.Time
 }
 
@@ -109,7 +110,7 @@ type RunResult struct {
 	Recorder   *trace.Recorder   // single-PE runs
 	Events     []SMPEvent        // SMP runs
 	Stream     []telemetry.Event // the run's telemetry stream (none for checkpointed runs)
-	Stats      core.Stats        // on several CPUs, only those both schedulers keep
+	Stats      core.Stats        // on several CPUs, idle time is not kept
 	Migrations uint64            // SMP runs
 	Tasks      []TaskOutcome
 
@@ -279,22 +280,18 @@ func serializeSingle(res *RunResult) []byte {
 	return b.Bytes()
 }
 
-// serializeSMP renders an SMP run to its canonical byte form, with the
-// counters in the global scheduler's smp.Stats form.
+// serializeSMP renders an SMP run to its canonical byte form: the
+// events, the counters a global scheduler keeps and the per-task
+// outcomes.
 func serializeSMP(res *RunResult) []byte {
 	var b bytes.Buffer
 	for _, e := range res.Events {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
-	st := smp.Stats{
-		Dispatches:      res.Stats.Dispatches,
-		ContextSwitches: res.Stats.ContextSwitches,
-		Preemptions:     res.Stats.Preemptions,
-		Migrations:      res.Migrations,
-		BusyTime:        res.Stats.BusyTime,
-	}
-	fmt.Fprintf(&b, "stats %+v end %v\n", st, res.End)
+	st := &res.Stats
+	fmt.Fprintf(&b, "stats {Dispatches:%d ContextSwitches:%d Preemptions:%d Migrations:%d BusyTime:%v} end %v\n",
+		st.Dispatches, st.ContextSwitches, st.Preemptions, res.Migrations, st.BusyTime, res.End)
 	writeOutcomes(&b, res.Tasks)
 	return b.Bytes()
 }

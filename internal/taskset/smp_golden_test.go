@@ -10,11 +10,13 @@ import (
 
 // TestSMPGolden pins the telemetry event stream of TestRunSMPTelemetry's
 // set: the sha256 over the canonical lines of every event a bus attached
-// to the global scheduler receives.
+// to the global scheduler receives, its lifecycle events (state, release,
+// block/unblock, readyq) included. TestSMPProjection pins the dispatch,
+// vacate and preempt part alone.
 func TestSMPGolden(t *testing.T) {
 	const (
-		wantEvents = 22
-		wantSum    = "319ea7dc1dceed8e0118f80675d8617bdbc3edaacefab9b752d546f7c11deec9"
+		wantEvents = 134
+		wantSum    = "f39a283de436a20aceb889343d11cf49fd2d6de62fbb9ddcf55b66ab95faf595"
 	)
 	s, err := Parse([]byte(`{"policy":"g-fp","cpus":2,"horizonMs":5,"tasks":[
 		{"name":"a","periodUs":1000,"wcetUs":900,"prio":1},

@@ -139,9 +139,9 @@ func (s *Set) ValidateRun() error {
 			return fmt.Errorf("taskset: engine \"rtc\" models a uniprocessor; set \"cpus\" to 1 or use the goroutine engine for the global SMP scheduler")
 		}
 		// RTOS personalities are uniprocessor kernel APIs layered over the
-		// single-PE dispatcher; the global SMP scheduler has its own task
-		// model. Surface the conflict here, at parse time, rather than deep
-		// inside a simulation run.
+		// single-PE dispatcher; the global SMP scheduler offers only the
+		// generic task services. Surface the conflict here, at parse time,
+		// rather than deep inside a simulation run.
 		if s.Personality != "" {
 			return fmt.Errorf("taskset: personality %q models a uniprocessor RTOS and cannot run on %d CPUs; set \"cpus\" to 1 or drop \"personality\" to use the global SMP scheduler",
 				s.Personality, s.CPUs)

@@ -1,6 +1,6 @@
 // Package telemetry is the scheduler observability layer: a structured
-// event bus over the RTOS model's observer hooks (core.ObserverExt,
-// smp.ObserverExt) feeding pluggable sinks — a per-task/per-PE metrics
+// event bus over the RTOS model's observer hooks (core.ObserverExt, on
+// one CPU or several) feeding pluggable sinks — a per-task/per-PE metrics
 // aggregator, a Chrome trace-event exporter loadable in Perfetto, a
 // Prometheus-style text exporter, and a compact binary ring buffer for
 // always-on capture.
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/trace"
 )
 
@@ -195,14 +194,10 @@ func (b *Bus) Attach(os *core.OS) { b.AttachSched(&os.Sched) }
 
 // AttachSched is Attach for a bare scheduler state — the form the
 // run-to-completion engine (internal/rtc) runs its RTOS model in.
+// Dispatch and preempt events carry the CPU slot; on several CPUs a slot
+// vacated is a dispatch to idle naming the previous task.
 func (b *Bus) AttachSched(s *core.Sched) {
 	s.Observe(&coreAdapter{bus: b, pe: s.Name()})
-}
-
-// AttachSMP subscribes the bus to a global multiprocessor scheduler;
-// dispatch/release/preempt events carry the CPU slot index.
-func (b *Bus) AttachSMP(os *smp.OS) {
-	os.Observe(&smpAdapter{bus: b, pe: os.Name()})
 }
 
 // Marker records an application instrumentation point into the stream. It
@@ -242,8 +237,8 @@ func (a *coreAdapter) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskS
 	a.bus.Emit(Event{At: at, Kind: KindState, PE: a.pe, Task: t.Name(), From: old, To: new})
 }
 
-func (a *coreAdapter) OnDispatch(at sim.Time, prev, next *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe,
+func (a *coreAdapter) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
+	a.bus.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe, CPU: cpu,
 		Task: taskName(next), Other: taskName(prev)})
 }
 
@@ -259,8 +254,8 @@ func (a *coreAdapter) OnRelease(at sim.Time, t *core.Task) {
 	a.bus.Emit(Event{At: at, Kind: KindRelease, PE: a.pe, Task: t.Name()})
 }
 
-func (a *coreAdapter) OnPreempt(at sim.Time, t, by *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe,
+func (a *coreAdapter) OnPreempt(at sim.Time, cpu int, t, by *core.Task) {
+	a.bus.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe, CPU: cpu,
 		Task: t.Name(), Other: taskName(by)})
 }
 
@@ -276,17 +271,13 @@ func (a *coreAdapter) OnReadyQueue(at sim.Time, n int) {
 	a.bus.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, Arg: int64(n)})
 }
 
-func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
-	a.bus.diagnosis(at, a.pe, d)
-}
-
-// diagnosis converts a runtime diagnosis into fault.* events: one
+// OnDiagnosis converts a runtime diagnosis into fault.* events: one
 // fault.deadlock event per wait-for cycle edge, or one fault.starve event
 // per blocked/starved task when no cycle exists.
-func (b *Bus) diagnosis(at sim.Time, pe string, d *core.DiagnosisError) {
+func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
 	if len(d.Cycle) > 0 {
 		for _, e := range d.Cycle {
-			b.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: pe,
+			a.bus.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: a.pe,
 				Task: e.Task, Other: e.Resource + " held by " + e.Holder})
 		}
 		return
@@ -296,32 +287,9 @@ func (b *Bus) diagnosis(at sim.Time, pe string, d *core.DiagnosisError) {
 		if e.Holder != "" {
 			other += " held by " + e.Holder
 		}
-		b.Emit(Event{At: at, Kind: KindFaultStarve, PE: pe,
+		a.bus.Emit(Event{At: at, Kind: KindFaultStarve, PE: a.pe,
 			Task: e.Task, Other: other})
 	}
-}
-
-// smpAdapter converts smp.ObserverExt callbacks into events. A vacated
-// CPU slot is reported as a dispatch to idle on that CPU.
-type smpAdapter struct {
-	bus *Bus
-	pe  string
-}
-
-func (a *smpAdapter) OnDispatch(at sim.Time, cpu int, t *smp.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe, CPU: cpu, Task: t.Name()})
-}
-
-func (a *smpAdapter) OnRelease(at sim.Time, cpu int, t *smp.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe, CPU: cpu, Other: t.Name()})
-}
-
-func (a *smpAdapter) OnPreempt(at sim.Time, cpu int, t *smp.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe, CPU: cpu, Task: t.Name()})
-}
-
-func (a *smpAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
-	a.bus.diagnosis(at, a.pe, d)
 }
 
 // MarkerLatencies returns the latencies between from- and to-markers of

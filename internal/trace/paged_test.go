@@ -579,7 +579,7 @@ func (o refObserver) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskSt
 	*o.recs = append(*o.recs, Record{At: at, Kind: KindTaskState, Task: t.Name(), From: old.String(), To: new.String()})
 }
 
-func (o refObserver) OnDispatch(at sim.Time, prev, next *core.Task) {
+func (o refObserver) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
 	name := func(t *core.Task) string {
 		if t == nil {
 			return "-"

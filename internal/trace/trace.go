@@ -361,7 +361,7 @@ func (a *osAdapter) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskSta
 	a.r.add(at, KindTaskState, a.task(t), a.state(old), a.state(new), 0, 0)
 }
 
-func (a *osAdapter) OnDispatch(at sim.Time, prev, next *core.Task) {
+func (a *osAdapter) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
 	a.r.add(at, KindDispatch, 0, a.task(prev), a.task(next), 0, 0)
 }
 

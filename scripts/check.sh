@@ -104,15 +104,18 @@ step "personality conformance suites (itron, osek) + cross corpus" go test -run 
 # interrupt-fed semaphores beside queues), and the SDL corpus
 # (hierarchical seq/par behaviors, handshakes, split stimulus/ISR
 # interrupts: figure3, vocoder, bus-driver) with its per-example golden
-# traces, and the multi-CPU goldens of the global-scheduler runs
+# traces, the multi-CPU goldens of the global-scheduler runs
 # rtc.RunGoroutine lowers (simcheck's SMP rows, taskset cells and
-# telemetry, a 2-CPU campaign job, the EXT-SMP table). (go test ./...
-# above already ran these; the explicit pass keeps the two-engine
+# telemetry, a 2-CPU campaign job, the EXT-SMP table), and core's
+# multi-CPU tests of the global scheduler that core.Sched runs on M CPUs
+# (Dhall's effect, global preemption, migrations, watchdog). (go test
+# ./... above already ran these; the explicit pass keeps the two-engine
 # contract visible.)
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestRunGoroutine' -count=1 ./internal/rtc
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
+step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestDhallsEffect|TestTwoCPUsRunTwoTasksInParallel|TestSingleCPUEqualsUniprocessorSerialization|TestGlobalPreemption|TestMigrationCounting|TestQuickWorkConservation|TestQuickNeverMoreRunningThanCPUs|TestCoarseModePreemptsAtSchedulingPoints|TestCoarsePeriodicSet|TestSMPWatchdog|TestValidation' -count=1 ./internal/core
 
 # Timer-queue ordering: the timer queue both engines share must agree
 # with the sorted-slice reference on every schedule/cancel/advance
