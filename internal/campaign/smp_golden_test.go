@@ -28,18 +28,18 @@ func smpSet(policy, tmodel string, cpus int) string {
 // both time models.
 func TestSMPGolden(t *testing.T) {
 	want := map[string]string{
-		"2cpu//coarse":         "e5c781a4b8a3e363413ac139b6406fcb3058663966242cedaf7ad4f0adcda2cd",
-		"2cpu//segmented":      "49a12d6bee28b8fd8be9dbd2cae4090cf06f03616f2594b476cb6809153ca488",
-		"2cpu/g-fp/coarse":     "e5c781a4b8a3e363413ac139b6406fcb3058663966242cedaf7ad4f0adcda2cd",
-		"2cpu/g-fp/segmented":  "49a12d6bee28b8fd8be9dbd2cae4090cf06f03616f2594b476cb6809153ca488",
-		"2cpu/g-edf/coarse":    "a741df52950937ae170ea46c6e3c53135b4aff53e8687a4e0d99d1e855f0fdb8",
-		"2cpu/g-edf/segmented": "403251a49cf10e61d6819d29dede27603a64dd5433f81645d61d17fdb7017bc5",
-		"4cpu//coarse":         "62942d6fe1ac4a70be6674b96a05322eb4e528f2c7b883cff2815e85327da667",
-		"4cpu//segmented":      "ddf2fa0a0dc2a14baca91223ab963a2c53365e411859aa2bc05f86562a7e429c",
-		"4cpu/g-fp/coarse":     "62942d6fe1ac4a70be6674b96a05322eb4e528f2c7b883cff2815e85327da667",
-		"4cpu/g-fp/segmented":  "ddf2fa0a0dc2a14baca91223ab963a2c53365e411859aa2bc05f86562a7e429c",
-		"4cpu/g-edf/coarse":    "9900c152e5e3863938ec313b485b11a859efcd38d7604e77f4124c2cf7dc10b8",
-		"4cpu/g-edf/segmented": "358e7f0a6ea00c85036f8de1c37cecc68c0b6726219a015c14dabc01ca4ba24e",
+		"2cpu//coarse":         "b9343f369972d7bcb3625841bf834e248c0ae4210d59a58acc090e27c4019049",
+		"2cpu//segmented":      "aec13f10aaac6a117fde4af4ee3f295d329a01a38adec16afdc1e33e882d6469",
+		"2cpu/g-fp/coarse":     "b9343f369972d7bcb3625841bf834e248c0ae4210d59a58acc090e27c4019049",
+		"2cpu/g-fp/segmented":  "aec13f10aaac6a117fde4af4ee3f295d329a01a38adec16afdc1e33e882d6469",
+		"2cpu/g-edf/coarse":    "048641ddcd53b5270330d1c831bdd1cb268a54afc0267b9c8a70623ad919af4b",
+		"2cpu/g-edf/segmented": "023a5ca453c42ee99f046ef4359f2e34887dffce1ed2fb2911817a23328de7c9",
+		"4cpu//coarse":         "dc2d55582d95ab8642d282f123bd02527bf589656f5136169d8dee6a163f89dc",
+		"4cpu//segmented":      "d354d88d66f501c57cbdaf7eb89b59fe54cb97b890270c7e1218ff7f7dccd616",
+		"4cpu/g-fp/coarse":     "dc2d55582d95ab8642d282f123bd02527bf589656f5136169d8dee6a163f89dc",
+		"4cpu/g-fp/segmented":  "d354d88d66f501c57cbdaf7eb89b59fe54cb97b890270c7e1218ff7f7dccd616",
+		"4cpu/g-edf/coarse":    "829f7275dd9342659d1899dd3f131e75a6fed7da9f3e2f10eec9a54efdff2569",
+		"4cpu/g-edf/segmented": "41078a923f3c8407f1d0dc64da9d4ba118f93da25351e0b2ae78597a1c8d9829",
 	}
 	for _, cpus := range []int{2, 4} {
 		for _, policy := range []string{"", "g-fp", "g-edf"} {

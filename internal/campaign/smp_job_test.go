@@ -14,8 +14,8 @@ import (
 // cell TestSMPGolden pins).
 func TestSMPJobMetrics(t *testing.T) {
 	const (
-		wantResult  = "f1808a6cf3c3a760ef0b4dfac8d6676f18b7416db342aa77bf4e6a3a1077fb57"
-		wantReceipt = "282f72481b17b988e99e87d8348e67c58d418134ad16c6ff4cad8c1376bcb39c"
+		wantResult  = "eea558577e9405dc2878a43c2480ac8bbc043247e8684b98667652860e555cb8"
+		wantReceipt = "8dd0ec431efbb080ffd684150d073df4afef4031dee42cbbf31b17848d901960"
 	)
 	s, err := Open(Options{Dir: t.TempDir(), Jobs: 1, Key: []byte("smp-job-key")})
 	if err != nil {

@@ -42,6 +42,103 @@ func spawnAperiodic(k *sim.Kernel, os *OS, name string, prio int, work sim.Time,
 	})
 }
 
+// TestConservationThreeCPUs checks busy + idle + overhead = 3 × span at
+// horizons that cut delays short on two CPUs while the third idles, and
+// after the run. CPU 0 idles from 100 to 150, then pays a 5-tick switch
+// to a task released late.
+func TestConservationThreeCPUs(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	os := New(k, "SMP", PriorityPolicy{}, WithCPUs(3), WithContextSwitchCost(5))
+	os.Start(nil)
+	spawnAperiodic(k, os, "a", 1, 100, nil)
+	spawnAperiodic(k, os, "b", 2, 250, nil)
+	late := os.TaskCreate("c", Aperiodic, 0, 20, 3)
+	k.Spawn("c", func(p *sim.Proc) {
+		p.WaitFor(150)
+		os.TaskActivate(p, late)
+		os.TimeWait(p, 20)
+		os.TaskTerminate(p)
+	})
+	for _, at := range []sim.Time{50, 120, 152, 160} {
+		if err := k.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Conservation(at); err != nil {
+			t.Error(err)
+		}
+	}
+	runSMP(t, k)
+	st := os.StatsSnapshot()
+	if k.Now() != 250 || st.BusyTime != 370 || st.IdleTime != 50 || st.OverheadTime != 5 {
+		t.Errorf("end %v busy %v idle %v overhead %v, want 250ns, 370ns, 50ns, 5ns",
+			k.Now(), st.BusyTime, st.IdleTime, st.OverheadTime)
+	}
+	if err := os.CheckConservation(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestConservationKillOnOtherCPU kills, from CPU 0 at 12, the task on
+// CPU 1 while its delay or its context switch is open. The killed
+// task's partial interval is credited and its CPU idles from 12 on (an
+// idle interval still open at the end, which only the check counts).
+func TestConservationKillOnOtherCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		ncpu           int
+		ctxCost        sim.Time
+		busy, overhead sim.Time
+	}{
+		// v runs on CPU 1 from 0; CPU 2 idles throughout.
+		{"mid-delay", 3, 0, 20 + 12, 0},
+		// x runs on CPU 1 for 10; v then pays the switch from 10.
+		{"mid-switch", 2, 5, 20 + 10, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Shutdown()
+			os := New(k, "SMP", PriorityPolicy{}, WithCPUs(tc.ncpu), WithContextSwitchCost(tc.ctxCost))
+			os.Start(nil)
+			victim := os.TaskCreate("v", Aperiodic, 0, 100, 3)
+			k.Spawn("v", func(p *sim.Proc) {
+				os.TaskActivate(p, victim)
+				os.TimeWait(p, 100)
+				os.TaskTerminate(p)
+			})
+			if tc.ctxCost > 0 {
+				spawnAperiodic(k, os, "x", 2, 10, nil)
+			}
+			killer := os.TaskCreate("k", Aperiodic, 0, 20, 1)
+			k.Spawn("k", func(p *sim.Proc) {
+				os.TaskActivate(p, killer)
+				os.TimeWait(p, 12)
+				os.TaskKill(p, victim)
+				os.TimeWait(p, 8)
+				os.TaskTerminate(p)
+			})
+			if err := k.RunUntil(15); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Conservation(15); err != nil {
+				t.Error(err)
+			}
+			runSMP(t, k)
+			if victim.State() != TaskKilled {
+				t.Fatalf("victim state %s, want killed", victim.State())
+			}
+			st := os.StatsSnapshot()
+			if k.Now() != 20 || st.BusyTime != tc.busy || st.OverheadTime != tc.overhead {
+				t.Errorf("end %v busy %v overhead %v, want 20ns, %v, %v",
+					k.Now(), st.BusyTime, st.OverheadTime, tc.busy, tc.overhead)
+			}
+			if err := os.CheckConservation(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestTwoCPUsRunTwoTasksInParallel(t *testing.T) {
 	k := sim.NewKernel()
 	os := newCPUs(k, PriorityPolicy{}, 2, true)
@@ -198,8 +295,9 @@ func TestDhallsEffect(t *testing.T) {
 }
 
 // TestQuickWorkConservation: for arbitrary aperiodic task sets on m CPUs,
-// total busy time equals total work, the makespan is bounded between
-// work/m and total work, and the running-slot invariant never breaks.
+// total busy time equals total work, busy plus idle time fills m times
+// the span, the makespan is bounded between work/m and total work, and
+// the running-slot invariant never breaks.
 func TestQuickWorkConservation(t *testing.T) {
 	f := func(workRaw []uint8, ncpuRaw uint8) bool {
 		if len(workRaw) == 0 {
@@ -222,6 +320,10 @@ func TestQuickWorkConservation(t *testing.T) {
 			return false
 		}
 		if os.StatsSnapshot().BusyTime != total {
+			return false
+		}
+		if err := os.CheckConservation(); err != nil {
+			t.Log(err)
 			return false
 		}
 		end := k.Now()

@@ -58,7 +58,7 @@ func (o *statObserver) OnBlock(at sim.Time, t *Task, r BlockReason) { o.blocks++
 func (o *statObserver) OnUnblock(at sim.Time, t *Task, r BlockReason) {
 	o.unblocks++
 }
-func (o *statObserver) OnReadyQueue(at sim.Time, n int) { o.readyLast = n }
+func (o *statObserver) OnReadyQueue(at sim.Time, cpu, n int) { o.readyLast = n }
 
 // completenessScenario exercises every hook source: periodic tasks
 // (releases, period blocks), event waits (block/unblock with reason),
@@ -242,4 +242,4 @@ func (f *funcObserverExt) OnUnblock(at sim.Time, t *Task, r BlockReason) {
 		f.onUnblock(at, t, r)
 	}
 }
-func (f *funcObserverExt) OnReadyQueue(sim.Time, int) {}
+func (f *funcObserverExt) OnReadyQueue(sim.Time, int, int) {}

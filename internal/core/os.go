@@ -125,8 +125,10 @@ type ObserverExt interface {
 	// OnUnblock fires when t re-enters the ready queue from a waiting
 	// state, with the reason it had been waiting.
 	OnUnblock(at sim.Time, t *Task, reason BlockReason)
-	// OnReadyQueue fires whenever the ready-queue length changes.
-	OnReadyQueue(at sim.Time, n int)
+	// OnReadyQueue fires whenever the ready-queue length changes to n.
+	// cpu is the slot held by the task whose transition changed it, or 0
+	// when that task holds none.
+	OnReadyQueue(at sim.Time, cpu, n int)
 }
 
 // Stats aggregates the counters the paper's Table 1 reports (context
@@ -134,14 +136,15 @@ type ObserverExt interface {
 //
 // BusyTime, IdleTime and OverheadTime partition the wall-clock span of the
 // scheduler: from Start to any later instant, BusyTime + IdleTime +
-// OverheadTime equals the elapsed simulated time (Sched.Conservation
-// asserts exactly this).
+// OverheadTime equals the elapsed simulated time, times M on M CPUs, once
+// the intervals still open are counted (Sched.Conservation asserts
+// exactly this).
 type Stats struct {
 	Dispatches      uint64   // CPU handovers to a task
 	ContextSwitches uint64   // handovers to a different task than last ran
 	Preemptions     uint64   // involuntary CPU losses of a running task
 	IRQs            uint64   // InterruptReturn count
-	IdleTime        sim.Time // accumulated time with no task on the CPU
+	IdleTime        sim.Time // accumulated time with no task on a CPU (all CPUs)
 	BusyTime        sim.Time // accumulated modeled execution time (all tasks)
 	OverheadTime    sim.Time // accumulated context-switch overhead (ctxCost)
 }
@@ -155,7 +158,7 @@ type Stats struct {
 //
 // The scheduler state and its transitions are the embedded Sched, shared
 // with the run-to-completion engine; OS adds only what parking one
-// goroutine per task needs: binding processes to tasks, waiting until
+// simulation process per task needs: binding processes to tasks, waiting until
 // dispatched, and notifying the dispatched task's process.
 type OS struct {
 	Sched
@@ -282,11 +285,12 @@ func (os *OS) TaskKill(p *sim.Proc, t *Task) {
 	}
 	now := os.k.Now()
 	if t.cpu >= 0 {
+		os.closeOpen(now, t) // t may be mid-delay on another CPU
 		os.wake(p, os.Block(now, t, TaskKilled))
 		p.Kill(t.proc) // unwinds the caller
 		return
 	}
-	os.removeReady(now, t)
+	os.removeReady(now, t, 0)
 	os.setState(now, t, TaskKilled)
 	if t.proc != nil {
 		p.Kill(t.proc)
@@ -544,10 +548,10 @@ func (os *OS) waitUntilDispatched(p *sim.Proc, t *Task) {
 	}
 	if os.ctxCost > 0 && t.chargeSwitch {
 		t.chargeSwitch = false
-		os.ovhStart = os.k.Now()
-		os.ovhValid = true
+		c := os.slotTimeAt(int(t.cpu))
+		c.ovhStart, c.ovhValid = os.k.Now(), true
 		p.WaitFor(os.ctxCost)
-		os.ovhValid = false
+		c.ovhValid = false
 		os.stats.OverheadTime += os.ctxCost
 	}
 }

@@ -20,9 +20,9 @@ import (
 // and a preferred ready task interrupts the worst running one (see
 // Decide).
 //
-// Both execution substrates drive one Sched: OS parks a goroutine per
-// task (internal/sim), the run-to-completion engine (internal/rtc)
-// returns from resumable frames. Every transition takes the current
+// Both execution substrates drive one Sched: OS parks a simulation
+// process per task (internal/sim), the run-to-completion engine
+// (internal/rtc) returns from resumable frames. Every transition takes the current
 // simulated time, never blocks, and reports what the engine must do
 // next — wake the task it returns, make the caller yield, or continue.
 // The engine supplies only suspension and resumption.
@@ -47,21 +47,11 @@ type Sched struct {
 	// before every normal arrival in the ascending-seq FIFO tie-break.
 	frontSeq int // decrementing seq source for front re-inserts
 
-	idleSince sim.Time
 	startedAt sim.Time // start instant; origin of the conservation span
-
-	// In-flight accounting: a modeled delay (or context-switch overhead)
-	// whose time has partially elapsed but is not yet credited to the
-	// stats. Conservation adds these so it can be called while the
-	// simulation is paused mid-delay (e.g. at a RunUntil horizon).
-	delayStart sim.Time
-	ovhStart   sim.Time
+	slotTime           // CPU slot 0's open intervals
 
 	started       bool
 	frontReinsert bool
-	idleValid     bool // idleSince is an open idle interval
-	delayValid    bool // delayStart is an open delay
-	ovhValid      bool // ovhStart is an open context-switch overhead
 
 	stats     Stats
 	observers []Observer
@@ -74,9 +64,26 @@ type Sched struct {
 	progress  uint64 // dispatch stamp consumed by the watchdog
 }
 
-// cpuSlot is one CPU past slot 0: the task it runs and the task it ran
-// last.
-type cpuSlot struct{ run, last *Task }
+// cpuSlot is one CPU past slot 0: the task it runs, the task it ran last
+// and its open intervals.
+type cpuSlot struct {
+	run, last *Task
+	slotTime
+}
+
+// slotTime is one CPU slot's open accounting intervals: idle time, or a
+// modeled delay (or context-switch overhead) whose time has partially
+// elapsed but is not yet credited to the stats. Conservation adds them
+// so it can be called while the simulation is paused mid-delay (e.g. at
+// a RunUntil horizon).
+type slotTime struct {
+	idleSince  sim.Time
+	delayStart sim.Time
+	ovhStart   sim.Time
+	idleValid  bool // idleSince is an open idle interval
+	delayValid bool // delayStart is an open delay
+	ovhValid   bool // ovhStart is an open context-switch overhead
+}
 
 // Decision is what an engine must do after a scheduling decision.
 type Decision uint8
@@ -238,6 +245,15 @@ func (s *Sched) running() int {
 	return n
 }
 
+// slotTimeAt returns CPU slot cpu's open intervals. A task's cpu of -1
+// (on no CPU) selects slot 0, the only one a one-CPU instance has.
+func (s *Sched) slotTimeAt(cpu int) *slotTime {
+	if cpu > 0 {
+		return &s.cpus[cpu-1].slotTime
+	}
+	return &s.slotTime
+}
+
 // slot returns the fields holding the task CPU slot i runs and the task
 // it ran last.
 func (s *Sched) slot(i int) (run, last **Task) {
@@ -330,6 +346,11 @@ func (s *Sched) StartAt(now sim.Time, policy Policy) {
 	s.startedAt = now
 	s.idleSince = now
 	s.idleValid = true
+	for i := range s.cpus {
+		if c := &s.cpus[i]; c.run == nil {
+			c.idleSince, c.idleValid = now, true
+		}
+	}
 }
 
 // assignRateMonotonic rewrites task priorities per RM: periodic tasks are
@@ -386,7 +407,7 @@ func (s *Sched) Dispatch(now sim.Time, prev *Task) *Task {
 		}
 		return nil
 	}
-	s.removeReady(now, next)
+	s.removeReady(now, next, 0)
 	if s.idleValid {
 		s.stats.IdleTime += now - s.idleSince
 		s.idleValid = false
@@ -429,9 +450,29 @@ func (s *Sched) release(now sim.Time, t *Task) *Task {
 	cpu := int(t.cpu)
 	run, _ := s.slot(cpu)
 	*run = nil
+	if c := s.slotTimeAt(cpu); !c.idleValid {
+		c.idleSince, c.idleValid = now, true
+	}
 	t.cpu = -1
 	s.emitDispatch(now, cpu, t, nil)
 	return nil
+}
+
+// closeOpen credits the delay or context-switch overhead still open on
+// the running task t's CPU slot up to now. TaskKill calls it before it
+// takes a running task off its CPU: the killed task's unwind skips
+// EndDelay and the overhead credit.
+func (s *Sched) closeOpen(now sim.Time, t *Task) {
+	c := s.slotTimeAt(int(t.cpu))
+	if c.delayValid {
+		c.delayValid = false
+		t.cpuTime += now - c.delayStart
+		s.stats.BusyTime += now - c.delayStart
+	}
+	if c.ovhValid {
+		c.ovhValid = false
+		s.stats.OverheadTime += now - c.ovhStart
+	}
 }
 
 // Preempt moves the running task t back to the ready queue (involuntary
@@ -500,7 +541,11 @@ func (s *Sched) decideGlobal(now sim.Time) (*Task, Decision) {
 	}
 	for cpu := range s.ncpu() {
 		if run, _ := s.slot(cpu); *run == nil {
-			s.removeReady(now, best)
+			if c := s.slotTimeAt(cpu); c.idleValid {
+				s.stats.IdleTime += now - c.idleSince
+				c.idleValid = false
+			}
+			s.removeReady(now, best, cpu)
 			s.occupy(now, cpu, best)
 			s.emitDispatch(now, cpu, nil, best)
 			return best, Wake
@@ -558,14 +603,14 @@ func (s *Sched) ShouldPreempt(t *Task) bool {
 // BeginDelay starts a modeled delay of the running task t.
 func (s *Sched) BeginDelay(now sim.Time, t *Task) {
 	s.setState(now, t, TaskWaitingTime)
-	s.delayStart = now
-	s.delayValid = true
+	c := s.slotTimeAt(int(t.cpu))
+	c.delayStart, c.delayValid = now, true
 }
 
 // EndDelay credits elapsed execution time to t when its delay (or delay
 // segment) ends at now.
 func (s *Sched) EndDelay(now sim.Time, t *Task, elapsed sim.Time) {
-	s.delayValid = false
+	s.slotTimeAt(int(t.cpu)).delayValid = false
 	t.cpuTime += elapsed
 	t.sliceUsed += elapsed
 	t.lastWorkDone = now
@@ -667,34 +712,40 @@ func (s *Sched) IRQ(now sim.Time, name string, enter bool) {
 
 // Conservation verifies the time accounting at now: since the start,
 // every unit of simulated time must be attributed to exactly one of
-// modeled task execution (BusyTime), an empty ready queue (IdleTime) or
-// context-switch overhead (OverheadTime), counting a delay still in
-// flight up to now. A non-nil error indicates a scheduler accounting bug,
-// never an application error. Before the start, and on several CPUs,
-// whose idle time is not kept, it returns nil.
+// modeled task execution (BusyTime), a CPU with no task (IdleTime) or
+// context-switch overhead (OverheadTime), counting intervals still open
+// up to now. On M CPUs each CPU is accounted separately, so the three
+// sum to M times the span. A non-nil error indicates a scheduler
+// accounting bug, never an application error. Before the start it
+// returns nil.
 func (s *Sched) Conservation(now sim.Time) error {
-	if !s.started || s.cpus != nil {
+	if !s.started {
 		return nil
 	}
-	span := now - s.startedAt
-	busy := s.stats.BusyTime
-	if s.delayValid {
-		busy += now - s.delayStart
+	busy, idle, ovh := s.stats.BusyTime, s.stats.IdleTime, s.stats.OverheadTime
+	for cpu := range s.ncpu() {
+		c := s.slotTimeAt(cpu)
+		if c.delayValid {
+			busy += now - c.delayStart
+		}
+		if c.idleValid {
+			idle += now - c.idleSince
+		}
+		if c.ovhValid {
+			ovh += now - c.ovhStart
+		}
 	}
-	idle := s.stats.IdleTime
-	if s.idleValid {
-		idle += now - s.idleSince
+	span, m := now-s.startedAt, s.ncpu()
+	if busy+idle+ovh == sim.Time(m)*span {
+		return nil
 	}
-	ovh := s.stats.OverheadTime
-	if s.ovhValid {
-		ovh += now - s.ovhStart
+	want := fmt.Sprintf("span %v", span)
+	if m > 1 {
+		want = fmt.Sprintf("%d CPUs × %s", m, want)
 	}
-	if busy+idle+ovh != span {
-		return fmt.Errorf(
-			"core[%s]: time conservation violated at %v: busy %v + idle %v + overhead %v = %v, want span %v (start %v)",
-			s.name, now, busy, idle, ovh, busy+idle+ovh, span, s.startedAt)
-	}
-	return nil
+	return fmt.Errorf(
+		"core[%s]: time conservation violated at %v: busy %v + idle %v + overhead %v = %v, want %s (start %v)",
+		s.name, now, busy, idle, ovh, busy+idle+ovh, want, s.startedAt)
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +760,7 @@ func (s *Sched) Ready(now sim.Time, t *Task) {
 	s.setState(now, t, TaskReady)
 	s.seq++
 	s.rq.push(t, s.seq)
-	s.emitReadyQueue(now)
+	s.emitReadyQueue(now, t)
 }
 
 // makeReadyPreempted re-inserts a task that lost the CPU involuntarily.
@@ -728,13 +779,14 @@ func (s *Sched) makeReadyPreempted(now sim.Time, t *Task) {
 	s.setState(now, t, TaskReady)
 	s.frontSeq--
 	s.rq.push(t, s.frontSeq)
-	s.emitReadyQueue(now)
+	s.emitReadyQueue(now, t)
 }
 
-// removeReady drops t from the ready queue if present.
-func (s *Sched) removeReady(now sim.Time, t *Task) {
-	if s.rq.remove(t) {
-		s.emitReadyQueue(now)
+// removeReady drops t from the ready queue if present; the queue event
+// carries CPU slot cpu, the one t is about to take (0 when none).
+func (s *Sched) removeReady(now sim.Time, t *Task, cpu int) {
+	if s.rq.remove(t) && len(s.extObs) > 0 {
+		s.notifyReadyQueue(now, cpu)
 	}
 }
 
@@ -789,14 +841,15 @@ func (s *Sched) emitDispatch(now sim.Time, cpu int, prev, next *Task) {
 	}
 }
 
-func (s *Sched) emitReadyQueue(now sim.Time) {
+// emitReadyQueue reports a ready-queue change that t's transition made.
+func (s *Sched) emitReadyQueue(now sim.Time, t *Task) {
 	if len(s.extObs) > 0 {
-		s.notifyReadyQueue(now)
+		s.notifyReadyQueue(now, max(int(t.cpu), 0))
 	}
 }
 
-func (s *Sched) notifyReadyQueue(now sim.Time) {
+func (s *Sched) notifyReadyQueue(now sim.Time, cpu int) {
 	for _, o := range s.extObs {
-		o.OnReadyQueue(now, len(s.rq))
+		o.OnReadyQueue(now, cpu, len(s.rq))
 	}
 }

@@ -209,6 +209,9 @@ func (t *Task) Activations() int { return t.activations }
 // MissedDeadlines returns how many cycles completed after their deadline.
 func (t *Task) MissedDeadlines() int { return t.missed }
 
+// CPU returns the CPU slot the task holds, or -1 when it holds none.
+func (t *Task) CPU() int { return int(t.cpu) }
+
 // Migrations returns how often the task was dispatched onto another CPU
 // than the one it last ran on (always 0 on one CPU).
 func (t *Task) Migrations() int { return int(t.migrations) }

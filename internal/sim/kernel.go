@@ -9,8 +9,9 @@ import (
 // Kernel is the discrete-event simulation engine. Create one with
 // NewKernel, spawn one or more root processes with Spawn, then call Run
 // or RunUntil. A Kernel is not safe for concurrent use from multiple
-// goroutines: the cooperative handoff protocol guarantees that at most one
-// process goroutine (or the Run caller) touches kernel state at a time.
+// goroutines. Its processes run as runtime coroutines that Run resumes one
+// at a time, so at most one of them (or the Run caller) touches kernel
+// state at any instant.
 type Kernel struct {
 	now   Time
 	delta uint64
@@ -25,10 +26,6 @@ type Kernel struct {
 	timerTab  []timerSlot // timer id → what the timer wakes
 	timerFree int         // id + 1 of the first free timerTab slot; 0 if none
 
-	yield   chan struct{} // process -> kernel handoff
-	killAck chan struct{} // killed process -> killer handoff
-
-	running  *Proc
 	active   int // processes not yet finished
 	stopped  bool
 	failure  error // set by Fail; returned by Run/RunUntil once stopped
@@ -42,8 +39,9 @@ type Kernel struct {
 	stallHandlers []StallHandler
 	deltaLimit    uint64 // max delta cycles per time step; 0 = unlimited
 
-	// Steps counts process activations (resume/yield round trips); exposed
-	// for tests and benchmarks of kernel overhead.
+	// Steps counts process activations (resumes, plus wake-ups a process
+	// takes without a switch); exposed for tests and benchmarks of kernel
+	// overhead.
 	Steps uint64
 }
 
@@ -54,11 +52,7 @@ const timerSlots = 8
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
-		yield:    make(chan struct{}),
-		killAck:  make(chan struct{}),
-		timerTab: make([]timerSlot, 0, timerSlots),
-	}
+	k := &Kernel{timerTab: make([]timerSlot, 0, timerSlots)}
 	k.timers.Reserve(timerSlots)
 	return k
 }
@@ -76,21 +70,17 @@ func (k *Kernel) Active() int { return k.active }
 // Shutdown the list is empty: process handles are recycled.
 func (k *Kernel) Procs() []*Proc { return k.procs }
 
-// procPool recycles Proc structs (and their resume channels) across
-// kernels, so batch workloads that create thousands of short-lived
-// kernels do not re-allocate one struct + channel per process per run.
-// A Proc enters the pool only from Kernel.Shutdown, once its goroutine
-// has terminated; holding a *Proc across Shutdown is valid only for
+// procPool recycles Proc structs across kernels, so batch workloads that
+// create thousands of short-lived kernels do not re-allocate one struct
+// per process per run. A Proc enters the pool only from Kernel.Shutdown,
+// once it has ended; holding a *Proc across Shutdown is valid only for
 // reading its final name/state until another kernel is created.
-var procPool = sync.Pool{New: func() interface{} {
-	return &Proc{resume: make(chan resumeMode)}
-}}
+var procPool = sync.Pool{New: func() interface{} { return new(Proc) }}
 
-// newProc allocates (or recycles) a process and its goroutine (parked
-// until first resume).
+// newProc allocates (or recycles) a process. It gets a carrier on its
+// first resume.
 func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 	p := procPool.Get().(*Proc)
-	resume := p.resume
 	children := p.children[:0]
 	waitEvents := p.waitEvents[:0]
 	*p = Proc{
@@ -99,7 +89,6 @@ func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 		name:       name,
 		fn:         fn,
 		state:      StateCreated,
-		resume:     resume,
 		parent:     parent,
 		children:   children,
 		waitEvents: waitEvents,
@@ -107,7 +96,6 @@ func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 	k.seq++
 	k.active++
 	k.procs = append(k.procs, p)
-	go p.run()
 	return p
 }
 
@@ -127,6 +115,7 @@ func releaseProc(p *Proc) {
 	p.waitEvents = p.waitEvents[:0]
 	p.timer = 0
 	p.wokenBy = nil
+	p.c = nil // a carrier still bound here never came back: it is dead
 	procPool.Put(p)
 }
 
@@ -197,23 +186,14 @@ func (k *Kernel) Run() error { return k.RunUntil(Forever) }
 // may be earlier than limit if nothing was scheduled at limit itself.
 func (k *Kernel) RunUntil(limit Time) error {
 	k.limit = limit
-	for !k.stopped && k.runErr == nil {
-		p := k.nextRunnable()
-		if p == nil {
-			break
-		}
-		k.running = p
+	for p := k.pick(); p != nil; {
+		// Resume p until it blocks or ends. A blocking process computes
+		// the next runnable process itself and yields it as the
+		// hand-off; nil means there is none (horizon, nothing scheduled,
+		// stop, livelock or panic).
 		k.Steps++
-		p.resume <- resumeRun
-		// Control returns here only when the process chain exhausts all
-		// runnable work up to the horizon (or stops/panics): blocking
-		// processes advance delta cycles and time themselves and hand the
-		// CPU directly to the next runnable process (switchTo) without
-		// bouncing through this loop.
-		<-k.yield
-		k.running = nil
-		if k.panicked != nil {
-			r := k.panicked
+		p = k.resume(p)
+		if r := k.panicked; r != nil {
 			k.panicked = nil
 			panic(r)
 		}
@@ -243,8 +223,8 @@ func (k *Kernel) RunUntil(limit Time) error {
 // and simulated time (firing due timers) as needed. It returns nil when
 // control must go back to the Run caller: the horizon was passed, nothing
 // is scheduled, or a livelock was detected (recorded in k.runErr). It may
-// run on the Run caller's goroutine or on a blocking process's goroutine
-// (the fused handoff); the cooperative protocol guarantees exclusivity.
+// run on the Run caller or on a blocking process, which computes its own
+// hand-off; only one of them runs at a time.
 func (k *Kernel) nextRunnable() *Proc {
 	for {
 		if p := k.popReady(); p != nil {
@@ -272,29 +252,33 @@ func (k *Kernel) nextRunnable() *Proc {
 	}
 }
 
-// switchTo transfers control away from the calling process goroutine:
-// directly to the next runnable process when one exists (the fused
-// handoff — a single channel rendezvous per context switch), or back to
-// the Run caller otherwise (stop, panic propagation, horizon, deadlock).
-// When the next runnable turns out to be the calling process itself
-// (self == next: a solitary process whose own timer or delta-yield came
-// due), it returns true and the caller continues without any channel
-// operation at all.
-func (k *Kernel) switchTo(self *Proc) bool {
-	if !k.stopped && k.panicked == nil && k.runErr == nil {
-		if p := k.nextRunnable(); p != nil {
-			k.running = p
-			k.Steps++
-			if p == self {
-				return true
-			}
-			p.resume <- resumeRun
-			return false
-		}
+// pick returns the process to run next, or nil when control must go back
+// to the Run caller: stop, a recorded panic or livelock, or no runnable
+// work up to the horizon.
+func (k *Kernel) pick() *Proc {
+	if k.stopped || k.panicked != nil || k.runErr != nil {
+		return nil
 	}
-	k.running = nil
-	k.yield <- struct{}{}
-	return false
+	return k.nextRunnable()
+}
+
+// resume switches to p's coroutine until p blocks or ends, and returns the
+// hand-off p yields. A process gets a carrier on its first resume and
+// gives it back once it has ended.
+func (k *Kernel) resume(p *Proc) *Proc {
+	c := p.c
+	if c == nil {
+		c = getCarrier()
+		c.p = p
+		p.c = c
+	}
+	h, _ := c.next()
+	if p.ended() {
+		h, c.h = c.h, nil
+		p.c = nil
+		putCarrier(c)
+	}
+	return h
 }
 
 // Fail stops the run with err: the innermost Run/RunUntil call returns err
@@ -346,17 +330,17 @@ func (e *LivelockError) Error() string {
 	return fmt.Sprintf("sim: livelock at %s: %d delta cycles without time advancing", e.Time, e.Deltas)
 }
 
-// Shutdown terminates every remaining process so its goroutine exits, then
-// marks the kernel stopped. A kernel whose run has ended — at a RunUntil
-// horizon, by Stop, or by a propagated panic — still holds one parked
-// goroutine per unfinished process (daemons, blocked tasks); a batch
-// workload that creates thousands of kernels would accumulate them without
-// bound. Callers that own a kernel for a single run should defer Shutdown
-// right after NewKernel. Shutdown must not be called while the simulation
-// is running (i.e. from process code); it is idempotent and safe after a
-// deadlock, a horizon pause, or a re-raised process panic. Deferred
-// functions of killed processes run as for Kill and must not block on
-// simulation primitives.
+// Shutdown terminates every remaining process, so its carrier coroutine
+// goes back to the idle stack, then marks the kernel stopped. A kernel
+// whose run has ended — at a RunUntil horizon, by Stop, or by a propagated
+// panic — still holds one parked coroutine per started, unfinished process
+// (daemons, blocked tasks); a batch workload that creates thousands of
+// kernels would accumulate them without bound. Callers that own a kernel
+// for a single run should defer Shutdown right after NewKernel. Shutdown
+// must not be called while the simulation is running (i.e. from process
+// code); it is idempotent and safe after a deadlock, a horizon pause, or
+// a re-raised process panic. Deferred functions of killed processes run
+// as for Kill and must not block on simulation primitives.
 //
 // Shutdown also recycles the kernel's process control blocks: *Proc
 // handles remain readable (final name and state) until the program creates
@@ -437,14 +421,14 @@ func (k *Kernel) cancelTimer(p *Proc) {
 
 // kill terminates target and its children recursively; see Proc.Kill.
 func (k *Kernel) kill(target, killer *Proc) {
-	if target.state == StateDone || target.state == StateKilled {
+	if target.ended() {
 		return
 	}
-	// Children first, so join accounting in finish() sees a live parent.
+	// Children first, so join accounting in exit() sees a live parent.
 	for _, c := range append([]*Proc(nil), target.children...) {
 		k.kill(c, killer)
 	}
-	if target.state == StateDone || target.state == StateKilled {
+	if target.ended() {
 		return // finished while its children were being killed
 	}
 	if target == killer {
@@ -458,11 +442,19 @@ func (k *Kernel) kill(target, killer *Proc) {
 	target.waitEvents = target.waitEvents[:0]
 	k.cancelTimer(target)
 	k.removeFromQueues(target)
-	// Resume the parked goroutine in kill mode and wait for it to ack.
-	target.killSync = true
-	target.resume <- resumeKill
-	<-k.killAck
-	target.killSync = false
+	if target.c == nil {
+		// Never ran: there is no stack to unwind.
+		target.state = StateKilled
+		target.exit()
+		return
+	}
+	// Resume it in kill mode: it unwinds from its blocking primitive and
+	// yields straight back here.
+	target.killed = true
+	k.resume(target)
+	if !target.ended() {
+		panic(fmt.Sprintf("sim: %s blocked while being killed", target))
+	}
 }
 
 // liveProcs returns non-daemon processes that are not done/killed — the

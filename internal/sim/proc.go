@@ -54,34 +54,27 @@ func (s State) String() string {
 	}
 }
 
-// resumeMode tells a blocked process goroutine why it was resumed.
-type resumeMode int
-
-const (
-	resumeRun  resumeMode = iota // continue normal execution
-	resumeKill                   // unwind: the process was killed
-)
-
 // killedSignal is the panic payload used to unwind a killed process
-// goroutine through its blocking primitive.
+// through its blocking primitive.
 type killedSignal struct{}
 
 // Func is the body of a simulation process.
 type Func func(p *Proc)
 
 // Proc is a simulation process: the SLDL notion of an independent thread
-// of control. Each Proc owns one goroutine; the kernel guarantees at most
-// one process goroutine executes at a time. All Proc methods except Name,
-// ID and State must only be called from the process's own goroutine while
-// it is running (i.e. from inside its Func) — except Kill, which is called
-// by another running process.
+// of control. Once it first runs, its Func executes on a carrier, a pooled
+// runtime coroutine that the kernel resumes and that yields back when the
+// process blocks; at most one process executes at a time. All Proc methods
+// except Name, ID and State must only be called from the process's own
+// Func while it is running — except Kill, which is called by another
+// running process.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	fn     Func
-	state  State
-	resume chan resumeMode
+	k     *Kernel
+	id    int
+	name  string
+	fn    Func
+	state State
+	c     *carrier // set from the first resume until the process ends
 
 	parent      *Proc
 	joinsParent bool // true for Par children: completion decrements parent's join count
@@ -96,9 +89,8 @@ type Proc struct {
 	wokenBy    *Event
 	timedOut   bool
 
-	daemon        bool // daemons don't keep the simulation alive
-	killRequested bool
-	killSync      bool // finish() must ack on k.killAck instead of k.yield
+	daemon bool // daemons don't keep the simulation alive
+	killed bool // resumed by Kill: unwind, and yield back to the killer
 }
 
 // SetDaemon marks the process as a daemon: a simulation that has only
@@ -125,36 +117,38 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// run is the goroutine body of a process.
-func (p *Proc) run() {
-	if mode := <-p.resume; mode == resumeKill {
-		p.state = StateKilled
-		p.finish()
-		return
-	}
+// ended reports whether the process has finished or been killed.
+func (p *Proc) ended() bool { return p.state == StateDone || p.state == StateKilled }
+
+// run executes the process body on its carrier and returns the hand-off
+// its carrier yields once it has ended: the next process to run, or nil.
+// A user panic is recorded for the kernel to re-raise on the Run caller.
+// A body that calls runtime.Goexit ends its carrier's coroutine, and
+// iter.Pull passes the Goexit on to whoever resumed it, so nothing is
+// picked to run next.
+func (p *Proc) run() (h *Proc) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedSignal); ok {
-				p.state = StateKilled
-			} else {
-				// A real panic in user code: record it so the kernel can
-				// re-raise it on the Run caller's goroutine.
-				p.state = StateDone
-				p.k.panicked = r
-			}
-		} else {
-			p.state = StateDone
+		r := recover()
+		p.state = StateDone
+		if _, ok := r.(killedSignal); ok {
+			p.state = StateKilled
+		} else if r != nil {
+			p.k.panicked = r
 		}
-		p.finish()
+		p.exit()
+		if (returned || r != nil) && !p.killed {
+			h = p.k.pick() // a finished process is never the next runnable
+		}
 	}()
 	p.state = StateRunning
 	p.fn(p)
+	returned = true
+	return nil
 }
 
-// finish performs end-of-life bookkeeping and returns control to whoever
-// is waiting for this goroutine to stop (the kernel loop, or the killing
-// process for a synchronous kill).
-func (p *Proc) finish() {
+// exit performs end-of-life bookkeeping.
+func (p *Proc) exit() {
 	p.k.active--
 	if p.parent != nil && p.joinsParent {
 		p.parent.pendingKids--
@@ -162,33 +156,32 @@ func (p *Proc) finish() {
 			p.k.enqueueNext(p.parent)
 		}
 	}
-	if p.killSync {
-		p.k.killAck <- struct{}{}
-		return
-	}
-	p.k.switchTo(nil) // a finished process is never the next runnable
 }
 
 // yieldToKernel gives up the CPU and blocks until this process is resumed.
-// Must be called with p.state already updated to the blocking state. When
-// another process is runnable — in this delta cycle, a later one, or after
-// a time advance — control passes to it directly (see Kernel.switchTo);
-// when the next runnable is this process itself, execution continues
-// without blocking at all; otherwise control returns to the Run caller.
-// Panics with killedSignal if the process was killed while blocked.
+// Must be called with p.state already updated to the blocking state. The
+// process computes the next runnable process — in this delta cycle, a
+// later one, or after a time advance — and yields it to the kernel loop
+// as the hand-off, or nil when control goes back to the Run caller. When
+// the next runnable is this process itself, execution continues without
+// a switch at all. Panics with killedSignal if the process was resumed by
+// Kill.
 func (p *Proc) yieldToKernel() {
-	if p.k.switchTo(p) {
+	k := p.k
+	h := k.pick()
+	if h == p {
 		// Fast path: this process's own wake-up (timer, delta yield) was the
 		// next runnable work. No kill check needed — kills only originate
 		// from process code, and none ran in between.
+		k.Steps++
 		p.state = StateRunning
 		return
 	}
-	if mode := <-p.resume; mode == resumeKill {
+	p.c.yield(h)
+	if p.killed {
 		panic(killedSignal{})
 	}
 	p.state = StateRunning
-	p.k.running = p
 }
 
 // WaitFor suspends the process for duration d of simulated time (SpecC's
@@ -307,8 +300,9 @@ func (p *Proc) ParNamed(names []string, fns ...Func) {
 }
 
 // Kill forcibly terminates the target process and, recursively, all of its
-// children. The target's goroutine is unwound through its current blocking
-// primitive; deferred functions in the target run as usual. Killing self
+// children. The target is resumed and unwound through its current
+// blocking primitive; deferred functions in the target run as usual and
+// must not block on simulation primitives. Killing self
 // unwinds the caller immediately. Killing an already-finished process is a
 // no-op.
 func (p *Proc) Kill(target *Proc) {

@@ -7,10 +7,19 @@
 // The kernel is the substrate on which the abstract RTOS model of
 // internal/core is layered, exactly as the DATE 2003 paper "RTOS Modeling
 // for System Level Design" layers its RTOS model on the SpecC simulation
-// kernel. Only one process executes at any instant; the kernel hands
-// control to a process goroutine and blocks until that process yields.
-// Ready processes run in deterministic FIFO order per (time, delta cycle),
-// so simulations are bit-reproducible.
+// kernel. Only one process executes at any instant. Processes run as
+// runtime coroutines (iter.Pull), like the user-level threads of a SpecC
+// or SystemC kernel: the loop in RunUntil resumes one, which runs until it
+// blocks and then yields the process that runs next as its hand-off; a
+// process whose own wake-up is the next work item continues with no switch
+// at all. The coroutines are carriers pooled across kernels: each runs one
+// process after another, and a process holds one from its first resume
+// until it ends. Ready processes run in deterministic FIFO order per
+// (time, delta cycle), so simulations are bit-reproducible.
+//
+// The coroutines need Go 1.23 or newer. go.mod names go 1.22 and only
+// carrier.go carries a go1.23 build line; an older toolchain stops at
+// the undefined sim_kernel_requires_go1_23_or_newer (requires_go123.go).
 package sim
 
 import "fmt"

@@ -194,8 +194,11 @@ func (b *Bus) Attach(os *core.OS) { b.AttachSched(&os.Sched) }
 
 // AttachSched is Attach for a bare scheduler state — the form the
 // run-to-completion engine (internal/rtc) runs its RTOS model in.
-// Dispatch and preempt events carry the CPU slot; on several CPUs a slot
-// vacated is a dispatch to idle naming the previous task.
+// Every scheduler event carries a CPU slot: dispatch and preempt events
+// the slot they act on, task events the slot the task holds at that
+// instant (0 when it holds none), ready-queue events the slot of the task
+// whose transition changed the queue. On several CPUs a slot vacated is a
+// dispatch to idle naming the previous task.
 func (b *Bus) AttachSched(s *core.Sched) {
 	s.Observe(&coreAdapter{bus: b, pe: s.Name()})
 }
@@ -233,8 +236,11 @@ func taskName(t *core.Task) string {
 	return t.Name()
 }
 
+// cpuOf returns the slot t holds, or 0 when it holds none.
+func cpuOf(t *core.Task) int { return max(t.CPU(), 0) }
+
 func (a *coreAdapter) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskState) {
-	a.bus.Emit(Event{At: at, Kind: KindState, PE: a.pe, Task: t.Name(), From: old, To: new})
+	a.bus.Emit(Event{At: at, Kind: KindState, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), From: old, To: new})
 }
 
 func (a *coreAdapter) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
@@ -251,7 +257,7 @@ func (a *coreAdapter) OnIRQ(at sim.Time, name string, enter bool) {
 }
 
 func (a *coreAdapter) OnRelease(at sim.Time, t *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindRelease, PE: a.pe, Task: t.Name()})
+	a.bus.Emit(Event{At: at, Kind: KindRelease, PE: a.pe, CPU: cpuOf(t), Task: t.Name()})
 }
 
 func (a *coreAdapter) OnPreempt(at sim.Time, cpu int, t, by *core.Task) {
@@ -260,15 +266,15 @@ func (a *coreAdapter) OnPreempt(at sim.Time, cpu int, t, by *core.Task) {
 }
 
 func (a *coreAdapter) OnBlock(at sim.Time, t *core.Task, r core.BlockReason) {
-	a.bus.Emit(Event{At: at, Kind: KindBlock, PE: a.pe, Task: t.Name(), Reason: r})
+	a.bus.Emit(Event{At: at, Kind: KindBlock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
 }
 
 func (a *coreAdapter) OnUnblock(at sim.Time, t *core.Task, r core.BlockReason) {
-	a.bus.Emit(Event{At: at, Kind: KindUnblock, PE: a.pe, Task: t.Name(), Reason: r})
+	a.bus.Emit(Event{At: at, Kind: KindUnblock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
 }
 
-func (a *coreAdapter) OnReadyQueue(at sim.Time, n int) {
-	a.bus.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, Arg: int64(n)})
+func (a *coreAdapter) OnReadyQueue(at sim.Time, cpu, n int) {
+	a.bus.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, CPU: cpu, Arg: int64(n)})
 }
 
 // OnDiagnosis converts a runtime diagnosis into fault.* events: one

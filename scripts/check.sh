@@ -9,7 +9,8 @@
 #     and byte budgets, the rtc session allocation pins, the telemetry overhead guard, the itron/osek conformance
 #     suites and cross-personality corpus, goroutine-vs-rtc engine
 #     equivalence (simcheck, taskset, rtc.RunGoroutine, sdl),
-#     timer queue ordering, checkpoint/restore equivalence and
+#     timer queue ordering, the goroutine kernel's coroutine hand-off,
+#     checkpoint/restore equivalence and
 #     the design-space-exploration gates;
 #   - perfbench's self-tests (a separate module) and the personality
 #     dispatch overhead guard;
@@ -126,6 +127,13 @@ step "execution-engine equivalence (goroutine vs run-to-completion)" go test -ru
 # RunUntil must honour its inclusive horizon.
 step "timer queue ordering + differential harness" go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestPushQueuedIDPanics|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestTimersPointerFree|TestTimerCancelCompaction|TestRunUntilBoundary' -count=1 ./internal/sim
 
+# Goroutine-kernel hand-off: processes run on pooled runtime coroutines
+# (carriers). Kill of a never-run, waiting, self or Par-parent process,
+# Shutdown at a horizon, a re-raised panic and runtime.Goexit each leave
+# the idle stack sound; kernels on several goroutines share it; the
+# goroutine count stays bounded by the idle cap.
+step "goroutine-kernel hand-off" go test -race -count=3 -run 'TestHandoff|TestShutdownReleasesGoroutines' ./internal/sim
+
 # Checkpoint equivalence: an rtc session snapshotted at a randomized
 # instant and restored into a fresh session must finish with
 # byte-identical traces and statistics across the simcheck matrix — plus
@@ -149,8 +157,22 @@ step "design-space exploration gates (internal/dse)" go test -race -count=1 ./in
 # its own (replace repro => ../), so go test ./... above never reaches
 # it. Its tests pin the metric names against BENCHMARK.json, per-op
 # metrics independent of run length, tampered outputs failing their op,
-# and a warm reset starting a fresh server life.
-step "perfbench self-tests (separate module)" sh -c 'cd perfbench && go test ./...'
+# and a warm reset starting a fresh server life. The campaign tests
+# create tens of thousands of cache files under t.TempDir() and unlink
+# them again, which takes minutes on a disk-backed TMPDIR: when /dev/shm
+# is a tmpfs, TMPDIR points at a fresh directory there, removed
+# afterwards.
+perfbench_tests() {
+	if [ "$(stat -f -c %T /dev/shm 2>/dev/null)" = tmpfs ] &&
+		shm=$(mktemp -d /dev/shm/perfbench-test.XXXXXX); then
+		(cd perfbench && TMPDIR=$shm go test ./...)
+		rc=$?
+		rm -rf "$shm"
+		return $rc
+	fi
+	(cd perfbench && go test ./...)
+}
+step "perfbench self-tests (separate module)" perfbench_tests
 
 # Personality dispatch overhead guard: the personality interface in
 # front of the core services must stay within 5% of direct calls on the
