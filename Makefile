@@ -42,8 +42,8 @@ campaign-resume: ## kill-and-restart differential matrix: crash at every log pos
 	go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache|TestDSEDistinctKeysRunOnce' -count=1 -v ./internal/campaign | tail -5
 	go test -race -count=1 ./internal/campaign/eventlog
 
-perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s)
-	cd perfbench && go test ./...
+perfbench-test: ## the end-to-end benchmark's own tests (a separate module that go test ./... does not reach; ~30s, TMPDIR on /dev/shm when it is a tmpfs)
+	./scripts/perfbench-tests.sh
 
 table1-budget: ## allocation-count and allocated-byte budgets of the Table-1 pair (RunSpec + RunArch)
 	go test -run 'TestTable1AllocBudget|TestTable1ByteBudget' -count=1 -v .

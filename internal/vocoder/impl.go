@@ -142,10 +142,7 @@ func RunImpl(par Params, skipIdle bool, bus ...*telemetry.Bus) (Results, *trace.
 	kern.AddTask("decoder", decEntry, 7936, par.PrioDec)
 	kern.SetDeviceIRQ(0, func() { kern.SemSignalFromISR(semFrame) })
 
-	rec := trace.New("vocoder-impl")
-	for _, b := range bus {
-		rec.TeeMarkers(b)
-	}
+	rec := markerRecorder("vocoder-impl", bus)
 	kern.OnDebug = func(t *ukernel.Task, v int64) {
 		rec.Marker(m.Now(), "frame-out", "decoder", v)
 	}

@@ -35,6 +35,11 @@ func DefaultMultiPE() MultiPEParams {
 // shared bus with the ISR→semaphore→driver receive path. With a CPU per
 // task, decoding overlaps encoding again and the transcoding delay drops
 // back toward the unscheduled model's bound plus communication cost.
+//
+// Unlike the single-PE runners, RunMultiPE attaches its recorder to both
+// RTOS instances: the returned trace holds both PEs' scheduler events
+// besides the frame markers, because the encoder/decoder overlap across
+// PEs is read from it.
 func RunMultiPE(par MultiPEParams, policy core.Policy, tm core.TimeModel) (Results, *trace.Recorder, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()

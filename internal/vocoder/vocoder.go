@@ -19,6 +19,16 @@
 //   - RunArch: RTOS-model-based architecture model (Figure 2(b)),
 //   - RunImpl: implementation model — assembly on the ISS under the small
 //     custom kernel (Figure 2(c)).
+//
+// The recorder each of these returns holds the frame markers the Results
+// come from: one frame-in and one frame-out marker per frame, nothing
+// else. Recording the models' execution segments or scheduler events
+// would cost a Table-1 run several times its marker count in records no
+// Result reads, so the runners do not; a caller who wants the scheduler's
+// event stream passes a telemetry bus, which RunArch attaches to the RTOS
+// instance and which also receives every marker. RunMultiPE is the
+// exception: its recorder is attached to both PEs' RTOS instances and
+// holds their full trace as well.
 package vocoder
 
 import (
@@ -110,7 +120,8 @@ func (w specQueue) Recv(p *sim.Proc) int64    { return w.q.Recv(p) }
 // architecture models. rt selects the RTOS personality whose native
 // channel kinds carry the frame semaphore and the coded-subframe queue;
 // nil (the specification model) uses the PE factory's spec-level
-// channels, which the personality interface subsumes.
+// channels, which the personality interface subsumes. rec receives the
+// frame-in and frame-out markers.
 func build(pe *arch.PE, rec *trace.Recorder, par Params, rt personality.Runtime) *refine.Behavior {
 	var frameSem personality.Semaphore
 	var coded personality.Queue
@@ -154,7 +165,7 @@ func build(pe *arch.PE, rec *trace.Recorder, par Params, rt personality.Runtime)
 				_ = coded.Recv(p)
 				x.Delay(par.DecSubTime) // synthesis filter share
 			}
-			x.Marker("frame-out", int64(i))
+			rec.Marker(p.Now(), "frame-out", "decoder", int64(i))
 		}
 	})
 	return refine.Seq("vocoder", refine.Par("codec", encoder, decoder))
@@ -180,18 +191,44 @@ func finish(model string, par Params, rec *trace.Recorder, wall time.Duration, e
 	return res
 }
 
-// RunSpec executes the unscheduled specification model. An optional
-// telemetry bus receives the frame markers.
-func RunSpec(par Params, bus ...*telemetry.Bus) (Results, *trace.Recorder, error) {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	pe := arch.NewHWPE(k, "DSP")
-	rec := trace.New("vocoder-spec")
+// markerRecorder returns the recorder of a run's frame markers, teeing
+// every marker to the given buses.
+func markerRecorder(name string, bus []*telemetry.Bus) *trace.Recorder {
+	rec := trace.New(name)
 	for _, b := range bus {
 		rec.TeeMarkers(b)
 	}
-	root := build(pe, rec, par, nil)
-	refine.RunUnscheduled(k, rec, root)
+	return rec
+}
+
+// archPE creates the architecture model's processing element: the RTOS
+// model under policy and tm, with the modeled context-switch cost.
+func archPE(k *sim.Kernel, par Params, policy core.Policy, tm core.TimeModel) *arch.PE {
+	opts := []core.Option{core.WithTimeModel(tm)}
+	if par.ContextSwitchOv > 0 {
+		opts = append(opts, core.WithContextSwitchCost(par.ContextSwitchOv))
+	}
+	return arch.NewSWPE(k, "DSP", policy, opts...)
+}
+
+// archMapping is the task refinement of the codec: the root behavior
+// becomes the PE's main task, encoder and decoder the two RTOS tasks.
+func archMapping(par Params) refine.Mapping {
+	return refine.Mapping{
+		"vocoder": {Priority: 0},
+		"encoder": {Priority: par.PrioEnc},
+		"decoder": {Priority: par.PrioDec},
+	}
+}
+
+// RunSpec executes the unscheduled specification model. The returned
+// recorder holds the frame markers the Results come from; an optional
+// telemetry bus receives the same markers at the same instants.
+func RunSpec(par Params, bus ...*telemetry.Bus) (Results, *trace.Recorder, error) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	rec := markerRecorder("vocoder-spec", bus)
+	refine.RunUnscheduled(k, nil, build(arch.NewHWPE(k, "DSP"), rec, par, nil))
 	start := time.Now()
 	err := k.Run()
 	res := finish("unscheduled", par, rec, time.Since(start), k.Now(), 0)
@@ -200,8 +237,10 @@ func RunSpec(par Params, bus ...*telemetry.Bus) (Results, *trace.Recorder, error
 
 // RunArch executes the architecture model: the codec's behaviors refined
 // into tasks on the abstract RTOS model under the generic (paper-model)
-// personality. An optional telemetry bus is attached to the RTOS
-// instance and receives the frame markers.
+// personality. The returned recorder holds the frame markers the Results
+// come from. An optional telemetry bus is attached to the RTOS instance,
+// so it receives the scheduler's event stream, and receives the frame
+// markers too.
 func RunArch(par Params, policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (Results, *trace.Recorder, error) {
 	return RunArchPersonality(par, policy, tm, personality.Generic, bus...)
 }
@@ -211,32 +250,20 @@ func RunArch(par Params, policy core.Policy, tm core.TimeModel, bus ...*telemetr
 // kernel's native forms (ITRON direct-handoff semaphore and mailbox,
 // OSEK-COM queued messages), while the task structure, priorities and
 // compute stay identical — the paper's RTOS-library axis on the
-// evaluation application.
+// evaluation application. The recorder and buses are as in RunArch.
 func RunArchPersonality(par Params, policy core.Policy, tm core.TimeModel, kind string, bus ...*telemetry.Bus) (Results, *trace.Recorder, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
-	var opts []core.Option
-	opts = append(opts, core.WithTimeModel(tm))
-	if par.ContextSwitchOv > 0 {
-		opts = append(opts, core.WithContextSwitchCost(par.ContextSwitchOv))
-	}
-	pe := arch.NewSWPE(k, "DSP", policy, opts...)
-	rec := trace.New("vocoder-arch")
-	rec.Attach(pe.OS())
+	pe := archPE(k, par, policy, tm)
+	rec := markerRecorder("vocoder-arch", bus)
 	for _, b := range bus {
 		b.Attach(pe.OS())
-		rec.TeeMarkers(b)
 	}
 	rt, err := personality.New(kind, pe.OS())
 	if err != nil {
 		return Results{}, rec, err
 	}
-	root := build(pe, rec, par, rt)
-	refine.RunArchitecture(k, pe.OS(), rec, root, refine.Mapping{
-		"vocoder": {Priority: 0},
-		"encoder": {Priority: par.PrioEnc},
-		"decoder": {Priority: par.PrioDec},
-	})
+	refine.RunArchitecture(k, pe.OS(), nil, build(pe, rec, par, rt), archMapping(par))
 	pe.OS().Start(nil)
 	start := time.Now()
 	err = k.Run()

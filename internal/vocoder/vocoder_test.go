@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // expected per-frame compute of the Small() configuration.
@@ -15,7 +16,7 @@ func smallTimes() (encFrame, decFrame sim.Time) {
 
 func TestSpecModel(t *testing.T) {
 	par := Small()
-	res, rec, err := RunSpec(par)
+	res, _, err := RunSpec(par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +33,34 @@ func TestSpecModel(t *testing.T) {
 	if res.ContextSwitches != 0 {
 		t.Errorf("spec context switches = %d, want 0", res.ContextSwitches)
 	}
-	// Encoder and decoder genuinely overlap in the unscheduled model.
+	// Encoder and decoder genuinely overlap in the unscheduled model. The
+	// overlap is read from the execution segments of a traced build;
+	// RunSpec records only the frame markers.
+	rec := tracedSpec(t, par).rec
+	checkBusy(t, rec, par)
 	if ov := rec.Overlap("encoder", "decoder"); ov == 0 {
 		t.Error("no encoder/decoder overlap in unscheduled model")
 	}
 }
 
+// checkBusy fails unless a full trace holds the encoder's and the
+// decoder's whole compute, so that an overlap read from it means
+// something.
+func checkBusy(t *testing.T, rec *trace.Recorder, par Params) {
+	t.Helper()
+	frames, sub := sim.Time(par.Frames), sim.Time(par.Subframes)
+	encF, decF := sub*par.EncSubTime, sub*par.DecSubTime
+	if got := rec.BusyTime("encoder"); got < frames*encF {
+		t.Errorf("trace holds %v of encoder execution, want ≥ %v", got, frames*encF)
+	}
+	if got := rec.BusyTime("decoder"); got < frames*decF {
+		t.Errorf("trace holds %v of decoder execution, want ≥ %v", got, frames*decF)
+	}
+}
+
 func TestArchModel(t *testing.T) {
 	par := Small()
-	res, rec, err := RunArch(par, core.PriorityPolicy{}, core.TimeModelCoarse)
+	res, _, err := RunArch(par, core.PriorityPolicy{}, core.TimeModelCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +78,10 @@ func TestArchModel(t *testing.T) {
 	if res.ContextSwitches < lo || res.ContextSwitches > hi {
 		t.Errorf("context switches = %d, want ≈%d", res.ContextSwitches, 2*par.Frames)
 	}
+	// The serialization is read from a build with the recorder attached
+	// to the RTOS instance; RunArch records only the frame markers.
+	rec := tracedArch(t, par, core.TimeModelCoarse).rec
+	checkBusy(t, rec, par)
 	if ov := rec.Overlap("encoder", "decoder"); ov != 0 {
 		t.Errorf("encoder/decoder overlap = %v, want 0 (serialized)", ov)
 	}

@@ -82,9 +82,10 @@ step "Table-1 allocation budget" go test -run 'TestTable1AllocBudget|TestTable1B
 # kernel and task.
 step "rtc session allocation pins" go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs|TestFrameFields' -count=1 ./internal/rtc
 
-# Telemetry overhead guard: an always-on ring sink must stay within a
-# generous multiple of the uninstrumented baseline (catches accidental
-# per-event allocation/formatting on the observer hot path).
+# Telemetry overhead guard: an always-on ring sink must cost a fixed
+# amount per event. Its added allocations are the same at 64 and 512
+# frames (exact), and its added CPU per event does not grow with the
+# stream; neither check moves when the kernel gets faster.
 step "telemetry overhead guard" env TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
 
 # RTOS personality conformance: the µITRON 4.0 and OSEK OS 2.2.3 suites
@@ -154,25 +155,9 @@ step "checkpoint/restore equivalence (simcheck matrix + rtc suite)" go test -run
 step "design-space exploration gates (internal/dse)" go test -race -count=1 ./internal/dse
 
 # End-to-end benchmark self-tests (~30 s): perfbench is a Go module of
-# its own (replace repro => ../), so go test ./... above never reaches
-# it. Its tests pin the metric names against BENCHMARK.json, per-op
-# metrics independent of run length, tampered outputs failing their op,
-# and a warm reset starting a fresh server life. The campaign tests
-# create tens of thousands of cache files under t.TempDir() and unlink
-# them again, which takes minutes on a disk-backed TMPDIR: when /dev/shm
-# is a tmpfs, TMPDIR points at a fresh directory there, removed
-# afterwards.
-perfbench_tests() {
-	if [ "$(stat -f -c %T /dev/shm 2>/dev/null)" = tmpfs ] &&
-		shm=$(mktemp -d /dev/shm/perfbench-test.XXXXXX); then
-		(cd perfbench && TMPDIR=$shm go test ./...)
-		rc=$?
-		rm -rf "$shm"
-		return $rc
-	fi
-	(cd perfbench && go test ./...)
-}
-step "perfbench self-tests (separate module)" perfbench_tests
+# its own, so go test ./... above never reaches it. The helper runs them
+# with TMPDIR on a tmpfs when /dev/shm is one (see its header).
+step "perfbench self-tests (separate module)" ./scripts/perfbench-tests.sh
 
 # Personality dispatch overhead guard: the personality interface in
 # front of the core services must stay within 5% of direct calls on the

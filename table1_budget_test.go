@@ -2,9 +2,10 @@
 // architecture run of the full-size vocoder (the pair Table 1 compares)
 // must stay within a fixed allocation count and a fixed number of
 // allocated bytes, so trace storage and channel bookkeeping cannot creep
-// back onto the hot path unnoticed. The pair stores 7,680 trace records
-// as pointer-free 32-byte entries (2,934 from the spec run, 4,746 from
-// the arch run), which make up about 90 % of its bytes.
+// back onto the hot path unnoticed. The runners record only the 652
+// frame markers their Results read (2 × 163 per run); the scheduler
+// events and execution segments of a full trace, 7,680 records in all,
+// would add about 230 kB, four times the pair's bytes.
 package repro
 
 import (
@@ -15,17 +16,18 @@ import (
 	"repro/internal/vocoder"
 )
 
-// table1AllocCeiling is 1.5× the 209 allocations the pair measured with
-// paged trace storage and ring-buffer queues (go1.24, any GOMAXPROCS;
-// +7 under -race). Slice-doubling trace storage and the slice-creeping
-// queue FIFO cost about 1770.
-const table1AllocCeiling = 313
+// table1AllocCeiling is 1.5× the 159 allocations the pair measured with
+// marker-only recorders (go1.24, GOMAXPROCS 1 and 2; +7 under -race).
+// Recording the full trace cost 209 before the coroutine hand-off and
+// 169 after it; slice-doubling trace storage and the
+// slice-creeping queue FIFO cost about 1770.
+const table1AllocCeiling = 239
 
-// table1ByteCeiling is 1.5× the 288.5 kB the pair allocated with
-// pointer-free trace entries and a string table (go1.24, GOMAXPROCS 1
-// and 2, 100-pair average; about the same under -race). Records holding
-// four string headers each cost 754.5 kB.
-const table1ByteCeiling = 433_000
+// table1ByteCeiling is 1.5× the 58.9 kB the pair allocated with
+// marker-only recorders (go1.24, GOMAXPROCS 1 and 2; 59.4 kB under
+// -race). A full trace in pointer-free entries cost 288.5 kB, and
+// records holding four string headers each 754.5 kB.
+const table1ByteCeiling = 88_300
 
 // table1Pair returns one RunSpec+RunArch pair of the full-size vocoder.
 func table1Pair(t *testing.T) func() {
