@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary handoff conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget session-allocs
+.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary handoff conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget session-allocs one-event-record
 
 check: ## full tier-1 gate (scripts/check.sh: static checks, race tests, contract passes, baselines, crash-resume, soak, fault smoke)
 	./scripts/check.sh
@@ -51,6 +51,12 @@ table1-budget: ## allocation-count and allocated-byte budgets of the Table-1 pai
 session-allocs: ## exact allocation pins of an rtc session (build, whole run, steady state) and the machine size guard
 	go test -run 'TestNewSessionAllocs|TestNewSessionChannelAllocs|TestSteadyStateAllocs|TestFrameFields' -count=1 -v ./internal/rtc
 
+one-event-record: ## one scheduler adapter (structural guard), markers on an untraced rtc session's bus, the recorder as a telemetry sink vs its references, trace-format goldens
+	go test -run 'TestOneEventRecord' -count=1 .
+	go test -run 'TestSessionBusGetsMarkers|TestGoldenTracesSDL' -count=1 ./internal/sdl
+	go test -run 'TestAttach|TestPaged|TestLatenciesMatchesOracle|TestMarkerLatencies' -count=1 ./internal/trace
+	go test -run 'TestSnapshotGolden' -count=1 ./internal/rtc
+
 golden: ## golden-trace diff against testdata/golden
 	go test -run 'TestGoldenTrace' -count=1 .
 
@@ -88,8 +94,8 @@ bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 timer-boundary: ## timer queue ordering: differential harness vs sorted-slice reference, id reuse, pointer-free cells + RunUntil edges
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestCancelUnqueued|TestPushQueuedIDPanics|TestEachEnumeratesAll|TestZeroAllocSteadyState|TestTimersPointerFree|TestTimerCancelCompaction|TestRunUntilBoundary' -count=1 ./internal/sim
 
-handoff: ## goroutine-kernel hand-off: kill, shutdown, panic and Goexit paths of the pooled coroutine carriers, shared pool under the race detector, goroutine bound
-	go test -race -count=3 -run 'TestHandoff|TestShutdownReleasesGoroutines' ./internal/sim
+handoff: ## goroutine-kernel hand-off: kill, shutdown, panic and Goexit paths of the pooled coroutine carriers, shared pool under the race detector, goroutine bound, GC-independent recycling
+	go test -race -count=3 -run 'TestHandoff|TestShutdownReleasesGoroutines|TestRecyclingIgnoresGC' ./internal/sim
 
 engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, rtc.RunGoroutine, SDL corpus + goldens, multi-CPU goldens, core's multi-CPU tests)
 	go test -run 'TestEngineEquivalence|TestDiagnosisEquivalence' -count=1 ./internal/simcheck ./internal/taskset

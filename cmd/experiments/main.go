@@ -111,7 +111,8 @@ func table1(frames int) {
 	spec, _, err := vocoder.RunSpec(par)
 	check(err)
 	tel := telemetry.NewCapture()
-	arch, _, err := vocoder.RunArch(par, core.PriorityPolicy{}, core.TimeModelCoarse, tel.Bus)
+	stream := trace.New("table1-stream") // the same event stream, in trace form
+	arch, _, err := vocoder.RunArch(par, core.PriorityPolicy{}, core.TimeModelCoarse, tel.Bus, telemetry.NewBus(stream))
 	check(err)
 	impl, _, err := vocoder.RunImpl(par, false)
 	check(err)
@@ -138,7 +139,7 @@ func table1(frames int) {
 		telSwitches += pe.ContextSwitches
 	}
 	var telDelay sim.Time
-	if lats := telemetry.MarkerLatencies(tel.Collector.Events, "frame-in", "frame-out"); len(lats) > 0 {
+	if lats := stream.Latencies("frame-in", "frame-out"); len(lats) > 0 {
 		var sum sim.Time
 		for _, d := range lats {
 			sum += d

@@ -31,9 +31,8 @@ func run(fuelWCET sim.Time, pers string) (tasks []*core.Task, st core.Stats, rep
 	k := sim.NewKernel()
 	rtos := core.New(k, "ECU", core.RMPolicy{}, core.WithTimeModel(core.TimeModelSegmented))
 	rec = trace.New("ecu")
-	rec.Attach(rtos)
 	agg := telemetry.NewAggregator()
-	telemetry.NewBus(agg).Attach(rtos)
+	telemetry.Attach(rtos, telemetry.NewBus(rec, agg))
 	rt, err := personality.New(pers, rtos)
 	if err != nil {
 		return nil, core.Stats{}, nil, nil, err

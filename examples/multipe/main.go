@@ -25,6 +25,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -40,9 +41,9 @@ func main() {
 	host := arch.NewSWPE(k, "host", core.PriorityPolicy{})
 
 	dspRec := trace.New("dsp")
-	dspRec.Attach(dsp.OS())
+	telemetry.Attach(dsp.OS(), dspRec)
 	hostRec := trace.New("host")
-	hostRec.Attach(host.OS())
+	telemetry.Attach(host.OS(), hostRec)
 
 	toDSP := arch.NewLink[int](bus, "sensor-dsp", sensor, dsp, 16, 2*sim.Microsecond)
 	toHost := arch.NewLink[int](bus, "dsp-host", dsp, host, 8, 2*sim.Microsecond)

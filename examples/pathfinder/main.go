@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -35,7 +36,7 @@ func scenario(inherit bool) (worst sim.Time, misses int, rec *trace.Recorder) {
 	rtos := core.New(k, "RAD6000", core.PriorityPolicy{},
 		core.WithTimeModel(core.TimeModelSegmented))
 	rec = trace.New("pathfinder")
-	rec.Attach(rtos)
+	telemetry.Attach(rtos, rec)
 	busMutex := rtos.MutexNew("info-bus", inherit)
 
 	const (

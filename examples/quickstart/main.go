@@ -16,6 +16,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -26,7 +27,7 @@ func main() {
 	// preemptive scheduling (the paper's default algorithm).
 	rtos := core.New(k, "CPU0", core.PriorityPolicy{})
 	rec := trace.New("quickstart")
-	rec.Attach(rtos)
+	telemetry.Attach(rtos, rec)
 
 	f := channel.RTOSFactory{OS: rtos}
 	done := channel.NewSemaphore(f, "done", 0)

@@ -437,7 +437,7 @@ func (s *Sched) RecordDiagnosis(d *DiagnosisError) {
 		s.diagnosis = d
 	}
 	for _, o := range s.observers {
-		if do, ok := o.(DiagnosisObserver); ok {
+		if do, ok := o.Observer.(DiagnosisObserver); ok {
 			do.OnDiagnosis(d.At, d)
 		}
 	}

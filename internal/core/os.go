@@ -34,9 +34,10 @@ func (m TimeModel) String() string {
 	return "coarse"
 }
 
-// Observer receives RTOS-level scheduling events; the trace package
-// adapts this interface onto its recorder. All callbacks run synchronously
-// inside the simulation, so implementations must not block.
+// Observer receives RTOS-level scheduling events; telemetry.AttachSched
+// adapts this interface (with ObserverExt) into the event stream that
+// every sink, the trace recorder included, consumes. All callbacks run
+// synchronously inside the simulation, so implementations must not block.
 type Observer interface {
 	// OnTaskState fires on every task state transition.
 	OnTaskState(at sim.Time, t *Task, old, new TaskState)

@@ -54,8 +54,8 @@ type Sched struct {
 	frontReinsert bool
 
 	stats     Stats
-	observers []Observer
-	extObs    []ObserverExt
+	observers []observer
+	exts      int // observers that implement ObserverExt
 
 	// Runtime diagnosis (see diagnosis.go): the wait-for-graph monitor is
 	// always armed.
@@ -274,13 +274,21 @@ func (s *Sched) StatsSnapshot() Stats { return s.stats }
 // windows.
 func (s *Sched) Progress() uint64 { return s.progress }
 
+// observer is one registered observer and, when it implements
+// ObserverExt, the same value as one, so one slice holds both views.
+type observer struct {
+	Observer
+	ext ObserverExt
+}
+
 // Observe registers an observer for scheduling events. Observers that
 // also implement ObserverExt additionally receive the extended lifecycle
 // callbacks.
 func (s *Sched) Observe(o Observer) {
-	s.observers = append(s.observers, o)
-	if e, ok := o.(ObserverExt); ok {
-		s.extObs = append(s.extObs, e)
+	e, _ := o.(ObserverExt)
+	s.observers = append(s.observers, observer{o, e})
+	if e != nil {
+		s.exts++
 	}
 }
 
@@ -480,10 +488,12 @@ func (s *Sched) closeOpen(now sim.Time, t *Task) {
 // parks t until it is dispatched again.
 func (s *Sched) Preempt(now sim.Time, t *Task) *Task {
 	s.stats.Preemptions++
-	if len(s.extObs) > 0 {
+	if s.exts > 0 {
 		by := s.best() // t is not in the queue yet
-		for _, o := range s.extObs {
-			o.OnPreempt(now, int(t.cpu), t, by)
+		for _, o := range s.observers {
+			if o.ext != nil {
+				o.ext.OnPreempt(now, int(t.cpu), t, by)
+			}
 		}
 	}
 	s.makeReadyPreempted(now, t)
@@ -785,7 +795,7 @@ func (s *Sched) makeReadyPreempted(now sim.Time, t *Task) {
 // removeReady drops t from the ready queue if present; the queue event
 // carries CPU slot cpu, the one t is about to take (0 when none).
 func (s *Sched) removeReady(now sim.Time, t *Task, cpu int) {
-	if s.rq.remove(t) && len(s.extObs) > 0 {
+	if s.rq.remove(t) && s.exts > 0 {
 		s.notifyReadyQueue(now, cpu)
 	}
 }
@@ -813,23 +823,29 @@ func (s *Sched) notifyState(now sim.Time, t *Task, st TaskState) {
 	for _, o := range s.observers {
 		o.OnTaskState(now, t, old, st)
 	}
-	if len(s.extObs) == 0 {
+	if s.exts == 0 {
 		return
 	}
 	if r := blockReasonFor(st); r != BlockNone {
-		for _, o := range s.extObs {
-			o.OnBlock(now, t, r)
+		for _, o := range s.observers {
+			if o.ext != nil {
+				o.ext.OnBlock(now, t, r)
+			}
 		}
 	}
 	if st == TaskReady {
 		if r := blockReasonFor(old); r != BlockNone {
-			for _, o := range s.extObs {
-				o.OnUnblock(now, t, r)
+			for _, o := range s.observers {
+				if o.ext != nil {
+					o.ext.OnUnblock(now, t, r)
+				}
 			}
 		}
 		if old == TaskCreated || old == TaskWaitingPeriod || old == TaskSuspended {
-			for _, o := range s.extObs {
-				o.OnRelease(now, t)
+			for _, o := range s.observers {
+				if o.ext != nil {
+					o.ext.OnRelease(now, t)
+				}
 			}
 		}
 	}
@@ -843,13 +859,15 @@ func (s *Sched) emitDispatch(now sim.Time, cpu int, prev, next *Task) {
 
 // emitReadyQueue reports a ready-queue change that t's transition made.
 func (s *Sched) emitReadyQueue(now sim.Time, t *Task) {
-	if len(s.extObs) > 0 {
+	if s.exts > 0 {
 		s.notifyReadyQueue(now, max(int(t.cpu), 0))
 	}
 }
 
 func (s *Sched) notifyReadyQueue(now sim.Time, cpu int) {
-	for _, o := range s.extObs {
-		o.OnReadyQueue(now, cpu, len(s.rq))
+	for _, o := range s.observers {
+		if o.ext != nil {
+			o.ext.OnReadyQueue(now, cpu, len(s.rq))
+		}
 	}
 }

@@ -189,7 +189,7 @@ func RunScenario(s *simcheck.Scenario, plan *Plan, seed int64, opt Options) *Res
 	col := &telemetry.Collector{}
 	agg := telemetry.NewAggregator()
 	bus := telemetry.NewBus(col, agg)
-	bus.Attach(rtos) // also routes diagnoses into fault.* events
+	telemetry.Attach(rtos, bus) // also routes diagnoses into fault.* events
 	eng := NewEngine(plan, seed, k, bus, rtos.Name())
 
 	rt, err := personality.New(opt.Personality, rtos)

@@ -142,31 +142,28 @@ func Figure3Unscheduled(par Figure3Params) (*trace.Recorder, error) {
 	pe := arch.NewHWPE(k, "PE") // no OS: behaviors run truly concurrently
 	rec := trace.New("figure3-unscheduled")
 	m := BuildFigure3(pe, rec, par)
-	refine.RunUnscheduled(k, rec, m.Root)
+	refine.RunUnscheduled(k, rec, rec, m.Root)
 	return rec, k.Run()
 }
 
 // Figure3Architecture builds and runs the RTOS-based architecture model
 // under the given policy and time model (paper Figure 8(b)); it returns
 // the trace and the OS instance for its statistics. An optional telemetry
-// bus is attached to the RTOS instance.
+// bus is attached to the RTOS instance and receives the markers too.
 func Figure3Architecture(par Figure3Params, policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, *core.OS, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	pe := arch.NewSWPE(k, "PE", policy, core.WithTimeModel(tm))
 	rec := trace.New("figure3-architecture")
-	rec.Attach(pe.OS())
-	for _, b := range bus {
-		b.Attach(pe.OS())
-		rec.TeeMarkers(b)
-	}
+	to := trace.Target(rec, bus)
+	telemetry.Attach(pe.OS(), to)
 	m := BuildFigure3(pe, rec, par)
 	mapping := refine.Mapping{
 		"PE": {Priority: par.PrioPE},
 		"B2": {Priority: par.PrioB2},
 		"B3": {Priority: par.PrioB3},
 	}
-	refine.RunArchitecture(k, pe.OS(), rec, m.Root, mapping)
+	refine.RunArchitecture(k, pe.OS(), to, m.Root, mapping)
 	pe.OS().Start(nil)
 	err := k.Run()
 	if d := pe.OS().Diagnosis(); err == nil && d != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/refine"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -143,7 +144,7 @@ func JPEGSpec(par JPEGParams) (JPEGResults, *trace.Recorder, error) {
 	pe := arch.NewHWPE(k, "PE")
 	rec := trace.New("jpeg-spec")
 	root := buildJPEGPipeline(pe.Factory(), rec, par, par.DCTTimeSW)
-	refine.RunUnscheduled(k, rec, root)
+	refine.RunUnscheduled(k, rec, rec, root)
 	start := time.Now()
 	err := k.Run()
 	return jpegResults("unscheduled", par, rec, k.Now(), time.Since(start), 0), rec, err
@@ -156,7 +157,7 @@ func JPEGSW(par JPEGParams, policy core.Policy, tm core.TimeModel) (JPEGResults,
 	defer k.Shutdown()
 	pe := arch.NewSWPE(k, "CPU", policy, core.WithTimeModel(tm))
 	rec := trace.New("jpeg-sw")
-	rec.Attach(pe.OS())
+	telemetry.Attach(pe.OS(), rec)
 	root := buildJPEGPipeline(pe.Factory(), rec, par, par.DCTTimeSW)
 	refine.RunArchitecture(k, pe.OS(), rec, root, refine.Mapping{
 		"jpeg":   {Priority: 0},
@@ -182,7 +183,7 @@ func JPEGHWSW(par JPEGParams, policy core.Policy, tm core.TimeModel) (JPEGResult
 	cpu := arch.NewSWPE(k, "CPU", policy, core.WithTimeModel(tm))
 	acc := arch.NewHWPE(k, "DCT-ACC")
 	rec := trace.New("jpeg-hwsw")
-	rec.Attach(cpu.OS())
+	telemetry.Attach(cpu.OS(), rec)
 
 	toAcc := arch.NewLink[int](bus, "raw", cpu, acc, par.BlockBytes, 0)
 	fromAcc := arch.NewLink[int](bus, "freq", acc, cpu, par.BlockBytes, 1*sim.Microsecond)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -16,7 +17,7 @@ func TestLoopRepeatsChild(t *testing.T) {
 		x.Delay(10)
 	})))
 	k := sim.NewKernel()
-	RunUnscheduled(k, nil, root)
+	RunUnscheduled(k, nil, nil, root)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestLoopZeroIterations(t *testing.T) {
 	ran := false
 	root := Seq("root", Loop("l", 0, Leaf("body", func(x Exec) { ran = true })))
 	k := sim.NewKernel()
-	RunUnscheduled(k, nil, root)
+	RunUnscheduled(k, nil, nil, root)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFSMFollowsTransitions(t *testing.T) {
 	}, mkState("idle", 5), mkState("work", 10), mkState("done", 1))
 
 	k := sim.NewKernel()
-	RunUnscheduled(k, nil, Seq("root", fsm))
+	RunUnscheduled(k, nil, nil, Seq("root", fsm))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFSMInArchitectureModel(t *testing.T) {
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{})
 	rec := trace.New("arch")
-	rec.Attach(os)
+	telemetry.Attach(os, rec)
 	RunArchitecture(k, os, rec, Seq("root", fsm), Mapping{})
 	os.Start(nil)
 	if err := k.Run(); err != nil {
@@ -151,7 +152,7 @@ func TestFSMUnknownTransitionPanics(t *testing.T) {
 			t.Error("unknown transition target did not panic")
 		}
 	}()
-	RunUnscheduled(k, nil, Seq("root", fsm))
+	RunUnscheduled(k, nil, nil, Seq("root", fsm))
 	_ = k.Run()
 }
 

@@ -24,7 +24,7 @@ func Example() {
 
 	// Specification model (Figure 2(a)).
 	k1 := sim.NewKernel()
-	refine.RunUnscheduled(k1, nil, build())
+	refine.RunUnscheduled(k1, nil, nil, build())
 	if err := k1.Run(); err != nil {
 		fmt.Println("error:", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -70,7 +71,7 @@ func TestQuickModelsMatchAnalyticTimes(t *testing.T) {
 		// Unscheduled.
 		k1 := sim.NewKernel()
 		rec1 := trace.New("spec")
-		RunUnscheduled(k1, rec1, root)
+		RunUnscheduled(k1, rec1, rec1, root)
 		if err := k1.Run(); err != nil {
 			t.Logf("spec run: %v", err)
 			return false
@@ -114,7 +115,7 @@ func TestQuickArchitectureNeverOverlaps(t *testing.T) {
 		k := sim.NewKernel()
 		os := core.New(k, "PE", core.PriorityPolicy{})
 		rec := trace.New("arch")
-		rec.Attach(os)
+		telemetry.Attach(os, rec)
 		RunArchitecture(k, os, rec, root, Mapping{})
 		os.Start(nil)
 		if err := k.Run(); err != nil {
@@ -147,14 +148,14 @@ func TestQuickRefinementPreservesLeafWork(t *testing.T) {
 
 		k1 := sim.NewKernel()
 		rec1 := trace.New("spec")
-		RunUnscheduled(k1, rec1, root)
+		RunUnscheduled(k1, rec1, rec1, root)
 		if err := k1.Run(); err != nil {
 			return false
 		}
 		k2 := sim.NewKernel()
 		os := core.New(k2, "PE", core.PriorityPolicy{})
 		rec2 := trace.New("arch")
-		rec2.Attach(os)
+		telemetry.Attach(os, rec2)
 		RunArchitecture(k2, os, rec2, root, Mapping{})
 		os.Start(nil)
 		if err := k2.Run(); err != nil {

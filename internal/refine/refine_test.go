@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -57,7 +58,7 @@ func TestUnscheduledParOverlaps(t *testing.T) {
 		delayLeaf("B1", 100),
 		Par("par", delayLeaf("B2", 200), delayLeaf("B3", 150)),
 	)
-	RunUnscheduled(k, rec, root)
+	RunUnscheduled(k, rec, rec, root)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestArchitectureSerializes(t *testing.T) {
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{})
 	rec := trace.New("arch")
-	rec.Attach(os)
+	telemetry.Attach(os, rec)
 	root := Seq("root",
 		delayLeaf("B1", 100),
 		Par("par", delayLeaf("B2", 200), delayLeaf("B3", 150)),
@@ -116,7 +117,7 @@ func TestNestedParRefinement(t *testing.T) {
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{})
 	rec := trace.New("arch")
-	rec.Attach(os)
+	telemetry.Attach(os, rec)
 	root := Seq("root",
 		Par("outer",
 			Seq("left", delayLeaf("l1", 10), Par("inner", delayLeaf("i1", 20), delayLeaf("i2", 30))),
@@ -165,7 +166,7 @@ func TestMarkersRecordedInBothModels(t *testing.T) {
 	// Spec.
 	k1 := sim.NewKernel()
 	rec1 := trace.New("spec")
-	RunUnscheduled(k1, rec1, build())
+	RunUnscheduled(k1, rec1, rec1, build())
 	if err := k1.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestExecReportsBehaviorName(t *testing.T) {
 	k := sim.NewKernel()
 	var got string
 	root := Seq("root", Leaf("worker", func(x Exec) { got = x.BehaviorName() }))
-	RunUnscheduled(k, nil, root)
+	RunUnscheduled(k, nil, nil, root)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -34,27 +35,27 @@ func (m Mapping) spec(name string, order int) TaskSpec {
 // RunUnscheduled executes the behavior tree as the unscheduled
 // specification model (paper Figure 2(a)): parallel compositions run
 // truly concurrently on the simulation kernel. Execution segments are
-// recorded to rec (may be nil). The returned process is the model's root;
-// call k.Run() to simulate.
-func RunUnscheduled(k *sim.Kernel, rec *trace.Recorder, root *Behavior) *sim.Proc {
+// recorded to rec and markers written to mark (either may be nil). The
+// returned process is the model's root; call k.Run() to simulate.
+func RunUnscheduled(k *sim.Kernel, rec *trace.Recorder, mark telemetry.Sink, root *Behavior) *sim.Proc {
 	if err := root.Validate(); err != nil {
 		panic(err)
 	}
 	return k.Spawn(root.name, func(p *sim.Proc) {
-		runSpec(p, rec, root)
+		runSpec(p, rec, mark, root)
 	})
 }
 
-func runSpec(p *sim.Proc, rec *trace.Recorder, b *Behavior) {
+func runSpec(p *sim.Proc, rec *trace.Recorder, mark telemetry.Sink, b *Behavior) {
 	switch b.kind {
 	case kindLeaf:
-		b.fn(&specExec{p: p, rec: rec, name: b.name})
+		b.fn(&specExec{p: p, rec: rec, mark: mark, name: b.name})
 	case kindLoop, kindFSM:
-		x := &specExec{p: p, rec: rec, name: b.name}
-		execComposite(b, x, func(c *Behavior) { runSpec(p, rec, c) })
+		x := &specExec{p: p, rec: rec, mark: mark, name: b.name}
+		execComposite(b, x, func(c *Behavior) { runSpec(p, rec, mark, c) })
 	case kindSeq:
 		for _, c := range b.children {
-			runSpec(p, rec, c)
+			runSpec(p, rec, mark, c)
 		}
 	case kindPar:
 		fns := make([]sim.Func, 0, len(b.children))
@@ -62,7 +63,7 @@ func runSpec(p *sim.Proc, rec *trace.Recorder, b *Behavior) {
 		for _, c := range b.children {
 			c := c
 			names = append(names, c.name)
-			fns = append(fns, func(cp *sim.Proc) { runSpec(cp, rec, c) })
+			fns = append(fns, func(cp *sim.Proc) { runSpec(cp, rec, mark, c) })
 		}
 		p.ParNamed(names, fns...)
 	}
@@ -72,6 +73,7 @@ func runSpec(p *sim.Proc, rec *trace.Recorder, b *Behavior) {
 type specExec struct {
 	p    *sim.Proc
 	rec  *trace.Recorder
+	mark telemetry.Sink
 	name string
 }
 
@@ -90,8 +92,8 @@ func (x *specExec) Now() sim.Time        { return x.p.Now() }
 func (x *specExec) BehaviorName() string { return x.name }
 
 func (x *specExec) Marker(label string, arg int64) {
-	if x.rec != nil {
-		x.rec.Marker(x.p.Now(), label, x.name, arg)
+	if x.mark != nil {
+		telemetry.Mark(x.mark, x.p.Now(), label, x.name, arg)
 	}
 }
 
@@ -105,10 +107,10 @@ func (x *specExec) Marker(label string, arg int64) {
 //   - par statements are bracketed by ParStart/ParEnd (Figure 6),
 //   - Exec.Delay is bound to the RTOS's TimeWait.
 //
-// The caller must have created os on k, should Attach a recorder to os
-// before running, and must call os.Start. The returned process is the
-// PE's main process.
-func RunArchitecture(k *sim.Kernel, os *core.OS, rec *trace.Recorder, root *Behavior, mapping Mapping) *sim.Proc {
+// Markers are written to mark (may be nil). The caller must have created
+// os on k, should attach a recorder or bus to os before running, and must
+// call os.Start. The returned process is the PE's main process.
+func RunArchitecture(k *sim.Kernel, os *core.OS, mark telemetry.Sink, root *Behavior, mapping Mapping) *sim.Proc {
 	if err := root.Validate(); err != nil {
 		panic(err)
 	}
@@ -119,21 +121,21 @@ func RunArchitecture(k *sim.Kernel, os *core.OS, rec *trace.Recorder, root *Beha
 	main := os.TaskCreate(root.name, spec.Type, spec.Period, spec.WCET, spec.Priority)
 	return k.Spawn(root.name, func(p *sim.Proc) {
 		os.TaskActivate(p, main)
-		runRTOS(p, os, rec, root, mapping, main)
+		runRTOS(p, os, mark, root, mapping, main)
 		os.TaskTerminate(p)
 	})
 }
 
-func runRTOS(p *sim.Proc, os *core.OS, rec *trace.Recorder, b *Behavior, mapping Mapping, cur *core.Task) {
+func runRTOS(p *sim.Proc, os *core.OS, mark telemetry.Sink, b *Behavior, mapping Mapping, cur *core.Task) {
 	switch b.kind {
 	case kindLeaf:
-		b.fn(&rtosExec{p: p, os: os, rec: rec, name: b.name})
+		b.fn(&rtosExec{p: p, os: os, mark: mark, name: b.name})
 	case kindLoop, kindFSM:
-		x := &rtosExec{p: p, os: os, rec: rec, name: b.name}
-		execComposite(b, x, func(c *Behavior) { runRTOS(p, os, rec, c, mapping, cur) })
+		x := &rtosExec{p: p, os: os, mark: mark, name: b.name}
+		execComposite(b, x, func(c *Behavior) { runRTOS(p, os, mark, c, mapping, cur) })
 	case kindSeq:
 		for _, c := range b.children {
-			runRTOS(p, os, rec, c, mapping, cur)
+			runRTOS(p, os, mark, c, mapping, cur)
 		}
 	case kindPar:
 		// Figure 6: create the child tasks, suspend the parent in the RTOS
@@ -151,7 +153,7 @@ func runRTOS(p *sim.Proc, os *core.OS, rec *trace.Recorder, b *Behavior, mapping
 			names = append(names, c.name)
 			fns = append(fns, func(cp *sim.Proc) {
 				os.TaskActivate(cp, tasks[i])
-				runRTOS(cp, os, rec, c, mapping, tasks[i])
+				runRTOS(cp, os, mark, c, mapping, tasks[i])
 				os.TaskTerminate(cp)
 			})
 		}
@@ -164,7 +166,7 @@ func runRTOS(p *sim.Proc, os *core.OS, rec *trace.Recorder, b *Behavior, mapping
 type rtosExec struct {
 	p    *sim.Proc
 	os   *core.OS
-	rec  *trace.Recorder
+	mark telemetry.Sink
 	name string
 }
 
@@ -174,7 +176,7 @@ func (x *rtosExec) Now() sim.Time        { return x.p.Now() }
 func (x *rtosExec) BehaviorName() string { return x.name }
 
 func (x *rtosExec) Marker(label string, arg int64) {
-	if x.rec != nil {
-		x.rec.Marker(x.p.Now(), label, x.name, arg)
+	if x.mark != nil {
+		telemetry.Mark(x.mark, x.p.Now(), label, x.name, arg)
 	}
 }

@@ -22,10 +22,9 @@ import (
 // records (its formats have no CPU axis), and response times are not
 // tracked. It is the goroutine engine of the front ends that build a
 // Workload (taskset, simcheck, experiments). Each bus is attached to the
-// scheduler and receives the trace's markers, as Run attaches it, so
-// both engines feed a bus the same event stream. Hierarchical workloads
-// (Top set) are an error: sdl elaborates those on the goroutine kernel
-// itself.
+// scheduler as Run attaches it, so both engines feed a bus the same event
+// stream. Hierarchical workloads (Top set) are an error: sdl elaborates
+// those on the goroutine kernel itself.
 func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	if w.Top != "" {
 		return configError(w, fmt.Errorf("rtc: RunGoroutine runs flat workloads; %q is hierarchical", w.Top))
@@ -65,7 +64,7 @@ func RunGoroutine(w Workload, bus ...*telemetry.Bus) *Result {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	rtos := core.New(k, name, policy, core.WithTimeModel(w.TimeModel), core.WithCPUs(max(w.CPUs, 1)))
-	rec := observe(&rtos.Sched, name, w.Trace && !multi, bus)
+	rec, _ := observe(&rtos.Sched, name, w.Trace && !multi, bus)
 	rt, err := personality.New(w.Personality, rtos)
 	if err != nil {
 		return configError(w, err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/personality/itron"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -18,6 +19,7 @@ type osState struct {
 	k     *kernel
 	tasks []*machine         // task id → the machine running it
 	rec   *trace.Recorder    // nil unless the workload traces
+	mark  telemetry.Sink     // where markers go: rec and/or the buses; nil for neither
 	itron *itron.Kernel      // the ITRON objects' tcb half; nil until one is built
 	specs map[string]TaskDef // hierarchical workloads: behavior → refinement mapping
 }

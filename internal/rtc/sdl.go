@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // This file extends the run-to-completion engine beyond flat task sets to
@@ -261,8 +262,8 @@ func (f *fStmts) step(m *machine) status {
 		case cChan:
 			return m.callOp(st.op, st.c, st.val)
 		case cMarker:
-			if os.rec != nil {
-				os.rec.Marker(os.k.now, st.label, f.name, st.val)
+			if os.mark != nil {
+				telemetry.Mark(os.mark, os.k.now, st.label, f.name, st.val)
 			}
 		case cRepeat:
 			if st.count > 0 {

@@ -35,10 +35,10 @@ type Session struct {
 
 // NewSession builds the workload's kernel, OS state, channels, tasks and
 // daemon machines without running anything. Each bus is attached to the
-// scheduler and, when w.Trace is set, receives the trace's markers, as
-// RunGoroutine attaches its buses. Configuration errors that Run reports
-// via Result.Err are returned directly; one of them is CPUs > 1, since
-// the engine models one CPU.
+// scheduler, as RunGoroutine attaches its buses, and receives the
+// workload's markers whether or not w.Trace records them too.
+// Configuration errors that Run reports via Result.Err are returned
+// directly; one of them is CPUs > 1, since the engine models one CPU.
 func NewSession(w Workload, bus ...*telemetry.Bus) (*Session, error) {
 	s := &Session{}
 	if err := s.init(w, bus); err != nil {
@@ -74,7 +74,7 @@ func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 	}
 	os.k, os.tasks = k, k.init(os, nMachines, nTasks)
 	os.Reserve(nTasks)
-	os.rec = observe(&os.Sched, name, w.Trace, bus)
+	os.rec, os.mark = observe(&os.Sched, name, w.Trace, bus)
 	if pers == "osek" {
 		os.SetPreemptFrontReinsert(true)
 	}
@@ -159,22 +159,20 @@ func (s *Session) init(w Workload, bus []*telemetry.Bus) error {
 	return nil
 }
 
-// observe attaches a recorder named name (when on) and then each bus to
-// the scheduler, and tees the recorder's markers to every bus: both
-// engines' observer set-up. It returns the recorder, or nil.
-func observe(s *core.Sched, name string, on bool, bus []*telemetry.Bus) *trace.Recorder {
+// observe makes a recorder named name (when on) and attaches it and the
+// buses to the scheduler through one sink, the target of the workload's
+// markers: both engines' observer set-up. It returns the recorder, or
+// nil, and the target, or nil when there is nothing to observe.
+func observe(s *core.Sched, name string, on bool, bus []*telemetry.Bus) (*trace.Recorder, telemetry.Sink) {
 	var rec *trace.Recorder
 	if on {
 		rec = trace.New(name)
-		rec.AttachSched(s)
 	}
-	for _, b := range bus {
-		b.AttachSched(s)
-		if rec != nil {
-			rec.TeeMarkers(b)
-		}
+	to := trace.Target(rec, bus)
+	if to != nil {
+		telemetry.AttachSched(s, to)
 	}
-	return rec
+	return rec, to
 }
 
 // channel returns the declared channel of the given kind named name, or

@@ -63,7 +63,7 @@ func (inst *instance) makeChannel(c ChannelDecl, f channel.Factory, rt personali
 // SpecC design. The PE's factory performs the synchronization refinement,
 // so one builder serves both models; rt (nil for the specification
 // model) selects the RTOS personality carrying the channels.
-func (m *Model) build(pe *arch.PE, rec *trace.Recorder, rt personality.Runtime) (*refine.Behavior, error) {
+func (m *Model) build(pe *arch.PE, rt personality.Runtime) (*refine.Behavior, error) {
 	f := pe.Factory()
 	inst := newInstance()
 	for _, c := range m.Channels {
@@ -184,11 +184,11 @@ func (m *Model) RunUnscheduled() (*trace.Recorder, error) {
 	k := sim.NewKernel()
 	pe := arch.NewHWPE(k, "PE")
 	rec := trace.New("sdl-spec")
-	root, err := m.build(pe, rec, nil)
+	root, err := m.build(pe, nil)
 	if err != nil {
 		return nil, err
 	}
-	refine.RunUnscheduled(k, rec, root)
+	refine.RunUnscheduled(k, rec, rec, root)
 	return rec, k.Run()
 }
 
@@ -196,25 +196,22 @@ func (m *Model) RunUnscheduled() (*trace.Recorder, error) {
 // model under the given policy and time model; the model's `personality`
 // directive (default generic) selects the RTOS API whose native channel
 // kinds carry the declared queues and semaphores. An optional telemetry
-// bus is attached to the RTOS instance.
+// bus is attached to the RTOS instance and receives the markers too.
 func (m *Model) RunArchitecture(policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, *core.OS, error) {
 	k := sim.NewKernel()
 	pe := arch.NewSWPE(k, "PE", policy, core.WithTimeModel(tm))
 	rec := trace.New("sdl-arch")
-	rec.Attach(pe.OS())
-	for _, b := range bus {
-		b.Attach(pe.OS())
-		rec.TeeMarkers(b)
-	}
+	to := trace.Target(rec, bus)
+	telemetry.Attach(pe.OS(), to)
 	rt, err := personality.New(m.Personality, pe.OS())
 	if err != nil {
 		return nil, nil, err
 	}
-	root, err := m.build(pe, rec, rt)
+	root, err := m.build(pe, rt)
 	if err != nil {
 		return nil, nil, err
 	}
-	refine.RunArchitecture(k, pe.OS(), rec, root, m.mapping())
+	refine.RunArchitecture(k, pe.OS(), to, root, m.mapping())
 	pe.OS().Start(nil)
 	return rec, pe.OS(), k.Run()
 }

@@ -19,16 +19,15 @@ import (
 // buses and links — the mapping step of the design flow, driven from the
 // model file. It returns the shared trace and the per-PE OS instances
 // (software PEs only). An optional telemetry bus is attached to every
-// software PE's RTOS instance, so its events carry per-PE names.
+// software PE's RTOS instance, so its events carry per-PE names, and
+// receives every PE's markers.
 func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, map[string]*core.OS, error) {
 	if !m.MultiPE() {
 		return nil, nil, fmt.Errorf("sdl: RunMapped on a model without pe declarations")
 	}
 	k := sim.NewKernel()
 	rec := trace.New("sdl-mapped")
-	for _, b := range bus {
-		rec.TeeMarkers(b)
-	}
+	to := trace.Target(rec, bus)
 
 	pes := map[string]*arch.PE{}
 	oss := map[string]*core.OS{}
@@ -36,10 +35,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 	for _, pd := range m.PEs {
 		if pd.SW {
 			pe := arch.NewSWPE(k, pd.Name, policy, core.WithTimeModel(tm))
-			rec.Attach(pe.OS())
-			for _, b := range bus {
-				b.Attach(pe.OS())
-			}
+			telemetry.Attach(pe.OS(), to)
 			pes[pd.Name] = pe
 			oss[pd.Name] = pe.OS()
 			// Every software PE runs its own instance of the model's
@@ -136,9 +132,9 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 			return nil, nil, err
 		}
 		if os, sw := oss[peName]; sw {
-			refine.RunArchitecture(k, os, rec, root, mapping)
+			refine.RunArchitecture(k, os, to, root, mapping)
 		} else {
-			refine.RunUnscheduled(k, rec, root)
+			refine.RunUnscheduled(k, rec, to, root)
 		}
 	}
 	for _, os := range oss {

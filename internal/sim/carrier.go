@@ -2,10 +2,7 @@
 
 package sim
 
-import (
-	"iter"
-	"sync"
-)
+import "iter"
 
 // carrier is a runtime coroutine (iter.Pull) that runs simulation
 // processes, one after another: its body loops, running the process it was
@@ -31,25 +28,14 @@ type carrier struct {
 // parked carrier holds about 4 KiB of stack.
 const maxIdleCarriers = 1024
 
-// idleCarriers holds carriers parked between processes. It is a plain
-// mutex-guarded stack rather than a sync.Pool: a carrier that a pool
-// dropped would stay parked as a goroutine forever.
-var idleCarriers struct {
-	sync.Mutex
-	stack []*carrier
-}
+// idleCarriers holds carriers parked between processes.
+var idleCarriers = idleStack[carrier]{max: maxIdleCarriers}
 
 // getCarrier pops an idle carrier, or starts a new one.
 func getCarrier() *carrier {
-	idleCarriers.Lock()
-	if n := len(idleCarriers.stack); n > 0 {
-		c := idleCarriers.stack[n-1]
-		idleCarriers.stack[n-1] = nil
-		idleCarriers.stack = idleCarriers.stack[:n-1]
-		idleCarriers.Unlock()
+	if c := idleCarriers.get(); c != nil {
 		return c
 	}
-	idleCarriers.Unlock()
 	c := new(carrier)
 	c.next, c.stop = iter.Pull(iter.Seq[*Proc](c.loop))
 	return c
@@ -58,14 +44,9 @@ func getCarrier() *carrier {
 // putCarrier parks c, whose process has ended and whose resumer's next
 // has returned, or stops it when the idle stack is full.
 func putCarrier(c *carrier) {
-	idleCarriers.Lock()
-	if len(idleCarriers.stack) < maxIdleCarriers {
-		idleCarriers.stack = append(idleCarriers.stack, c)
-		idleCarriers.Unlock()
-		return
+	if !idleCarriers.put(c) {
+		c.stop()
 	}
-	idleCarriers.Unlock()
-	c.stop()
 }
 
 // loop is the coroutine body. Each round runs one process and leaves its

@@ -15,16 +15,16 @@ import (
 
 // idleCount returns the number of parked carriers.
 func idleCount() int {
-	idleCarriers.Lock()
-	defer idleCarriers.Unlock()
-	return len(idleCarriers.stack)
+	idleCarriers.mu.Lock()
+	defer idleCarriers.mu.Unlock()
+	return len(idleCarriers.items)
 }
 
 // isIdle reports whether c is parked on the idle stack.
 func isIdle(c *carrier) bool {
-	idleCarriers.Lock()
-	defer idleCarriers.Unlock()
-	for _, x := range idleCarriers.stack {
+	idleCarriers.mu.Lock()
+	defer idleCarriers.mu.Unlock()
+	for _, x := range idleCarriers.items {
 		if x == c {
 			return true
 		}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Kernel is the discrete-event simulation engine. Create one with
@@ -70,17 +69,24 @@ func (k *Kernel) Active() int { return k.active }
 // Shutdown the list is empty: process handles are recycled.
 func (k *Kernel) Procs() []*Proc { return k.procs }
 
-// procPool recycles Proc structs across kernels, so batch workloads that
-// create thousands of short-lived kernels do not re-allocate one struct
-// per process per run. A Proc enters the pool only from Kernel.Shutdown,
+// idleProcs recycles Proc structs across kernels, so batch workloads
+// that create thousands of short-lived kernels do not re-allocate one
+// struct per process per run. A Proc enters it only from Kernel.Shutdown,
 // once it has ended; holding a *Proc across Shutdown is valid only for
-// reading its final name/state until another kernel is created.
-var procPool = sync.Pool{New: func() interface{} { return new(Proc) }}
+// reading its final name/state until another kernel is created. A kernel
+// holds every Proc it created until Shutdown, so the cap is above the
+// carriers'.
+var idleProcs = idleStack[Proc]{max: maxIdleProcs}
+
+const maxIdleProcs = 4096
 
 // newProc allocates (or recycles) a process. It gets a carrier on its
 // first resume.
 func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
-	p := procPool.Get().(*Proc)
+	p := idleProcs.get()
+	if p == nil {
+		p = new(Proc)
+	}
 	children := p.children[:0]
 	waitEvents := p.waitEvents[:0]
 	*p = Proc{
@@ -99,24 +105,22 @@ func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 	return p
 }
 
-// releaseProc returns a terminated process to the pool. The final name and
+// releaseProc parks a terminated process for reuse. The final name and
 // state are kept readable for diagnostics that outlive the kernel.
 func releaseProc(p *Proc) {
 	p.k = nil
 	p.fn = nil
 	p.parent = nil
-	for i := range p.children {
-		p.children[i] = nil
-	}
+	// Clear the whole backing arrays: a kill truncates waitEvents first,
+	// and a parked Proc must reach nothing of its kernel.
 	p.children = p.children[:0]
-	for i := range p.waitEvents {
-		p.waitEvents[i] = nil
-	}
+	clear(p.children[:cap(p.children)])
 	p.waitEvents = p.waitEvents[:0]
+	clear(p.waitEvents[:cap(p.waitEvents)])
 	p.timer = 0
 	p.wokenBy = nil
 	p.c = nil // a carrier still bound here never came back: it is dead
-	procPool.Put(p)
+	idleProcs.put(p)
 }
 
 // Spawn creates a root process. It may be called before Run to set up the

@@ -13,6 +13,11 @@
 // a visual timeline, and a metrics report whose counters are derived
 // purely from the event stream — never hand-counted from core.Stats.
 //
+// This package holds the only adapter from the scheduler's observer hooks
+// (AttachSched). Every other view of a run is a sink of its stream:
+// trace.Recorder stores the state, dispatch, IRQ and marker events in the
+// trace format the golden traces, VCD output and Figure 8 read.
+//
 // All sinks run synchronously inside the single-threaded simulation; a
 // Bus and its sinks must not be shared across concurrently running
 // kernels (create one Bus per simulation, exactly like trace.Recorder).
@@ -23,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Kind classifies a telemetry event.
@@ -51,8 +55,7 @@ const (
 	// KindReadyLen: the ready-queue length changed to Arg.
 	KindReadyLen
 	// KindMarker: application instrumentation point (Other = label,
-	// Task = emitting task/behavior, Arg free-form), teed from
-	// trace.Recorder markers.
+	// Task = emitting task/behavior, Arg free-form), written with Mark.
 	KindMarker
 	// KindFaultInject: the fault-injection layer (internal/fault)
 	// perturbed the model; Other = injector name, Task = affected
@@ -169,9 +172,9 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Bus fans scheduler events out to its sinks. Attach subscribes it to an
-// RTOS model instance; one bus can observe several instances (multi-PE
-// designs), each tagged with its PE name.
+// Bus fans events out to its sinks. A bus is itself a sink, so one can
+// be attached to several schedulers (multi-PE designs; each event is
+// tagged with its PE name) and be the one target of a model's markers.
 type Bus struct {
 	sinks []Sink
 }
@@ -188,26 +191,25 @@ func (b *Bus) Emit(e Event) {
 	}
 }
 
-// Attach subscribes the bus to a uniprocessor RTOS model instance; events
-// carry the instance name as their PE.
-func (b *Bus) Attach(os *core.OS) { b.AttachSched(&os.Sched) }
+// Attach subscribes to to an RTOS model instance; events carry the
+// instance name as their PE.
+func Attach(os *core.OS, to Sink) { AttachSched(&os.Sched, to) }
 
 // AttachSched is Attach for a bare scheduler state — the form the
-// run-to-completion engine (internal/rtc) runs its RTOS model in.
+// run-to-completion engine (internal/rtc) runs its RTOS model in. It is
+// the one place a scheduler's observer hooks become events.
 // Every scheduler event carries a CPU slot: dispatch and preempt events
 // the slot they act on, task events the slot the task holds at that
 // instant (0 when it holds none), ready-queue events the slot of the task
 // whose transition changed the queue. On several CPUs a slot vacated is a
 // dispatch to idle naming the previous task.
-func (b *Bus) AttachSched(s *core.Sched) {
-	s.Observe(&coreAdapter{bus: b, pe: s.Name()})
+func AttachSched(s *core.Sched, to Sink) {
+	s.Observe(&coreAdapter{to: to, pe: s.Name()})
 }
 
-// Marker records an application instrumentation point into the stream. It
-// has the signature of trace.MarkerSink, so a Bus can be teed onto a
-// trace.Recorder with Recorder.TeeMarkers.
-func (b *Bus) Marker(at sim.Time, label, task string, arg int64) {
-	b.Emit(Event{At: at, Kind: KindMarker, Task: task, Other: label, Arg: arg})
+// Mark writes an application instrumentation point to to.
+func Mark(to Sink, at sim.Time, label, task string, arg int64) {
+	to.Emit(Event{At: at, Kind: KindMarker, Task: task, Other: label, Arg: arg})
 }
 
 // Collector is the simplest sink: it keeps every event (unbounded). Use
@@ -225,8 +227,8 @@ func (c *Collector) Emit(e Event) { c.Events = append(c.Events, e) }
 
 // coreAdapter converts core.ObserverExt callbacks into events.
 type coreAdapter struct {
-	bus *Bus
-	pe  string
+	to Sink
+	pe string
 }
 
 func taskName(t *core.Task) string {
@@ -240,11 +242,11 @@ func taskName(t *core.Task) string {
 func cpuOf(t *core.Task) int { return max(t.CPU(), 0) }
 
 func (a *coreAdapter) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskState) {
-	a.bus.Emit(Event{At: at, Kind: KindState, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), From: old, To: new})
+	a.to.Emit(Event{At: at, Kind: KindState, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), From: old, To: new})
 }
 
 func (a *coreAdapter) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe, CPU: cpu,
+	a.to.Emit(Event{At: at, Kind: KindDispatch, PE: a.pe, CPU: cpu,
 		Task: taskName(next), Other: taskName(prev)})
 }
 
@@ -253,28 +255,28 @@ func (a *coreAdapter) OnIRQ(at sim.Time, name string, enter bool) {
 	if enter {
 		k = KindIRQEnter
 	}
-	a.bus.Emit(Event{At: at, Kind: k, PE: a.pe, Other: name})
+	a.to.Emit(Event{At: at, Kind: k, PE: a.pe, Other: name})
 }
 
 func (a *coreAdapter) OnRelease(at sim.Time, t *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindRelease, PE: a.pe, CPU: cpuOf(t), Task: t.Name()})
+	a.to.Emit(Event{At: at, Kind: KindRelease, PE: a.pe, CPU: cpuOf(t), Task: t.Name()})
 }
 
 func (a *coreAdapter) OnPreempt(at sim.Time, cpu int, t, by *core.Task) {
-	a.bus.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe, CPU: cpu,
+	a.to.Emit(Event{At: at, Kind: KindPreempt, PE: a.pe, CPU: cpu,
 		Task: t.Name(), Other: taskName(by)})
 }
 
 func (a *coreAdapter) OnBlock(at sim.Time, t *core.Task, r core.BlockReason) {
-	a.bus.Emit(Event{At: at, Kind: KindBlock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
+	a.to.Emit(Event{At: at, Kind: KindBlock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
 }
 
 func (a *coreAdapter) OnUnblock(at sim.Time, t *core.Task, r core.BlockReason) {
-	a.bus.Emit(Event{At: at, Kind: KindUnblock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
+	a.to.Emit(Event{At: at, Kind: KindUnblock, PE: a.pe, CPU: cpuOf(t), Task: t.Name(), Reason: r})
 }
 
 func (a *coreAdapter) OnReadyQueue(at sim.Time, cpu, n int) {
-	a.bus.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, CPU: cpu, Arg: int64(n)})
+	a.to.Emit(Event{At: at, Kind: KindReadyLen, PE: a.pe, CPU: cpu, Arg: int64(n)})
 }
 
 // OnDiagnosis converts a runtime diagnosis into fault.* events: one
@@ -283,7 +285,7 @@ func (a *coreAdapter) OnReadyQueue(at sim.Time, cpu, n int) {
 func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
 	if len(d.Cycle) > 0 {
 		for _, e := range d.Cycle {
-			a.bus.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: a.pe,
+			a.to.Emit(Event{At: at, Kind: KindFaultDeadlock, PE: a.pe,
 				Task: e.Task, Other: e.Resource + " held by " + e.Holder})
 		}
 		return
@@ -293,21 +295,7 @@ func (a *coreAdapter) OnDiagnosis(at sim.Time, d *core.DiagnosisError) {
 		if e.Holder != "" {
 			other += " held by " + e.Holder
 		}
-		a.bus.Emit(Event{At: at, Kind: KindFaultStarve, PE: a.pe,
+		a.to.Emit(Event{At: at, Kind: KindFaultStarve, PE: a.pe,
 			Task: e.Task, Other: other})
 	}
-}
-
-// MarkerLatencies returns the latencies between from- and to-markers of
-// the stream under trace.Recorder.Latencies' pairing rule, which it
-// applies to the stream's markers — the telemetry-side route to Table 1's
-// transcoding delay.
-func MarkerLatencies(events []Event, from, to string) []sim.Time {
-	rec := trace.New("")
-	for _, e := range events {
-		if e.Kind == KindMarker {
-			rec.Marker(e.At, e.Other, e.Task, e.Arg)
-		}
-	}
-	return rec.Latencies(from, to)
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -17,8 +16,7 @@ func scenario(t *testing.T, sinks ...Sink) (*core.OS, sim.Time) {
 	t.Helper()
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{}, core.WithTimeModel(core.TimeModelSegmented))
-	bus := NewBus(sinks...)
-	bus.Attach(os)
+	AttachSched(&os.Sched, NewBus(sinks...))
 
 	e := os.EventNew("data")
 	high := os.TaskCreate("high", core.Aperiodic, 0, 0, 1)
@@ -193,53 +191,10 @@ func TestMergeDoublesCounters(t *testing.T) {
 	}
 }
 
-// TestMarkerLatencies pins trace.Recorder.Latencies' pairing rule on the
-// event stream: the first from-marker of an argument opens a latency, its
-// first to-marker at or after it closes it, and the output follows the
-// from-markers.
-func TestMarkerLatencies(t *testing.T) {
-	marker := func(at sim.Time, label string, arg int64) Event {
-		return Event{At: at, Kind: KindMarker, Other: label, Arg: arg}
-	}
-	cases := []struct {
-		name   string
-		events []Event
-		want   []sim.Time
-	}{
-		{"in-order", []Event{
-			marker(10, "in", 0),
-			marker(15, "in", 1),
-			marker(30, "out", 0),
-			{At: 31, Kind: KindDispatch, PE: "PE", Task: "x"}, // ignored
-			marker(55, "out", 1),
-			marker(60, "out", 9), // unmatched
-		}, []sim.Time{20, 40}},
-		{"second-out-dropped", []Event{
-			marker(10, "in", 0),
-			marker(20, "out", 0),
-			marker(30, "out", 0),
-		}, []sim.Time{10}},
-		{"from-marker-order", []Event{
-			marker(10, "in", 0),
-			marker(15, "in", 1),
-			marker(20, "out", 1),
-			marker(30, "out", 0),
-		}, []sim.Time{20, 5}},
-		{"empty", nil, nil},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := MarkerLatencies(c.events, "in", "out"); fmt.Sprint(got) != fmt.Sprint(c.want) {
-				t.Errorf("latencies = %v, want %v", got, c.want)
-			}
-		})
-	}
-}
-
 func TestBusMarkerAndCollector(t *testing.T) {
 	col := &Collector{}
 	bus := NewBus(col)
-	bus.Marker(42, "frame-in", "src", 7)
+	Mark(bus, 42, "frame-in", "src", 7)
 	if len(col.Events) != 1 {
 		t.Fatalf("collector has %d events, want 1", len(col.Events))
 	}

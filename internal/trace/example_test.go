@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -15,7 +16,7 @@ func ExampleRecorder_Gantt() {
 	k := sim.NewKernel()
 	rtos := core.New(k, "CPU", core.PriorityPolicy{})
 	rec := trace.New("demo")
-	rec.Attach(rtos)
+	telemetry.Attach(rtos, rec)
 
 	mk := func(name string, prio int, work sim.Time) {
 		task := rtos.TaskCreate(name, core.Aperiodic, 0, work, prio)

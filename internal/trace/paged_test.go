@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // randomRecords builds a seeded record sequence that touches every
@@ -572,7 +573,8 @@ func TestRecordsReturnsFreshSlice(t *testing.T) {
 }
 
 // refObserver records scheduler callbacks as plain Records, naming tasks
-// by their *core.Task: the reference for the recorder's adapter.
+// by their *core.Task: the reference for a recorder fed by the telemetry
+// stream.
 type refObserver struct{ recs *[]Record }
 
 func (o refObserver) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskState) {
@@ -598,15 +600,16 @@ func (o refObserver) OnIRQ(at sim.Time, name string, enter bool) {
 }
 
 // TestAttachTwoSchedsOverlappingIDs attaches two schedulers, whose tasks
-// both number from 0, to one recorder: each record must carry the name
-// of its own scheduler's task.
+// both number from 0, to one bus over a recorder: each record must carry
+// the name of its own scheduler's task.
 func TestAttachTwoSchedsOverlappingIDs(t *testing.T) {
 	k := sim.NewKernel()
 	r := New("two-pe")
+	bus := telemetry.NewBus(r)
 	var want []Record
 	for pe, names := range [][]string{{"a0", "a1", "a2"}, {"b0", "b1"}} {
 		os := core.New(k, fmt.Sprint("PE", pe), core.PriorityPolicy{})
-		r.Attach(os)
+		telemetry.Attach(os, bus)
 		os.Observe(refObserver{&want})
 		for i, name := range names {
 			task := os.TaskCreate(name, core.Aperiodic, 0, 0, i+1)
@@ -637,13 +640,13 @@ func TestAttachTwoSchedsOverlappingIDs(t *testing.T) {
 }
 
 // TestAttachSurvivesInit: core.OS.Init discards the tasks and numbers the
-// next ones from 0 again; a recorder attached before it must name the new
-// tasks, not the old ones that had their IDs.
+// next ones from 0 again; a recorder on a bus attached before it must
+// name the new tasks, not the old ones that had their IDs.
 func TestAttachSurvivesInit(t *testing.T) {
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{})
 	r := New("reinit")
-	r.Attach(os)
+	telemetry.Attach(os, telemetry.NewBus(r))
 	var want []Record
 	os.Observe(refObserver{&want})
 	run := func(name string) {

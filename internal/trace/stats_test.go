@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestMean(t *testing.T) {
@@ -28,6 +29,9 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestPercentile and TestQuickPercentileBounds pin the nearest-rank rule
+// of telemetry.Percentile, the repo's one percentile, on the latency
+// samples trace's helpers summarize.
 func TestPercentile(t *testing.T) {
 	xs := []sim.Time{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := []struct {
@@ -40,11 +44,11 @@ func TestPercentile(t *testing.T) {
 		{1, 100},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
+		if got := telemetry.Percentile(xs, c.p); got != c.want {
 			t.Errorf("P%.0f = %v, want %v", 100*c.p, got, c.want)
 		}
 	}
-	if Percentile(nil, 0.5) != 0 {
+	if telemetry.Percentile(nil, 0.5) != 0 {
 		t.Error("Percentile(nil) != 0")
 	}
 }
@@ -63,7 +67,7 @@ func TestQuickPercentileBounds(t *testing.T) {
 			orig[i] = sim.Time(v)
 		}
 		p := float64(pRaw) / 255
-		got := Percentile(xs, p)
+		got := telemetry.Percentile(xs, p)
 		min, max := MinMax(xs)
 		if got < min || got > max {
 			return false

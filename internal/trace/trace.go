@@ -4,13 +4,17 @@
 // design before and after dynamic-scheduling refinement) as event lists
 // and ASCII Gantt charts, and computes the metrics Table 1 reports
 // (context switches, latencies such as the vocoder's transcoding delay).
+//
+// A Recorder is a sink of the telemetry event stream: attach it to a
+// scheduler with telemetry.AttachSched, alone or on a telemetry.Bus, and
+// it stores the stream's task-state, dispatch, IRQ and marker events.
 package trace
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Kind classifies a trace record.
@@ -88,12 +92,6 @@ func (r Record) String() string {
 	}
 }
 
-// MarkerSink receives a copy of every marker recorded on a Recorder
-// (telemetry.Bus implements it).
-type MarkerSink interface {
-	Marker(at sim.Time, label, task string, arg int64)
-}
-
 // sym indexes a Recorder's string table; sym 0 is always "".
 type sym uint32
 
@@ -142,7 +140,6 @@ type Recorder struct {
 	strs   []string // sym -> string; strs[0] is ""
 	index  map[string]sym
 	inline [inlineStrs]string // strs' first backing array
-	tees   []MarkerSink
 }
 
 const (
@@ -275,19 +272,10 @@ func (r *Recorder) intern(s string) sym {
 	return k
 }
 
-// Marker records an instrumentation point and forwards it to any teed
-// sinks.
+// Marker records an instrumentation point.
 func (r *Recorder) Marker(at sim.Time, label, task string, arg int64) {
 	r.add(at, KindMarker, r.intern(task), 0, 0, r.intern(label), arg)
-	for _, s := range r.tees {
-		s.Marker(at, label, task, arg)
-	}
 }
-
-// TeeMarkers forwards every future marker to s as well, so instrumented
-// models need a single Marker call site to feed both the recorder and a
-// telemetry bus.
-func (r *Recorder) TeeMarkers(s MarkerSink) { r.tees = append(r.tees, s) }
 
 // SegBegin records the start of an execution segment of a behavior in the
 // unscheduled model.
@@ -300,75 +288,53 @@ func (r *Recorder) SegEnd(at sim.Time, task string) {
 	r.add(at, KindSegEnd, r.intern(task), 0, 0, 0, 0)
 }
 
-// Attach subscribes the recorder to an RTOS model instance, recording all
-// task state changes, dispatches and IRQs.
-func (r *Recorder) Attach(os *core.OS) { r.AttachSched(&os.Sched) }
-
-// AttachSched is Attach for a bare scheduler state — the form the
-// run-to-completion engine (internal/rtc) runs its RTOS model in.
-func (r *Recorder) AttachSched(s *core.Sched) {
-	a := &osAdapter{r: r}
-	a.tasks = a.inline[:]
-	s.Observe(a)
+// Emit stores an event of the telemetry stream as a record: task
+// states, dispatches (naming idle "-"), IRQ entries and returns, and
+// markers. It drops the events the trace formats do not carry: releases,
+// preemptions, blocks and unblocks, ready-queue lengths and faults.
+func (r *Recorder) Emit(e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindState:
+		r.add(e.At, KindTaskState, r.intern(e.Task), r.intern(e.From.String()), r.intern(e.To.String()), 0, 0)
+	case telemetry.KindDispatch:
+		r.add(e.At, KindDispatch, 0, r.intern(taskOrIdle(e.Other)), r.intern(taskOrIdle(e.Task)), 0, 0)
+	case telemetry.KindIRQEnter:
+		r.add(e.At, KindIRQ, 0, 0, 0, r.intern(e.Other), 1)
+	case telemetry.KindIRQReturn:
+		r.add(e.At, KindIRQ, 0, 0, 0, r.intern(e.Other), 0)
+	case telemetry.KindMarker:
+		r.Marker(e.At, e.Other, e.Task, e.Arg)
+	}
 }
 
-// osAdapter converts core.Observer callbacks into entries. It caches the
-// syms of its scheduler's task names by task ID and of the state names by
-// state; the cache is per scheduler, since the schedulers sharing a
-// recorder (one per PE) all number their tasks from 0.
-type osAdapter struct {
-	r      *Recorder
-	tasks  []sym   // task ID -> name sym of the task last seen with that ID
-	inline [16]sym // tasks' first backing array
-	states [16]sym // core.TaskState -> name sym, 0 until first seen
-	idle   sym     // "-", 0 until first seen
+// taskOrIdle names a dispatch event's task, "-" for idle.
+func taskOrIdle(name string) string {
+	if name == "" {
+		return "-"
+	}
+	return name
 }
 
-func (a *osAdapter) task(t *core.Task) sym {
-	if t == nil {
-		if a.idle == 0 {
-			a.idle = a.r.intern("-")
-		}
-		return a.idle
+// Target returns the one sink a model writes its markers to: rec itself
+// when there are no buses, one bus over rec and the buses when there are,
+// the buses alone (one bus over several) without rec, and nil with
+// neither. A model that records its schedulers into rec attaches them to
+// the same sink.
+func Target(rec *Recorder, bus []*telemetry.Bus) telemetry.Sink {
+	switch {
+	case rec != nil && len(bus) == 0:
+		return rec
+	case rec == nil && len(bus) == 1:
+		return bus[0]
+	case rec == nil && len(bus) == 0:
+		return nil
 	}
-	// A reset scheduler (core.OS.Init, Sched.Setup) numbers its new tasks
-	// from 0 again, so a cached sym counts only while its name matches.
-	id := t.ID()
-	if id < len(a.tasks) {
-		if k := a.tasks[id]; a.r.str(k) == t.Name() {
-			return k
-		}
+	sinks := make([]telemetry.Sink, 0, len(bus)+1)
+	if rec != nil {
+		sinks = append(sinks, rec)
 	}
-	k := a.r.intern(t.Name())
-	if id >= len(a.tasks) {
-		a.tasks = append(a.tasks, make([]sym, id+1-len(a.tasks))...)
+	for _, b := range bus {
+		sinks = append(sinks, b)
 	}
-	a.tasks[id] = k
-	return k
-}
-
-func (a *osAdapter) state(s core.TaskState) sym {
-	if uint(s) >= uint(len(a.states)) {
-		return a.r.intern(s.String())
-	}
-	if a.states[s] == 0 {
-		a.states[s] = a.r.intern(s.String())
-	}
-	return a.states[s]
-}
-
-func (a *osAdapter) OnTaskState(at sim.Time, t *core.Task, old, new core.TaskState) {
-	a.r.add(at, KindTaskState, a.task(t), a.state(old), a.state(new), 0, 0)
-}
-
-func (a *osAdapter) OnDispatch(at sim.Time, cpu int, prev, next *core.Task) {
-	a.r.add(at, KindDispatch, 0, a.task(prev), a.task(next), 0, 0)
-}
-
-func (a *osAdapter) OnIRQ(at sim.Time, name string, enter bool) {
-	arg := int64(0)
-	if enter {
-		arg = 1
-	}
-	a.r.add(at, KindIRQ, 0, 0, 0, a.r.intern(name), arg)
+	return telemetry.NewBus(sinks...)
 }

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestExecIntervalsFromSegments(t *testing.T) {
@@ -134,7 +136,7 @@ func TestAttachRecordsRTOSActivity(t *testing.T) {
 	k := sim.NewKernel()
 	os := core.New(k, "PE", core.PriorityPolicy{})
 	r := New("arch")
-	r.Attach(os)
+	telemetry.Attach(os, r)
 	a := os.TaskCreate("a", core.Aperiodic, 0, 0, 1)
 	b := os.TaskCreate("b", core.Aperiodic, 0, 0, 2)
 	body := func(task *core.Task, d sim.Time) sim.Func {
@@ -253,5 +255,52 @@ func TestRecordStrings(t *testing.T) {
 		if rec.String() == "" {
 			t.Errorf("record of kind %v renders empty", k)
 		}
+	}
+}
+
+// TestMarkerLatencies pins Latencies' pairing rule on a telemetry event
+// stream fed through Emit: the first from-marker of an argument opens a
+// latency, its first to-marker at or after it closes it, and the output
+// follows the from-markers.
+func TestMarkerLatencies(t *testing.T) {
+	marker := func(at sim.Time, label string, arg int64) telemetry.Event {
+		return telemetry.Event{At: at, Kind: telemetry.KindMarker, Other: label, Arg: arg}
+	}
+	cases := []struct {
+		name   string
+		events []telemetry.Event
+		want   []sim.Time
+	}{
+		{"in-order", []telemetry.Event{
+			marker(10, "in", 0),
+			marker(15, "in", 1),
+			marker(30, "out", 0),
+			{At: 31, Kind: telemetry.KindDispatch, PE: "PE", Task: "x"}, // ignored
+			marker(55, "out", 1),
+			marker(60, "out", 9), // unmatched
+		}, []sim.Time{20, 40}},
+		{"second-out-dropped", []telemetry.Event{
+			marker(10, "in", 0),
+			marker(20, "out", 0),
+			marker(30, "out", 0),
+		}, []sim.Time{10}},
+		{"from-marker-order", []telemetry.Event{
+			marker(10, "in", 0),
+			marker(15, "in", 1),
+			marker(20, "out", 1),
+			marker(30, "out", 0),
+		}, []sim.Time{20, 5}},
+		{"empty", nil, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := New("stream")
+			for _, e := range c.events {
+				r.Emit(e)
+			}
+			if got := r.Latencies("in", "out"); fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("latencies = %v, want %v", got, c.want)
+			}
+		})
 	}
 }

@@ -142,9 +142,9 @@ func RunImpl(par Params, skipIdle bool, bus ...*telemetry.Bus) (Results, *trace.
 	kern.AddTask("decoder", decEntry, 7936, par.PrioDec)
 	kern.SetDeviceIRQ(0, func() { kern.SemSignalFromISR(semFrame) })
 
-	rec := markerRecorder("vocoder-impl", bus)
+	rec, mark := markerRecorder("vocoder-impl", bus)
 	kern.OnDebug = func(t *ukernel.Task, v int64) {
-		rec.Marker(m.Now(), "frame-out", "decoder", v)
+		telemetry.Mark(mark, m.Now(), "frame-out", "decoder", v)
 	}
 
 	k := sim.NewKernel()
@@ -153,7 +153,7 @@ func RunImpl(par Params, skipIdle bool, bus ...*telemetry.Bus) (Results, *trace.
 	m.Spawn(k, "DSP")
 	src := k.Spawn("speech-in", func(p *sim.Proc) {
 		for i := 0; i < par.Frames; i++ {
-			rec.Marker(p.Now(), "frame-in", "speech-in", int64(i))
+			telemetry.Mark(mark, p.Now(), "frame-in", "speech-in", int64(i))
 			m.RaiseIRQ(p, 0)
 			p.WaitFor(par.FramePeriod)
 		}

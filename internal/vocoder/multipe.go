@@ -7,6 +7,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -47,8 +48,8 @@ func RunMultiPE(par MultiPEParams, policy core.Policy, tm core.TimeModel) (Resul
 	pe0 := arch.NewSWPE(k, "DSP0", policy, core.WithTimeModel(tm))
 	pe1 := arch.NewSWPE(k, "DSP1", policy, core.WithTimeModel(tm))
 	rec := trace.New("vocoder-multipe")
-	rec.Attach(pe0.OS())
-	rec.Attach(pe1.OS())
+	telemetry.Attach(pe0.OS(), rec)
+	telemetry.Attach(pe1.OS(), rec)
 
 	// Speech input: frame interrupt into PE0, as in the single-PE models.
 	frameSem := channel.NewSemaphore(pe0.Factory(), "frame.sem", 0)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/personality"
 	"repro/internal/refine"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func tracedSpec(t testing.TB, par Params) traced {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	rec := trace.New("spec")
-	refine.RunUnscheduled(k, rec, build(arch.NewHWPE(k, "DSP"), rec, par, nil))
+	refine.RunUnscheduled(k, rec, nil, build(arch.NewHWPE(k, "DSP"), rec, par, nil))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func tracedArch(t testing.TB, par Params, tm core.TimeModel) traced {
 	defer k.Shutdown()
 	pe := archPE(k, par, core.PriorityPolicy{}, tm)
 	rec := trace.New("arch")
-	rec.Attach(pe.OS())
+	telemetry.Attach(pe.OS(), rec)
 	rt, err := personality.New(personality.Generic, pe.OS())
 	if err != nil {
 		t.Fatal(err)

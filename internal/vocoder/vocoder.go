@@ -120,9 +120,9 @@ func (w specQueue) Recv(p *sim.Proc) int64    { return w.q.Recv(p) }
 // architecture models. rt selects the RTOS personality whose native
 // channel kinds carry the frame semaphore and the coded-subframe queue;
 // nil (the specification model) uses the PE factory's spec-level
-// channels, which the personality interface subsumes. rec receives the
+// channels, which the personality interface subsumes. mark receives the
 // frame-in and frame-out markers.
-func build(pe *arch.PE, rec *trace.Recorder, par Params, rt personality.Runtime) *refine.Behavior {
+func build(pe *arch.PE, mark telemetry.Sink, par Params, rt personality.Runtime) *refine.Behavior {
 	var frameSem personality.Semaphore
 	var coded personality.Queue
 	if rt != nil {
@@ -141,7 +141,7 @@ func build(pe *arch.PE, rec *trace.Recorder, par Params, rt personality.Runtime)
 	// PE's frame interrupt.
 	src := pe.Kernel().Spawn("speech-in", func(p *sim.Proc) {
 		for i := 0; i < par.Frames; i++ {
-			rec.Marker(p.Now(), "frame-in", "speech-in", int64(i))
+			telemetry.Mark(mark, p.Now(), "frame-in", "speech-in", int64(i))
 			irq.Raise(p)
 			p.WaitFor(par.FramePeriod)
 		}
@@ -165,7 +165,7 @@ func build(pe *arch.PE, rec *trace.Recorder, par Params, rt personality.Runtime)
 				_ = coded.Recv(p)
 				x.Delay(par.DecSubTime) // synthesis filter share
 			}
-			rec.Marker(p.Now(), "frame-out", "decoder", int64(i))
+			telemetry.Mark(mark, p.Now(), "frame-out", "decoder", int64(i))
 		}
 	})
 	return refine.Seq("vocoder", refine.Par("codec", encoder, decoder))
@@ -191,14 +191,12 @@ func finish(model string, par Params, rec *trace.Recorder, wall time.Duration, e
 	return res
 }
 
-// markerRecorder returns the recorder of a run's frame markers, teeing
-// every marker to the given buses.
-func markerRecorder(name string, bus []*telemetry.Bus) *trace.Recorder {
+// markerRecorder returns the recorder of a run's frame markers and the
+// target the model writes them to: the recorder itself, or one bus over
+// it and the given buses.
+func markerRecorder(name string, bus []*telemetry.Bus) (*trace.Recorder, telemetry.Sink) {
 	rec := trace.New(name)
-	for _, b := range bus {
-		rec.TeeMarkers(b)
-	}
-	return rec
+	return rec, trace.Target(rec, bus)
 }
 
 // archPE creates the architecture model's processing element: the RTOS
@@ -227,8 +225,8 @@ func archMapping(par Params) refine.Mapping {
 func RunSpec(par Params, bus ...*telemetry.Bus) (Results, *trace.Recorder, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
-	rec := markerRecorder("vocoder-spec", bus)
-	refine.RunUnscheduled(k, nil, build(arch.NewHWPE(k, "DSP"), rec, par, nil))
+	rec, mark := markerRecorder("vocoder-spec", bus)
+	refine.RunUnscheduled(k, nil, nil, build(arch.NewHWPE(k, "DSP"), mark, par, nil))
 	start := time.Now()
 	err := k.Run()
 	res := finish("unscheduled", par, rec, time.Since(start), k.Now(), 0)
@@ -255,15 +253,15 @@ func RunArchPersonality(par Params, policy core.Policy, tm core.TimeModel, kind 
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	pe := archPE(k, par, policy, tm)
-	rec := markerRecorder("vocoder-arch", bus)
+	rec, mark := markerRecorder("vocoder-arch", bus)
 	for _, b := range bus {
-		b.Attach(pe.OS())
+		telemetry.Attach(pe.OS(), b)
 	}
 	rt, err := personality.New(kind, pe.OS())
 	if err != nil {
 		return Results{}, rec, err
 	}
-	refine.RunArchitecture(k, pe.OS(), nil, build(pe, rec, par, rt), archMapping(par))
+	refine.RunArchitecture(k, pe.OS(), nil, build(pe, mark, par, rt), archMapping(par))
 	pe.OS().Start(nil)
 	start := time.Now()
 	err = k.Run()

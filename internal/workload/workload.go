@@ -137,7 +137,7 @@ func Run(specs []TaskSpec, policy core.Policy, tm core.TimeModel, horizon sim.Ti
 	defer k.Shutdown()
 	os := core.New(k, "PE", policy, core.WithTimeModel(tm))
 	for _, b := range bus {
-		b.Attach(os)
+		telemetry.Attach(os, b)
 	}
 	tasks := make([]*core.Task, len(specs))
 	for i, s := range specs {

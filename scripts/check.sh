@@ -5,11 +5,14 @@
 #   - static checks: go vet, gofmt, go build;
 #   - the full test suite under the race detector, and the batch engine
 #     and simcheck again at -count=2;
-#   - named contract passes: golden traces, the Table-1 allocation
+#   - named contract passes: golden traces, one event record (one
+#     scheduler adapter, the trace recorder a sink of the telemetry
+#     stream, markers on every bus), the Table-1 allocation
 #     and byte budgets, the rtc session allocation pins, the telemetry overhead guard, the itron/osek conformance
 #     suites and cross-personality corpus, goroutine-vs-rtc engine
 #     equivalence (simcheck, taskset, rtc.RunGoroutine, sdl),
-#     timer queue ordering, the goroutine kernel's coroutine hand-off,
+#     timer queue ordering, the goroutine kernel's coroutine hand-off
+#     and GC-independent process recycling,
 #     checkpoint/restore equivalence and
 #     the design-space-exploration gates;
 #   - perfbench's self-tests (a separate module) and the personality
@@ -65,6 +68,18 @@ step "go test -race -count=2 ./internal/runner ./internal/simcheck" go test -rac
 # these; this explicit pass keeps the gate's contract visible and
 # survives future test-filtering in the step above.)
 step "golden-trace diff (testdata/golden)" go test -run 'TestGoldenTrace' -count=1 .
+
+# One event record: telemetry.AttachSched is the only adapter from a
+# scheduler's observer hooks, and telemetry does not import trace (the
+# structural guard); an rtc session's bus gets the SDL markers with the
+# trace off or on, equal to the goroutine kernel's; the recorder fed by
+# the stream matches the reference observer and the latency oracle; and
+# the trace-format goldens (SDL corpus, rtcsnap/3 rec lines) keep their
+# bytes.
+step "one event record" go test -run 'TestOneEventRecord' -count=1 .
+step "one event record" go test -run 'TestSessionBusGetsMarkers|TestGoldenTracesSDL' -count=1 ./internal/sdl
+step "one event record" go test -run 'TestAttach|TestPaged|TestLatenciesMatchesOracle|TestMarkerLatencies' -count=1 ./internal/trace
+step "one event record" go test -run 'TestSnapshotGolden' -count=1 ./internal/rtc
 
 # Table-1 allocation budget: one RunSpec + RunArch pair of the full-size
 # vocoder must stay within a fixed allocation count and a fixed number of
@@ -132,8 +147,10 @@ step "timer queue ordering + differential harness" go test -run 'TestDifferentia
 # (carriers). Kill of a never-run, waiting, self or Par-parent process,
 # Shutdown at a horizon, a re-raised panic and runtime.Goexit each leave
 # the idle stack sound; kernels on several goroutines share it; the
-# goroutine count stays bounded by the idle cap.
-step "goroutine-kernel hand-off" go test -race -count=3 -run 'TestHandoff|TestShutdownReleasesGoroutines' ./internal/sim
+# goroutine count stays bounded by the idle cap; and a run allocates the
+# same count whether or not collections precede it, since idle Procs
+# and carriers outlive a GC.
+step "goroutine-kernel hand-off" go test -race -count=3 -run 'TestHandoff|TestShutdownReleasesGoroutines|TestRecyclingIgnoresGC' ./internal/sim
 
 # Checkpoint equivalence: an rtc session snapshotted at a randomized
 # instant and restored into a fresh session must finish with
