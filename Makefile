@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence checkpoint-equivalence timer-boundary handoff conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget session-allocs one-event-record
+.PHONY: check test build vet fmt-check race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline engine-equivalence builtin-models checkpoint-equivalence timer-boundary handoff conformance personality-overhead dse-check simd campaign-resume perfbench-test table1-budget session-allocs one-event-record
 
 check: ## full tier-1 gate (scripts/check.sh: static checks, race tests, contract passes, baselines, crash-resume, soak, fault smoke)
 	./scripts/check.sh
@@ -103,6 +103,11 @@ engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence ma
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 	go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 	go test -run 'TestDhallsEffect|TestTwoCPUsRunTwoTasksInParallel|TestSingleCPUEqualsUniprocessorSerialization|TestGlobalPreemption|TestMigrationCounting|TestQuickWorkConservation|TestQuickNeverMoreRunningThanCPUs|TestCoarseModePreemptsAtSchedulingPoints|TestCoarsePeriodicSet|TestSMPWatchdog|TestValidation' -count=1 ./internal/core
+
+builtin-models: ## built-in models: Figure 8 and JPEG checks on the embedded SDL files, the SDL runners' goroutine-leak test, Figure 3 and SDL corpus goldens, par forks past the first rtc slab
+	go test -run 'TestFigure8|TestFigure3|TestCoarsePreemptionPinnedToDelayBoundary|TestJPEG|TestRunnersReleaseGoroutines|TestGoldenTracesSDL' -count=1 ./internal/sdl
+	go test -run 'TestGoldenTrace' -count=1 .
+	go test -run 'TestParForksOutgrowFirstSlab' -count=1 ./internal/rtc
 
 checkpoint-equivalence: ## rtc snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite + core.StateCodec tests
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck

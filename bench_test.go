@@ -15,11 +15,12 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/models"
 	"repro/internal/runner"
+	"repro/internal/sdl"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/taskset"
+	"repro/internal/trace"
 	"repro/internal/ukernel"
 	"repro/internal/vocoder"
 	"repro/internal/workload"
@@ -84,29 +85,45 @@ func BenchmarkTable1_Implementation(b *testing.B) {
 	b.ReportMetric(float64(insts)/float64(b.Elapsed().Seconds()+1e-9)/float64(b.N), "iss-insts/s")
 }
 
+// loadFigure3 opens the built-in Figure 3 model, failing the benchmark on
+// error.
+func loadFigure3(b *testing.B) *sdl.Model {
+	b.Helper()
+	m, err := sdl.Load("figure3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // BenchmarkFigure8_Unscheduled regenerates Figure 8(a).
 func BenchmarkFigure8_Unscheduled(b *testing.B) {
-	par := models.DefaultFigure3()
+	m := loadFigure3(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := models.Figure3Unscheduled(par); err != nil {
+		if _, err := m.RunUnscheduled(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFigure8_Architecture regenerates Figure 8(b) and reports the
-// delayed-preemption response (t4' - t4).
-func BenchmarkFigure8_Architecture(b *testing.B) {
-	par := models.DefaultFigure3()
+// benchResponse runs m's architecture model b.N times under tm and
+// reports B3's response to the interrupt (ext-data - t4) as metric.
+func benchResponse(b *testing.B, m *sdl.Model, tm core.TimeModel, metric string) {
 	var resp sim.Time
 	for i := 0; i < b.N; i++ {
-		rec, _, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelCoarse)
+		rec, _, err := m.RunArchitecture(core.PriorityPolicy{}, tm)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp = rec.MarkerTimes("ext-data")[0] - par.IRQAt
+		resp = rec.MarkerTimes("ext-data")[0] - m.IRQs[0].At
 	}
-	b.ReportMetric(float64(resp), "t4'-t4-ns")
+	b.ReportMetric(float64(resp), metric)
+}
+
+// BenchmarkFigure8_Architecture regenerates Figure 8(b) and reports the
+// delayed-preemption response (t4' - t4).
+func BenchmarkFigure8_Architecture(b *testing.B) {
+	benchResponse(b, loadFigure3(b), core.TimeModelCoarse, "t4'-t4-ns")
 }
 
 // BenchmarkGranularity is the F8-PREC ablation: response error of the
@@ -115,30 +132,15 @@ func BenchmarkFigure8_Architecture(b *testing.B) {
 func BenchmarkGranularity(b *testing.B) {
 	for _, chunks := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("coarse-chunks-%d", chunks), func(b *testing.B) {
-			par := models.DefaultFigure3()
-			par.D6Chunks = chunks
-			var resp sim.Time
-			for i := 0; i < b.N; i++ {
-				rec, _, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelCoarse)
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp = rec.MarkerTimes("ext-data")[0] - par.IRQAt
+			m := loadFigure3(b)
+			if err := m.SplitDelay("B2", 3, chunks); err != nil { // statement 3 of B2 is d6
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(resp), "resp-error-ns")
+			benchResponse(b, m, core.TimeModelCoarse, "resp-error-ns")
 		})
 	}
 	b.Run("segmented", func(b *testing.B) {
-		par := models.DefaultFigure3()
-		var resp sim.Time
-		for i := 0; i < b.N; i++ {
-			rec, _, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelSegmented)
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp = rec.MarkerTimes("ext-data")[0] - par.IRQAt
-		}
-		b.ReportMetric(float64(resp), "resp-error-ns")
+		benchResponse(b, loadFigure3(b), core.TimeModelSegmented, "resp-error-ns")
 	})
 }
 
@@ -285,36 +287,40 @@ func BenchmarkMultiPE(b *testing.B) {
 }
 
 // BenchmarkJPEGMappings is the EXT-JPEG experiment: per-block encode time
-// under the three mappings.
+// under the three mappings, at the built-in models' 16 blocks.
 func BenchmarkJPEGMappings(b *testing.B) {
-	par := models.SmallJPEG()
-	type runner func() (models.JPEGResults, error)
+	const blocks = 16
+	sw, err := sdl.Load("jpeg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw, err := sdl.Load("jpeg_hwsw")
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		run  runner
+		run  func() (*trace.Recorder, error)
 	}{
-		{"spec", func() (models.JPEGResults, error) {
-			r, _, err := models.JPEGSpec(par)
-			return r, err
+		{"spec", sw.RunUnscheduled},
+		{"software", func() (*trace.Recorder, error) {
+			rec, _, err := sw.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse)
+			return rec, err
 		}},
-		{"software", func() (models.JPEGResults, error) {
-			r, _, err := models.JPEGSW(par, core.PriorityPolicy{}, core.TimeModelCoarse)
-			return r, err
-		}},
-		{"hwsw", func() (models.JPEGResults, error) {
-			r, _, _, err := models.JPEGHWSW(par, core.PriorityPolicy{}, core.TimeModelCoarse)
-			return r, err
+		{"hwsw", func() (*trace.Recorder, error) {
+			rec, _, _, err := hw.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+			return rec, err
 		}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var perBlock sim.Time
 			for i := 0; i < b.N; i++ {
-				r, err := c.run()
+				rec, err := c.run()
 				if err != nil {
 					b.Fatal(err)
 				}
-				perBlock = r.PerBlock
+				perBlock = rec.End() / blocks
 			}
 			b.ReportMetric(float64(perBlock)/1e3, "block-us")
 		})

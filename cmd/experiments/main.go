@@ -30,10 +30,10 @@ import (
 	"repro/internal/dse"
 	"repro/internal/fault"
 	"repro/internal/loccount"
-	"repro/internal/models"
 	"repro/internal/refine"
 	"repro/internal/rtc"
 	"repro/internal/runner"
+	"repro/internal/sdl"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/taskset"
@@ -184,11 +184,12 @@ func maxDur(a, b time.Duration) time.Duration {
 
 func figure8() {
 	header("F8: Figure 8 — simulation traces of the Figure 3 example")
-	par := models.DefaultFigure3()
-
-	specRec, err := models.Figure3Unscheduled(par)
+	fig3, err := sdl.Load("figure3")
 	check(err)
-	archRec, osm, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelCoarse)
+
+	specRec, err := fig3.RunUnscheduled()
+	check(err)
+	archRec, osm, err := fig3.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse)
 	check(err)
 
 	gopts := trace.GanttOptions{Width: 64, Tasks: []string{"B1", "B2", "B3"}}
@@ -209,8 +210,9 @@ func figure8() {
 		fmt.Printf("    %-9s at %v\n", m, archRec.MarkerTimes(m))
 	}
 	t4p := archRec.MarkerTimes("ext-data")[0]
+	t4 := fig3.IRQs[0].At
 	fmt.Printf("\nshape: serialized (overlap 0): %v; t4=%v delayed to t4'=%v (end of d6): %v\n",
-		archRec.Overlap("B2", "B3") == 0, par.IRQAt, t4p, t4p > par.IRQAt)
+		archRec.Overlap("B2", "B3") == 0, t4, t4p, t4p > t4)
 }
 
 // ---------------------------------------------------------------------------
@@ -218,21 +220,23 @@ func figure8() {
 
 func granularity() {
 	header("F8-PREC: preemption accuracy vs delay-annotation granularity")
-	par := models.DefaultFigure3()
 	fmt.Println("B3's response to the interrupt at t4 (coarse model switches at the end")
 	fmt.Println("of B2's current time step; finer d6 annotation = earlier switch):")
 	fmt.Printf("\n%-10s %-12s %-16s %-14s\n", "model", "d6 chunks", "response of B3", "error vs ideal")
 	for _, chunks := range []int{1, 2, 4, 8, 16, 32} {
-		p := par
-		p.D6Chunks = chunks
-		rec, _, err := models.Figure3Architecture(p, core.PriorityPolicy{}, core.TimeModelCoarse)
+		m, err := sdl.Load("figure3")
 		check(err)
-		resp := rec.MarkerTimes("ext-data")[0] - p.IRQAt
+		check(m.SplitDelay("B2", 3, chunks)) // statement 3 of B2 is d6
+		rec, _, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse)
+		check(err)
+		resp := rec.MarkerTimes("ext-data")[0] - m.IRQs[0].At
 		fmt.Printf("%-10s %-12d %-16v %-14v\n", "coarse", chunks, resp, resp)
 	}
-	rec, _, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelSegmented)
+	m, err := sdl.Load("figure3")
 	check(err)
-	resp := rec.MarkerTimes("ext-data")[0] - par.IRQAt
+	rec, _, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelSegmented)
+	check(err)
+	resp := rec.MarkerTimes("ext-data")[0] - m.IRQs[0].At
 	fmt.Printf("%-10s %-12s %-16v %-14v\n", "segmented", "-", resp, resp)
 	fmt.Println("\nshape: error shrinks monotonically with finer annotations and is zero in")
 	fmt.Println("the segmented extension — the paper's Section 4.3 accuracy statement.")

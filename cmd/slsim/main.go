@@ -6,7 +6,7 @@
 // declares PEs), and -model both prints the milestone drift the
 // refinement introduced.
 //
-//	go run ./cmd/slsim -model both testdata/figure3.sdl
+//	go run ./cmd/slsim -model both internal/sdl/models/figure3.sdl
 //	go run ./cmd/slsim -model both testdata/pipeline2pe.sdl   # multi-PE
 //	go run ./cmd/slsim -model arch -policy edf -gantt design.sdl
 package main
@@ -101,7 +101,7 @@ func main() {
 		if m.MultiPE() {
 			// Models with pe declarations run the mapped architecture:
 			// one RTOS instance per software PE, links over buses.
-			mappedRec, oss, err := m.RunMapped(policy, tm, bus...)
+			mappedRec, oss, _, err := m.RunMapped(policy, tm, bus...)
 			exitOn(err)
 			rec = mappedRec
 			show(rec, fmt.Sprintf("mapped architecture model (%s, %s time, %s personality)", policy.Name(), tm, pers))

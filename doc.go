@@ -18,6 +18,6 @@
 //	internal/iss      toy DSP instruction-set simulator
 //	internal/ukernel  micro-RTOS for the implementation model
 //	internal/vocoder  the Table 1 application in all three models
-//	internal/models   the Figure 3 example
+//	internal/sdl      textual model frontend; embeds the Figure 3 and JPEG models
 //	internal/workload task-set generation for scheduling experiments
 package repro

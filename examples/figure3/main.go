@@ -1,9 +1,10 @@
 // Figure 3 / Figure 8: the paper's running example.
 //
-// Builds the single-PE design of the paper's Figure 3 — behavior B1
+// Loads the single-PE design of the paper's Figure 3 — behavior B1
 // followed by the parallel composition of B2 and B3, channels c1/c2, and
-// a bus-driver ISR signalling a semaphore on an external interrupt — and
-// simulates it twice:
+// a bus-driver ISR signalling a semaphore on an external interrupt — from
+// its built-in SDL file (internal/sdl/models/figure3.sdl) and simulates
+// it twice:
 //
 //  1. as the unscheduled specification model (paper Figure 8(a)), where
 //     B2 and B3 execute truly in parallel, and
@@ -20,7 +21,7 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/models"
+	"repro/internal/sdl"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -31,14 +32,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write architecture scheduler metrics in Prometheus text format")
 	flag.Parse()
 
-	par := models.DefaultFigure3()
+	m, err := sdl.Load("figure3")
+	check(err)
 
-	specRec, err := models.Figure3Unscheduled(par)
+	specRec, err := m.RunUnscheduled()
 	check(err)
 	tel := telemetry.NewCapture()
-	archRec, osm, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelCoarse, tel.Bus)
+	archRec, osm, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse, tel.Bus)
 	check(err)
-	segRec, _, err := models.Figure3Architecture(par, core.PriorityPolicy{}, core.TimeModelSegmented)
+	segRec, _, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelSegmented)
 	check(err)
 
 	gopts := trace.GanttOptions{Width: 64, Tasks: []string{"B1", "B2", "B3"}}
@@ -57,7 +59,7 @@ func main() {
 	fmt.Printf("overlap(B2,B3) = %v, end = %v, contextSwitches = %d, preemptions = %d\n",
 		archRec.Overlap("B2", "B3"), archRec.End(), st.ContextSwitches, st.Preemptions)
 	fmt.Printf("interrupt at t4 = %v; B3 receives its data at t4' = %v (coarse model)\n\n",
-		par.IRQAt, archRec.MarkerTimes("ext-data")[0])
+		m.IRQs[0].At, archRec.MarkerTimes("ext-data")[0])
 
 	fmt.Println("=== extension: segmented time model (immediate preemption) ===")
 	fmt.Printf("B3 receives its data already at %v (= t4)\n\n", segRec.MarkerTimes("ext-data")[0])

@@ -18,9 +18,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/models"
 	"repro/internal/personality"
 	"repro/internal/runner"
+	"repro/internal/sdl"
 	"repro/internal/telemetry"
 	"repro/internal/vocoder"
 )
@@ -42,11 +42,13 @@ func renderTrace(events []telemetry.Event) []byte {
 // and returns its canonical trace.
 func figure3Trace(t *testing.T) []byte {
 	t.Helper()
+	m, err := sdl.Load("figure3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := &telemetry.Collector{}
 	bus := telemetry.NewBus(col)
-	_, _, err := models.Figure3Architecture(models.DefaultFigure3(),
-		core.PriorityPolicy{}, core.TimeModelCoarse, bus)
-	if err != nil {
+	if _, _, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse, bus); err != nil {
 		t.Fatalf("figure3 architecture run: %v", err)
 	}
 	return renderTrace(col.Events)

@@ -191,7 +191,7 @@ func runSDLCell(j sdlJob) ([]byte, *telemetry.Report, error) {
 	cap := telemetry.NewCapture()
 	var b bytes.Buffer
 	if m.MultiPE() {
-		rec, oss, err := m.RunMapped(policy, tm, cap.Bus)
+		rec, oss, _, err := m.RunMapped(policy, tm, cap.Bus)
 		if err != nil {
 			return nil, nil, err
 		}

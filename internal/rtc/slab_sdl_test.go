@@ -61,35 +61,37 @@ func render(recs []trace.Record, stats core.Stats, end sim.Time) []byte {
 // goroutine kernel byte for byte, and the corpus models their golden
 // architecture traces.
 func TestParForksOutgrowFirstSlab(t *testing.T) {
-	models := []struct {
-		name, src, golden string
-	}{
-		{name: "nested-par", src: nestedParSDL},
+	type model struct {
+		name string
+		m    *sdl.Model
 	}
-	for _, c := range []struct{ name, path string }{
-		{"figure3", filepath.Join("..", "..", "testdata", "figure3.sdl")},
-		{"vocoder", filepath.Join("..", "sdl", "testdata", "vocoder.sdl")},
-		{"busdriver", filepath.Join("..", "sdl", "testdata", "busdriver.sdl")},
-	} {
-		src, err := os.ReadFile(c.path)
+	nested, err := sdl.Parse(nestedParSDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig3, err := sdl.Load("figure3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []model{{"nested-par", nested}, {"figure3", fig3}}
+	for _, name := range []string{"vocoder", "busdriver"} {
+		src, err := os.ReadFile(filepath.Join("..", "sdl", "testdata", name+".sdl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		models = append(models, struct{ name, src, golden string }{
-			c.name, string(src), filepath.Join("..", "sdl", "testdata", "golden", c.name+".arch.trace"),
-		})
+		m, err := sdl.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, model{name, m})
 	}
 	for _, mc := range models {
 		t.Run(mc.name, func(t *testing.T) {
-			m, err := sdl.Parse(mc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mc.m
 			rec, osi, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse)
 			if err != nil {
 				t.Fatalf("goroutine run: %v", err)
 			}
-			defer osi.Kernel().Shutdown()
 			want := render(rec.Records(), osi.StatsSnapshot(), osi.Kernel().Now())
 
 			w, err := m.RTCWorkload("priority", 0, core.TimeModelCoarse, sim.Second)
@@ -115,15 +117,16 @@ func TestParForksOutgrowFirstSlab(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rtc run diverges from the goroutine kernel:\nrtc:\n%s\ngoroutine:\n%s", got, want)
 			}
-			if mc.golden == "" {
+			if mc.name == "nested-par" {
 				return
 			}
-			golden, err := os.ReadFile(mc.golden)
+			path := filepath.Join("..", "sdl", "testdata", "golden", mc.name+".arch.trace")
+			golden, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, golden) {
-				t.Fatalf("rtc run deviates from golden %s", mc.golden)
+				t.Fatalf("rtc run deviates from golden %s", path)
 			}
 		})
 	}

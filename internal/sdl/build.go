@@ -179,9 +179,11 @@ func (m *Model) mapping() refine.Mapping {
 
 // RunUnscheduled elaborates and simulates the specification model. The
 // `personality` directive does not apply here: the specification model
-// has no RTOS, so channels are always the spec-level primitives.
+// has no RTOS, so channels are always the spec-level primitives. The
+// kernel is shut down on return, releasing its parked processes.
 func (m *Model) RunUnscheduled() (*trace.Recorder, error) {
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	pe := arch.NewHWPE(k, "PE")
 	rec := trace.New("sdl-spec")
 	root, err := m.build(pe, nil)
@@ -196,9 +198,12 @@ func (m *Model) RunUnscheduled() (*trace.Recorder, error) {
 // model under the given policy and time model; the model's `personality`
 // directive (default generic) selects the RTOS API whose native channel
 // kinds carry the declared queues and semaphores. An optional telemetry
-// bus is attached to the RTOS instance and receives the markers too.
+// bus is attached to the RTOS instance and receives the markers too. The
+// kernel is shut down on return; the recorder and the OS statistics stay
+// readable.
 func (m *Model) RunArchitecture(policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, *core.OS, error) {
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	pe := arch.NewSWPE(k, "PE", policy, core.WithTimeModel(tm))
 	rec := trace.New("sdl-arch")
 	to := trace.Target(rec, bus)

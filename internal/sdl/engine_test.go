@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -19,11 +20,19 @@ import (
 // engine-equivalence gate (internal/simcheck pins flat task sets; here
 // the full SDL corpus) and pin golden traces for the example models.
 
-// sdlCorpus lists the models under test: figure3 (the paper's running
-// example), the vocoder twin, and the bus-driver handshake example.
+// sdlCorpus lists the models under test: the built-in figure3 (the
+// paper's running example) and jpeg (the JPEG encoder's software
+// mapping), the vocoder twin, and the bus-driver handshake example.
 func sdlCorpus(t *testing.T) map[string]string {
 	t.Helper()
-	corpus := map[string]string{"figure3": figure3SDL}
+	corpus := map[string]string{}
+	for _, path := range []string{"models/figure3.sdl", "models/jpeg.sdl"} {
+		src, err := builtin.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[strings.TrimSuffix(filepath.Base(path), ".sdl")] = string(src)
+	}
 	for _, name := range []string{"vocoder", "busdriver"} {
 		src, err := os.ReadFile(filepath.Join("testdata", name+".sdl"))
 		if err != nil {
@@ -58,7 +67,6 @@ func runGoroutine(t *testing.T, m *Model, policy string, quantum sim.Time, tm co
 	if err != nil {
 		t.Fatalf("goroutine run: %v", err)
 	}
-	defer osi.Kernel().Shutdown()
 	return renderArch(rec.Records(), osi.StatsSnapshot(), osi.Kernel().Now())
 }
 
@@ -240,7 +248,6 @@ personality itron
 		t.Fatal(err)
 	}
 	rec, osi, gerr := m.RunArchitecture(pol, core.TimeModelCoarse)
-	defer osi.Kernel().Shutdown()
 	res, rerr := m.RunArchitectureRTC("priority", 0, core.TimeModelCoarse, sim.Second)
 	const want = `itron: sig_sem "s": E_QOVR`
 	if gerr == nil || rerr == nil || gerr.Error() != want || rerr.Error() != want {

@@ -70,6 +70,14 @@ top main`,
 		`behavior a { delay 1 } top a task ghost priority 1`,
 		"", " ", "\n", "{", "}", "top", "task", "irq", "compose m",
 	}
+	// The built-in models, multi-PE links with an isr clause included.
+	for _, name := range []string{"figure3", "jpeg", "jpeg_hwsw"} {
+		src, err := builtin.ReadFile("models/" + name + ".sdl")
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, string(src))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}

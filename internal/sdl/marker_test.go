@@ -31,11 +31,10 @@ func TestSessionBusGetsMarkers(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var gc telemetry.Collector
-		_, osi, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse, telemetry.NewBus(&gc))
+		_, _, err = m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse, telemetry.NewBus(&gc))
 		if err != nil {
 			t.Fatalf("%s: goroutine run: %v", name, err)
 		}
-		osi.Kernel().Shutdown()
 		want := markerEvents(gc.Events)
 		if len(want) == 0 {
 			t.Fatalf("%s: the goroutine run wrote no markers", name)

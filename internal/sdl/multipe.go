@@ -17,15 +17,17 @@ import (
 // PEs run an RTOS instance under the given policy/time model, hardware
 // PEs run unscheduled), with inter-PE communication over the declared
 // buses and links — the mapping step of the design flow, driven from the
-// model file. It returns the shared trace and the per-PE OS instances
-// (software PEs only). An optional telemetry bus is attached to every
-// software PE's RTOS instance, so its events carry per-PE names, and
-// receives every PE's markers.
-func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, map[string]*core.OS, error) {
+// model file. It returns the shared trace, the per-PE OS instances
+// (software PEs only) and the buses, whose transfer counts and busy times
+// stay readable after the run. An optional telemetry bus is attached to
+// every software PE's RTOS instance, so its events carry per-PE names,
+// and receives every PE's markers. The kernel is shut down on return.
+func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemetry.Bus) (*trace.Recorder, map[string]*core.OS, map[string]*arch.Bus, error) {
 	if !m.MultiPE() {
-		return nil, nil, fmt.Errorf("sdl: RunMapped on a model without pe declarations")
+		return nil, nil, nil, fmt.Errorf("sdl: RunMapped on a model without pe declarations")
 	}
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	rec := trace.New("sdl-mapped")
 	to := trace.Target(rec, bus)
 
@@ -42,7 +44,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 			// personality; hardware PEs have no RTOS and keep spec channels.
 			rt, err := personality.New(m.Personality, pe.OS())
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			rts[pd.Name] = rt
 		} else {
@@ -56,7 +58,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 	links := map[string]*arch.Link[int64]{}
 	for _, ld := range m.Links {
 		links[ld.Name] = arch.NewLink[int64](buses[ld.Bus], ld.Name,
-			pes[ld.From], pes[ld.To], ld.Bytes, 0)
+			pes[ld.From], pes[ld.To], ld.Bytes, ld.ISR)
 	}
 
 	// Determine which PE owns each plain channel: the PE of the top-level
@@ -75,7 +77,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 				continue
 			}
 			if owner, ok := chanPE[ch]; ok && owner != pe {
-				return nil, nil, fmt.Errorf(
+				return nil, nil, nil, fmt.Errorf(
 					"sdl: channel %q used from PEs %q and %q; declare it as a link", ch, owner, pe)
 			}
 			chanPE[ch] = pe
@@ -106,7 +108,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 		d := d
 		owner, ok := chanPE[d.Releases]
 		if !ok {
-			return nil, nil, fmt.Errorf("sdl: irq %q releases semaphore %q that no behavior uses", d.Name, d.Releases)
+			return nil, nil, nil, fmt.Errorf("sdl: irq %q releases semaphore %q that no behavior uses", d.Name, d.Releases)
 		}
 		sem := insts[owner].sems[d.Releases]
 		irq := pes[owner].AttachISR(d.Name, 0, func(p *sim.Proc) { sem.Release(p) })
@@ -129,7 +131,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 		inst := instFor(peName)
 		root, err := m.buildTree(childName, inst, map[string]bool{})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if os, sw := oss[peName]; sw {
 			refine.RunArchitecture(k, os, to, root, mapping)
@@ -140,7 +142,7 @@ func (m *Model) RunMapped(policy core.Policy, tm core.TimeModel, bus ...*telemet
 	for _, os := range oss {
 		os.Start(nil)
 	}
-	return rec, oss, k.Run()
+	return rec, oss, buses, k.Run()
 }
 
 // composeByName returns the compose declaration (Validate guarantees the

@@ -56,7 +56,7 @@ func TestRunMappedTwoPEs(t *testing.T) {
 	if !m.MultiPE() {
 		t.Fatal("model not recognized as multi-PE")
 	}
-	rec, oss, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+	rec, oss, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ task swside priority 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, oss, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+	rec, oss, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ map wb to B
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err == nil ||
+	if _, _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err == nil ||
 		!strings.Contains(err.Error(), "declare it as a link") {
 		t.Errorf("cross-PE channel not rejected: %v", err)
 	}
@@ -175,6 +175,14 @@ top system
 		{"self-link", `pe P sw` + base + `map a to P
 			bus b arb 0 perbyte 0
 			link l over b from P to P bytes 1`, "itself"},
+		{"negative-isr", `pe P sw
+			pe Q hw` + base + `map a to P
+			bus b arb 0 perbyte 0
+			link l over b from P to Q bytes 1 isr -1us`, "negative isr"},
+		{"bad-isr", `pe P sw
+			pe Q hw` + base + `map a to P
+			bus b arb 0 perbyte 0
+			link l over b from P to Q bytes 1 isr soon`, "bad time"},
 		{"unmapped-child", `pe P sw` + base, "not mapped"},
 		{"map-unknown-pe", `pe P sw` + base + `map a to Q`, "unknown pe"},
 		{"dup-pe", `pe P sw
@@ -196,11 +204,8 @@ top system
 }
 
 func TestRunMappedOnSinglePEModelFails(t *testing.T) {
-	m, err := Parse(figure3SDL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err == nil {
+	m := mustLoad(t, "figure3")
+	if _, _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err == nil {
 		t.Error("RunMapped accepted a model without PEs")
 	}
 }
@@ -250,7 +255,7 @@ task consumer priority 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	recD, _, err := md.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+	recD, _, _, err := md.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +274,13 @@ task consumer priority 1
 // below the personality layer, and the per-PE local channels see no
 // contended grants in this model.
 func TestRunMappedPersonalities(t *testing.T) {
-	ref, _, err := mustParse(t, twoPEModel).RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+	ref, _, _, err := mustParse(t, twoPEModel).RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pers := range []string{"itron", "osek"} {
 		m := mustParse(t, twoPEModel+"\npersonality "+pers+"\n")
-		rec, oss, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
+		rec, oss, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse)
 		if err != nil {
 			t.Fatalf("%s: %v", pers, err)
 		}

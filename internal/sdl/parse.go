@@ -5,42 +5,12 @@
 // the role SpecC source plays for the paper: models as files rather than
 // programs, consumed by the cmd/slsim tool.
 //
-// Example (the paper's Figure 3):
-//
-//	channel c1 queue 1
-//	channel c2 queue 1
-//	channel sem semaphore 0
-//
-//	behavior B1 { delay 100ns }
-//	behavior B2 {
-//	    delay 40ns
-//	    marker c1-send 0
-//	    send c1 1
-//	    delay 120ns
-//	    delay 70ns
-//	    recv c2
-//	    delay 50ns
-//	}
-//	behavior B3 {
-//	    delay 50ns
-//	    recv c1
-//	    delay 80ns
-//	    acquire sem
-//	    marker ext-data 0
-//	    delay 60ns
-//	    send c2 2
-//	    delay 40ns
-//	}
-//
-//	compose workers par { B2 B3 }
-//	compose main seq { B1 workers }
-//	top main
-//
-//	irq irq0 at 280ns releases sem
-//
-//	task main priority 0
-//	task B2 priority 2
-//	task B3 priority 1
+// The paper's example models ship as SDL files embedded in the package
+// and are opened with Load: models/figure3.sdl (the Figure 3 design,
+// whose traces are Figure 8) and the JPEG encoder's mappings,
+// models/jpeg.sdl and models/jpeg_hwsw.sdl. figure3.sdl is the reference
+// for the single-PE syntax: channel, behavior, compose, top, irq and task
+// declarations.
 //
 // Statements have fixed arity, so no terminators are needed; '#' starts a
 // comment running to end of line. Times are integers with an optional
@@ -51,10 +21,11 @@
 //	pe CPU0 sw                                   # software PE (RTOS instance)
 //	pe ACC hw                                    # hardware PE (unscheduled)
 //	bus sysbus arb 100ns perbyte 10ns
-//	link data over sysbus from CPU0 to ACC bytes 8
+//	link data over sysbus from CPU0 to ACC bytes 8 isr 1us
 //	map cpu0work to CPU0                         # top-level par children -> PEs
 //
-// Links are used with the same send/recv statements as queues; before
+// A link's optional `isr T` clause sets the service time of its receive
+// ISR on the destination PE (default 0). Links are used with the same send/recv statements as queues; before
 // mapping (RunUnscheduled / RunArchitecture) they behave as plain message
 // channels, after mapping (RunMapped) they travel over the arbitrated bus
 // with the ISR→semaphore→driver receive path.
@@ -172,6 +143,7 @@ type LinkDecl struct {
 	Bus      string
 	From, To string // PE names
 	Bytes    int
+	ISR      sim.Time // service time of the receive ISR on the To PE
 }
 
 // MapDecl assigns a top-level behavior (a child of the top composition)
@@ -587,7 +559,7 @@ func (p *parser) bus(m *Model) error {
 	return nil
 }
 
-// link parses: link NAME over BUS from PE to PE bytes N
+// link parses: link NAME over BUS from PE to PE bytes N [isr TIME]
 func (p *parser) link(m *Model) error {
 	name, err := p.ident()
 	if err != nil {
@@ -610,6 +582,12 @@ func (p *parser) link(m *Model) error {
 	}
 	if d.Bytes, err = p.int(); err != nil {
 		return err
+	}
+	if p.peek() == "isr" {
+		p.next()
+		if d.ISR, err = p.time(); err != nil {
+			return err
+		}
 	}
 	m.Links = append(m.Links, d)
 	return nil
@@ -756,6 +734,9 @@ func (m *Model) validateMultiPE(names map[string]bool) error {
 		}
 		if l.Bytes < 0 {
 			return fmt.Errorf("sdl: link %q has negative size", l.Name)
+		}
+		if l.ISR < 0 {
+			return fmt.Errorf("sdl: link %q has a negative isr time", l.Name)
 		}
 	}
 	mapped := map[string]string{}

@@ -8,60 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
-// figure3SDL is the paper's Figure 3 example written in the SDL frontend;
-// semantics must match internal/models.BuildFigure3 with default
-// parameters.
-const figure3SDL = `
-# The paper's Figure 3 example.
-channel c1 queue 1
-channel c2 queue 1
-channel sem semaphore 0
-
-behavior B1 { delay 100ns }
-behavior B2 {
-    delay 40ns
-    marker c1-send 0
-    send c1 1
-    delay 120ns
-    delay 70ns
-    recv c2
-    marker c2-recv 0
-    delay 50ns
-}
-behavior B3 {
-    delay 50ns
-    recv c1
-    marker c1-recv 0
-    delay 80ns
-    acquire sem
-    marker ext-data 0
-    delay 60ns
-    marker c2-send 0
-    send c2 2
-    delay 40ns
-}
-
-compose workers par { B2 B3 }
-compose main seq { B1 workers }
-top main
-
-irq irq0 at 280ns releases sem
-
-task main priority 0
-task B2 priority 2
-task B3 priority 1
-`
-
-func TestParseFigure3(t *testing.T) {
-	m, err := Parse(figure3SDL)
+// mustLoad opens a built-in model, failing the test on error.
+func mustLoad(t *testing.T, name string) *Model {
+	t.Helper()
+	m, err := Load(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestParseFigure3(t *testing.T) {
+	m := mustLoad(t, "figure3")
 	if len(m.Channels) != 3 || len(m.Behaviors) != 3 || len(m.Composes) != 2 {
 		t.Errorf("parsed %d channels, %d behaviors, %d composes",
 			len(m.Channels), len(m.Behaviors), len(m.Composes))
 	}
-	if m.Top != "main" {
+	if m.Top != "PE" {
 		t.Errorf("top = %q", m.Top)
 	}
 	if len(m.IRQs) != 1 || m.IRQs[0].At != 280 || m.IRQs[0].Releases != "sem" {
@@ -72,45 +35,45 @@ func TestParseFigure3(t *testing.T) {
 	}
 }
 
-func TestFigure3SDLMatchesNativeModel(t *testing.T) {
-	m, err := Parse(figure3SDL)
-	if err != nil {
-		t.Fatal(err)
+// TestLoadReturnsFreshModels pins that every Load parses anew, so one
+// caller's edits never reach another's model.
+func TestLoadReturnsFreshModels(t *testing.T) {
+	a := mustLoad(t, "figure3")
+	a.IRQs[0].At = 1
+	a.Behaviors[0].Stmts[0].Dur = 1
+	b := mustLoad(t, "figure3")
+	if b.IRQs[0].At != 280 || b.Behaviors[0].Stmts[0].Dur != 100 {
+		t.Errorf("edits leaked into a later Load: irq at %v, B1 delay %v",
+			b.IRQs[0].At, b.Behaviors[0].Stmts[0].Dur)
 	}
-	// Unscheduled: same milestones as models.Figure3Unscheduled defaults.
-	spec, err := m.RunUnscheduled()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Load("nosuch"); err == nil || !strings.Contains(err.Error(), `no built-in model "nosuch"`) {
+		t.Errorf("Load(nosuch) err = %v", err)
 	}
-	for _, c := range []struct {
-		label string
-		want  sim.Time
-	}{{"c1-send", 140}, {"ext-data", 280}, {"c2-send", 340}} {
-		ts := spec.MarkerTimes(c.label)
-		if len(ts) != 1 || ts[0] != c.want {
-			t.Errorf("spec %s at %v, want [%v]", c.label, ts, c.want)
-		}
-	}
-	if spec.End() != 390 {
-		t.Errorf("spec end = %v, want 390", spec.End())
-	}
+}
 
-	// Architecture: the delayed preemption t4' = 390.
-	arch, osm, err := m.RunArchitecture(core.PriorityPolicy{}, core.TimeModelCoarse)
-	if err != nil {
+// TestSplitDelay pins the annotation split of the granularity ablation:
+// repeat n-1 { delay d/n } then delay d/n + d%n, the same total.
+func TestSplitDelay(t *testing.T) {
+	m := mustLoad(t, "figure3")
+	if err := m.SplitDelay("B2", 3, 8); err != nil {
 		t.Fatal(err)
 	}
-	if ts := arch.MarkerTimes("ext-data"); len(ts) != 1 || ts[0] != 390 {
-		t.Errorf("arch ext-data at %v, want [390]", ts)
+	st := m.Behaviors[1].Stmts
+	if len(st) != 9 || st[3].Op != OpRepeat || st[3].Count != 7 ||
+		len(st[3].Body) != 1 || st[3].Body[0].Dur != 15 || st[4].Op != OpDelay || st[4].Dur != 15 {
+		t.Errorf("split d6 = %+v, %+v", st[3], st[4])
 	}
-	if arch.End() != 610 {
-		t.Errorf("arch end = %v, want 610", arch.End())
+	if err := m.SplitDelay("B2", 0, 7); err != nil {
+		t.Fatal(err)
 	}
-	if ov := arch.Overlap("B2", "B3"); ov != 0 {
-		t.Errorf("arch overlap = %v, want 0", ov)
+	if st := m.Behaviors[1].Stmts; st[0].Body[0].Dur != 5 || st[1].Dur != 10 {
+		t.Errorf("split d5 of 40 into 7 = %+v, %+v; want 6×5 then 10", st[0], st[1])
 	}
-	if osm.StatsSnapshot().ContextSwitches < 4 {
-		t.Errorf("context switches = %d", osm.StatsSnapshot().ContextSwitches)
+	if err := m.SplitDelay("B2", 2, 2); err == nil {
+		t.Error("SplitDelay accepted a statement that is not a delay")
+	}
+	if err := m.SplitDelay("ghost", 0, 2); err == nil {
+		t.Error("SplitDelay accepted an unknown behavior")
 	}
 }
 
@@ -244,8 +207,12 @@ task p priority 1 period 100us wcet 10us
 // kernels on the same schedule since the model's queue traffic never
 // contends (capacity 1, strictly alternating producer/consumer).
 func TestPersonalityDirective(t *testing.T) {
+	fig3, err := builtin.ReadFile("models/figure3.sdl")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pers := range []string{"", "generic", "itron", "osek"} {
-		src := figure3SDL
+		src := string(fig3)
 		if pers != "" {
 			src += "\npersonality " + pers + "\n"
 		}
@@ -274,7 +241,7 @@ func TestPersonalityDirective(t *testing.T) {
 
 // TestPersonalityDirectiveErrors pins rejection of unknown kinds.
 func TestPersonalityDirectiveErrors(t *testing.T) {
-	_, err := Parse(figure3SDL + "\npersonality vxworks\n")
+	_, err := Parse("behavior a { delay 1 } top a\npersonality vxworks\n")
 	if err == nil || !strings.Contains(err.Error(), "unknown personality") {
 		t.Errorf("err = %v, want unknown personality", err)
 	}
@@ -312,7 +279,7 @@ func TestPECPUsClause(t *testing.T) {
 				if m.PEs[0].CPUs != 1 {
 					t.Errorf("PEs[0].CPUs = %d, want 1", m.PEs[0].CPUs)
 				}
-				if _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err != nil {
+				if _, _, _, err := m.RunMapped(core.PriorityPolicy{}, core.TimeModelCoarse); err != nil {
 					t.Errorf("RunMapped: %v", err)
 				}
 				return

@@ -10,7 +10,9 @@
 package repro
 
 import (
+	"cmp"
 	"os"
+	"runtime"
 	"slices"
 	"syscall"
 	"testing"
@@ -24,7 +26,7 @@ import (
 
 // personalitySwitchOps sizes the guard workload: enough dispatch round
 // trips that per-op costs dominate kernel setup.
-const personalitySwitchOps = 100_000
+const personalitySwitchOps = 20_000
 
 // contextSwitchDirect is the BENCH_kernel.json kernel/context-switch
 // scenario shape — two tasks handing the CPU back and forth through a
@@ -127,15 +129,19 @@ func BenchmarkPersonalityContextSwitch(b *testing.B) {
 // `go test` immune to loaded hosts.
 //
 // Every arm is timed by the process's CPU time, not the wall clock, so
-// time the host gives to other processes does not count. The rounds are
-// interleaved — direct, then each personality, repeatedly — so drift in
-// the host's speed hits every arm alike, and the arms are compared by
-// their medians.
+// time the host gives to other processes does not count, and each sample
+// starts from a fresh collection, so no arm pays for garbage another left
+// behind. The rounds are interleaved — every arm once per round, the
+// order rotating from round to round so no arm always runs first — and
+// each personality sample is divided by the direct sample of its own
+// round; the guard compares the median of these paired ratios, so a slow
+// stretch of the host scales both halves of a pair instead of skewing
+// one arm's median.
 func TestPersonalityOverheadGuard(t *testing.T) {
 	if os.Getenv("PERSONALITY_OVERHEAD_GUARD") != "1" {
 		t.Skip("set PERSONALITY_OVERHEAD_GUARD=1 to run the overhead guard")
 	}
-	const rounds = 11
+	const rounds = 51
 	const maxDispatchRatio = 1.05 // generic: the interface layer alone
 	const maxNativeRatio = 1.20   // itron/osek: dispatch + native semantics
 
@@ -152,22 +158,29 @@ func TestPersonalityOverheadGuard(t *testing.T) {
 	for _, arm := range arms {
 		run(arm)
 	}
-	samples := map[string][]time.Duration{}
+	var base []time.Duration
+	ratios := map[string][]float64{}
 	for r := 0; r < rounds; r++ {
-		for _, arm := range arms {
+		cpu := make([]time.Duration, len(arms))
+		for i := range arms {
+			a := (r + i) % len(arms)
+			runtime.GC()
 			start := processCPU(t)
-			run(arm)
-			samples[arm] = append(samples[arm], processCPU(t)-start)
+			run(arms[a])
+			cpu[a] = processCPU(t) - start
+		}
+		base = append(base, cpu[0])
+		for a, kind := range arms[1:] {
+			ratios[kind] = append(ratios[kind], float64(cpu[a+1])/float64(cpu[0]))
 		}
 	}
-	base := median(samples[direct])
 	for _, kind := range arms[1:] {
 		maxRatio := maxNativeRatio
 		if kind == personality.Generic {
 			maxRatio = maxDispatchRatio
 		}
-		ratio := float64(median(samples[kind])) / float64(base)
-		t.Logf("%s: median CPU ratio %.3fx vs direct %v (limit %.2fx)", kind, ratio, base, maxRatio)
+		ratio := median(ratios[kind])
+		t.Logf("%s: median paired CPU ratio %.3fx vs direct %v (limit %.2fx)", kind, ratio, median(base), maxRatio)
 		if ratio > maxRatio {
 			t.Errorf("%s personality overhead %.3fx exceeds %.2fx of the direct baseline",
 				kind, ratio, maxRatio)
@@ -185,7 +198,7 @@ func processCPU(tb testing.TB) time.Duration {
 }
 
 // median returns the middle sample (the upper one of an even count).
-func median(ds []time.Duration) time.Duration {
+func median[T cmp.Ordered](ds []T) T {
 	s := slices.Clone(ds)
 	slices.Sort(s)
 	return s[len(s)/2]

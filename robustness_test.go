@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/models"
 	"repro/internal/personality/osek"
+	"repro/internal/sdl"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
 	"repro/internal/vocoder"
@@ -19,8 +19,9 @@ import (
 
 // TestExamplesDiagnosisClean runs the paper's example models with the
 // always-armed monitor and asserts no runtime diagnosis surfaces as an
-// error. The example runners now propagate OS().Diagnosis() into their
-// returned error, so a clean err is the whole assertion.
+// error. The vocoder runners propagate OS().Diagnosis() into their
+// returned error, so a clean err is the whole assertion there; the SDL
+// runner's diagnosis is read from its OS instance.
 func TestExamplesDiagnosisClean(t *testing.T) {
 	par := vocoder.Small()
 	for _, tm := range []core.TimeModel{core.TimeModelCoarse, core.TimeModelSegmented} {
@@ -31,9 +32,16 @@ func TestExamplesDiagnosisClean(t *testing.T) {
 	if _, _, err := vocoder.RunMultiPE(vocoder.DefaultMultiPE(), core.PriorityPolicy{}, core.TimeModelCoarse); err != nil {
 		t.Errorf("vocoder multi-pe: %v", err)
 	}
+	m, err := sdl.Load("figure3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tm := range []core.TimeModel{core.TimeModelCoarse, core.TimeModelSegmented} {
-		if _, _, err := models.Figure3Architecture(models.DefaultFigure3(), core.PriorityPolicy{}, tm); err != nil {
+		_, osi, err := m.RunArchitecture(core.PriorityPolicy{}, tm)
+		if err != nil {
 			t.Errorf("figure3 arch (%v): %v", tm, err)
+		} else if d := osi.Diagnosis(); d != nil {
+			t.Errorf("figure3 arch (%v): %v", tm, d)
 		}
 	}
 }

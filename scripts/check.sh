@@ -5,7 +5,8 @@
 #   - static checks: go vet, gofmt, go build;
 #   - the full test suite under the race detector, and the batch engine
 #     and simcheck again at -count=2;
-#   - named contract passes: golden traces, one event record (one
+#   - named contract passes: golden traces, the built-in models (the
+#     embedded Figure 3 and JPEG SDL files), one event record (one
 #     scheduler adapter, the trace recorder a sink of the telemetry
 #     stream, markers on every bus), the Table-1 allocation
 #     and byte budgets, the rtc session allocation pins, the telemetry overhead guard, the itron/osek conformance
@@ -120,7 +121,7 @@ step "personality conformance suites (itron, osek) + cross corpus" go test -run 
 # the flat shapes neither front end sends (Repeat, release ops,
 # interrupt-fed semaphores beside queues), and the SDL corpus
 # (hierarchical seq/par behaviors, handshakes, split stimulus/ISR
-# interrupts: figure3, vocoder, bus-driver) with its per-example golden
+# interrupts: figure3, jpeg, vocoder, bus-driver) with its per-example golden
 # traces, the multi-CPU goldens of the global-scheduler runs
 # rtc.RunGoroutine lowers (simcheck's SMP rows, taskset cells and
 # telemetry, a 2-CPU campaign job, the EXT-SMP table), and core's
@@ -133,6 +134,14 @@ step "execution-engine equivalence (goroutine vs run-to-completion)" go test -ru
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestSMPGolden|TestSMPJobMetrics|TestEngineAxisJobMetrics' -count=1 ./internal/simcheck ./internal/taskset ./internal/campaign ./cmd/experiments
 step "execution-engine equivalence (goroutine vs run-to-completion)" go test -run 'TestDhallsEffect|TestTwoCPUsRunTwoTasksInParallel|TestSingleCPUEqualsUniprocessorSerialization|TestGlobalPreemption|TestMigrationCounting|TestQuickWorkConservation|TestQuickNeverMoreRunningThanCPUs|TestCoarseModePreemptsAtSchedulingPoints|TestCoarsePeriodicSet|TestSMPWatchdog|TestValidation' -count=1 ./internal/core
+
+# Built-in models: the paper's examples are SDL files embedded by
+# internal/sdl (Figure 3, the JPEG encoder's mappings). The Figure 8 and
+# JPEG checks run on them, the SDL runners release every goroutine they
+# start, and the Figure 3 and corpus golden traces hold on both engines.
+step "built-in models" go test -run 'TestFigure8|TestFigure3|TestCoarsePreemptionPinnedToDelayBoundary|TestJPEG|TestRunnersReleaseGoroutines|TestGoldenTracesSDL' -count=1 ./internal/sdl
+step "built-in models" go test -run 'TestGoldenTrace' -count=1 .
+step "built-in models" go test -run 'TestParForksOutgrowFirstSlab' -count=1 ./internal/rtc
 
 # Timer-queue ordering: the timer queue both engines share must agree
 # with the sorted-slice reference on every schedule/cancel/advance
